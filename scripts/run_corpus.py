@@ -3,8 +3,9 @@
 
 For every entry: decide, re-verify the certificate, compare the outcome and
 certificate kind against the catalog's expectations, and print one row with
-timing.  Exits nonzero when anything mismatches, so this doubles as a slow
-end-to-end check.
+timing and the power sigma was driven at for a repetition certificate
+("-" for other certificates).  Exits nonzero when anything mismatches, so
+this doubles as a slow end-to-end check.
 """
 
 import argparse
@@ -28,14 +29,15 @@ def run(names: list[str] | None, cap: int, budget: int) -> int:
         except MorphrecError as e:
             dt = time.perf_counter() - t0
             if entry.expected == "error":
-                rows.append((entry.name, f"error: {type(e).__name__}", "-", "ok", dt))
+                rows.append((entry.name, f"error: {type(e).__name__}", "-", "ok", dt, "-"))
             else:
-                rows.append((entry.name, f"error: {type(e).__name__}", "-", "MISMATCH", dt))
+                rows.append((entry.name, f"error: {type(e).__name__}", "-", "MISMATCH", dt, "-"))
                 failures.append(f"{entry.name}: unexpected {type(e).__name__}: {e}")
             continue
         dt = time.perf_counter() - t0
 
         kind = verdict.certificate.kind if verdict.certificate else "-"
+        power = verdict.certificate.data.get("power", "-") if verdict.certificate else "-"
         outcome_ok = {
             "ur": verdict.outcome == "uniformly_recurrent",
             "not-ur": verdict.outcome == "not_uniformly_recurrent",
@@ -53,16 +55,16 @@ def run(names: list[str] | None, cap: int, budget: int) -> int:
         elif not verified:
             status = "MISMATCH"
             failures.append(f"{entry.name}: certificate failed verification: {detail}")
-        rows.append((entry.name, verdict.outcome, kind, status, dt))
+        rows.append((entry.name, verdict.outcome, kind, status, dt, power))
 
     name_w = max(len(r[0]) for r in rows) if rows else 4
     out_w = max(len(r[1]) for r in rows) if rows else 7
     kind_w = max(len(r[2]) for r in rows) if rows else 4
     print(f"{'name'.ljust(name_w)}  {'outcome'.ljust(out_w)}  {'certificate'.ljust(kind_w)}  "
-          f"status    time")
-    for name, outcome, kind, status, dt in rows:
+          f"status    time   power")
+    for name, outcome, kind, status, dt, power in rows:
         print(f"{name.ljust(name_w)}  {outcome.ljust(out_w)}  {kind.ljust(kind_w)}  "
-              f"{status.ljust(8)}  {dt:6.2f}s")
+              f"{status.ljust(8)}  {dt:6.2f}s  {str(power).rjust(5)}")
     print(f"\n{len(rows)} entries, {len(failures)} mismatch(es)")
     for f in failures:
         print(f"  {f}", file=sys.stderr)

@@ -5,11 +5,29 @@ coding, raise sigma so cyclicity classes are stable, then split on whether
 every letter grows.  Growing systems run the derived-descriptor iteration
 with repetition detection; systems with bounded letters go through the
 pumping-word branch.  Verdicts carry machine-checkable certificates.
+
+The growing branch first drives the u-chain on sigma^p for the small powers
+in LOW_POWERS and accepts only a certified repetition there; everything else
+falls back to the full power P of the constant sheet, whose thresholds the
+exit evidence needs.  Why a low-power repetition is sound: below P the
+driver demands that every pair image sigma^p(w) is cut exactly into whole
+return words (first cut at 0, closing cut at |sigma^p(w)|).  Each pair
+(w, u') is then followed in y by its u', and the cuts are all occurrences of
+v = phi(u) that start inside sigma^p(w), so Theta sigma_U = sigma^p Theta
+holds letter for letter.  As sigma_U(1) starts with 1 and y is fixed by
+sigma^p, y = Theta(D) for the fixed point D of sigma_U, and x = phi(y) cuts
+at every occurrence of v into the x-side return words psi(D).  Levels n < m
+with the same sigma_U and psi have D_n = D_m, and tau factors each level-m
+return word at the occurrences of v_n (v_m starts with v_n), so
+tau(psi(D_m)) = psi(D_n) = psi(D_m).  With tau primitive, psi(D_n) is the
+fixed point of a primitive substitution, hence uniformly recurrent, and so
+is its non-erasing image x.  No constant of the sheet enters this argument,
+so it holds at any power (Durand 1998, "A characterization of substitutive
+sequences using return words").
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -35,6 +53,14 @@ INCONCLUSIVE = "inconclusive"
 # bounded-block encodings may chain when coding normalization reintroduces
 # bounded letters; give up (soundly) after this many rounds
 MAX_ENCODE_HOPS = 8
+
+# powers tried, below the sheet's full power, before the full-power chain
+LOW_POWERS = (1, 2, 3)
+
+# a low-power try that exits this way ends the low pass: the u-chain and the
+# x-side return words do not depend on the power, so a higher power walks to
+# the same exit
+_POWER_INDEPENDENT_EXITS = ("short-return", "E1")
 
 
 @dataclass(frozen=True)
@@ -337,6 +363,7 @@ def _connecting_morphism(
 
 def _certify_repetition(
     sys: ProlongableSystem,
+    power: int,
     n_low: int,
     n_high: int,
     desc_low: DerivedDescriptor,
@@ -378,6 +405,7 @@ def _certify_repetition(
         data={
             "n": n_low,
             "m": n_high,
+            "power": power,
             "table_size": len(desc_high.x_returns),
             "pair_count": len(desc_high.pairs),
             "tau": [[int(t) for t in tau.image_tokens(str(j))] for j in range(1, len(desc_high.x_returns) + 1)],
@@ -403,92 +431,54 @@ def _exit_certificate(
     return Certificate(kind="exit", data=data)
 
 
-def _growing_verdict(
-    prepared: PreparedSystem,
+def _levels(
+    sys_pow: ProlongableSystem,
+    power: int,
+    sheet: ConstantSheet,
+    last: int,
+    pair_budget: int,
+    work_budget: int,
+):
+    """The u-chain on sys_pow = sigma^power: yields (n, u, descriptor or
+    exit) for the levels 1..last and stops after the first exit.  Below the
+    full power every pair image must be anchored."""
+    u: list[str] = [sys_pow.start]
+    for n in range(1, last + 1):
+        res = build_sigma_U(
+            sys_pow,
+            u,
+            sheet.K,
+            K1=sheet.K1,
+            pair_budget=pair_budget,
+            work_budget=work_budget,
+            anchored=power < sheet.power_exponent,
+        )
+        yield n, u, res
+        if isinstance(res, DriverExit):
+            return
+        # next prefix: y up to and including the second occurrence of v,
+        # which is the first pair's w followed by its closing u'
+        u = list(res.pairs[0][0]) + list(res.pairs[0][1])
+
+
+def _chain(
+    sys_pow: ProlongableSystem,
+    power: int,
     sheet: ConstantSheet,
     practical_cap: int,
     pair_budget: int,
     work_budget: int,
     trace: list[dict],
-) -> Verdict:
-    staged = prepared.staged
-    sys_pow = (
-        staged.with_sigma_power(sheet.power_exponent)
-        if sheet.power_exponent > 1
-        else staged
-    )
-    trace.append(
-        {
-            "step": "power",
-            "exponent": sheet.power_exponent,
-            "min_image": sheet.powered_min,
-            "target": (sheet.K + 1) ** 2,
-        }
-    )
+):
+    """Drive the u-chain up to the practical cap, watching for repetitions.
 
-    u: list[str] = [sys_pow.start]
+    Returns the certificate of the first certified repetition, the
+    (level, |u|, exit) of a driver exit, or None when the cap is reached.
+    """
     seen: dict[str, tuple[int, DerivedDescriptor]] = {}
-    for n in itertools.count(1):
-        if n > practical_cap:
-            if sheet.cap.exceeded_by(n):
-                cert = Certificate(
-                    kind="exit",
-                    data={
-                        "exit": "cap",
-                        "unconditional": True,
-                        "level": n,
-                        "message": "descriptor count exceeded the theoretical cap",
-                        "evidence": {"cap": sheet.cap.describe()},
-                    },
-                )
-                return Verdict(NOT_UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
-            q, ev = resolve_periodicity(sys_pow, qmax=4096)
-            if q is not None:
-                word = sys_pow.target_alphabet.decode(
-                    FixedPointStream(sys_pow, "x").prefix_chars(q)
-                )
-                cert = Certificate(
-                    kind="periodic",
-                    data={"word": word, "period": q, "source": "cap-resolution", "evidence": ev},
-                )
-                return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
-            trace.append({"step": "cap", "practical_cap": practical_cap})
-            return Verdict(INCONCLUSIVE, None, sheet, tuple(trace))
-
-        res = build_sigma_U(
-            sys_pow, u, sheet.K, K1=sheet.K1, pair_budget=pair_budget, work_budget=work_budget
-        )
+    for n, u, res in _levels(sys_pow, power, sheet, practical_cap, pair_budget, work_budget):
         if isinstance(res, DriverExit):
-            if res.unconditional:
-                return Verdict(
-                    NOT_UNIFORMLY_RECURRENT,
-                    _exit_certificate(res, n, len(u), None),
-                    sheet,
-                    tuple(trace),
-                )
-            qmax = max(2 * len(u), 512)
-            q, ev = resolve_periodicity(sys_pow, qmax=qmax)
-            if q is not None:
-                word = sys_pow.target_alphabet.decode(
-                    FixedPointStream(sys_pow, "x").prefix_chars(q)
-                )
-                cert = Certificate(
-                    kind="periodic",
-                    data={
-                        "word": word,
-                        "period": q,
-                        "source": "guarded-exit-resolution",
-                        "evidence": ev,
-                    },
-                )
-                return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
-            return Verdict(
-                NOT_UNIFORMLY_RECURRENT,
-                _exit_certificate(res, n, len(u), ev),
-                sheet,
-                tuple(trace),
-            )
-
+            return n, len(u), res
         canon = res.canonical_text()
         trace.append(
             {
@@ -501,15 +491,111 @@ def _growing_verdict(
         )
         if canon in seen:
             n_low, desc_low = seen[canon]
-            cert = _certify_repetition(sys_pow, n_low, n, desc_low, res)
+            cert = _certify_repetition(sys_pow, power, n_low, n, desc_low, res)
             if cert is not None:
-                return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
+                return cert
             trace.append({"step": "rejected-match", "n": n, "with": n_low})
         else:
             seen[canon] = (n, res)
-        # next prefix: y up to and including the second occurrence of v,
-        # which is the first pair's w followed by its closing u'
-        u = list(res.pairs[0][0]) + list(res.pairs[0][1])
+    return None
+
+
+def _growing_verdict(
+    prepared: PreparedSystem,
+    sheet: ConstantSheet,
+    practical_cap: int,
+    pair_budget: int,
+    work_budget: int,
+    trace: list[dict],
+) -> Verdict:
+    staged = prepared.staged
+    for p in LOW_POWERS:
+        if p >= sheet.power_exponent:
+            break
+        try:
+            found = _chain(
+                staged.with_sigma_power(p), p, sheet, practical_cap, pair_budget, work_budget, []
+            )
+        except BudgetExhausted:
+            found = None
+        certified = isinstance(found, Certificate)
+        trace.append({"step": "low-power", "power": p, "certified": certified})
+        if certified:
+            return Verdict(UNIFORMLY_RECURRENT, found, sheet, tuple(trace))
+        if isinstance(found, tuple) and found[2].kind in _POWER_INDEPENDENT_EXITS:
+            break
+
+    sys_pow = staged.with_sigma_power(sheet.power_exponent)
+    trace.append(
+        {
+            "step": "power",
+            "exponent": sheet.power_exponent,
+            "min_image": sheet.powered_min,
+            "target": (sheet.K + 1) ** 2,
+        }
+    )
+    found = _chain(
+        sys_pow, sheet.power_exponent, sheet, practical_cap, pair_budget, work_budget, trace
+    )
+    if isinstance(found, Certificate):
+        return Verdict(UNIFORMLY_RECURRENT, found, sheet, tuple(trace))
+
+    if found is None:
+        if sheet.cap.exceeded_by(practical_cap + 1):
+            cert = Certificate(
+                kind="exit",
+                data={
+                    "exit": "cap",
+                    "unconditional": True,
+                    "level": practical_cap + 1,
+                    "message": "descriptor count exceeded the theoretical cap",
+                    "evidence": {"cap": sheet.cap.describe()},
+                },
+            )
+            return Verdict(NOT_UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
+        q, ev = resolve_periodicity(sys_pow, qmax=4096)
+        if q is not None:
+            word = sys_pow.target_alphabet.decode(
+                FixedPointStream(sys_pow, "x").prefix_chars(q)
+            )
+            cert = Certificate(
+                kind="periodic",
+                data={"word": word, "period": q, "source": "cap-resolution", "evidence": ev},
+            )
+            return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
+        trace.append({"step": "cap", "practical_cap": practical_cap})
+        return Verdict(INCONCLUSIVE, None, sheet, tuple(trace))
+
+    n, u_len, res = found
+    if res.unconditional:
+        return Verdict(
+            NOT_UNIFORMLY_RECURRENT,
+            _exit_certificate(res, n, u_len, None),
+            sheet,
+            tuple(trace),
+        )
+    qmax = max(2 * u_len, 512)
+    q, ev = resolve_periodicity(sys_pow, qmax=qmax)
+    if q is not None:
+        word = sys_pow.target_alphabet.decode(
+            FixedPointStream(sys_pow, "x").prefix_chars(q)
+        )
+        cert = Certificate(
+            kind="periodic",
+            data={
+                "word": word,
+                "period": q,
+                "source": "guarded-exit-resolution",
+                "evidence": ev,
+            },
+        )
+        return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
+    return Verdict(
+        NOT_UNIFORMLY_RECURRENT,
+        _exit_certificate(res, n, u_len, ev),
+        sheet,
+        tuple(trace),
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -976,24 +1062,23 @@ def _growing_stage(sys: ProlongableSystem) -> PreparedSystem | None:
 
 
 def _drive_to_level(
-    prepared: PreparedSystem, sheet: ConstantSheet, level: int, pair_budget: int, work_budget: int
+    prepared: PreparedSystem,
+    sheet: ConstantSheet,
+    level: int,
+    pair_budget: int,
+    work_budget: int,
+    power: int | None = None,
 ):
-    """Reproduce the u-chain; returns (descriptors by level, exit or None)."""
-    sys_pow = (
-        prepared.staged.with_sigma_power(sheet.power_exponent)
-        if sheet.power_exponent > 1
-        else prepared.staged
-    )
-    u = [sys_pow.start]
+    """Reproduce the u-chain on sigma^power (default: the sheet's full power);
+    returns (powered system, descriptors by level, exit or None)."""
+    if power is None:
+        power = sheet.power_exponent
+    sys_pow = prepared.staged.with_sigma_power(power)
     out = {}
-    for n in range(1, level + 1):
-        res = build_sigma_U(
-            sys_pow, u, sheet.K, K1=sheet.K1, pair_budget=pair_budget, work_budget=work_budget
-        )
+    for n, _, res in _levels(sys_pow, power, sheet, level, pair_budget, work_budget):
         if isinstance(res, DriverExit):
             return sys_pow, out, (n, res)
         out[n] = res
-        u = list(res.pairs[0][0]) + list(res.pairs[0][1])
     return sys_pow, out, None
 
 
@@ -1078,8 +1163,13 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         n, m = cert.data["n"], cert.data["m"]
         if not (1 <= n < m):
             return False, {"reason": "levels must satisfy 1 <= n < m"}
+        power = cert.data.get("power")
+        if type(power) is not int or not 1 <= power <= sheet.power_exponent:
+            return False, {
+                "reason": f"power must be an int in 1..{sheet.power_exponent}, got {power!r}"
+            }
         sys_pow, descs, exited = _drive_to_level(
-            prepared, sheet, m, pair_budget=4096, work_budget=1 << 26
+            prepared, sheet, m, pair_budget=4096, work_budget=1 << 26, power=power
         )
         if exited is not None:
             return False, {"reason": f"driver exited at level {exited[0]}"}

@@ -258,7 +258,9 @@ class DriverExit:
     longer than K|u|), 'E3' (more than K1 table entries), 'E4' (entry first
     appears beyond the closure window), 'no-occurrence' (a long window misses
     the target), 'empty-image' (an image block contributes no occurrence),
-    'short-return' (return word shorter than |u|/K).  unconditional=True
+    'short-return' (return word shorter than |u|/K), 'unanchored' (anchoring
+    was asked for and an image's first cut is not at 0 or its closing cut is
+    not at the end of the image block).  unconditional=True
     means the evidence alone refutes uniform recurrence; guarded exits also
     need aperiodicity, which the decider resolves separately.
     """
@@ -330,6 +332,7 @@ def build_sigma_U(
     K1: int | None = None,
     pair_budget: int = 4096,
     work_budget: int = 1 << 26,
+    anchored: bool = False,
 ):
     """Drive the set-case return construction for u (a prefix of y).
 
@@ -338,7 +341,10 @@ def build_sigma_U(
     v = phi(u) inside phi(sigma(w u')), which discovers new pairs exactly in
     first-appearance order.  Exits follow the taxonomy on DriverExit; the
     closure window check requires every pair to appear within K+1+#A^2
-    expansion rounds of the index substitution.
+    expansion rounds of the index substitution.  With anchored=True every
+    image block must be cut exactly into whole return words, so that
+    Theta sigma_U = sigma Theta holds letter for letter; otherwise the driver
+    returns an 'unanchored' exit.
     """
     phi = sys.effective_phi
     if not phi.is_coding and sys.phi is not None:
@@ -421,6 +427,18 @@ def build_sigma_U(
             )
         if j == 1 and before[0] != 0:
             raise InternalConsistencyError("first pair image lost its anchor at 0")
+        if anchored and (before[0] != 0 or closing != W):
+            return DriverExit(
+                kind="unanchored",
+                unconditional=False,
+                message="an image block is not cut exactly into return words",
+                evidence={
+                    "pair_index": j,
+                    "first_cut": before[0],
+                    "closing_cut": closing,
+                    "window": W,
+                },
+            )
         bounds = before + [closing]
         img: list[int] = []
         for a, b in zip(bounds, bounds[1:]):

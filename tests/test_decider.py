@@ -6,12 +6,16 @@ import json
 import pytest
 
 from morphrec.catalog import get
+from morphrec.constants import compute_constant_sheet
 from morphrec.decider import (
     INCONCLUSIVE,
     NOT_UNIFORMLY_RECURRENT,
     UNIFORMLY_RECURRENT,
     Certificate,
     Verdict,
+    _connecting_morphism,
+    _drive_to_level,
+    _growing_stage,
     decide_uniform_recurrence,
     derive_chain,
     periodic_checklist,
@@ -19,6 +23,7 @@ from morphrec.decider import (
     verify_certificate,
 )
 from morphrec.errors import MorphrecError, PreconditionViolated
+from morphrec.returns import DriverExit, build_sigma_U
 from morphrec.system import parse_system
 
 
@@ -67,6 +72,7 @@ def test_fibonacci_repetition_certificate_fields():
     assert d["table_size"] == 2 and d["pair_count"] == 2
     assert d["tau"] == [[1, 2], [1]]
     assert d["positivity_power"] == 2
+    assert d["power"] == 1
     assert d["canonical"].startswith("pairs: 2\n")
 
 
@@ -161,14 +167,23 @@ def test_verify_accepts_alternative_valid_levels():
 def test_verify_rejects_tampered_repetition():
     sys_ = load("fibonacci")
     v = decide_uniform_recurrence(sys_)
+    no_power = {k: x for k, x in v.certificate.data.items() if k != "power"}
     for bad in (
         _tampered(v, tau=[[2, 1], [1]]),
         _tampered(v, pair_count=99),
         _tampered(v, table_size=9),
         _tampered(v, canonical="pairs: 2\nforged"),
+        _tampered(v, power=0),
+        _tampered(v, power=v.sheet.power_exponent + 1),
+        _tampered(v, power="1"),
+        Verdict(v.outcome, Certificate("repetition", no_power), v.sheet, v.trace),
     ):
         ok, detail = verify_certificate(sys_, bad)
         assert not ok, detail
+    # a power in range replays honestly but builds another table at level n
+    ok, detail = verify_certificate(sys_, _tampered(v, power=2))
+    assert not ok
+    assert detail["reason"] == "stored canonical form differs from the rebuilt one"
 
 
 def test_verify_rejects_tampered_periodic():
@@ -194,6 +209,82 @@ def test_verify_rejects_certificate_for_wrong_system():
     v = decide_uniform_recurrence(load("fibonacci"))
     ok, _ = verify_certificate(load("thue_morse"), v)
     assert not ok
+
+
+# -- low-power certificates ------------------------------------------------------------
+
+
+def _first_exit(sys_pow, sheet, levels, anchored):
+    """Drive the u-chain by hand; (level, exit) of the first exit, or None."""
+    u = [sys_pow.start]
+    for n in range(1, levels + 1):
+        res = build_sigma_U(sys_pow, u, sheet.K, K1=sheet.K1, anchored=anchored)
+        if isinstance(res, DriverExit):
+            return n, res
+        u = list(res.pairs[0][0]) + list(res.pairs[0][1])
+    return None
+
+
+def test_anchoring_guard_on_rudin_shapiro_coded():
+    sys_ = load("rudin_shapiro_coded")
+    stage = _growing_stage(sys_)
+    sheet = compute_constant_sheet(stage.staged)
+    # below the full power the exit thresholds prove nothing: the plain
+    # driver reports a guarded exit on a uniformly recurrent sequence ...
+    level, exit_ = _first_exit(stage.staged.with_sigma_power(1), sheet, 7, anchored=False)
+    assert (level, exit_.kind, exit_.unconditional) == (2, "empty-image", False)
+    # ... or runs on over images that are not cut into whole return words
+    sys2 = stage.staged.with_sigma_power(2)
+    assert _first_exit(sys2, sheet, 7, anchored=False) is None
+    level, exit_ = _first_exit(sys2, sheet, 7, anchored=True)
+    assert (level, exit_.kind, exit_.unconditional) == (3, "unanchored", False)
+
+    v = decide_uniform_recurrence(sys_)
+    d = v.certificate.data
+    assert v.certificate.kind == "repetition"
+    assert (d["power"], d["n"], d["m"]) == (3, 4, 5)
+    assert [t for t in v.trace if t["step"] == "low-power"] == [
+        {"step": "low-power", "power": 1, "certified": False},
+        {"step": "low-power", "power": 2, "certified": False},
+        {"step": "low-power", "power": 3, "certified": True},
+    ]
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+    for p in (1, 2):
+        ok, detail = verify_certificate(sys_, _tampered(v, power=p))
+        assert not ok, detail
+
+
+@pytest.mark.parametrize(
+    "name",
+    [
+        "fibonacci",
+        "thue_morse",
+        "period_doubling",
+        "sturmian_ab",
+        "pell",
+        "fib_cubed",
+        "twisted_tm",
+        "paperfold4",
+    ],
+)
+def test_low_power_repetition_matches_full_power(name):
+    sys_ = load(name)
+    d = decide_uniform_recurrence(sys_).certificate.data
+    stage = _growing_stage(sys_)
+    sheet = compute_constant_sheet(stage.staged)
+    assert d["power"] < sheet.power_exponent
+    sys_pow, levels, exited = _drive_to_level(stage, sheet, d["m"], 4096, 1 << 26)
+    assert exited is None
+    low, high = levels[d["n"]], levels[d["m"]]
+    assert low.canonical_text() == high.canonical_text()
+    tau = _connecting_morphism(sys_pow, low, high)
+    rebuilt = [
+        [int(t) for t in tau.image_tokens(str(j))] for j in range(1, len(high.x_returns) + 1)
+    ]
+    assert rebuilt == d["tau"]
+    assert len(high.x_returns) == d["table_size"]
+    assert len(high.pairs) == d["pair_count"]
 
 
 # -- the periodicity checklist ---------------------------------------------------------
