@@ -3,9 +3,10 @@
 
 For every entry: decide, re-verify the certificate, compare the outcome and
 certificate kind against the catalog's expectations, and print one row with
-timing and the power sigma was driven at for a repetition certificate
-("-" for other certificates).  Exits nonzero when anything mismatches, so
-this doubles as a slow end-to-end check.
+timing and, in the last column, the power sigma was driven at for a
+repetition certificate or the source of a periodic one (the stage that
+confirmed the period; "-" for other certificates).  Exits nonzero when
+anything mismatches, so this doubles as a slow end-to-end check.
 """
 
 import argparse
@@ -37,7 +38,8 @@ def run(names: list[str] | None, cap: int, budget: int) -> int:
         dt = time.perf_counter() - t0
 
         kind = verdict.certificate.kind if verdict.certificate else "-"
-        power = verdict.certificate.data.get("power", "-") if verdict.certificate else "-"
+        cert_data = verdict.certificate.data if verdict.certificate else {}
+        power_or_source = cert_data.get("source" if kind == "periodic" else "power", "-")
         outcome_ok = {
             "ur": verdict.outcome == "uniformly_recurrent",
             "not-ur": verdict.outcome == "not_uniformly_recurrent",
@@ -55,16 +57,16 @@ def run(names: list[str] | None, cap: int, budget: int) -> int:
         elif not verified:
             status = "MISMATCH"
             failures.append(f"{entry.name}: certificate failed verification: {detail}")
-        rows.append((entry.name, verdict.outcome, kind, status, dt, power))
+        rows.append((entry.name, verdict.outcome, kind, status, dt, power_or_source))
 
-    name_w = max(len(r[0]) for r in rows) if rows else 4
-    out_w = max(len(r[1]) for r in rows) if rows else 7
-    kind_w = max(len(r[2]) for r in rows) if rows else 4
+    name_w = max([len("name")] + [len(r[0]) for r in rows])
+    out_w = max([len("outcome")] + [len(r[1]) for r in rows])
+    kind_w = max([len("certificate")] + [len(r[2]) for r in rows])
     print(f"{'name'.ljust(name_w)}  {'outcome'.ljust(out_w)}  {'certificate'.ljust(kind_w)}  "
-          f"status    time   power")
-    for name, outcome, kind, status, dt, power in rows:
+          f"{'status'.ljust(8)}  {'time'.rjust(7)}  power/source")
+    for name, outcome, kind, status, dt, power_or_source in rows:
         print(f"{name.ljust(name_w)}  {outcome.ljust(out_w)}  {kind.ljust(kind_w)}  "
-              f"{status.ljust(8)}  {dt:6.2f}s  {str(power).rjust(5)}")
+              f"{status.ljust(8)}  {dt:6.2f}s  {power_or_source}")
     print(f"\n{len(rows)} entries, {len(failures)} mismatch(es)")
     for f in failures:
         print(f"  {f}", file=sys.stderr)

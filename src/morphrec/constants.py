@@ -27,7 +27,7 @@ from .growth import (
     pq_constants,
 )
 from .morphism import Morphism, power
-from .stream import FixedPointStream, complexity
+from .stream import FixedPointStream, _inner_language
 from .system import ProlongableSystem, restrict_to_reachable
 from .words import factor_set
 
@@ -185,11 +185,15 @@ def _prolongable_block_system(
     return block_sys, exponent
 
 
-def compute_K(sys: ProlongableSystem) -> tuple[int, tuple[SubMorphismConstants, ...], int]:
+def compute_K(
+    sys: ProlongableSystem, r_value: int | None = None
+) -> tuple[int, tuple[SubMorphismConstants, ...], int]:
     """K = ceil of the least Q_t * R_t * |t| over primitive sub-morphisms.
 
     Candidates are the closed primitive blocks of the cyclicity decomposition
     of sigma, each raised to the recorded power making it prolongable.
+    r_value, when given, is R of sys itself and is reused for a block system
+    with the same sigma and start.
     Returns (K, all candidate constants, index of the chosen candidate).
     """
     inc = sys.incidence
@@ -200,7 +204,10 @@ def compute_K(sys: ProlongableSystem) -> tuple[int, tuple[SubMorphismConstants, 
             continue
         block_sys, exponent = _prolongable_block_system(sys, letters, bd.r_sigma)
         _, q = pq_constants(block_sys.incidence)
-        r = compute_R_sigma(block_sys)
+        if r_value is not None and (block_sys.sigma, block_sys.start) == (sys.sigma, sys.start):
+            r = r_value
+        else:
+            r = compute_R_sigma(block_sys)
         norm = block_sys.sigma.max_image_len
         out.append(
             SubMorphismConstants(
@@ -340,12 +347,12 @@ def compute_constant_sheet(
     r_value = None
     if compute_r and is_primitive(inc.matrix):
         r_value = compute_R_sigma(sys)
-    k_const, subs, chosen = compute_K(sys)
+    k_const, subs, chosen = compute_K(sys, r_value)
 
-    comp = complexity(sys, k_const + 1, "y")
-    if not comp.exact:
+    # the bounded-window language is exact only when every letter grows
+    if not inc.all_growing():
         raise InternalConsistencyError("factor count must be exact for growing sigma")
-    p_count = comp.count
+    p_count = len(_inner_language(sys, k_const + 1))
 
     target = (k_const + 1) ** 2
     k_pow = 1

@@ -2,8 +2,11 @@
 
 The flow: restrict to reachable letters, normalize the outer morphism to a
 coding, raise sigma so cyclicity classes are stable, then split on whether
-every letter grows.  Growing systems run the derived-descriptor iteration
-with repetition detection; systems with bounded letters go through the
+every letter grows.  Growing systems first get an exact periodicity check
+(periods up to UPFRONT_QMAX, proposed by a prefix scan and confirmed on the
+(q+1)-factors of x): a purely periodic x is uniformly recurrent and needs no
+constant sheet.  The rest run the derived-descriptor iteration with
+repetition detection; systems with bounded letters go through the
 pumping-word branch.  Verdicts carry machine-checkable certificates.
 
 The growing branch first drives the u-chain on sigma^p for the small powers
@@ -56,6 +59,10 @@ MAX_ENCODE_HOPS = 8
 
 # powers tried, below the sheet's full power, before the full-power chain
 LOW_POWERS = (1, 2, 3)
+
+# largest period tried before the constant sheet: the exact check needs the
+# (q+1)-factors of x, whose count grows with q, and short periods are common
+UPFRONT_QMAX = 64
 
 # a low-power try that exits this way ends the low pass: the u-chain and the
 # x-side return words do not depend on the power, so a higher power walks to
@@ -189,6 +196,17 @@ def resolve_periodicity(
         if pure_period_check(sys, q, budget=budget):
             return q, evidence
     return None, evidence
+
+
+def _periodic_certificate(
+    sys: ProlongableSystem, q: int, source: str, evidence: dict
+) -> Certificate:
+    """The certificate for a period q that resolve_periodicity confirmed."""
+    word = sys.target_alphabet.decode(FixedPointStream(sys, "x").prefix_chars(q))
+    return Certificate(
+        kind="periodic",
+        data={"word": word, "period": q, "source": source, "evidence": evidence},
+    )
 
 
 def _primitive_root(word: str) -> str:
@@ -555,13 +573,7 @@ def _growing_verdict(
             return Verdict(NOT_UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
         q, ev = resolve_periodicity(sys_pow, qmax=4096)
         if q is not None:
-            word = sys_pow.target_alphabet.decode(
-                FixedPointStream(sys_pow, "x").prefix_chars(q)
-            )
-            cert = Certificate(
-                kind="periodic",
-                data={"word": word, "period": q, "source": "cap-resolution", "evidence": ev},
-            )
+            cert = _periodic_certificate(sys_pow, q, "cap-resolution", ev)
             return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
         trace.append({"step": "cap", "practical_cap": practical_cap})
         return Verdict(INCONCLUSIVE, None, sheet, tuple(trace))
@@ -577,18 +589,7 @@ def _growing_verdict(
     qmax = max(2 * u_len, 512)
     q, ev = resolve_periodicity(sys_pow, qmax=qmax)
     if q is not None:
-        word = sys_pow.target_alphabet.decode(
-            FixedPointStream(sys_pow, "x").prefix_chars(q)
-        )
-        cert = Certificate(
-            kind="periodic",
-            data={
-                "word": word,
-                "period": q,
-                "source": "guarded-exit-resolution",
-                "evidence": ev,
-            },
-        )
+        cert = _periodic_certificate(sys_pow, q, "guarded-exit-resolution", ev)
         return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
     return Verdict(
         NOT_UNIFORMLY_RECURRENT,
@@ -992,18 +993,22 @@ def _decide(
         return _nongrowing_verdict(
             prepared, practical_cap, pair_budget, work_budget, trace, _depth
         )
+    # a periodic x is uniformly recurrent; a check that finds no period or
+    # runs out of budget leaves the decision to the sheet and the chain
+    try:
+        q, ev = resolve_periodicity(prepared.staged, qmax=UPFRONT_QMAX, scan=8 * UPFRONT_QMAX)
+    except BudgetExhausted:
+        q = None
+    if q is not None:
+        trace.append({"step": "upfront-periodic", "period": q})
+        cert = _periodic_certificate(prepared.staged, q, "upfront", ev)
+        return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
     try:
         sheet = compute_constant_sheet(prepared.staged)
     except (PreconditionViolated, NoPrimitiveSubmorphism, BudgetExhausted) as e:
         q, ev = resolve_periodicity(prepared.staged, qmax=1024)
         if q is not None:
-            word = prepared.staged.target_alphabet.decode(
-                FixedPointStream(prepared.staged, "x").prefix_chars(q)
-            )
-            cert = Certificate(
-                kind="periodic",
-                data={"word": word, "period": q, "source": "constants-unavailable", "evidence": ev},
-            )
+            cert = _periodic_certificate(prepared.staged, q, "constants-unavailable", ev)
             return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
         trace.append({"step": "constants", "status": "unavailable", "reason": str(e)})
         return Verdict(INCONCLUSIVE, None, None, tuple(trace))

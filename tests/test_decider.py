@@ -11,6 +11,7 @@ from morphrec.decider import (
     INCONCLUSIVE,
     NOT_UNIFORMLY_RECURRENT,
     UNIFORMLY_RECURRENT,
+    UPFRONT_QMAX,
     Certificate,
     Verdict,
     _connecting_morphism,
@@ -100,7 +101,7 @@ def test_periodic_certificate_sources():
     assert v1.certificate.data["word"] == ["z"]
     assert v1.certificate.data["period"] == 1
     v2 = decide_uniform_recurrence(load("periodic_coded"))
-    assert v2.certificate.data["source"] == "guarded-exit-resolution"
+    assert v2.certificate.data["source"] == "upfront"
 
 
 def test_preimage_shortcut_marks_certificate():
@@ -187,14 +188,15 @@ def test_verify_rejects_tampered_repetition():
 
 
 def test_verify_rejects_tampered_periodic():
-    sys_ = load("tail_fin_const")
-    v = decide_uniform_recurrence(sys_)
-    for bad in (
-        _tampered(v, word=["b"]),
-        _tampered(v, period=3),
-    ):
-        ok, detail = verify_certificate(sys_, bad)
-        assert not ok, detail
+    for name in ("tail_fin_const", "periodic_coded"):
+        sys_ = load(name)
+        v = decide_uniform_recurrence(sys_)
+        for bad in (
+            _tampered(v, word=["b"]),
+            _tampered(v, period=3),
+        ):
+            ok, detail = verify_certificate(sys_, bad)
+            assert not ok, (name, detail)
 
 
 def test_verify_rejects_swapped_outcome():
@@ -209,6 +211,39 @@ def test_verify_rejects_certificate_for_wrong_system():
     v = decide_uniform_recurrence(load("fibonacci"))
     ok, _ = verify_certificate(load("thue_morse"), v)
     assert not ok
+
+
+# -- the up-front periodicity check ----------------------------------------------------
+
+
+def test_constant_coding_settles_upfront():
+    # x = 0^w is periodic, so it is settled before the constant sheet
+    sys_ = parse_system(
+        "alphabet: a b\nstart: a\ntarget: 0\nsigma:\na -> a a b\nb -> a\n"
+        "phi:\na -> 0\nb -> 0\n"
+    )
+    v = decide_uniform_recurrence(sys_)
+    assert v.outcome == UNIFORMLY_RECURRENT
+    assert v.certificate.kind == "periodic"
+    assert v.certificate.data["period"] == 1
+    assert v.certificate.data["source"] == "upfront"
+    assert v.sheet is None
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+
+
+def test_period_above_upfront_qmax_falls_through():
+    # x = (a b^64)^w has period 65, just above UPFRONT_QMAX
+    assert UPFRONT_QMAX == 64
+    image = "a" + " b" * 64
+    sys_ = parse_system(f"alphabet: a b\nstart: a\nsigma:\na -> {image}\nb -> {image}\n")
+    v = decide_uniform_recurrence(sys_)
+    assert v.outcome == UNIFORMLY_RECURRENT
+    assert v.certificate.kind == "periodic"
+    assert v.certificate.data["period"] == 65
+    assert v.certificate.data["source"] != "upfront"
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
 
 
 # -- low-power certificates ------------------------------------------------------------
