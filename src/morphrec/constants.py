@@ -27,7 +27,7 @@ from .growth import (
     pq_constants,
 )
 from .morphism import Morphism, power
-from .stream import FixedPointStream, _inner_language
+from .stream import FixedPointStream, _inner_language, two_factor_closure
 from .system import ProlongableSystem, restrict_to_reachable
 from .words import factor_set
 
@@ -40,29 +40,6 @@ def _steps_until_min_length(inc: IncidenceStructure, n: int, cap: int = 512) -> 
         if t > cap:
             raise InternalConsistencyError("image lengths failed to reach the target")
     return t
-
-
-def _pair_closure_with_depth(sys: ProlongableSystem) -> tuple[set[str], int]:
-    """Two-letter factors of the fixed point plus the closure depth: every
-    factor occurs in sigma^depth applied to the first two letters."""
-    stream = FixedPointStream(sys, "y")
-    seed = stream.prefix_chars(2)
-    seen = {seed: 0}
-    frontier = [seed]
-    depth = 0
-    while frontier:
-        nxt = []
-        for pair in frontier:
-            w = sys.sigma.apply(pair)
-            for i in range(len(w) - 1):
-                f = w[i : i + 2]
-                if f not in seen:
-                    seen[f] = seen[pair] + 1
-                    nxt.append(f)
-        frontier = nxt
-    if seen:
-        depth = max(seen.values())
-    return set(seen), depth
 
 
 def compute_R_sigma(sys: ProlongableSystem, work_budget: int = 1 << 26) -> int:
@@ -80,7 +57,7 @@ def compute_R_sigma(sys: ProlongableSystem, work_budget: int = 1 << 26) -> int:
     sys.require_prolongable()
     alpha = sys.alphabet
     d = len(alpha)
-    pairs, depth = _pair_closure_with_depth(sys)
+    pairs, depth = two_factor_closure(sys)
     horn = horn_exponent(inc.matrix)
     t_cap = horn + depth + 1 + _steps_until_min_length(inc, 2)
 

@@ -31,7 +31,7 @@ sequences using return words").
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 from .constants import ConstantSheet, compute_constant_sheet
@@ -1126,12 +1126,19 @@ def derive_chain(
 
 
 def verify_certificate(sys: ProlongableSystem, verdict: Verdict) -> tuple[bool, dict]:
-    """Recheck a verdict's certificate from scratch.  Total: never raises."""
+    """Recheck a verdict's certificate from scratch.  Total: never raises.
+
+    The check runs on new morphism objects, so no analysis that an earlier
+    decide cached on the caller's sigma or phi is reused.
+    """
     cert = verdict.certificate
     if cert is None:
         return False, {"reason": "no certificate to verify"}
     try:
-        return _verify(sys, verdict, cert)
+        fresh = ProlongableSystem(
+            replace(sys.sigma), sys.start, replace(sys.phi) if sys.phi is not None else None
+        )
+        return _verify(fresh, verdict, cert)
     except Exception as e:  # noqa: BLE001 - verification must be total
         return False, {"reason": f"verification raised {type(e).__name__}: {e}"}
 

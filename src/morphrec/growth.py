@@ -184,19 +184,39 @@ class PerronValue:
     # -- order ---------------------------------------------------------------
 
     def cmp(self, other: "PerronValue") -> int:
-        """-1, 0, or +1; exact trichotomy."""
+        """-1, 0, or +1; exact trichotomy.
+
+        Equal handles denote one number (an isolating interval has a single
+        root), and a rational is placed against an interval by the sign of
+        the polynomial there, so only two irrational values reach sympy.
+        """
         a, b = self, other
+        if a == b:
+            return 0
         if a.is_exact and b.is_exact:
             return (a.lo > b.lo) - (a.lo < b.lo)
-        gcd_expr = sympy.gcd(
-            sympy.Poly(list(a.coeffs), _X), sympy.Poly(list(b.coeffs), _X)
-        )
-        gcd_poly = sympy.Poly(gcd_expr, _X)
+        if b.is_exact:
+            return a._cmp_rational_exact(b.lo)
+        if a.is_exact:
+            return -b._cmp_rational_exact(a.lo)
+        return a._cmp_general(b)
+
+    def _cmp_general(self, other: "PerronValue") -> int:
+        """Trichotomy for any two handles: refine both intervals until they
+        separate, or until the common factor of the polynomials has a root
+        where they overlap."""
+        a, b = self, other
+        gcd_poly = None
         while True:
             if a.hi < b.lo:
                 return -1
             if b.hi < a.lo:
                 return 1
+            if gcd_poly is None:
+                gcd_expr = sympy.gcd(
+                    sympy.Poly(list(a.coeffs), _X), sympy.Poly(list(b.coeffs), _X)
+                )
+                gcd_poly = sympy.Poly(gcd_expr, _X)
             if gcd_poly.degree() >= 1:
                 m = max(a.lo, b.lo)
                 mm = min(a.hi, b.hi)
@@ -207,6 +227,22 @@ class PerronValue:
             target = max(width_a, width_b) / 4 or Fraction(1, 16)
             a = a.refined(target)
             b = b.refined(target)
+
+    def _cmp_rational_exact(self, q: Fraction) -> int:
+        """Order against the rational q for a handle with lo < hi: the root
+        is the only sign change of the polynomial in [lo, hi]."""
+        if q < self.lo:
+            return 1
+        if q > self.hi:
+            return -1
+        fq = _eval_coeffs(self.coeffs, q)
+        if fq == 0:
+            return 0
+        flo = _eval_coeffs(self.coeffs, self.lo)
+        if flo == 0:  # the root is lo itself
+            return (self.lo > q) - (self.lo < q)
+        # same sign as at lo: no root in [lo, q], so the root lies above q
+        return 1 if (fq > 0) == (flo > 0) else -1
 
     def eq(self, other: "PerronValue") -> bool:
         return self.cmp(other) == 0
@@ -307,6 +343,8 @@ class IncidenceStructure:
         self._compute_sccs()
         self._perron_cache: dict[int, PerronValue] = {}
         self._growth_cache: dict[int, GrowthType] = {}
+        self._lengths: list[list[int]] = [[1] * n]  # row k: |sigma^k(b)| per letter b
+        self._pq_cache: dict[tuple, tuple[Fraction, Fraction]] = {}
 
     @staticmethod
     def of_morphism(sigma: "Morphism") -> "IncidenceStructure":
@@ -478,12 +516,26 @@ class IncidenceStructure:
         return all(self.is_growing(t) for t in self.alphabet.tokens)
 
     def lengths_after(self, k: int) -> list[int]:
-        """|sigma^k(b)| for every letter b (column sums of the k-th power)."""
-        return mat_colsums(mat_pow(self.matrix, k))
+        """|sigma^k(b)| for every letter b (column sums of the k-th power).
+
+        Row k+1 is row k times the matrix, |sigma^(k+1)(b)| being the sum of
+        |sigma^k(c)| over the letters c of sigma(b); rows are kept, so each
+        power is computed once per structure.
+        """
+        if k < 0:
+            raise ValueError("negative matrix power")
+        rows = self._lengths
+        m = self.matrix
+        n = len(m)
+        while len(rows) <= k:
+            prev = rows[-1]
+            rows.append([sum(prev[i] * m[i][j] for i in range(n)) for j in range(n)])
+        return list(rows[k])
 
 
 def incidence(sigma: "Morphism") -> IncidenceStructure:
-    return IncidenceStructure.of_morphism(sigma)
+    """The analysis cached on sigma (see Morphism.incidence)."""
+    return sigma.incidence
 
 
 def growth_type(structure: IncidenceStructure, token: str) -> GrowthType:
@@ -621,8 +673,17 @@ def pq_constants(
 
     With empirical=True a deeper eigenvector pass is also run and the smaller
     (still sound for all k) Q is kept; exact small-k ratios serve as a sanity
-    floor.
+    floor.  The result is kept on the structure, per set of arguments.
     """
+    key = (tighten_power, empirical, empirical_kmax)
+    if key not in structure._pq_cache:
+        structure._pq_cache[key] = _pq_constants(
+            structure, tighten_power, empirical, empirical_kmax
+        )
+    return structure._pq_cache[key]
+
+
+def _pq_constants(structure, tighten_power, empirical, empirical_kmax):
     lo, hi = letter_envelopes(structure, tighten_power)
     p_const = max(max(hi), 1 / min(lo))
     q_const = max(hi) / min(lo)
@@ -674,7 +735,7 @@ def _open_scc_envelope(structure, sid, lo, hi, alpha_handle, alo, ahi, tighten_p
     members = set(comp)
     n = len(structure.matrix)
     block = structure.block(comp)
-    rho = PerronValue.of_matrix(block)
+    rho = structure.perron_of_scc(sid)
     # refine until the internal radius is strictly below the global rate
     a_ref = alpha_handle
     while rho.hi >= a_ref.lo:

@@ -10,9 +10,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 from .errors import AlphabetMismatch, MorphrecError
 from .words import Alphabet
+
+if TYPE_CHECKING:
+    from .growth import IncidenceStructure
 
 
 @dataclass(frozen=True)
@@ -113,6 +117,15 @@ class Morphism:
         chars = self.dst.chars
         return [[img.count(c) for img in self.images] for c in chars]
 
+    @cached_property
+    def incidence(self) -> "IncidenceStructure":
+        """Incidence analysis of an endomorphism, built once per morphism so
+        every system sharing this sigma shares its SCCs, Perron values,
+        growth types and image lengths."""
+        from .growth import IncidenceStructure  # runtime import avoids a module cycle
+
+        return IncidenceStructure.of_morphism(self)
+
     def as_token_table(self) -> dict[str, list[str]]:
         return {t: self.image_tokens(t) for t in self.src.tokens}
 
@@ -122,8 +135,11 @@ class Morphism:
         """Restrict the source to a sub-alphabet (order preserved from tokens).
 
         For an endomorphism whose images stay inside the kept letters, pass
-        new_dst=None to reuse the same sub-alphabet as target.
+        new_dst=None to reuse the same sub-alphabet as target.  Keeping every
+        letter in order returns this morphism itself, with its cached analysis.
         """
+        if tuple(tokens) == self.src.tokens and new_dst in (None, self.dst):
+            return self
         sub = Alphabet(tuple(tokens))
         dst = new_dst if new_dst is not None else (sub if self.is_endomorphism else self.dst)
         out = {}
@@ -164,9 +180,7 @@ def classify(sigma: Morphism) -> MorphismFlags:
     """
     prolongable: set[str] = set()
     if sigma.is_endomorphism and sigma.is_non_erasing:
-        from .growth import IncidenceStructure  # runtime import avoids a module cycle
-
-        inc = IncidenceStructure.of_morphism(sigma)
+        inc = sigma.incidence
         for i, t in enumerate(sigma.src.tokens):
             img = sigma.images[i]
             if len(img) >= 2 and img[0] == sigma.src.chars[i] and inc.is_growing(t):

@@ -2,8 +2,12 @@
 
 The stream decomposes the fixed point as a . u . sigma(u) . sigma^2(u) ...
 where sigma(a) = a u.  Bulk prefixes use repeated translate() doubling with a
-growable cache; genuinely streaming scans expand blocks through a bounded
-image table so memory stays proportional to the expansion frontier.
+growable cache.  Streaming scans expand each block sigma^k(u) through a table
+of sigma^j images, built one level at a time when a scan first reaches it and
+never past the level whose images, known in advance from the image lengths
+of sigma's shared incidence analysis, would exceed _CHUNK letters; deeper
+blocks translate pieces of shallower ones, so memory stays proportional to
+the chunk size times the expansion depth.
 """
 
 from __future__ import annotations
@@ -16,6 +20,7 @@ from .system import ProlongableSystem
 from .words import factor_set
 
 _CHUNK = 4096
+_MAX_LEVEL = 64  # deepest table level, for letters whose images grow slowly
 _ERASE_GUARD = 1 << 22  # y letters consumed without x progress before giving up
 
 
@@ -23,7 +28,10 @@ class FixedPointStream:
     """Single-owner stream over y = sigma^inf(a) or x = phi(y).
 
     prefix() keeps a growing cache (memory O(n)); chunks()/letters() stream
-    with memory bounded by the expansion frontier.
+    with memory bounded by the expansion frontier.  Nothing is expanded at
+    construction: the sigma^j image table is built lazily by chunks(), and
+    the image lengths and the prolongability check come from the incidence
+    analysis cached on sigma, shared by every stream over the same sigma.
     """
 
     def __init__(self, sys: ProlongableSystem, which: str = "y"):
@@ -36,18 +44,10 @@ class FixedPointStream:
         self._xcache = None
         if which == "x":
             self._xcache = sys.effective_phi.apply(self._ycache)
-        # image table sigma^k per letter for all k where images stay small
-        self._deep_images: list[dict[str, str]] = [
-            {c: c for c in sys.alphabet.chars}
-        ]
-        while True:
-            prev = self._deep_images[-1]
-            nxt = {c: sys.sigma.apply(prev[c]) for c in sys.alphabet.chars}
-            if max(len(w) for w in nxt.values()) > _CHUNK:
-                break
-            self._deep_images.append(nxt)
-            if len(self._deep_images) > 64:
-                break
+        # translate tables of sigma^j (level j) and their longest image
+        self._levels: list[dict[int, str]] = []
+        self._longest: list[int] = []
+        self._levels_done = False
 
     # -- bulk prefixes ---------------------------------------------------------
 
@@ -81,22 +81,47 @@ class FixedPointStream:
 
     # -- streaming -------------------------------------------------------------
 
-    def _expand(self, c: str, level: int) -> Iterator[str]:
-        if level < len(self._deep_images):
-            yield self._deep_images[level][c]
+    def _deepest_level(self, k: int) -> int:
+        """Deepest table level j with 1 <= j <= k, building levels on demand.
+
+        Level 1 is sigma itself; a level j >= 2 is built only while every
+        sigma^j image has at most _CHUNK letters.
+        """
+        levels = self._levels
+        sigma = self.sys.sigma
+        if not levels:
+            levels.append(dict(zip(map(ord, sigma.src.chars), sigma.images)))
+            self._longest.append(sigma.max_image_len)
+        while len(levels) < k and not self._levels_done:
+            j = len(levels) + 1
+            longest = max(self.sys.incidence.lengths_after(j))
+            if j > _MAX_LEVEL or longest > _CHUNK:
+                self._levels_done = True
+                break
+            levels.append({o: sigma.apply(w) for o, w in levels[-1].items()})
+            self._longest.append(longest)
+        return min(k, len(levels))
+
+    def _pieces(self, w: str, k: int) -> Iterator[str]:
+        """sigma^k(w) as consecutive pieces of at most _CHUNK letters, longer
+        only where a single image of sigma is."""
+        if k == 0:
+            for i in range(0, len(w), _CHUNK):
+                yield w[i : i + _CHUNK]
             return
-        for d in self.sys.sigma.image_of_char(c):
-            yield from self._expand(d, level - 1)
+        j = self._deepest_level(k)
+        table = self._levels[j - 1]
+        step = max(1, _CHUNK // max(self._longest[j - 1], 1))
+        for part in [w] if j == k else self._pieces(w, k - j):
+            for i in range(0, len(part), step):
+                yield part[i : i + step].translate(table)
 
     def chunks(self) -> Iterator[str]:
-        """The sequence as a concatenation of non-empty string chunks."""
+        """The sequence as a concatenation of non-empty string chunks, each
+        the image of a window of at least _CHUNK letters of y."""
         phi = self.sys.effective_phi if self.which == "x" else None
-        a = self.sys.alphabet.char(self.sys.start)
-        u = self.sys.sigma.image(self.sys.start)[1:]
         guard = 0
-
-        def emit(raw: str) -> Iterator[str]:
-            nonlocal guard
+        for raw in self._y_windows():
             out = phi.apply(raw) if phi is not None else raw
             if out:
                 guard = 0
@@ -108,12 +133,20 @@ class FixedPointStream:
                         "outer morphism erased every letter for too long a stretch"
                     )
 
-        yield from emit(a)
+    def _y_windows(self) -> Iterator[str]:
+        """y as windows of at least _CHUNK letters."""
+        buf = [self.sys.alphabet.char(self.sys.start)]
+        size = 1
+        u = self.sys.sigma.image(self.sys.start)[1:]
         level = 0
         while True:
-            for c in u:
-                for piece in self._expand(c, level):
-                    yield from emit(piece)
+            for piece in self._pieces(u, level):
+                buf.append(piece)
+                size += len(piece)
+                if size >= _CHUNK:
+                    yield "".join(buf)
+                    buf = []
+                    size = 0
             level += 1
 
     def letters(self) -> Iterator[str]:
@@ -135,6 +168,13 @@ class FixedPointStream:
         if m > limit:
             return []
         out: list[int] = []
+        if limit <= _CHUNK:  # within one chunk: the cached prefix is cheaper
+            text = self.prefix_chars(limit)
+            pos = text.find(pattern)
+            while pos != -1 and (max_count is None or len(out) < max_count):
+                out.append(pos)
+                pos = text.find(pattern, pos + 1)
+            return out
         carry = ""
         offset = 0  # global index of carry[0]
         produced = 0
@@ -209,44 +249,53 @@ class ComplexityResult:
     exact: bool
 
 
-def _two_factor_closure(sys: ProlongableSystem) -> set[str]:
+def two_factor_closure(sys: ProlongableSystem) -> tuple[set[str], int]:
     """All length-2 factors of y, by closing {y[0:2]} under pair -> factors of
-    its image.  Exact when every letter grows."""
-    stream = FixedPointStream(sys, "y")
-    seed = stream.prefix_chars(2)
+    its image, plus the closure depth: every factor occurs in sigma^depth
+    applied to the first two letters.  Exact when every letter grows."""
+    seed = FixedPointStream(sys, "y").prefix_chars(2)
+    seen = {seed: 0}
     frontier = [seed]
-    seen = {seed}
     sigma = sys.sigma
     while frontier:
-        pair = frontier.pop()
-        w = sigma.apply(pair)
-        for i in range(len(w) - 1):
-            f = w[i : i + 2]
-            if f not in seen:
-                seen.add(f)
-                frontier.append(f)
-    return seen
+        nxt = []
+        for pair in frontier:
+            w = sigma.apply(pair)
+            for i in range(len(w) - 1):
+                f = w[i : i + 2]
+                if f not in seen:
+                    seen[f] = seen[pair] + 1
+                    nxt.append(f)
+        frontier = nxt
+    return set(seen), max(seen.values())
 
 
 def _inner_language(sys: ProlongableSystem, n: int) -> set[str]:
-    """Exact L_n(y) for growing sigma via bounded windows over two-letter seeds."""
+    """Exact L_n(y) for growing sigma via bounded windows over two-letter seeds.
+
+    With t minimal such that every |sigma^t(b)| >= n, each n-factor starts
+    inside sigma^t(c) for a pair cd and ends inside sigma^t(cd).  Windows
+    starting inside sigma^t(d) are taken with the pair that starts with d
+    (one exists: y is infinite), so each pair contributes only the windows
+    starting in its first image.
+    """
     if n == 0:
         return {""}
-    pairs = _two_factor_closure(sys)
+    pairs, _ = two_factor_closure(sys)
     if n == 1:
         return {c for p in pairs for c in p}
     inc = sys.incidence
-    t = 0
+    t = 1
     while min(inc.lengths_after(t)) < n:
         t += 1
     from .morphism import power
 
-    sig_t = power(sys.sigma, t) if t >= 1 else None
+    sig_t = power(sys.sigma, t)
+    head = dict(zip(sys.alphabet.chars, inc.lengths_after(t)))
     out: set[str] = set()
     for p in pairs:
-        w = sig_t.apply(p) if sig_t is not None else p
-        for i in range(len(w) - n + 1):
-            out.add(w[i : i + n])
+        w = sig_t.apply(p)
+        out.update(w[i : i + n] for i in range(head[p[0]]))
     return out
 
 

@@ -44,9 +44,10 @@ class ProlongableSystem:
     def target_alphabet(self) -> Alphabet:
         return self.phi.dst if self.phi is not None else self.sigma.src
 
-    @cached_property
+    @property
     def incidence(self) -> IncidenceStructure:
-        return IncidenceStructure.of_morphism(self.sigma)
+        """The analysis cached on sigma, shared with every system built on it."""
+        return self.sigma.incidence
 
     @cached_property
     def effective_phi(self) -> Morphism:
@@ -57,6 +58,10 @@ class ProlongableSystem:
         img = self.sigma.image(self.start)
         if len(img) < 2 or img[0] != self.alphabet.char(self.start):
             return False
+        if self.sigma.is_non_erasing:
+            # sigma^n(a) = a u sigma(u) ... sigma^(n-1)(u) with u non-empty and
+            # no letter erased, so |sigma^n(a)| >= n + 1: the letter grows
+            return True
         return self.incidence.is_growing(self.start)
 
     def require_prolongable(self):
