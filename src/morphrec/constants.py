@@ -8,6 +8,7 @@ flips a verdict.
 from __future__ import annotations
 
 import math
+import re
 from dataclasses import dataclass, replace
 from fractions import Fraction
 
@@ -20,8 +21,6 @@ from .errors import (
 from .growth import (
     IncidenceStructure,
     block_decomposition,
-    horn_exponent,
-    is_primitive,
     mat_colsums,
     mat_pow,
     pq_constants,
@@ -52,13 +51,13 @@ def compute_R_sigma(sys: ProlongableSystem, work_budget: int = 1 << 26) -> int:
     The result is checked against the 2|sigma^{2d^2}| bound.
     """
     inc = sys.incidence
-    if not is_primitive(inc.matrix):
+    horn = inc.primitive_exponent
+    if horn is None:
         raise NotPrimitive("R is computed for primitive substitutions only")
     sys.require_prolongable()
     alpha = sys.alphabet
     d = len(alpha)
     pairs, depth = two_factor_closure(sys)
-    horn = horn_exponent(inc.matrix)
     t_cap = horn + depth + 1 + _steps_until_min_length(inc, 2)
 
     # materialized images per level, for the containment searches
@@ -73,8 +72,7 @@ def compute_R_sigma(sys: ProlongableSystem, work_budget: int = 1 << 26) -> int:
             level_images.append(nxt)
         return level_images[t]
 
-    stream = FixedPointStream(sys, "y")
-    best = 0
+    scans: dict[str, int] = {}
     for u in sorted(pairs):
         t_star = None
         for t in range(1, t_cap + 1):
@@ -92,11 +90,8 @@ def compute_R_sigma(sys: ProlongableSystem, work_budget: int = 1 << 26) -> int:
             raise BudgetExhausted(
                 f"certified scan length {scan} exceeds the work budget"
             )
-        occ = stream.scan_occurrences(u, scan)
-        if len(occ) < 2:
-            raise InternalConsistencyError("two-letter factor did not recur in scan")
-        gap = max(b - a for a, b in zip(occ, occ[1:]))
-        best = max(best, gap)
+        scans[u] = scan
+    best = _largest_pair_gap(FixedPointStream(sys, "y"), scans)
 
     bound_exp = 2 * d * d
     bound = 2 * max(mat_colsums(mat_pow(inc.matrix, bound_exp)))
@@ -104,6 +99,40 @@ def compute_R_sigma(sys: ProlongableSystem, work_budget: int = 1 << 26) -> int:
         raise InternalConsistencyError(
             f"computed R = {best} exceeds the 2|sigma^(2d^2)| = {bound} bound"
         )
+    return best
+
+
+def _largest_pair_gap(stream: FixedPointStream, scans: dict[str, int]) -> int:
+    """Largest gap between successive occurrences of a two-letter word u in
+    y[:scans[u]], over every u, from one pass over y.
+
+    Each window is split at the occurrences of u (at maximal runs of c for
+    u = cc, whose occurrences overlap: inside a run the gaps are 1), so a
+    gap is the length of a piece plus 2; only the first and last occurrence
+    of each u are kept across windows.
+    """
+    runs = {u: re.compile(re.escape(u[0]) + "{2,}") for u in scans if u[0] == u[1]}
+    first: dict[str, int] = {}
+    last: dict[str, int] = {}
+    best = 1  # a word that recurs has gaps of at least 1
+    for offset, window in stream.windows(max(scans.values()), 1):
+        for u, scan in scans.items():
+            if scan - offset < 2:
+                continue
+            text = window[: scan - offset]
+            pieces = runs[u].split(text) if u in runs else text.split(u)
+            if len(pieces) == 1:
+                continue
+            here = offset + len(pieces[0])
+            if u in last:
+                best = max(best, here - last[u])
+            else:
+                first[u] = here
+            if len(pieces) > 2:
+                best = max(best, max(map(len, pieces[1:-1])) + 2)
+            last[u] = offset + len(text) - len(pieces[-1]) - 2
+    if any(last.get(u, -1) <= first.get(u, -1) for u in scans):
+        raise InternalConsistencyError("two-letter factor did not recur in scan")
     return best
 
 
@@ -322,7 +351,7 @@ def compute_constant_sheet(
     inc = sys.incidence
     p_const, q_const = pq_constants(inc)
     r_value = None
-    if compute_r and is_primitive(inc.matrix):
+    if compute_r and inc.primitive_exponent is not None:
         r_value = compute_R_sigma(sys)
     k_const, subs, chosen = compute_K(sys, r_value)
 

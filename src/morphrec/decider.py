@@ -39,6 +39,7 @@ from .errors import (
     BudgetExhausted,
     InternalConsistencyError,
     NoPrimitiveSubmorphism,
+    NotPrimitive,
     PreconditionViolated,
     WitnessSearchExhausted,
 )
@@ -411,9 +412,10 @@ def _certify_repetition(
             },
         )
     mat = tuple(tuple(r) for r in tau.incidence_matrix())
-    if not is_primitive(mat):
+    try:
+        k = horn_exponent(mat)
+    except NotPrimitive:
         return None
-    k = horn_exponent(mat)
     if not mat_positive(mat_pow(mat, k)):
         raise InternalConsistencyError("horn exponent failed to produce positivity")
     if tau.image_tokens("1")[0] != "1":

@@ -4,6 +4,20 @@ Everything here is exact: matrices are arbitrary-precision integers,
 spectral radii are algebraic-number handles (square-free integer polynomial
 plus an isolating rational interval), and all derived constants are
 Fractions rounded outward where an over-approximation is safe.
+
+Whether a letter grows, and whether a matrix is primitive, are read off the
+letter graph without any spectral radius.  Each strongly connected component
+(SCC) of the graph has one of three radius classes: 0 for a trivial SCC (one
+letter, no self-loop); exactly 1 for a cyclic permutation block, where every
+letter's image holds exactly one letter of the SCC, exactly once; above 1
+otherwise, since an irreducible non-negative matrix whose column sums are
+all >= 1 and not all equal to 1 has spectral radius above 1
+(Perron-Frobenius).  A letter grows iff it reaches an SCC of radius above 1
+or some path from it passes two cycle SCCs.  Primitivity and the least
+positive power depend only on the zero pattern, so they are computed over
+the Booleans.  Perron values (through sympy) are computed only where their
+digits are printed or enter a constant: growth types, and the envelopes of
+systems with several SCCs.
 """
 
 from __future__ import annotations
@@ -11,8 +25,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
+# Imported eagerly on purpose: interrupting a first `import sympy` (say, by
+# a per-call time limit raised from a signal handler) leaves a half-imported
+# package behind, on which a retried import can miss `sympy.polys` or raise.
 import sympy
 
 from .errors import NotPrimitive, PreconditionViolated
@@ -67,16 +85,33 @@ def mat_colsums(m: Matrix) -> list[int]:
     return [sum(m[i][j] for i in range(len(m))) for j in range(len(m))]
 
 
+def _bool_row_times(row: int, pattern: list[int]) -> int:
+    """Row bitmask times a 0/1 matrix given as row bitmasks."""
+    out = 0
+    l = 0
+    while row:
+        if row & 1:
+            out |= pattern[l]
+        row >>= 1
+        l += 1
+    return out
+
+
 def horn_exponent(matrix: Sequence[Sequence[int]]) -> int:
-    """Least k with matrix^k entrywise positive; k <= d^2 - 2d + 2 or NotPrimitive."""
-    m = mat_from(matrix)
-    d = len(m)
+    """Least k with matrix^k entrywise positive; k <= d^2 - 2d + 2 or NotPrimitive.
+
+    Positivity of a power of a non-negative matrix depends only on its zero
+    pattern, so the powers are taken over the Booleans, rows as bitmasks.
+    """
+    pattern = [sum(1 << j for j, v in enumerate(row) if v > 0) for row in matrix]
+    d = len(pattern)
+    full = (1 << d) - 1
     bound = d * d - 2 * d + 2
-    acc = m
+    acc = pattern
     for k in range(1, bound + 1):
-        if mat_positive(acc):
+        if all(row == full for row in acc):
             return k
-        acc = mat_mul(acc, m)
+        acc = [_bool_row_times(row, pattern) for row in acc]
     raise NotPrimitive(f"no positive power up to the d^2-2d+2 = {bound} bound")
 
 
@@ -323,12 +358,21 @@ class BlockDecomposition:
     closed: tuple[bool, ...]  # block images stay inside the block
 
 
+# radius classes of an SCC (see the module docstring)
+RADIUS_ZERO = 0
+RADIUS_ONE = 1
+RADIUS_ABOVE_ONE = 2
+
+
 class IncidenceStructure:
     """Incidence matrix of an endomorphism with its SCC condensation.
 
     matrix[i][j] counts occurrences of letter i in the image of letter j.
     The letter graph has an edge j -> i when matrix[i][j] > 0; SCCs are
     listed in topological order, sources first, so closed SCCs come last.
+    scc_radius holds each SCC's radius class (RADIUS_ZERO, RADIUS_ONE or
+    RADIUS_ABOVE_ONE), from which is_growing answers without a Perron
+    value; growth_type computes the exact Perron values.
     """
 
     def __init__(self, alphabet: Alphabet, matrix: Matrix):
@@ -420,6 +464,16 @@ class IncidenceStructure:
             len(comp) == 1 and self.matrix[comp[0]][comp[0]] == 0 for comp in sccs
         ]
         self.scc_period = [self._period(comp) for comp in sccs]
+        self.scc_radius = [self._radius_class(sid) for sid in range(len(sccs))]
+
+    def _radius_class(self, sid: int) -> int:
+        if self.scc_trivial[sid]:
+            return RADIUS_ZERO
+        comp = self.sccs[sid]
+        m = self.matrix
+        if all(sum(m[i][j] for i in comp) == 1 for j in comp):
+            return RADIUS_ONE
+        return RADIUS_ABOVE_ONE
 
     def _period(self, comp: list[int]) -> int:
         if len(comp) == 1 and self.matrix[comp[0]][comp[0]] == 0:
@@ -509,11 +563,45 @@ class IncidenceStructure:
             self._growth_cache[i] = GrowthType(count(sid) - 1, theta)
         return self._growth_cache[i]
 
+    @cached_property
+    def _scc_grows(self) -> list[bool | None]:
+        """Per SCC, whether its letters grow; None when they reach only
+        trivial SCCs.  Sinks first: a letter grows iff it reaches an SCC of
+        radius above 1 (then theta > 1) or a path from it passes two cycle
+        SCCs (then theta = 1 and d >= 1)."""
+        k = len(self.sccs)
+        nontrivial = [False] * k
+        above = [False] * k
+        cycles = [0] * k  # most cycle SCCs on a path from the SCC, capped at 2
+        for s in reversed(range(k)):
+            cls = self.scc_radius[s]
+            nxt = self.scc_edges[s]
+            nontrivial[s] = cls != RADIUS_ZERO or any(nontrivial[t] for t in nxt)
+            above[s] = cls == RADIUS_ABOVE_ONE or any(above[t] for t in nxt)
+            deepest = max((cycles[t] for t in nxt), default=0)
+            cycles[s] = min(2, deepest + (cls == RADIUS_ONE))
+        return [(above[s] or cycles[s] == 2) if nontrivial[s] else None for s in range(k)]
+
     def is_growing(self, token: str) -> bool:
-        return not self.growth_type(token).is_non_growing()
+        """Whether |sigma^n(token)| tends to infinity; agrees with
+        growth_type(token).is_non_growing() and raises where it raises."""
+        grows = self._scc_grows[self.scc_of[self.alphabet.index(token)]]
+        if grows is None:
+            raise PreconditionViolated(
+                "letter reaches only nilpotent structure; erasing input rejected"
+            )
+        return grows
 
     def all_growing(self) -> bool:
         return all(self.is_growing(t) for t in self.alphabet.tokens)
+
+    @cached_property
+    def primitive_exponent(self) -> int | None:
+        """horn_exponent of the matrix, or None when it is not primitive."""
+        try:
+            return horn_exponent(self.matrix)
+        except NotPrimitive:
+            return None
 
     def lengths_after(self, k: int) -> list[int]:
         """|sigma^k(b)| for every letter b (column sums of the k-th power).
@@ -617,9 +705,18 @@ def letter_envelopes(
     every k >= 0, where a is the shared growth rate.
 
     Precondition: every letter has growth type (0, a) for one common a.
-    Envelopes are assembled over the condensation, closed SCCs first.
+    Envelopes are assembled over the condensation, closed SCCs first.  When
+    the letters form one non-trivial SCC the precondition holds, and its
+    closed-SCC envelope never reads a, so no Perron value is computed.
     """
     tokens = structure.alphabet.tokens
+    n = len(tokens)
+    lo: list = [None] * n
+    hi: list = [None] * n
+    if len(structure.sccs) == 1 and not structure.scc_trivial[0]:
+        _closed_scc_envelope(structure, 0, lo, hi, tighten_power)
+        return _clamped(lo, hi)
+
     alpha_handle = None
     for t in tokens:
         gt = structure.growth_type(t)
@@ -634,11 +731,7 @@ def letter_envelopes(
     if alo <= 0:
         raise PreconditionViolated("growth rate must be positive")
 
-    n = len(tokens)
-    lo: list = [None] * n
-    hi: list = [None] * n
     order = list(range(len(structure.sccs)))[::-1]  # sinks (closed) first
-
     for sid in order:
         comp = structure.sccs[sid]
         if structure.scc_closed[sid]:
@@ -655,11 +748,12 @@ def letter_envelopes(
             lo[a] = min(lo_a, Fraction(1))
             continue
         _open_scc_envelope(structure, sid, lo, hi, alpha_handle, alo, ahi, tighten_power)
+    return _clamped(lo, hi)
 
-    for i in range(n):
-        lo[i] = min(lo[i], Fraction(1))
-        hi[i] = max(hi[i], Fraction(1))
-    return lo, hi
+
+def _clamped(lo: list, hi: list) -> tuple[list[Fraction], list[Fraction]]:
+    """Widen every envelope to contain 1, the length at k = 0."""
+    return [min(v, Fraction(1)) for v in lo], [max(v, Fraction(1)) for v in hi]
 
 
 def pq_constants(

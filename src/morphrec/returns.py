@@ -19,7 +19,6 @@ from .errors import (
     NotPrimitive,
     PrefixInvalid,
 )
-from .growth import is_primitive
 from .morphism import Morphism
 from .stream import FixedPointStream
 from .system import ProlongableSystem
@@ -120,7 +119,7 @@ def return_substitution(
     appears while cutting images sigma(w_i) at u-occurrences, processed in
     index order, which reproduces first-appearance indexing.
     """
-    if not is_primitive(sys.incidence.matrix):
+    if sys.incidence.primitive_exponent is None:
         raise NotPrimitive("return substitutions need a primitive incidence matrix")
     stream = FixedPointStream(sys, "y")
     alpha = sys.alphabet

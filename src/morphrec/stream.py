@@ -158,43 +158,44 @@ class FixedPointStream:
 
     # -- scanning ---------------------------------------------------------------
 
-    def scan_occurrences(
-        self, pattern: str, limit: int, max_count: int | None = None
-    ) -> list[int]:
-        """Start positions i with i + |pattern| <= limit, ascending."""
-        if not pattern:
-            raise ValueError("pattern must be non-empty")
-        m = len(pattern)
-        if m > limit:
-            return []
-        out: list[int] = []
+    def windows(self, limit: int, overlap: int) -> Iterator[tuple[int, str]]:
+        """The first `limit` letters as (offset, text) windows, consecutive
+        windows sharing `overlap` letters, so that every factor of length
+        overlap + 1 lies whole in exactly one window."""
         if limit <= _CHUNK:  # within one chunk: the cached prefix is cheaper
-            text = self.prefix_chars(limit)
-            pos = text.find(pattern)
-            while pos != -1 and (max_count is None or len(out) < max_count):
-                out.append(pos)
-                pos = text.find(pattern, pos + 1)
-            return out
+            yield 0, self.prefix_chars(limit)
+            return
         carry = ""
         offset = 0  # global index of carry[0]
         produced = 0
         for chunk in self.chunks():
             window = carry + chunk
             produced += len(chunk)
-            hi = len(window)
-            if produced >= limit:
-                hi -= produced - limit  # do not scan past the limit
-            pos = window.find(pattern, 0, hi)
+            if produced >= limit:  # do not scan past the limit
+                yield offset, window[: len(window) - (produced - limit)]
+                return
+            yield offset, window
+            keep = min(overlap, len(window))
+            carry = window[len(window) - keep :] if keep else ""
+            offset += len(window) - keep
+
+    def scan_occurrences(
+        self, pattern: str, limit: int, max_count: int | None = None
+    ) -> list[int]:
+        """Start positions i with i + |pattern| <= limit, ascending; at most
+        max_count (>= 1) of them when given."""
+        if not pattern:
+            raise ValueError("pattern must be non-empty")
+        if len(pattern) > limit:
+            return []
+        out: list[int] = []
+        for offset, text in self.windows(limit, len(pattern) - 1):
+            pos = text.find(pattern)
             while pos != -1:
                 out.append(offset + pos)
                 if max_count is not None and len(out) >= max_count:
                     return out
-                pos = window.find(pattern, pos + 1, hi)
-            if produced >= limit:
-                break
-            keep = min(m - 1, len(window))
-            carry = window[len(window) - keep :] if keep else ""
-            offset += len(window) - keep
+                pos = text.find(pattern, pos + 1)
         return out
 
 
@@ -277,7 +278,8 @@ def _inner_language(sys: ProlongableSystem, n: int) -> set[str]:
     inside sigma^t(c) for a pair cd and ends inside sigma^t(cd).  Windows
     starting inside sigma^t(d) are taken with the pair that starts with d
     (one exists: y is infinite), so each pair contributes only the windows
-    starting in its first image.
+    starting in its first image; of those, the windows lying inside
+    sigma^t(c) are the same for every pair cd, and are added once per c.
     """
     if n == 0:
         return {""}
@@ -293,9 +295,14 @@ def _inner_language(sys: ProlongableSystem, n: int) -> set[str]:
     sig_t = power(sys.sigma, t)
     head = dict(zip(sys.alphabet.chars, inc.lengths_after(t)))
     out: set[str] = set()
+    interior_done: set[str] = set()
     for p in pairs:
         w = sig_t.apply(p)
-        out.update(w[i : i + n] for i in range(head[p[0]]))
+        c = p[0]
+        # windows from head[c] - n + 1 on reach into sigma^t(d)
+        start = head[c] - n + 1 if c in interior_done else 0
+        interior_done.add(c)
+        out.update(w[i : i + n] for i in range(start, head[c]))
     return out
 
 

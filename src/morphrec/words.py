@@ -22,6 +22,7 @@ class Alphabet:
 
     tokens: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
+    _token_of: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.tokens)) != len(self.tokens):
@@ -29,6 +30,9 @@ class Alphabet:
         if not self.tokens:
             raise ValueError("alphabet must be non-empty")
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
+        object.__setattr__(
+            self, "_token_of", {chr(_BASE + i): t for i, t in enumerate(self.tokens)}
+        )
 
     def __len__(self) -> int:
         return len(self.tokens)
@@ -47,10 +51,10 @@ class Alphabet:
         return chr(_BASE + self.index(token))
 
     def token_of_char(self, ch: str) -> str:
-        i = ord(ch) - _BASE
-        if not 0 <= i < len(self.tokens):
-            raise AlphabetMismatch(f"internal char {ch!r} outside alphabet")
-        return self.tokens[i]
+        try:
+            return self._token_of[ch]
+        except KeyError:
+            raise AlphabetMismatch(f"internal char {ch!r} outside alphabet") from None
 
     @property
     def chars(self) -> str:
@@ -63,7 +67,10 @@ class Alphabet:
 
     def decode(self, internal: str) -> list[str]:
         """Internal word -> token sequence."""
-        return [self.token_of_char(c) for c in internal]
+        try:
+            return list(map(self._token_of.__getitem__, internal))
+        except KeyError as exc:
+            raise AlphabetMismatch(f"internal char {exc.args[0]!r} outside alphabet") from None
 
     @staticmethod
     def indexed(n: int) -> "Alphabet":

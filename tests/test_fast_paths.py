@@ -4,22 +4,37 @@ is_prolongable skips the growth-type analysis for non-erasing sigma,
 lengths_after extends cached rows one step at a time, PerronValue.cmp
 settles equal handles and rationals without sympy, and the stream expands
 sigma^k(u) through a lazily built image table into coalesced chunks.
+Growth is read off the SCC radius classes and primitivity off the zero
+pattern, R comes from one pass over y that keeps no occurrence list, the
+bounded-window language adds each image's interior windows once, and
+decoding goes through a char -> token table.
 """
 
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from morphrec import catalog
+from morphrec.constants import _largest_pair_gap
+from morphrec.decider import decide_uniform_recurrence, verify_certificate
+from morphrec.errors import AlphabetMismatch, MorphrecError, NotPrimitive, PreconditionViolated
 from morphrec.growth import (
+    RADIUS_ABOVE_ONE,
+    RADIUS_ONE,
+    RADIUS_ZERO,
     IncidenceStructure,
     PerronValue,
+    horn_exponent,
     mat_colsums,
     mat_from,
+    mat_mul,
+    mat_positive,
     mat_pow,
 )
 from morphrec.morphism import Morphism
-from morphrec.stream import _CHUNK, FixedPointStream
+from morphrec.stream import _CHUNK, FixedPointStream, _inner_language, factor_language
 from morphrec.system import ProlongableSystem, parse_system
 from morphrec.words import Alphabet
 
@@ -223,3 +238,227 @@ def test_chunks_are_coalesced():
         if len(sizes) == 20:
             break
     assert min(sizes) >= _CHUNK
+
+
+# -- growth from SCC radius classes -------------------------------------------------
+
+
+@st.composite
+def condensations(draw):
+    """Incidence matrices built SCC by SCC, biased towards the cases the
+    radius classes separate: trivial letters, cyclic permutation blocks,
+    blocks of radius above 1, chains of cycles, and letters that reach only
+    trivial SCCs.  Edges between SCCs go forward only, so the blocks drawn
+    are the SCCs; letters are then shuffled."""
+    kinds = draw(
+        st.lists(st.sampled_from(["trivial", "cycle", "big"]), min_size=1, max_size=4)
+    )
+    members: list[list[int]] = []
+    n = 0
+    for kind in kinds:
+        size = 1 if kind == "trivial" else draw(st.integers(1, 3))
+        members.append(list(range(n, n + size)))
+        n += size
+    m = [[0] * n for _ in range(n)]
+    for kind, comp in zip(kinds, members):
+        if kind == "trivial":
+            continue
+        for pos, j in enumerate(comp):
+            m[comp[(pos + 1) % len(comp)]][j] = 1
+        if kind == "big":
+            i, j = draw(st.sampled_from(comp)), draw(st.sampled_from(comp))
+            m[i][j] += draw(st.integers(1, 2))
+    for a in range(len(members)):
+        for b in range(a + 1, len(members)):
+            if draw(st.integers(0, 2)) == 0:
+                j, i = draw(st.sampled_from(members[a])), draw(st.sampled_from(members[b]))
+                m[i][j] += draw(st.integers(1, 2))
+    perm = draw(st.permutations(range(n)))
+    shuffled = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            shuffled[perm[i]][perm[j]] = m[i][j]
+    return shuffled
+
+
+generic_matrices = st.integers(1, 4).flatmap(
+    lambda d: st.lists(
+        st.lists(st.sampled_from([0, 0, 0, 1, 1, 2]), min_size=d, max_size=d),
+        min_size=d,
+        max_size=d,
+    )
+)
+
+
+def _fresh(matrix) -> IncidenceStructure:
+    tokens = tuple(f"l{i}" for i in range(len(matrix)))
+    return IncidenceStructure(Alphabet(tokens), mat_from(matrix))
+
+
+def _outcome(fn):
+    try:
+        return ("value", fn())
+    except PreconditionViolated as e:
+        return ("raised", type(e), str(e))
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(condensations(), generic_matrices))
+def test_is_growing_matches_growth_type(matrix):
+    by_class, by_perron = _fresh(matrix), _fresh(matrix)
+    for tok in by_class.alphabet.tokens:
+        got = _outcome(lambda: by_class.is_growing(tok))
+        want = _outcome(lambda: not by_perron.growth_type(tok).is_non_growing())
+        assert got == want
+    expected_class = {-1: RADIUS_ZERO, 0: RADIUS_ONE, 1: RADIUS_ABOVE_ONE}
+    for sid in range(len(by_perron.sccs)):
+        perron = by_perron.perron_of_scc(sid)
+        if by_perron.scc_trivial[sid]:
+            assert by_class.scc_radius[sid] == RADIUS_ZERO
+        else:
+            assert by_class.scc_radius[sid] == expected_class[perron.cmp_rational(1)]
+
+
+def test_is_growing_cases():
+    # a -> b, b -> a: one cycle SCC, bounded
+    assert not _fresh([[0, 1], [1, 0]]).is_growing("l0")
+    # a -> a b, b -> b: two cycle SCCs on one path, linear growth
+    chain = _fresh([[1, 0], [1, 1]])
+    assert chain.is_growing("l0") and not chain.is_growing("l1")
+    # a -> b, b -> empty: reaches only trivial SCCs
+    nil = _fresh([[0, 0], [1, 0]])
+    with pytest.raises(PreconditionViolated, match="only nilpotent structure"):
+        nil.is_growing("l0")
+
+
+# -- primitivity on the zero pattern ------------------------------------------------
+
+
+def _horn_on_integers(matrix) -> int:
+    """The least positive power by integer matrix products."""
+    m = mat_from(matrix)
+    d = len(m)
+    acc = m
+    for k in range(1, d * d - 2 * d + 3):
+        if mat_positive(acc):
+            return k
+        acc = mat_mul(acc, m)
+    raise NotPrimitive("no positive power")
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.one_of(condensations(), generic_matrices))
+def test_horn_exponent_on_the_pattern_matches_integer_powers(matrix):
+    try:
+        want = _horn_on_integers(matrix)
+    except NotPrimitive:
+        with pytest.raises(NotPrimitive):
+            horn_exponent(matrix)
+        assert _fresh(matrix).primitive_exponent is None
+    else:
+        assert horn_exponent(matrix) == want
+        assert _fresh(matrix).primitive_exponent == want
+
+
+def test_horn_exponent_wielandt_extreme():
+    # the Wielandt matrix attains the d^2 - 2d + 2 bound
+    d = 5
+    m = [[0] * d for _ in range(d)]
+    for i in range(d - 1):
+        m[i + 1][i] = 1
+    m[0][d - 1] = 1
+    m[1][d - 1] = 1
+    assert horn_exponent(m) == _horn_on_integers(m) == d * d - 2 * d + 2
+
+
+# -- no characteristic polynomial on the catalog ---------------------------------------
+
+
+def test_catalog_decides_and_verifies_without_perron_values(monkeypatch):
+    calls = []
+
+    def refuse(rows):
+        calls.append(rows)
+        raise AssertionError("characteristic polynomial computed")
+
+    monkeypatch.setattr(PerronValue, "of_matrix", staticmethod(refuse))
+    for entry in catalog.entries():
+        try:
+            verdict = decide_uniform_recurrence(parse_system(entry.text))
+        except MorphrecError:
+            assert entry.expected == "error"
+            continue
+        ok, info = verify_certificate(parse_system(entry.text), verdict)
+        assert ok, (entry.name, info)
+    assert calls == []
+
+
+# -- R from one pass ---------------------------------------------------------------------
+
+
+def _gap_from_lists(stream: FixedPointStream, scans: dict[str, int]) -> int:
+    best = 0
+    for u, scan in scans.items():
+        occ = stream.scan_occurrences(u, scan)
+        assert len(occ) >= 2
+        best = max(best, max(b - a for a, b in zip(occ, occ[1:])))
+    return best
+
+
+@settings(max_examples=40, deadline=None)
+@given(prolongable_systems(), st.data())
+def test_largest_pair_gap_matches_occurrence_lists(sys_, data):
+    y = FixedPointStream(sys_, "y").prefix_chars(3 * _CHUNK)
+    pairs = sorted({y[i : i + 2] for i in range(len(y) - 1)})
+    scans = {}
+    for u in pairs:
+        occ = [i for i in range(len(y) - 1) if y.startswith(u, i)]
+        if len(occ) < 2:
+            continue
+        low = occ[1] + 2  # the least scan with two occurrences
+        scans[u] = data.draw(
+            st.sampled_from([low, max(low, _CHUNK - 1), max(low, _CHUNK + 1), 3 * _CHUNK])
+        )
+    if not scans:
+        return
+    want = _gap_from_lists(FixedPointStream(sys_, "y"), scans)
+    assert _largest_pair_gap(FixedPointStream(sys_, "y"), scans) == want
+
+
+def test_largest_pair_gap_on_letter_runs():
+    # y = a b^64 a b^64 ...: "bb" overlaps itself inside every run
+    body = " ".join(["b"] * 64)
+    sys_ = parse_system(f"alphabet: a b\nstart: a\nsigma:\na -> a {body}\nb -> a {body}\n")
+    ab, bb = sys_.alphabet.encode(["a", "b"]), sys_.alphabet.encode(["b", "b"])
+    for scans in ({bb: 3 * _CHUNK}, {bb: 40}, {ab: 3 * _CHUNK, bb: _CHUNK + 70}):
+        want = _gap_from_lists(FixedPointStream(sys_, "y"), scans)
+        assert _largest_pair_gap(FixedPointStream(sys_, "y"), scans) == want
+    single = parse_system("alphabet: a\nstart: a\nsigma:\na -> a a\n")
+    aa = single.alphabet.encode(["a", "a"])
+    assert _largest_pair_gap(FixedPointStream(single, "y"), {aa: 5000}) == 1
+
+
+# -- bounded-window language -------------------------------------------------------------
+
+
+@settings(max_examples=40, deadline=None)
+@given(prolongable_systems(), st.integers(1, 7))
+def test_inner_language_matches_factor_closure(sys_, n):
+    if not sys_.incidence.all_growing():
+        return
+    assert _inner_language(sys_, n) == set(factor_language(sys_, n))
+
+
+# -- decoding ----------------------------------------------------------------------------
+
+
+def test_decode_maps_chars_and_rejects_outsiders():
+    alpha = Alphabet(("x", "yy", "z"))
+    word = alpha.encode(["z", "x", "yy", "yy"])
+    assert alpha.decode(word) == ["z", "x", "yy", "yy"]
+    assert alpha.decode("") == []
+    for bad in (word + chr(33 + 3), " ", "\x00"):
+        with pytest.raises(AlphabetMismatch, match="outside alphabet"):
+            alpha.decode(bad)
+    with pytest.raises(AlphabetMismatch):
+        alpha.token_of_char(chr(33 + 3))
