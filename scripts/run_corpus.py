@@ -4,9 +4,11 @@
 For every entry: decide, re-verify the certificate, compare the outcome and
 certificate kind against the catalog's expectations, and print one row with
 timing and, in the last column, the power sigma was driven at for a
-repetition certificate or the source of a periodic one (the stage that
-confirmed the period; "-" for other certificates).  Exits nonzero when
-anything mismatches, so this doubles as a slow end-to-end check.
+repetition certificate, the positivity_power of a primitive one (the power
+of the staged incidence matrix that is positive) or the source of a
+periodic one (the stage that confirmed the period; "-" for other
+certificates).  Exits nonzero when anything mismatches, so this doubles as
+a slow end-to-end check.
 """
 
 import argparse
@@ -39,7 +41,8 @@ def run(names: list[str] | None, cap: int, budget: int) -> int:
 
         kind = verdict.certificate.kind if verdict.certificate else "-"
         cert_data = verdict.certificate.data if verdict.certificate else {}
-        power_or_source = cert_data.get("source" if kind == "periodic" else "power", "-")
+        field = {"periodic": "source", "primitive": "positivity_power"}.get(kind, "power")
+        power_or_source = cert_data.get(field, "-")
         outcome_ok = {
             "ur": verdict.outcome == "uniformly_recurrent",
             "not-ur": verdict.outcome == "not_uniformly_recurrent",

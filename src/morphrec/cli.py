@@ -2,7 +2,7 @@
 
 One subcommand per library operation: parse system files, run the operation,
 print a human-readable text report or a JSON envelope.  Every envelope starts
-with {"format": 2, "command": ..., "input": ...} and records the flags that
+with {"format": 3, "command": ..., "input": ...} and records the flags that
 influence the result, so a verdict can be reproduced from its own output.
 
 Exit codes: 0 when the run produced its result (any verdict counts), 1 for
@@ -32,7 +32,7 @@ from .oracle import window_ur_check
 from .returns import return_words_to_word
 from .system import ProlongableSystem, parse_system
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 
 
 # ---------------------------------------------------------------------------

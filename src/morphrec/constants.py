@@ -21,8 +21,6 @@ from .errors import (
 from .growth import (
     IncidenceStructure,
     block_decomposition,
-    mat_colsums,
-    mat_pow,
     pq_constants,
 )
 from .morphism import Morphism, power
@@ -93,8 +91,7 @@ def compute_R_sigma(sys: ProlongableSystem, work_budget: int = 1 << 26) -> int:
         scans[u] = scan
     best = _largest_pair_gap(FixedPointStream(sys, "y"), scans)
 
-    bound_exp = 2 * d * d
-    bound = 2 * max(mat_colsums(mat_pow(inc.matrix, bound_exp)))
+    bound = 2 * max(inc.lengths_after(2 * d * d))
     if best > bound:
         raise InternalConsistencyError(
             f"computed R = {best} exceeds the 2|sigma^(2d^2)| = {bound} bound"

@@ -27,6 +27,20 @@ fixed point of a primitive substitution, hence uniformly recurrent, and so
 is its non-erasing image x.  No constant of the sheet enters this argument,
 so it holds at any power (Durand 1998, "A characterization of substitutive
 sequences using return words").
+
+A growing stage that no low power certifies is checked for primitivity
+before sigma is raised to the full power P.  Why a `primitive` verdict is
+sound: the stage is the input after restriction to the letters the start
+reaches, coding normalization, the r_sigma power and any bounded-block
+encodings, each of which keeps x = phi(y) letter for letter, with y the
+fixed point of the staged sigma and phi a coding.  If some power M^k of
+the staged incidence matrix is positive, the staged sigma is primitive, so
+every factor of y occurs in every image sigma^n(b) for n large enough, and
+y is uniformly recurrent (Queffelec, "Substitution Dynamical Systems",
+LNM 1294, 1987).  A letter-to-letter image of a uniformly recurrent
+sequence is uniformly recurrent.  The check runs this late so that every
+system a low power settles keeps its `repetition` certificate and the
+constants that come with it.
 """
 
 from __future__ import annotations
@@ -75,7 +89,7 @@ _POWER_INDEPENDENT_EXITS = ("short-return", "E1")
 class Certificate:
     """Machine-checkable evidence: kind plus a JSON-ready payload."""
 
-    kind: str  # repetition | periodic | exit | periodic_mismatch
+    kind: str  # repetition | periodic | primitive | exit | periodic_mismatch
     data: dict
 
     def to_json_dict(self) -> dict:
@@ -352,9 +366,9 @@ def _connecting_morphism(
     v_low = target.encode(list(desc_low.v))
     low_words = [target.encode(list(w)) for w in desc_low.x_returns]
     index_of = {w: i + 1 for i, w in enumerate(low_words)}
+    high_words = [target.encode(list(w)) for w in desc_high.x_returns]
     images: dict[str, list[str]] = {}
-    for j, wt in enumerate(desc_high.x_returns, start=1):
-        f = target.encode(list(wt))
+    for j, f in enumerate(high_words, start=1):
         ext = f + v_low
         cuts = [c for c in occurrences_in_word(ext, v_low) if c < len(f)]
         if not cuts or cuts[0] != 0:
@@ -369,13 +383,13 @@ def _connecting_morphism(
                 )
             idx.append(str(index_of[piece]))
         images[str(j)] = idx
-    src = Alphabet.indexed(len(desc_high.x_returns))
+    src = Alphabet.indexed(len(high_words))
     dst = Alphabet.indexed(len(desc_low.x_returns))
     tau = Morphism.from_tokens(src, dst, images)
     # re-check the defining equation letter by letter
-    for j, wt in enumerate(desc_high.x_returns, start=1):
+    for j, f in enumerate(high_words, start=1):
         rebuilt = "".join(low_words[int(t) - 1] for t in tau.image_tokens(str(j)))
-        if rebuilt != target.encode(list(wt)):
+        if rebuilt != f:
             raise InternalConsistencyError("connecting morphism fails its defining equation")
     return tau
 
@@ -520,6 +534,16 @@ def _chain(
     return None
 
 
+def _primitive_certificate(staged: ProlongableSystem) -> Certificate | None:
+    """The `primitive` certificate of a growing stage whose sigma is
+    primitive and whose phi is letter-to-letter, else None (see the module
+    docstring for why it implies uniform recurrence)."""
+    k = staged.incidence.primitive_exponent
+    if k is None or staged.effective_phi.max_image_len != 1:
+        return None
+    return Certificate(kind="primitive", data={"positivity_power": k})
+
+
 def _growing_verdict(
     prepared: PreparedSystem,
     sheet: ConstantSheet,
@@ -544,6 +568,11 @@ def _growing_verdict(
             return Verdict(UNIFORMLY_RECURRENT, found, sheet, tuple(trace))
         if isinstance(found, tuple) and found[2].kind in _POWER_INDEPENDENT_EXITS:
             break
+
+    cert = _primitive_certificate(staged)
+    if cert is not None:
+        trace.append({"step": "primitive", **cert.data})
+        return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
 
     sys_pow = staged.with_sigma_power(sheet.power_exponent)
     trace.append(
@@ -1148,6 +1177,7 @@ def verify_certificate(sys: ProlongableSystem, verdict: Verdict) -> tuple[bool, 
 _CERT_OUTCOME = {
     "repetition": UNIFORMLY_RECURRENT,
     "periodic": UNIFORMLY_RECURRENT,
+    "primitive": UNIFORMLY_RECURRENT,
     "periodic_mismatch": NOT_UNIFORMLY_RECURRENT,
     "exit": NOT_UNIFORMLY_RECURRENT,
 }
@@ -1214,6 +1244,26 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         if tau.image_tokens("1")[0] != "1":
             return False, {"reason": "tau is not prolongable on index 1"}
         return True, {"checked": "repetition", "n": n, "m": m}
+
+    if cert.kind == "primitive":
+        # the decider certifies the growing stage, block-encoded if need be
+        prepared = _growing_stage(sys)
+        if prepared is None:
+            return False, {"reason": "primitive certificate on a pumping-branch system"}
+        staged = prepared.staged
+        k = cert.data.get("positivity_power")
+        d = len(staged.alphabet)
+        # a primitive d x d matrix is positive at the power d^2 - 2d + 2
+        # (Wielandt); the bound also keeps the matrix power small
+        bound = d * d - 2 * d + 2
+        if type(k) is not int or not 1 <= k <= bound:
+            return False, {"reason": f"positivity_power must be an int in 1..{bound}, got {k!r}"}
+        if staged.effective_phi.max_image_len != 1:
+            return False, {"reason": "the staged phi is not letter-to-letter"}
+        mat = tuple(tuple(r) for r in staged.sigma.incidence_matrix())
+        if not mat_positive(mat_pow(mat, k)):
+            return False, {"reason": "stated power does not make sigma positive"}
+        return True, {"checked": "primitive", "positivity_power": k}
 
     if cert.kind == "periodic":
         prepared = prepare(sys, [])

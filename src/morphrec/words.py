@@ -23,6 +23,7 @@ class Alphabet:
     tokens: tuple[str, ...]
     _index: dict[str, int] = field(init=False, repr=False, compare=False)
     _token_of: dict[str, str] = field(init=False, repr=False, compare=False)
+    _char_of: dict[str, str] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if len(set(self.tokens)) != len(self.tokens):
@@ -32,6 +33,9 @@ class Alphabet:
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.tokens)})
         object.__setattr__(
             self, "_token_of", {chr(_BASE + i): t for i, t in enumerate(self.tokens)}
+        )
+        object.__setattr__(
+            self, "_char_of", {t: chr(_BASE + i) for i, t in enumerate(self.tokens)}
         )
 
     def __len__(self) -> int:
@@ -63,7 +67,12 @@ class Alphabet:
 
     def encode(self, word: list[str] | tuple[str, ...]) -> str:
         """Token sequence -> internal word."""
-        return "".join(chr(_BASE + self.index(t)) for t in word)
+        try:
+            return "".join(map(self._char_of.__getitem__, word))
+        except KeyError as exc:
+            raise AlphabetMismatch(
+                f"letter {exc.args[0]!r} not in alphabet {list(self.tokens)}"
+            ) from None
 
     def decode(self, internal: str) -> list[str]:
         """Internal word -> token sequence."""

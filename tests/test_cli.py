@@ -49,7 +49,7 @@ def test_decide_ur_json_envelope(capsys, fib_file):
     code, out, _ = run(capsys, "decide-ur", "--json", fib_file)
     assert code == 0
     env = json.loads(out)
-    assert env["format"] == 2
+    assert env["format"] == 3
     assert env["command"] == "decide-ur"
     assert env["input"] == fib_file
     assert env["verdict"] == "uniformly_recurrent"

@@ -123,12 +123,18 @@ def test_verdict_json_shape_and_determinism():
         assert json.loads(blob) == a
 
 
+# growing but not primitive (b and c never reach a), so the decider drives
+# the full-power chain
+NONPRIMITIVE_GROWING = "alphabet: a b c\nstart: a\nsigma:\na -> a a c\nb -> b c b\nc -> b b\n"
+
+
 def test_inconclusive_on_tiny_pair_budget():
-    v = decide_uniform_recurrence(load("tribonacci"), pair_budget=2)
+    text = NONPRIMITIVE_GROWING
+    v = decide_uniform_recurrence(parse_system(text), pair_budget=2)
     assert v.outcome == INCONCLUSIVE
     assert v.certificate is None
     assert any(step.get("step") == "budget" for step in v.trace)
-    ok, detail = verify_certificate(load("tribonacci"), v)
+    ok, detail = verify_certificate(parse_system(text), v)
     assert not ok
     assert "certificate" in detail["reason"]
 
@@ -320,6 +326,91 @@ def test_low_power_repetition_matches_full_power(name):
     assert rebuilt == d["tau"]
     assert len(high.x_returns) == d["table_size"]
     assert len(high.pairs) == d["pair_count"]
+
+
+# -- the primitive certificate ---------------------------------------------------------
+
+# primitive sigma under a 0/1 coding that no low power certifies; the
+# full-power chain runs over 6 s here and ends inconclusive, its work budget
+# being reset at each level
+PRIMITIVE_CODED = (
+    "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a c c\nb -> a\nc -> c b c\n"
+    "phi:\na -> 1\nb -> 0\nc -> 1\n"
+)
+# b does not grow, so the certified stage is the bounded-block encoding
+BLOCK_ENCODED = (
+    "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b c\nb -> b\nc -> c a a\n"
+    "phi:\na -> 0\nb -> 0\nc -> 1\n"
+)
+
+
+def _primitive_verdict(verdict, data):
+    return Verdict(
+        UNIFORMLY_RECURRENT, Certificate("primitive", data), verdict.sheet, verdict.trace
+    )
+
+
+def test_primitive_certificate_before_the_full_power():
+    sys_ = parse_system(PRIMITIVE_CODED)
+    v = decide_uniform_recurrence(sys_)
+    assert v.outcome == UNIFORMLY_RECURRENT
+    assert v.certificate.to_json_dict() == {"kind": "primitive", "positivity_power": 3}
+    assert v.sheet is not None
+    assert [t["step"] for t in v.trace][-4:] == ["low-power"] * 3 + ["primitive"]
+    assert v.trace[-1] == {"step": "primitive", "positivity_power": 3}
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+
+
+def test_primitive_certificate_on_a_block_encoded_stage():
+    sys_ = parse_system(BLOCK_ENCODED)
+    assert not prepare(sys_).growing
+    v = decide_uniform_recurrence(sys_)
+    assert v.outcome == UNIFORMLY_RECURRENT
+    assert v.certificate.kind == "primitive"
+    assert any(t["step"] == "block-encode" for t in v.trace)
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+
+
+def test_verify_rejects_tampered_primitive():
+    sys_ = parse_system(PRIMITIVE_CODED)
+    v = decide_uniform_recurrence(sys_)
+    k = v.certificate.data["positivity_power"]
+    for bad in (k - 1, 0, -1, "2", 2.0, str(k), float(k), True, None, 10**9):
+        ok, detail = verify_certificate(sys_, _primitive_verdict(v, {"positivity_power": bad}))
+        assert not ok, (bad, detail)
+    ok, detail = verify_certificate(sys_, _primitive_verdict(v, {}))
+    assert not ok, detail
+
+
+def test_verify_takes_power_one_but_not_true():
+    # thue_morse's incidence matrix is positive: power 1 is an honest
+    # certificate, and True, which equals 1, is still rejected
+    sys_ = load("thue_morse")
+    v = decide_uniform_recurrence(sys_)
+    ok, detail = verify_certificate(sys_, _primitive_verdict(v, {"positivity_power": 1}))
+    assert ok, detail
+    ok, detail = verify_certificate(sys_, _primitive_verdict(v, {"positivity_power": True}))
+    assert not ok, detail
+
+
+@pytest.mark.parametrize("text", [NONPRIMITIVE_GROWING, get("nonprim_growing").text])
+def test_verify_rejects_primitive_on_a_nonprimitive_system(text):
+    sys_ = parse_system(text)
+    v = decide_uniform_recurrence(sys_)
+    d = len(_growing_stage(sys_).staged.alphabet)
+    for k in range(1, d * d - 2 * d + 3):
+        ok, detail = verify_certificate(sys_, _primitive_verdict(v, {"positivity_power": k}))
+        assert not ok, (k, detail)
+
+
+def test_verify_rejects_primitive_on_a_pumping_branch_system():
+    sys_ = load("tail_fin_const")
+    v = decide_uniform_recurrence(sys_)
+    ok, detail = verify_certificate(sys_, _primitive_verdict(v, {"positivity_power": 1}))
+    assert not ok
+    assert "pumping-branch" in detail["reason"]
 
 
 # -- the periodicity checklist ---------------------------------------------------------

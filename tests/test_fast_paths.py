@@ -6,8 +6,9 @@ settles equal handles and rationals without sympy, and the stream expands
 sigma^k(u) through a lazily built image table into coalesced chunks.
 Growth is read off the SCC radius classes and primitivity off the zero
 pattern, R comes from one pass over y that keeps no occurrence list, the
-bounded-window language adds each image's interior windows once, and
-decoding goes through a char -> token table.
+bounded-window language adds each image's interior windows once,
+decoding and encoding go through char <-> token tables, and a primitive
+staged sigma is certified without the full-power chain.
 """
 
 from fractions import Fraction
@@ -16,9 +17,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphrec import catalog
+from morphrec import catalog, decider
 from morphrec.constants import _largest_pair_gap
-from morphrec.decider import decide_uniform_recurrence, verify_certificate
+from morphrec.decider import (
+    UNIFORMLY_RECURRENT,
+    _growing_stage,
+    decide_uniform_recurrence,
+    verify_certificate,
+)
 from morphrec.errors import AlphabetMismatch, MorphrecError, NotPrimitive, PreconditionViolated
 from morphrec.growth import (
     RADIUS_ABOVE_ONE,
@@ -462,3 +468,70 @@ def test_decode_maps_chars_and_rejects_outsiders():
             alpha.decode(bad)
     with pytest.raises(AlphabetMismatch):
         alpha.token_of_char(chr(33 + 3))
+
+
+def test_encode_matches_the_index_and_rejects_outsiders():
+    alpha = Alphabet(("x", "yy", "z"))
+    word = ["z", "x", "yy", "yy", "x"]
+    assert alpha.encode(word) == "".join(chr(33 + alpha.index(t)) for t in word)
+    assert alpha.encode(tuple(word)) == alpha.encode(word)
+    assert alpha.encode([]) == ""
+    for bad in (["x", "y"], ["w"], ["x", "yy", "zz"]):
+        with pytest.raises(AlphabetMismatch, match="not in alphabet"):
+            alpha.encode(bad)
+
+
+# -- the primitive certificate against the chain ---------------------------------------
+
+
+def test_primitive_certificate_on_the_catalog_without_low_powers(monkeypatch):
+    # with no low power to try, every primitive stage meets the check
+    monkeypatch.setattr(decider, "LOW_POWERS", ())
+    fired = []
+    for entry in catalog.entries():
+        if entry.expected == "error":
+            continue
+        stage = _growing_stage(parse_system(entry.text))
+        if stage is None or stage.staged.incidence.primitive_exponent is None:
+            continue
+        verdict = decide_uniform_recurrence(parse_system(entry.text))
+        assert verdict.outcome == UNIFORMLY_RECURRENT, entry.name
+        assert entry.expected == "ur", entry.name
+        ok, info = verify_certificate(parse_system(entry.text), verdict)
+        assert ok, (entry.name, info)
+        if verdict.certificate.kind == "primitive":
+            fired.append(entry.name)
+        else:
+            # only an x found periodic before the sheet settles earlier
+            assert verdict.certificate.data["source"] == "upfront", entry.name
+    assert len(fired) == 20, fired
+
+
+# primitive sigma under a 0/1 coding: no low power certifies these, and the
+# full-power chain settles each one with a repetition in under 0.5 s
+CHAIN_SETTLED = [
+    ({"a": "ac", "b": "ab", "c": "bc"}, {"a": "1", "b": "0", "c": "0"}),
+    ({"a": "ac", "b": "cb", "c": "cba"}, {"a": "1", "b": "1", "c": "0"}),
+    ({"a": "ab", "b": "bca", "c": "bc"}, {"a": "1", "b": "0", "c": "1"}),
+    ({"a": "ac", "b": "cb", "c": "ab"}, {"a": "0", "b": "0", "c": "1"}),
+    ({"a": "ab", "b": "ca", "c": "ac"}, {"a": "1", "b": "1", "c": "0"}),
+]
+
+
+@pytest.mark.parametrize("images,coding", CHAIN_SETTLED)
+def test_primitive_certificate_agrees_with_the_chain(monkeypatch, images, coding):
+    text = (
+        "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\n"
+        + "".join(f"{c} -> {' '.join(w)}\n" for c, w in images.items())
+        + "phi:\n"
+        + "".join(f"{c} -> {t}\n" for c, t in coding.items())
+    )
+    fast = decide_uniform_recurrence(parse_system(text))
+    assert fast.certificate.kind == "primitive"
+    monkeypatch.setattr(decider, "_primitive_certificate", lambda staged: None)
+    slow = decide_uniform_recurrence(parse_system(text))
+    assert slow.certificate.kind == "repetition"
+    assert fast.outcome == slow.outcome == UNIFORMLY_RECURRENT
+    for verdict in (fast, slow):
+        ok, info = verify_certificate(parse_system(text), verdict)
+        assert ok, info
