@@ -125,6 +125,12 @@ class PreparedSystem:
     def growing(self) -> bool:
         return self.staged.incidence.all_growing()
 
+    @property
+    def pumping_depth(self) -> int:
+        """Powers of sigma searched for a pumping witness: #A * r_sigma, the
+        same for the decider and the verifier (r_sigma is at least 1)."""
+        return len(self.staged.alphabet) * self.r_sigma
+
 
 def prepare(sys: ProlongableSystem, trace: list[dict] | None = None) -> PreparedSystem:
     restricted = restrict_to_reachable(sys)
@@ -509,11 +515,11 @@ def _chain(
     Returns the certificate of the first certified repetition, the
     (level, |u|, exit) of a driver exit, or None when the cap is reached.
     """
-    seen: dict[str, tuple[int, DerivedDescriptor]] = {}
+    seen: dict[tuple, tuple[int, DerivedDescriptor]] = {}
     for n, u, res in _levels(sys_pow, power, sheet, practical_cap, pair_budget, work_budget):
         if isinstance(res, DriverExit):
             return n, len(u), res
-        canon = res.canonical_text()
+        key = (res.sigma_u_images, res.psi)
         trace.append(
             {
                 "step": "level",
@@ -523,14 +529,14 @@ def _chain(
                 "x_returns": len(res.x_returns),
             }
         )
-        if canon in seen:
-            n_low, desc_low = seen[canon]
+        if key in seen:
+            n_low, desc_low = seen[key]
             cert = _certify_repetition(sys_pow, power, n_low, n, desc_low, res)
             if cert is not None:
                 return cert
             trace.append({"step": "rejected-match", "n": n, "with": n_low})
         else:
-            seen[canon] = (n, res)
+            seen[key] = (n, res)
     return None
 
 
@@ -866,8 +872,7 @@ def _nongrowing_verdict(
     _depth: int,
 ) -> Verdict:
     staged = prepared.staged
-    kmax = max(len(staged.alphabet) * max(prepared.r_sigma, 1), len(staged.alphabet))
-    witness = _pumping_witness(staged, kmax)
+    witness = _pumping_witness(staged, prepared.pumping_depth)
     if witness is None:
         if _depth >= MAX_ENCODE_HOPS:
             trace.append(
@@ -1078,8 +1083,7 @@ def _stage_chain(sys: ProlongableSystem) -> list[PreparedSystem]:
     hops = 0
     while not prepared.growing and hops < MAX_ENCODE_HOPS:
         staged = prepared.staged
-        kmax = max(len(staged.alphabet) * max(prepared.r_sigma, 1), len(staged.alphabet))
-        if _pumping_witness(staged, kmax) is not None:
+        if _pumping_witness(staged, prepared.pumping_depth) is not None:
             break
         try:
             encoded, _ = _encode_bounded_blocks(staged)
@@ -1183,6 +1187,17 @@ _CERT_OUTCOME = {
 }
 
 
+def _positivity_power_error(k, d: int) -> dict | None:
+    """The rejection of a stated positivity power k of a d x d matrix, or
+    None when k is an int (not a bool) in 1..d^2 - 2d + 2.  A primitive
+    matrix is positive at that power (Wielandt), and the bound keeps the
+    matrix power small against a forged huge k."""
+    bound = d * d - 2 * d + 2
+    if type(k) is not int or not 1 <= k <= bound:
+        return {"reason": f"positivity_power must be an int in 1..{bound}, got {k!r}"}
+    return None
+
+
 def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tuple[bool, dict]:
     expected = _CERT_OUTCOME.get(cert.kind)
     if expected is None:
@@ -1218,7 +1233,7 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         if exited is not None:
             return False, {"reason": f"driver exited at level {exited[0]}"}
         low, high = descs[n], descs[m]
-        if low.canonical_text() != high.canonical_text():
+        if (low.sigma_u_images, low.psi) != (high.sigma_u_images, high.psi):
             return False, {
                 "reason": "descriptors differ",
                 "diff": {"n": low.canonical_text(), "m": high.canonical_text()},
@@ -1239,7 +1254,11 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         mat = tuple(tuple(r) for r in tau.incidence_matrix())
         if not is_primitive(mat):
             return False, {"reason": "tau is not primitive"}
-        if not mat_positive(mat_pow(mat, cert.data["positivity_power"])):
+        k = cert.data.get("positivity_power")
+        bad = _positivity_power_error(k, len(cert.data["tau"]))
+        if bad is not None:
+            return False, bad
+        if not mat_positive(mat_pow(mat, k)):
             return False, {"reason": "stated power does not make tau positive"}
         if tau.image_tokens("1")[0] != "1":
             return False, {"reason": "tau is not prolongable on index 1"}
@@ -1252,12 +1271,9 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
             return False, {"reason": "primitive certificate on a pumping-branch system"}
         staged = prepared.staged
         k = cert.data.get("positivity_power")
-        d = len(staged.alphabet)
-        # a primitive d x d matrix is positive at the power d^2 - 2d + 2
-        # (Wielandt); the bound also keeps the matrix power small
-        bound = d * d - 2 * d + 2
-        if type(k) is not int or not 1 <= k <= bound:
-            return False, {"reason": f"positivity_power must be an int in 1..{bound}, got {k!r}"}
+        bad = _positivity_power_error(k, len(staged.alphabet))
+        if bad is not None:
+            return False, bad
         if staged.effective_phi.max_image_len != 1:
             return False, {"reason": "the staged phi is not letter-to-letter"}
         mat = tuple(tuple(r) for r in staged.sigma.incidence_matrix())
@@ -1291,8 +1307,7 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         if stage.growing:
             return False, {"reason": "mismatch certificate on a growing system"}
         staged = stage.staged
-        kmax = max(len(staged.alphabet) * max(stage.r_sigma, 1), len(staged.alphabet))
-        if _pumping_witness(staged, kmax) is None:
+        if _pumping_witness(staged, stage.pumping_depth) is None:
             return False, {"reason": "pumping witness no longer found"}
         report = periodic_checklist(staged, cert.data["pumping"]["w"])
         if report["periodic"]:

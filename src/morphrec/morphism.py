@@ -75,15 +75,9 @@ class Morphism:
     def image_tokens(self, token: str) -> list[str]:
         return self.dst.decode(self.image(token))
 
-    def image_of_char(self, ch: str) -> str:
-        return self.images[ord(ch) - ord(self.src.chars[0])]
-
     def apply(self, word: str) -> str:
         """Apply to an internal word over src; returns internal word over dst."""
         return word.translate(self._table)
-
-    def apply_tokens(self, word: list[str]) -> list[str]:
-        return self.dst.decode(self.apply(self.src.encode(word)))
 
     @property
     def max_image_len(self) -> int:

@@ -1,14 +1,18 @@
 """Return words, derived sequences, and induced substitutions.
 
-Two layers: the word case (returns of a sequence to a single prefix u, with
-the induced substitution sigma_u), and the set case used by the decider
-(returns of y to the preimage set U of a prefix of x, producing a pair table,
-the index substitution sigma_U, and the coding psi onto x-side return
-indices).  All tables index from 1; entry order is first appearance.
+One closure kernel, build_sigma_U, cuts sigma-images into return words.  It
+handles the set case used by the decider: the returns of y to the preimage
+set U of a prefix of x, giving a pair table, the index substitution sigma_U,
+and the coding psi onto x-side return indices.  The word case,
+return_substitution (the returns of y to a single prefix u, with the induced
+substitution sigma_u), is its anchored identity-coding case, where U = {u}.
+return_words_to_word reads return words off a scanned prefix instead.  All
+tables index from 1; entry order is first appearance.
 """
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -31,7 +35,9 @@ class ReturnTable:
 
     theta(i) is the i-th return word (1-based).  derived_prefix is the start
     of the derived sequence: the index sequence factorizing the scanned
-    prefix from one u-occurrence to the next.
+    prefix from one u-occurrence to the next.  scanned is the length of the
+    prefix read: the scan budget, or for a closed table the prefix that ends
+    with the second occurrence of u.
     """
 
     u: tuple[str, ...]
@@ -115,91 +121,50 @@ def return_substitution(
 ) -> ReturnSubstitution:
     """Induced substitution on return-word indices for a primitive system.
 
-    Closure: the first return word is found by scanning; every further word
-    appears while cutting images sigma(w_i) at u-occurrences, processed in
-    index order, which reproduces first-appearance indexing.
+    This is the anchored identity-coding case of build_sigma_U: with phi the
+    identity, U = {u}, every pair is (w, u), and the pair table is the table
+    of return words of y to u in first-appearance order.  K is taken from
+    scan_budget, so that the first-recurrence window covers it, and at least
+    |u|, so that no return word is short against |u|/K.  A prefix that does
+    not recur in the window, a return word longer than K|u| and more than
+    max_returns words all raise BudgetExhausted.
     """
     if sys.incidence.primitive_exponent is None:
         raise NotPrimitive("return substitutions need a primitive incidence matrix")
-    stream = FixedPointStream(sys, "y")
-    alpha = sys.alphabet
-    pattern = alpha.encode(u)
-    _check_prefix(stream, pattern, "u")
-
-    limit = max(4 * len(pattern), 64)
-    occ: list[int] = []
-    while len(occ) < 2:
-        occ = stream.scan_occurrences(pattern, limit, max_count=2)
-        if len(occ) >= 2:
-            break
-        if limit >= scan_budget:
-            raise BudgetExhausted(
-                f"prefix did not recur within {limit} letters",
-                occurrences_found=len(occ),
-            )
-        limit *= 4
-
-    first_w = stream.prefix_chars(occ[1])
-    words = [first_w]
-    index_of = {first_w: 1}
-    images: list[list[int]] = []
-    sigma = sys.sigma
-    m = len(pattern)
-
-    j = 0
-    while j < len(words):
-        j += 1
-        w = words[j - 1]
-        body = sigma.apply(w)
-        ext = body + pattern
-        cuts = [o for o in occurrences_in_word(ext, pattern) if o <= len(body)]
-        if not cuts or cuts[0] != 0 or cuts[-1] != len(body):
-            raise InternalConsistencyError(
-                "image of a return word lost its anchoring u-occurrences"
-            )
-        img: list[int] = []
-        for a, b in zip(cuts, cuts[1:]):
-            piece = ext[a:b]
-            idx = index_of.get(piece)
-            if idx is None:
-                if len(words) >= max_returns:
-                    raise BudgetExhausted(
-                        f"more than {max_returns} return words discovered",
-                        occurrences_found=len(words),
-                    )
-                words.append(piece)
-                idx = len(words)
-                index_of[piece] = idx
-            img.append(idx)
-        images.append(img)
-
-    count = len(words)
-    idx_alpha = Alphabet.indexed(count)
-    sigma_u = Morphism.from_tokens(
-        idx_alpha, idx_alpha, {str(i): [str(k) for k in images[i - 1]] for i in range(1, count + 1)}
+    K = max(scan_budget // max(len(u), 1), len(u))
+    res = build_sigma_U(
+        ProlongableSystem(sys.sigma, sys.start),
+        u,
+        K,
+        pair_budget=max_returns,
+        anchored=True,
     )
-    # independent re-check of the defining equation sigma(Theta(i)) = Theta(sigma_u(i))
-    for i in range(1, count + 1):
-        lhs = sigma.apply(words[i - 1])
-        rhs = "".join(words[k - 1] for k in images[i - 1])
-        if lhs != rhs:
-            raise InternalConsistencyError(f"defining equation fails at index {i}")
-    if images[0][0] != 1:
-        raise InternalConsistencyError("sigma_u(1) does not start with 1")
+    if isinstance(res, DriverExit):
+        if res.kind in ("E1", "E2"):
+            raise BudgetExhausted(
+                res.message, occurrences_found=res.evidence.get("occurrences", 0)
+            )
+        raise InternalConsistencyError(f"word-case closure exited: {res.message}")
 
-    derived = _derived_prefix_from(images, 64)
+    alpha = sys.alphabet
+    words = [alpha.encode(w) for w, _ in res.pairs]
+    # independent re-check of the defining equation sigma(Theta(i)) = Theta(sigma_u(i))
+    for i, (w, img) in enumerate(zip(words, res.sigma_u_images), start=1):
+        if sys.sigma.apply(w) != "".join(words[k - 1] for k in img):
+            raise InternalConsistencyError(f"defining equation fails at index {i}")
+
     table = ReturnTable(
         u=tuple(u),
         which="y",
-        words=tuple(tuple(alpha.decode(w)) for w in words),
-        derived_prefix=tuple(derived),
+        words=tuple(w for w, _ in res.pairs),
+        derived_prefix=tuple(_derived_prefix_from(res.sigma_u_images, 64)),
         complete=True,
-        scanned=limit,
+        scanned=len(words[0]) + len(u),
     )
-    return ReturnSubstitution(sigma_u, table)
+    return ReturnSubstitution(res.sigma_U, table)
 
 
-def _derived_prefix_from(images: list[list[int]], n: int) -> list[int]:
+def _derived_prefix_from(images: Sequence[Sequence[int]], n: int) -> list[int]:
     """First n letters of the fixed point of the index substitution from 1."""
     seq = [1]
     while len(seq) < n:
@@ -303,17 +268,6 @@ class DerivedDescriptor:
             },
         )
 
-    @cached_property
-    def psi_morphism(self) -> Morphism:
-        src = Alphabet.indexed(len(self.pairs))
-        dst = Alphabet.indexed(len(self.x_returns))
-        return Morphism.from_tokens(
-            src, dst, {str(i): [str(self.psi[i - 1])] for i in range(1, len(self.pairs) + 1)}
-        )
-
-    def first_return_word(self) -> tuple[str, ...]:
-        return self.pairs[0][0]
-
     def canonical_text(self) -> str:
         """Level-independent form: index substitution plus psi, nothing else."""
         lines = [f"pairs: {len(self.pairs)}"]
@@ -345,20 +299,29 @@ def build_sigma_U(
     Theta sigma_U = sigma Theta holds letter for letter; otherwise the driver
     returns an 'unanchored' exit.
     """
-    phi = sys.effective_phi
-    if not phi.is_coding and sys.phi is not None:
+    phi = sys.phi
+    if phi is not None and not phi.is_coding:
         raise PrefixInvalid("driver needs phi to be a coding (normalize first)")
+    # x = y under the identity coding: one stream, and no translation
+    code = phi.apply if phi is not None else (lambda w: w)
     ystream = FixedPointStream(sys, "y")
     alpha = sys.alphabet
     u_enc = alpha.encode(u)
     _check_prefix(ystream, u_enc, "u")
-    v_enc = phi.apply(u_enc)
+    v_enc = code(u_enc)
     m = len(v_enc)
 
-    # E1: v must recur within the (K+1)|v| prefix of x
+    # E1: v must recur within the (K+1)|v| prefix of x; the scan limit grows
+    # by 4x so an early recurrence is found in the cached prefix, without
+    # streaming sigma^j tables over the whole window
     window = (K + 1) * m
-    xstream = FixedPointStream(sys, "x")
-    occ = xstream.scan_occurrences(v_enc, window, max_count=2)
+    xstream = ystream if phi is None else FixedPointStream(sys, "x")
+    limit = max(4 * m, 64)
+    while True:
+        occ = xstream.scan_occurrences(v_enc, min(limit, window), max_count=2)
+        if len(occ) >= 2 or limit >= window:
+            break
+        limit *= 4
     if len(occ) < 2:
         return DriverExit(
             kind="E1",
@@ -391,7 +354,7 @@ def build_sigma_U(
                 f"driver expanded more than {work_budget} letters",
                 occurrences_found=len(pairs),
             )
-        F = phi.apply(T)
+        F = code(T)
         W = len(body)
         cuts_all = occurrences_in_word(F, v_enc)
         before = [o for o in cuts_all if o < W]
@@ -514,7 +477,7 @@ def build_sigma_U(
     x_index: dict[str, int] = {}
     psi: list[int] = []
     for w, _ in pairs:
-        r = phi.apply(w)
+        r = code(w)
         k = x_index.get(r)
         if k is None:
             x_words.append(r)
@@ -544,7 +507,7 @@ def delta_reconstruct(descriptor: DerivedDescriptor, n: int) -> list[str]:
         raise ValueError("steps must be >= 0")
     if n == 0:
         return []
-    seq = _derived_prefix_from([list(img) for img in descriptor.sigma_u_images], n)
+    seq = _derived_prefix_from(descriptor.sigma_u_images, n)
     if len(seq) < n:
         raise InternalConsistencyError("descriptor expansion stalled before n letters")
     out: list[str] = []

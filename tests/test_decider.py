@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from morphrec import decider
 from morphrec.catalog import get
 from morphrec.constants import compute_constant_sheet
 from morphrec.decider import (
@@ -171,7 +172,7 @@ def test_verify_accepts_alternative_valid_levels():
     assert ok
 
 
-def test_verify_rejects_tampered_repetition():
+def test_verify_rejects_tampered_repetition(monkeypatch):
     sys_ = load("fibonacci")
     v = decide_uniform_recurrence(sys_)
     no_power = {k: x for k, x in v.certificate.data.items() if k != "power"}
@@ -191,6 +192,21 @@ def test_verify_rejects_tampered_repetition():
     ok, detail = verify_certificate(sys_, _tampered(v, power=2))
     assert not ok
     assert detail["reason"] == "stored canonical form differs from the rebuilt one"
+    # tau is primitive, so every power from its Wielandt bound on is positive:
+    # only the bound and the type check reject these, before any matrix power
+    t = len(v.certificate.data["tau"])
+    bound = t * t - 2 * t + 2
+    powers = []
+    real_pow = decider.mat_pow
+    monkeypatch.setattr(decider, "mat_pow", lambda mat, k: powers.append(k) or real_pow(mat, k))
+    for bad in (10**6, bound + 1, True, 2.0, "2"):
+        ok, detail = verify_certificate(sys_, _tampered(v, positivity_power=bad))
+        assert not ok, (bad, detail)
+        assert detail["reason"].startswith("positivity_power must be an int"), (bad, detail)
+    assert powers == []
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+    assert powers == [v.certificate.data["positivity_power"]]
 
 
 def test_verify_rejects_tampered_periodic():

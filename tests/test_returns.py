@@ -3,6 +3,7 @@ and their defining equations."""
 
 import pytest
 
+from morphrec.catalog import get
 from morphrec.constants import compute_constant_sheet
 from morphrec.decider import prepare
 from morphrec.errors import (
@@ -11,6 +12,7 @@ from morphrec.errors import (
     NotPrimitive,
     PrefixInvalid,
 )
+from morphrec.morphism import Morphism
 from morphrec.returns import (
     DriverExit,
     build_sigma_U,
@@ -22,7 +24,7 @@ from morphrec.returns import (
 )
 from morphrec.stream import FixedPointStream
 from morphrec.system import ProlongableSystem, parse_system
-from morphrec.words import occurrences_in_word
+from morphrec.words import Alphabet, occurrences_in_word
 
 
 def _descriptor(sys_, u):
@@ -178,6 +180,33 @@ def test_return_substitution_requires_primitive(nonur):
 def test_return_substitution_requires_prefix(fib):
     with pytest.raises(PrefixInvalid):
         return_substitution(fib, ["b", "a"])
+
+
+def test_return_substitution_max_returns_below_the_table():
+    # rudin_shapiro has 8 return words to its first letter
+    rs_sys = get("rudin_shapiro").build()
+    assert len(return_substitution(rs_sys, ["a"], max_returns=8).table) == 8
+    with pytest.raises(BudgetExhausted):
+        return_substitution(rs_sys, ["a"], max_returns=7)
+
+
+def test_return_substitution_ignores_phi():
+    # the word case reads y: the table is the same under any outer coding
+    coded = get("rudin_shapiro_coded").build()
+    target = Alphabet(("0", "1"))
+    recodings = [
+        coded.phi,
+        None,
+        Morphism.from_tokens(coded.alphabet, target, {"a": ["1"], "b": ["0"], "c": ["0"], "d": ["1"]}),
+        Morphism.from_tokens(coded.alphabet, target, {t: ["0"] for t in coded.alphabet.tokens}),
+    ]
+    y = FixedPointStream(coded, "y").prefix(5)
+    for n in range(1, 6):
+        want = return_substitution(ProlongableSystem(coded.sigma, coded.start), y[:n])
+        for phi in recodings:
+            got = return_substitution(ProlongableSystem(coded.sigma, coded.start, phi), y[:n])
+            assert got.table == want.table, (n, phi)
+            assert got.sigma_u == want.sigma_u, (n, phi)
 
 
 # -- p/m/s decomposition -------------------------------------------------------------
