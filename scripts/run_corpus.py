@@ -18,6 +18,7 @@ import time
 from morphrec.catalog import entries
 from morphrec.decider import decide_uniform_recurrence, verify_certificate
 from morphrec.errors import MorphrecError
+from morphrec.returns import PRACTICAL_CAP, WORK_BUDGET
 
 
 def run(names: list[str] | None, cap: int, budget: int) -> int:
@@ -79,8 +80,8 @@ def run(names: list[str] | None, cap: int, budget: int) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("names", nargs="*", help="catalog entries to run (default: all)")
-    ap.add_argument("--cap", type=int, default=64)
-    ap.add_argument("--budget", type=int, default=1 << 26)
+    ap.add_argument("--cap", type=int, default=PRACTICAL_CAP)
+    ap.add_argument("--budget", type=int, default=WORK_BUDGET)
     args = ap.parse_args()
     return run(args.names or None, args.cap, args.budget)
 

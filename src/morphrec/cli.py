@@ -29,7 +29,7 @@ from .errors import InternalConsistencyError, MorphrecError
 from .growth import block_decomposition, growth_type, is_primitive
 from .morphism import classify
 from .oracle import window_ur_check
-from .returns import return_words_to_word
+from .returns import PRACTICAL_CAP, WORK_BUDGET, return_words_to_word
 from .system import ProlongableSystem, parse_system
 
 FORMAT_VERSION = 3
@@ -547,8 +547,8 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("decide-ur", "run the full decision pipeline")
-    p.add_argument("--cap", type=int, default=64, help="practical repetition cap")
-    p.add_argument("--budget", type=int, default=1 << 26, help="letter work budget")
+    p.add_argument("--cap", type=int, default=PRACTICAL_CAP, help="practical repetition cap")
+    p.add_argument("--budget", type=int, default=WORK_BUDGET, help="letter work budget")
     p.add_argument("--verify", action="store_true", help="re-check the certificate")
 
     add("classify", "growth types, blocks and flags")
@@ -559,7 +559,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = add("derive", "drive the descriptor chain u_1, u_2, ...")
     p.add_argument("--depth", type=int, required=True, help="number of levels")
-    p.add_argument("--budget", type=int, default=1 << 26, help="letter work budget")
+    p.add_argument("--budget", type=int, default=WORK_BUDGET, help="letter work budget")
 
     add("constants", "the decision constant sheet of the growing stage")
 

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .errors import (
@@ -23,30 +23,35 @@ from .growth import (
     block_decomposition,
     pq_constants,
 )
-from .morphism import Morphism, power
+from .morphism import power
+from .returns import WORK_BUDGET
 from .stream import FixedPointStream, _inner_language, two_factor_closure
 from .system import ProlongableSystem, restrict_to_reachable
-from .words import factor_set
 
 
-def _steps_until_min_length(inc: IncidenceStructure, n: int, cap: int = 512) -> int:
+# most powers of sigma tried before image lengths must have reached a target
+_MAX_STEPS = 512
+
+
+def _steps_until_min_length(inc: IncidenceStructure, n: int) -> int:
     """Least t with every |sigma^t(b)| >= n."""
     t = 0
     while min(inc.lengths_after(t)) < n:
         t += 1
-        if t > cap:
+        if t > _MAX_STEPS:
             raise InternalConsistencyError("image lengths failed to reach the target")
     return t
 
 
-def compute_R_sigma(sys: ProlongableSystem, work_budget: int = 1 << 26) -> int:
+def compute_R_sigma(sys: ProlongableSystem) -> int:
     """Exact maximal gap between successive occurrences of any length-2 factor.
 
     Completeness: for each pair u, a power t* is found with u occurring in
     sigma^{t*}(e) for every letter e, so no u-free window can reach length
     2|sigma^{t*}|; every distinct return word of that length occurs inside
     the image of some two-letter factor, hence within a computable prefix.
-    The result is checked against the 2|sigma^{2d^2}| bound.
+    The result is checked against the 2|sigma^{2d^2}| bound.  Materialized
+    images and the certified scan are each held to WORK_BUDGET letters.
     """
     inc = sys.incidence
     horn = inc.primitive_exponent
@@ -65,7 +70,7 @@ def compute_R_sigma(sys: ProlongableSystem, work_budget: int = 1 << 26) -> int:
         while len(level_images) <= t:
             prev = level_images[-1]
             nxt = {c: sys.sigma.apply(prev[c]) for c in alpha.chars}
-            if sum(len(w) for w in nxt.values()) > work_budget:
+            if sum(len(w) for w in nxt.values()) > WORK_BUDGET:
                 raise BudgetExhausted("image materialization exceeded the work budget")
             level_images.append(nxt)
         return level_images[t]
@@ -84,7 +89,7 @@ def compute_R_sigma(sys: ProlongableSystem, work_budget: int = 1 << 26) -> int:
         g_bound = 2 * max(inc.lengths_after(t_star))
         s_needed = _steps_until_min_length(inc, g_bound + 2)
         scan = inc.lengths_after(depth + 1 + s_needed)[alpha.index(sys.start)]
-        if scan > work_budget:
+        if scan > WORK_BUDGET:
             raise BudgetExhausted(
                 f"certified scan length {scan} exceeds the work budget"
             )
@@ -336,9 +341,7 @@ class ConstantSheet:
         }
 
 
-def compute_constant_sheet(
-    sys: ProlongableSystem, compute_r: bool = True
-) -> ConstantSheet:
+def compute_constant_sheet(sys: ProlongableSystem) -> ConstantSheet:
     """Build the full sheet for a growing system (phi a coding or absent).
 
     The system is restricted to reachable letters first so the factor count
@@ -348,7 +351,7 @@ def compute_constant_sheet(
     inc = sys.incidence
     p_const, q_const = pq_constants(inc)
     r_value = None
-    if compute_r and inc.primitive_exponent is not None:
+    if inc.primitive_exponent is not None:
         r_value = compute_R_sigma(sys)
     k_const, subs, chosen = compute_K(sys, r_value)
 

@@ -59,7 +59,14 @@ from .errors import (
 )
 from .growth import block_decomposition, horn_exponent, is_primitive, mat_positive, mat_pow
 from .morphism import Morphism, power
-from .returns import DerivedDescriptor, DriverExit, build_sigma_U
+from .returns import (
+    PAIR_BUDGET,
+    PRACTICAL_CAP,
+    WORK_BUDGET,
+    DerivedDescriptor,
+    DriverExit,
+    build_sigma_U,
+)
 from .stream import FixedPointStream, factor_language
 from .system import ProlongableSystem, normalize_to_coding, restrict_to_reachable
 from .words import Alphabet, occurrences_in_word
@@ -71,6 +78,9 @@ INCONCLUSIVE = "inconclusive"
 # bounded-block encodings may chain when coding normalization reintroduces
 # bounded letters; give up (soundly) after this many rounds
 MAX_ENCODE_HOPS = 8
+
+# largest cell alphabet a bounded-block encoding may build
+_MAX_CELL_TOKENS = 512
 
 # powers tried, below the sheet's full power, before the full-power chain
 LOW_POWERS = (1, 2, 3)
@@ -153,7 +163,7 @@ def prepare(sys: ProlongableSystem, trace: list[dict] | None = None) -> Prepared
 # periodicity machinery
 
 
-def pure_period_check(sys: ProlongableSystem, q: int, budget: int = 1 << 22) -> bool:
+def pure_period_check(sys: ProlongableSystem, q: int) -> bool:
     """Exact test: the outer sequence has period q.
 
     Equivalent formulation used here: every (q+1)-factor has equal first and
@@ -161,7 +171,7 @@ def pure_period_check(sys: ProlongableSystem, q: int, budget: int = 1 << 22) -> 
     """
     if q < 1:
         return False
-    lang = factor_language(sys, q + 1, "x", budget=budget)
+    lang = factor_language(sys, q + 1, "x")
     return all(w[0] == w[q] for w in lang)
 
 
@@ -191,30 +201,20 @@ def _prefix_period_candidates(word: str, qmax: int) -> list[int]:
 
 
 def resolve_periodicity(
-    sys: ProlongableSystem,
-    qmax: int,
-    scan: int | None = None,
-    hints: tuple[int, ...] = (),
-    budget: int = 1 << 22,
+    sys: ProlongableSystem, qmax: int, scan: int | None = None
 ) -> tuple[int | None, dict]:
     """Find and exactly confirm a pure period of x, if one exists up to qmax.
 
-    Candidates come from a prefix border scan plus caller hints; every
+    Candidates are the periods of a prefix (border scan), ascending; every
     candidate is confirmed or rejected by the exact factor condition, so a
     returned period is proven.  Returns (period, evidence).
     """
     scan_len = scan if scan is not None else max(8 * qmax, 1 << 14)
     prefix = FixedPointStream(sys, "x").prefix_chars(scan_len)
     candidates = _prefix_period_candidates(prefix, qmax)
-    for h in hints:
-        if 1 <= h <= qmax and h not in candidates:
-            # a hinted period must at least survive the prefix scan
-            if all(prefix[i] == prefix[i + h] for i in range(len(prefix) - h)):
-                candidates.append(h)
-    candidates = sorted(set(candidates))
     evidence = {"qmax": qmax, "scan_length": len(prefix), "candidates": candidates}
     for q in candidates:
-        if pure_period_check(sys, q, budget=budget):
+        if pure_period_check(sys, q):
             return q, evidence
     return None, evidence
 
@@ -322,36 +322,23 @@ def finite_letter_witness(sys: ProlongableSystem) -> str | None:
     that reaches it; an x-letter recurs iff some preimage does.  Assumes the
     alphabet is already restricted to letters occurring in y.
     """
-    sigma = sys.sigma
+    inc = sys.incidence
     alpha = sys.alphabet
-    n = len(alpha)
-    idx = {t: j for j, t in enumerate(alpha.tokens)}
-    succ = [sorted({idx[t] for t in sigma.image_tokens(s)}) for s in alpha.tokens]
-    reach = []
-    for j0 in range(n):
-        seen = {j0}
-        stack = [j0]
-        while stack:
-            j = stack.pop()
-            for k in succ[j]:
-                if k not in seen:
-                    seen.add(k)
-                    stack.append(k)
-        reach.append(seen)
-    on_cycle = {c for c in range(n) if any(c in reach[k] for k in succ[c])}
-    tail = sigma.image_tokens(sys.start)[1:]
-    infinite = set()
-    for s in sorted({idx[t] for t in tail}):
-        for c in sorted(on_cycle & reach[s]):
-            infinite |= reach[c]
+    from_tail: set[str] = set()
+    for s in sys.sigma.image_tokens(sys.start)[1:]:
+        if s not in from_tail:
+            from_tail.update(inc.reachable_letters(s))
+    # a reach set is closed under successors, so a letter already counted
+    # infinite adds nothing new
+    infinite: set[str] = set()
+    for c in from_tail:
+        if c not in infinite and not inc.scc_trivial[inc.scc_of[alpha.index(c)]]:
+            infinite.update(inc.reachable_letters(c))
     phi = sys.effective_phi
-    finite_y = [alpha.tokens[j] for j in range(n) if j not in infinite]
-    if not finite_y:
-        return None
-    infinite_images = {phi.image(alpha.tokens[j])[0] for j in sorted(infinite)}
-    for t in finite_y:
+    infinite_images = {phi.image(t)[0] for t in infinite}
+    for t in alpha.tokens:
         img = phi.image(t)[0]
-        if img not in infinite_images:
+        if t not in infinite and img not in infinite_images:
             return sys.target_alphabet.token_of_char(img)
     return None
 
@@ -407,7 +394,6 @@ def _certify_repetition(
     n_high: int,
     desc_low: DerivedDescriptor,
     desc_high: DerivedDescriptor,
-    budget: int = 1 << 22,
 ) -> Certificate | None:
     """Build the UR certificate from two levels with equal descriptors.
 
@@ -418,7 +404,7 @@ def _certify_repetition(
     tau = _connecting_morphism(sys, desc_low, desc_high)
     if len(desc_low.x_returns) == 1:
         q = len(desc_low.x_returns[0])
-        if not pure_period_check(sys, q, budget=budget):
+        if not pure_period_check(sys, q):
             raise InternalConsistencyError(
                 "singleton return table without pure periodicity"
             )
@@ -742,7 +728,7 @@ def _pumping_word(sys: ProlongableSystem, witness: dict) -> list[str]:
     return alpha.decode("".join(cycle))
 
 
-def _encode_bounded_blocks(sys: ProlongableSystem, budget: int = 512):
+def _encode_bounded_blocks(sys: ProlongableSystem):
     """Rewrite y over cells (growing letter + following bounded block) so the
     new substitution is growing and the image sequence is unchanged.
 
@@ -833,7 +819,7 @@ def _encode_bounded_blocks(sys: ProlongableSystem, budget: int = 512):
             if t not in token_index:
                 token_index[t] = len(order) + 1
                 order.append(t)
-                if len(order) > budget:
+                if len(order) > _MAX_CELL_TOKENS:
                     raise WitnessSearchExhausted("cell alphabet exceeded its budget")
             img_ids.append(token_index[t])
         images[token_index[((g, blk), nxt)]] = img_ids
@@ -1056,9 +1042,9 @@ def _decide(
 
 def decide_uniform_recurrence(
     sys: ProlongableSystem,
-    practical_cap: int = 64,
-    pair_budget: int = 4096,
-    work_budget: int = 1 << 26,
+    practical_cap: int = PRACTICAL_CAP,
+    pair_budget: int = PAIR_BUDGET,
+    work_budget: int = WORK_BUDGET,
 ) -> Verdict:
     """Full decision pipeline; see the module docstring for the stages."""
     if practical_cap < 2:
@@ -1138,8 +1124,8 @@ class DeriveChainResult:
 def derive_chain(
     sys: ProlongableSystem,
     depth: int,
-    pair_budget: int = 4096,
-    work_budget: int = 1 << 26,
+    pair_budget: int = PAIR_BUDGET,
+    work_budget: int = WORK_BUDGET,
 ) -> DeriveChainResult:
     """Drive the descriptor chain u_1, u_2, ... down to the requested depth.
 
@@ -1228,7 +1214,7 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
                 "reason": f"power must be an int in 1..{sheet.power_exponent}, got {power!r}"
             }
         sys_pow, descs, exited = _drive_to_level(
-            prepared, sheet, m, pair_budget=4096, work_budget=1 << 26, power=power
+            prepared, sheet, m, PAIR_BUDGET, WORK_BUDGET, power=power
         )
         if exited is not None:
             return False, {"reason": f"driver exited at level {exited[0]}"}
@@ -1332,7 +1318,7 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         sheet = compute_constant_sheet(prepared.staged)
         level = data["level"]
         sys_pow, descs, exited = _drive_to_level(
-            prepared, sheet, level, pair_budget=4096, work_budget=1 << 26
+            prepared, sheet, level, PAIR_BUDGET, WORK_BUDGET
         )
         if exited is None:
             return False, {"reason": "driver did not exit at the stated level"}

@@ -388,7 +388,7 @@ class IncidenceStructure:
         self._perron_cache: dict[int, PerronValue] = {}
         self._growth_cache: dict[int, GrowthType] = {}
         self._lengths: list[list[int]] = [[1] * n]  # row k: |sigma^k(b)| per letter b
-        self._pq_cache: dict[tuple, tuple[Fraction, Fraction]] = {}
+        self._pq: tuple[Fraction, Fraction] | None = None  # see pq_constants
 
     @staticmethod
     def of_morphism(sigma: "Morphism") -> "IncidenceStructure":
@@ -675,6 +675,10 @@ def block_decomposition(structure: IncidenceStructure) -> BlockDecomposition:
 
 # -- the P/Q constants ------------------------------------------------------------
 
+# powers past the primitive exponent taken before reading eigenvector ratios;
+# a larger power narrows the ratio bounds at the cost of bigger integers
+_TIGHTEN_POWER = 8
+
 
 def _eigenvector_ratio_bounds(n_matrix: Matrix) -> tuple[list[Fraction], list[Fraction]]:
     """Per-row bounds on w_i / max_j w_j and w_i / min_j w_j for the positive
@@ -698,9 +702,22 @@ def _transpose(m: Matrix) -> Matrix:
     return tuple(zip(*m))
 
 
-def letter_envelopes(
-    structure: IncidenceStructure, tighten_power: int = 8
-) -> tuple[list[Fraction], list[Fraction]]:
+def _scc_ratio_bounds(structure, comp) -> tuple[list[Fraction], list[Fraction]]:
+    """Eigenvector ratio bounds of a non-trivial SCC's transposed block, read
+    off a positive power of it: past its primitive exponent, or, when the
+    block is irreducible but imprimitive, a power of I + T, which is
+    primitive with the same eigenvector."""
+    t_block = _transpose(structure.block(comp))
+    try:
+        n_matrix = mat_pow(t_block, horn_exponent(t_block) + _TIGHTEN_POWER)
+    except NotPrimitive:
+        d = len(comp)
+        it = tuple(tuple(int(i == j) + t_block[i][j] for j in range(d)) for i in range(d))
+        n_matrix = mat_pow(it, (d - 1) + _TIGHTEN_POWER)
+    return _eigenvector_ratio_bounds(n_matrix)
+
+
+def letter_envelopes(structure: IncidenceStructure) -> tuple[list[Fraction], list[Fraction]]:
     """Per-letter rationals with lo_b * a^k <= |sigma^k(b)| <= hi_b * a^k for
     every k >= 0, where a is the shared growth rate.
 
@@ -714,7 +731,7 @@ def letter_envelopes(
     lo: list = [None] * n
     hi: list = [None] * n
     if len(structure.sccs) == 1 and not structure.scc_trivial[0]:
-        _closed_scc_envelope(structure, 0, lo, hi, tighten_power)
+        _closed_scc_envelope(structure, 0, lo, hi)
         return _clamped(lo, hi)
 
     alpha_handle = None
@@ -735,7 +752,7 @@ def letter_envelopes(
     for sid in order:
         comp = structure.sccs[sid]
         if structure.scc_closed[sid]:
-            _closed_scc_envelope(structure, sid, lo, hi, tighten_power)
+            _closed_scc_envelope(structure, sid, lo, hi)
             continue
         if structure.scc_trivial[sid]:
             a = comp[0]
@@ -747,7 +764,7 @@ def letter_envelopes(
             hi[a] = max(hi_a, Fraction(1))
             lo[a] = min(lo_a, Fraction(1))
             continue
-        _open_scc_envelope(structure, sid, lo, hi, alpha_handle, alo, ahi, tighten_power)
+        _open_scc_envelope(structure, sid, lo, hi, alpha_handle, alo, ahi)
     return _clamped(lo, hi)
 
 
@@ -756,79 +773,34 @@ def _clamped(lo: list, hi: list) -> tuple[list[Fraction], list[Fraction]]:
     return [min(v, Fraction(1)) for v in lo], [max(v, Fraction(1)) for v in hi]
 
 
-def pq_constants(
-    structure: IncidenceStructure,
-    tighten_power: int = 8,
-    empirical: bool = False,
-    empirical_kmax: int = 30,
-) -> tuple[Fraction, Fraction]:
+def pq_constants(structure: IncidenceStructure) -> tuple[Fraction, Fraction]:
     """Constants P and Q with (1/P) a^k <= <sigma^k> <= |sigma^k| <= P a^k and
     |sigma^k| <= Q <sigma^k> for every k >= 0, where a is the common growth rate.
 
-    With empirical=True a deeper eigenvector pass is also run and the smaller
-    (still sound for all k) Q is kept; exact small-k ratios serve as a sanity
-    floor.  The result is kept on the structure, per set of arguments.
+    The result is kept on the structure.
     """
-    key = (tighten_power, empirical, empirical_kmax)
-    if key not in structure._pq_cache:
-        structure._pq_cache[key] = _pq_constants(
-            structure, tighten_power, empirical, empirical_kmax
-        )
-    return structure._pq_cache[key]
+    if structure._pq is None:
+        lo, hi = letter_envelopes(structure)
+        structure._pq = (max(max(hi), 1 / min(lo)), max(hi) / min(lo))
+    return structure._pq
 
 
-def _pq_constants(structure, tighten_power, empirical, empirical_kmax):
-    lo, hi = letter_envelopes(structure, tighten_power)
-    p_const = max(max(hi), 1 / min(lo))
-    q_const = max(hi) / min(lo)
-
-    if empirical:
-        lo2, hi2 = letter_envelopes(structure, tighten_power * 3)
-        q_deep = max(hi2) / min(lo2)
-        p_deep = max(max(hi2), 1 / min(lo2))
-        floor = Fraction(1)
-        acc = structure.matrix
-        for _k in range(1, empirical_kmax + 1):
-            sums = mat_colsums(acc)
-            floor = max(floor, Fraction(max(sums), min(sums)))
-            acc = mat_mul(acc, structure.matrix)
-        q_const = min(q_const, q_deep)
-        p_const = min(p_const, p_deep)
-        if q_const < floor:
-            raise PreconditionViolated("envelope tighter than exact ratios; internal error")
-    return p_const, q_const
-
-
-def _closed_scc_envelope(structure, sid, lo, hi, tighten_power):
+def _closed_scc_envelope(structure, sid, lo, hi):
     comp = structure.sccs[sid]
-    block = structure.block(comp)
-    t_block = _transpose(block)
-    d = len(comp)
-    if d == 1:
+    if len(comp) == 1:
         lo[comp[0]] = Fraction(1)
         hi[comp[0]] = Fraction(1)
         return
-    try:
-        k0 = horn_exponent(t_block) + tighten_power
-        n_matrix = mat_pow(t_block, k0)
-    except NotPrimitive:
-        # irreducible but imprimitive: I + T is primitive with the same eigenvector
-        eye = mat_identity(d)
-        it = tuple(
-            tuple(eye[i][j] + t_block[i][j] for j in range(d)) for i in range(d)
-        )
-        n_matrix = mat_pow(it, (d - 1) + tighten_power)
-    lo_bounds, hi_bounds = _eigenvector_ratio_bounds(n_matrix)
+    lo_bounds, hi_bounds = _scc_ratio_bounds(structure, comp)
     for pos, letter in enumerate(comp):
         lo[letter] = lo_bounds[pos]
         hi[letter] = hi_bounds[pos]
 
 
-def _open_scc_envelope(structure, sid, lo, hi, alpha_handle, alo, ahi, tighten_power):
+def _open_scc_envelope(structure, sid, lo, hi, alpha_handle, alo, ahi):
     comp = structure.sccs[sid]
     members = set(comp)
     n = len(structure.matrix)
-    block = structure.block(comp)
     rho = structure.perron_of_scc(sid)
     # refine until the internal radius is strictly below the global rate
     a_ref = alpha_handle
@@ -843,19 +815,7 @@ def _open_scc_envelope(structure, sid, lo, hi, alpha_handle, alo, ahi, tighten_p
     rho_hi = rho.hi
 
     # internal envelope |sigma_S^j(a)| <= hiS_a * rho^j via the same eigen trick
-    t_block = _transpose(block)
-    d = len(comp)
-    try:
-        k0 = horn_exponent(t_block) + tighten_power
-        n_matrix = mat_pow(t_block, k0)
-        _, hi_bounds = _eigenvector_ratio_bounds(n_matrix)
-    except NotPrimitive:
-        eye = mat_identity(d)
-        it = tuple(
-            tuple(eye[i][j] + t_block[i][j] for j in range(d)) for i in range(d)
-        )
-        n_matrix = mat_pow(it, (d - 1) + tighten_power)
-        _, hi_bounds = _eigenvector_ratio_bounds(n_matrix)
+    _, hi_bounds = _scc_ratio_bounds(structure, comp)
 
     spill: dict[int, list[int]] = {}
     for pos, e in enumerate(comp):

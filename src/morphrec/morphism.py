@@ -8,7 +8,7 @@ are delegated to the matrix machinery in growth.py.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import TYPE_CHECKING
 
@@ -66,7 +66,7 @@ class Morphism:
 
     @cached_property
     def _table(self) -> dict[int, str]:
-        return {ord(self.src.chars[i]): self.images[i] for i in range(len(self.src))}
+        return dict(zip(map(ord, self.src.chars), self.images))
 
     def image(self, token: str) -> str:
         """Internal image word of a source letter token."""

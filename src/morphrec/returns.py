@@ -28,6 +28,17 @@ from .stream import FixedPointStream
 from .system import ProlongableSystem
 from .words import Alphabet, occurrences_in_word
 
+# Default budgets, stated once for the library, the CLI and the scripts:
+# levels of the u-chain driven before the decider stops watching for a
+# repetition, pairs one closure may discover, and letters one closure (or
+# the certified scan behind R) may expand.
+PRACTICAL_CAP = 64
+PAIR_BUDGET = 4096
+WORK_BUDGET = 1 << 26
+
+# letters the word-case closure may scan for the first recurrence of u
+_SCAN_BUDGET = 1 << 22
+
 
 @dataclass(frozen=True)
 class ReturnTable:
@@ -116,22 +127,22 @@ class ReturnSubstitution:
 def return_substitution(
     sys: ProlongableSystem,
     u: list[str],
-    max_returns: int = 4096,
-    scan_budget: int = 1 << 22,
+    max_returns: int = PAIR_BUDGET,
 ) -> ReturnSubstitution:
     """Induced substitution on return-word indices for a primitive system.
 
     This is the anchored identity-coding case of build_sigma_U: with phi the
     identity, U = {u}, every pair is (w, u), and the pair table is the table
     of return words of y to u in first-appearance order.  K is taken from
-    scan_budget, so that the first-recurrence window covers it, and at least
-    |u|, so that no return word is short against |u|/K.  A prefix that does
-    not recur in the window, a return word longer than K|u| and more than
-    max_returns words all raise BudgetExhausted.
+    a scan budget of _SCAN_BUDGET letters, so that the first-recurrence
+    window covers it, and at least |u|, so that no return word is short
+    against |u|/K.  A prefix that does not recur in the window, a return
+    word longer than K|u| and more than max_returns words all raise
+    BudgetExhausted.
     """
     if sys.incidence.primitive_exponent is None:
         raise NotPrimitive("return substitutions need a primitive incidence matrix")
-    K = max(scan_budget // max(len(u), 1), len(u))
+    K = max(_SCAN_BUDGET // max(len(u), 1), len(u))
     res = build_sigma_U(
         ProlongableSystem(sys.sigma, sys.start),
         u,
@@ -283,8 +294,8 @@ def build_sigma_U(
     u: list[str],
     K: int,
     K1: int | None = None,
-    pair_budget: int = 4096,
-    work_budget: int = 1 << 26,
+    pair_budget: int = PAIR_BUDGET,
+    work_budget: int = WORK_BUDGET,
     anchored: bool = False,
 ):
     """Drive the set-case return construction for u (a prefix of y).

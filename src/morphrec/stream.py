@@ -2,12 +2,14 @@
 
 The stream decomposes the fixed point as a . u . sigma(u) . sigma^2(u) ...
 where sigma(a) = a u.  Bulk prefixes use repeated translate() doubling with a
-growable cache.  Streaming scans expand each block sigma^k(u) through a table
-of sigma^j images, built one level at a time when a scan first reaches it and
-never past the level whose images, known in advance from the image lengths
-of sigma's shared incidence analysis, would exceed _CHUNK letters; deeper
-blocks translate pieces of shallower ones, so memory stays proportional to
-the chunk size times the expansion depth.
+growable cache.  Streaming scans keep a block sigma^k(u) whole, one sigma at
+a time, while it has at most _CHUNK letters, and expand the blocks after the
+last whole one through a table of sigma^j images, built one level at a time
+when a scan first reaches it and never past the level whose images, known
+in advance from the image lengths of sigma's shared incidence analysis,
+would exceed _CHUNK letters; deeper blocks translate pieces of shallower
+ones, so memory stays proportional to the chunk size times the expansion
+depth.
 """
 
 from __future__ import annotations
@@ -22,13 +24,14 @@ from .words import factor_set
 _CHUNK = 4096
 _MAX_LEVEL = 64  # deepest table level, for letters whose images grow slowly
 _ERASE_GUARD = 1 << 22  # y letters consumed without x progress before giving up
+_CLOSURE_BUDGET = 1 << 22  # letters factor_language may expand
 
 
 class FixedPointStream:
     """Single-owner stream over y = sigma^inf(a) or x = phi(y).
 
-    prefix() keeps a growing cache (memory O(n)); chunks()/letters() stream
-    with memory bounded by the expansion frontier.  Nothing is expanded at
+    prefix() keeps a growing cache (memory O(n)); chunks() streams with
+    memory bounded by the expansion frontier.  Nothing is expanded at
     construction: the sigma^j image table is built lazily by chunks(), and
     the image lengths and the prolongability check come from the incidence
     analysis cached on sigma, shared by every stream over the same sigma.
@@ -84,13 +87,13 @@ class FixedPointStream:
     def _deepest_level(self, k: int) -> int:
         """Deepest table level j with 1 <= j <= k, building levels on demand.
 
-        Level 1 is sigma itself; a level j >= 2 is built only while every
-        sigma^j image has at most _CHUNK letters.
+        Level 1 is sigma's own translate table; a level j >= 2 is built only
+        while every sigma^j image has at most _CHUNK letters.
         """
         levels = self._levels
         sigma = self.sys.sigma
         if not levels:
-            levels.append(dict(zip(map(ord, sigma.src.chars), sigma.images)))
+            levels.append(sigma._table)
             self._longest.append(sigma.max_image_len)
         while len(levels) < k and not self._levels_done:
             j = len(levels) + 1
@@ -134,13 +137,20 @@ class FixedPointStream:
                     )
 
     def _y_windows(self) -> Iterator[str]:
-        """y as windows of at least _CHUNK letters."""
+        """y as windows of at least _CHUNK letters.
+
+        base is the last block sigma^k(u) kept whole; a block that stays
+        short (y = a b b b ... has one letter per level) is never expanded
+        through the table, whose expansion depth grows with the level.
+        """
+        sigma = self.sys.sigma
+        image_len = dict(zip(sigma.src.chars, map(len, sigma.images)))
         buf = [self.sys.alphabet.char(self.sys.start)]
         size = 1
-        u = self.sys.sigma.image(self.sys.start)[1:]
-        level = 0
+        base = sigma.image(self.sys.start)[1:]
+        base_level = level = 0
         while True:
-            for piece in self._pieces(u, level):
+            for piece in self._pieces(base, level - base_level):
                 buf.append(piece)
                 size += len(piece)
                 if size >= _CHUNK:
@@ -148,13 +158,8 @@ class FixedPointStream:
                     buf = []
                     size = 0
             level += 1
-
-    def letters(self) -> Iterator[str]:
-        """Letter tokens, one at a time (streaming)."""
-        alpha = self.sys.alphabet if self.which == "y" else self.sys.target_alphabet
-        for chunk in self.chunks():
-            for ch in chunk:
-                yield alpha.token_of_char(ch)
+            if base_level == level - 1 and sum(map(image_len.__getitem__, base)) <= _CHUNK:
+                base, base_level = sigma.apply(base), level
 
     # -- scanning ---------------------------------------------------------------
 
@@ -350,9 +355,7 @@ def complexity(
     return ComplexityResult(len(factors), factors, False)
 
 
-def factor_language(
-    sys: ProlongableSystem, n: int, which: str = "y", budget: int = 1 << 22
-) -> frozenset[str]:
+def factor_language(sys: ProlongableSystem, n: int, which: str = "y") -> frozenset[str]:
     """Exact set of length-n factors as internal strings, for any non-erasing
     sigma (growing or not).
 
@@ -360,6 +363,7 @@ def factor_language(
     an n-window of Z when sigma is non-erasing, so saturating "factors of
     sigma(V)" from the factors of a long enough prefix reaches every factor
     of the fixed point.  The x-side set is the coding image of the y-side.
+    The seed and the closure may each expand _CLOSURE_BUDGET letters.
     """
     if n <= 0:
         return frozenset({""})
@@ -370,7 +374,7 @@ def factor_language(
     seed = sys.alphabet.char(sys.start)
     while len(seed) < n:
         grown = sigma.apply(seed)
-        if len(grown) > budget:
+        if len(grown) > _CLOSURE_BUDGET:
             raise BudgetExhausted("factor closure seed exceeded its budget")
         if len(grown) == len(seed):
             break  # degenerate fixed word shorter than n
@@ -383,7 +387,7 @@ def factor_language(
         for v in frontier:
             w = sigma.apply(v)
             spent += len(w)
-            if spent > budget:
+            if spent > _CLOSURE_BUDGET:
                 raise BudgetExhausted("factor closure exceeded its budget")
             for f in factor_set(w, n):
                 if f not in seen:

@@ -84,7 +84,6 @@ class ProlongableSystem:
 def _tokenize(line: str) -> list[tuple[str, int]]:
     """(token, 1-based column) pairs; '#' starts a comment."""
     out = []
-    col = 0
     i = 0
     while i < len(line):
         ch = line[i]
@@ -97,8 +96,6 @@ def _tokenize(line: str) -> list[tuple[str, int]]:
         while i < len(line) and not line[i].isspace() and line[i] != "#":
             i += 1
         out.append((line[start:i], start + 1))
-        col = i
-    del col
     return out
 
 
@@ -241,17 +238,10 @@ def restrict_to_reachable(sys: ProlongableSystem) -> ProlongableSystem:
     sigma = sys.sigma.restricted_to(keep)
     phi = None
     if sys.phi is not None:
-        used: list[str] = []
-        seen = set()
-        for tok in keep:
-            for t in sys.phi.image_tokens(tok):
-                if t not in seen:
-                    seen.add(t)
-                    used.append(t)
+        seen = {t for tok in keep for t in sys.phi.image_tokens(tok)}
         # keep target order stable: original order, filtered
         target = Alphabet(tuple(t for t in sys.phi.dst.tokens if t in seen))
         phi = sys.phi.restricted_to(keep, new_dst=target)
-        del used
     return ProlongableSystem(sigma, sys.start, phi)
 
 
@@ -269,17 +259,16 @@ def _blowup_tokens(alphabet: Alphabet, widths: dict[str, int]) -> list[tuple[str
     return out
 
 
-def normalize_to_coding(
-    sys: ProlongableSystem, max_power_factor: int | None = None
-) -> ProlongableSystem:
+def normalize_to_coding(sys: ProlongableSystem) -> ProlongableSystem:
     """Equivalent system whose outer morphism is a coding and sigma non-erasing.
 
     Identity when already in shape.  A letter-to-letter phi only needs its
     target shrunk to the letters actually used.  A longer non-erasing phi is
     removed by the letter blow-up: each letter b becomes |phi(b)| indexed
     copies and the blown image of sigma(b) is split into that many non-empty
-    pieces, powering sigma first until every split fits.  Erasing sigma or
-    phi requires a general image-elimination pass that is out of scope here.
+    pieces, powering sigma first, up to sigma^(#A(#A+1)), until every split
+    fits.  Erasing sigma or phi requires a general image-elimination pass
+    that is out of scope here.
     """
     if sys.sigma.is_erasing:
         raise NormalizationUnsupported(
@@ -297,13 +286,7 @@ def normalize_to_coding(
         )
     if phi.max_image_len == 1:
         # letter-to-letter: shrink the target so phi is onto, keep sigma
-        seen = set()
-        used = []
-        for tok in sys.alphabet.tokens:
-            t = phi.image_tokens(tok)[0]
-            if t not in seen:
-                seen.add(t)
-                used.append(t)
+        seen = {phi.image_tokens(tok)[0] for tok in sys.alphabet.tokens}
         target = Alphabet(tuple(t for t in phi.dst.tokens if t in seen))
         if target.tokens == phi.dst.tokens and phi.is_coding:
             return sys
@@ -318,7 +301,7 @@ def normalize_to_coding(
     # pipeline needs to avoid re-entering this blow-up.  Fall back to the
     # smallest power admitting non-empty pieces.
     n = len(sys.alphabet)
-    limit = max_power_factor if max_power_factor is not None else n * (n + 1)
+    limit = n * (n + 1)
     widths = {tok: len(phi.image_tokens(tok)) for tok in sys.alphabet.tokens}
     chosen = None
     sk = sys.sigma
@@ -375,13 +358,7 @@ def normalize_to_coding(
         for tok in sys.alphabet.tokens
         for i in range(widths[tok])
     }
-    seen = set()
-    used_targets = []
-    for new in new_tokens:
-        t = coding_table[new][0]
-        if t not in seen:
-            seen.add(t)
-            used_targets.append(t)
+    seen = {img[0] for img in coding_table.values()}
     target = Alphabet(tuple(t for t in phi.dst.tokens if t in seen))
     new_phi = Morphism.from_tokens(new_alpha, target, coding_table)
 

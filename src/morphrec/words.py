@@ -10,6 +10,7 @@ mapping; all internal words are strings over its internal characters.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 from .errors import AlphabetMismatch
 
@@ -52,7 +53,10 @@ class Alphabet:
 
     def char(self, token: str) -> str:
         """Internal character for a token."""
-        return chr(_BASE + self.index(token))
+        try:
+            return self._char_of[token]
+        except KeyError:
+            raise AlphabetMismatch(f"letter {token!r} not in alphabet {list(self.tokens)}") from None
 
     def token_of_char(self, ch: str) -> str:
         try:
@@ -60,7 +64,7 @@ class Alphabet:
         except KeyError:
             raise AlphabetMismatch(f"internal char {ch!r} outside alphabet") from None
 
-    @property
+    @cached_property
     def chars(self) -> str:
         """All internal characters in alphabet order."""
         return "".join(chr(_BASE + i) for i in range(len(self.tokens)))

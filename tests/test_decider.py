@@ -4,6 +4,8 @@ inspection helpers around them."""
 import json
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from morphrec import decider
 from morphrec.catalog import get
@@ -18,6 +20,7 @@ from morphrec.decider import (
     _connecting_morphism,
     _drive_to_level,
     _growing_stage,
+    _prefix_period_candidates,
     decide_uniform_recurrence,
     derive_chain,
     periodic_checklist,
@@ -266,6 +269,17 @@ def test_period_above_upfront_qmax_falls_through():
     assert v.certificate.data["source"] != "upfront"
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.text(alphabet="ab", max_size=40), st.integers(0, 45))
+def test_prefix_period_candidates_are_every_period_ascending(word, qmax):
+    want = [
+        q
+        for q in range(1, min(qmax, len(word)) + 1)
+        if all(word[i] == word[i + q] for i in range(len(word) - q))
+    ]
+    assert _prefix_period_candidates(word, qmax) == want
 
 
 # -- low-power certificates ------------------------------------------------------------

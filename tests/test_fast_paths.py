@@ -7,8 +7,9 @@ sigma^k(u) through a lazily built image table into coalesced chunks.
 Growth is read off the SCC radius classes and primitivity off the zero
 pattern, R comes from one pass over y that keeps no occurrence list, the
 bounded-window language adds each image's interior windows once,
-decoding and encoding go through char <-> token tables, and a primitive
-staged sigma is certified without the full-power chain.
+decoding and encoding go through char <-> token tables, a primitive
+staged sigma is certified without the full-power chain, and the finite-letter
+screen reads cycles and reachability off the shared incidence analysis.
 """
 
 from fractions import Fraction
@@ -23,6 +24,7 @@ from morphrec.decider import (
     UNIFORMLY_RECURRENT,
     _growing_stage,
     decide_uniform_recurrence,
+    finite_letter_witness,
     verify_certificate,
 )
 from morphrec.errors import AlphabetMismatch, MorphrecError, NotPrimitive, PreconditionViolated
@@ -231,6 +233,18 @@ def test_chunks_for_linear_growth_past_the_table_depth():
     sys_ = parse_system("alphabet: a b\nstart: a\nsigma:\na -> a b\nb -> b\n")
     n = _CHUNK + 300
     assert _joined(FixedPointStream(sys_, "y"), n) == sys_.alphabet.encode(["a"] + ["b"] * (n - 1))
+
+
+def test_chunks_when_a_letter_outside_y_stops_the_table():
+    # y = a d d d ...: one letter per level, while b, which y never reaches,
+    # outgrows a chunk at sigma^6 and so stops the sigma^j table at level 5
+    sys_ = parse_system(
+        "alphabet: a b c d\nstart: a\nsigma:\na -> a d\nb -> b b c b b\nc -> c d\nd -> d\n"
+    )
+    n = 3 * _CHUNK
+    assert _joined(FixedPointStream(sys_, "y"), n) == sys_.alphabet.encode(["a"] + ["d"] * (n - 1))
+    dd = sys_.alphabet.encode(["d", "d"])
+    assert FixedPointStream(sys_, "y").scan_occurrences(dd, n) == list(range(1, n - 1))
 
 
 def test_chunks_are_coalesced():
@@ -470,6 +484,16 @@ def test_decode_maps_chars_and_rejects_outsiders():
         alpha.token_of_char(chr(33 + 3))
 
 
+def test_alphabet_chars_are_cached_and_a_large_identity_round_trips():
+    alpha = Alphabet.indexed(4096)
+    assert alpha.chars is alpha.chars
+    assert alpha.chars == "".join(alpha.char(t) for t in alpha.tokens)
+    word = alpha.encode(list(reversed(alpha.tokens)))
+    assert Morphism.identity(alpha).apply(word) == word
+    with pytest.raises(AlphabetMismatch, match="not in alphabet"):
+        alpha.char("0")
+
+
 def test_encode_matches_the_index_and_rejects_outsiders():
     alpha = Alphabet(("x", "yy", "z"))
     word = ["z", "x", "yy", "yy", "x"]
@@ -535,3 +559,68 @@ def test_primitive_certificate_agrees_with_the_chain(monkeypatch, images, coding
     for verdict in (fast, slow):
         ok, info = verify_certificate(parse_system(text), verdict)
         assert ok, info
+
+
+# -- the finite-letter screen against a BFS per letter -----------------------------------
+
+
+def _finite_letter_by_bfs(sys_: ProlongableSystem) -> str | None:
+    """The screen as it was before it read the incidence analysis: a
+    reachability BFS from every letter."""
+    sigma = sys_.sigma
+    alpha = sys_.alphabet
+    n = len(alpha)
+    idx = {t: j for j, t in enumerate(alpha.tokens)}
+    succ = [sorted({idx[t] for t in sigma.image_tokens(s)}) for s in alpha.tokens]
+    reach = []
+    for j0 in range(n):
+        seen = {j0}
+        stack = [j0]
+        while stack:
+            j = stack.pop()
+            for k in succ[j]:
+                if k not in seen:
+                    seen.add(k)
+                    stack.append(k)
+        reach.append(seen)
+    on_cycle = {c for c in range(n) if any(c in reach[k] for k in succ[c])}
+    tail = sigma.image_tokens(sys_.start)[1:]
+    infinite = set()
+    for s in sorted({idx[t] for t in tail}):
+        for c in sorted(on_cycle & reach[s]):
+            infinite |= reach[c]
+    phi = sys_.effective_phi
+    finite_y = [alpha.tokens[j] for j in range(n) if j not in infinite]
+    if not finite_y:
+        return None
+    infinite_images = {phi.image(alpha.tokens[j])[0] for j in sorted(infinite)}
+    for t in finite_y:
+        img = phi.image(t)[0]
+        if img not in infinite_images:
+            return sys_.target_alphabet.token_of_char(img)
+    return None
+
+
+@st.composite
+def coded_systems(draw):
+    """2-5 letters, sigma(a) = a u with u non-empty, images of 1-3 letters
+    (so some letters grow and some do not), and half the time a random
+    coding onto two or three letters."""
+    tokens = tuple("abcde"[: draw(st.integers(2, 5))])
+    letter = st.sampled_from(tokens)
+    table = {t: draw(st.lists(letter, min_size=1, max_size=3)) for t in tokens}
+    table["a"] = ["a"] + draw(st.lists(letter, min_size=1, max_size=2))
+    alpha = Alphabet(tokens)
+    sigma = Morphism.from_tokens(alpha, alpha, table)
+    phi = None
+    if draw(st.booleans()):
+        target = Alphabet(tuple("012"[: draw(st.integers(2, 3))]))
+        letters = st.sampled_from(target.tokens)
+        phi = Morphism.from_tokens(alpha, target, {t: [draw(letters)] for t in tokens})
+    return ProlongableSystem(sigma, "a", phi)
+
+
+@settings(max_examples=200, deadline=None)
+@given(coded_systems())
+def test_finite_letter_witness_matches_a_bfs_per_letter(sys_):
+    assert finite_letter_witness(sys_) == _finite_letter_by_bfs(sys_)

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from morphrec import growth
 from morphrec.errors import NotPrimitive
 from morphrec.growth import (
     IncidenceStructure,
@@ -254,6 +255,21 @@ def test_pq_fibonacci():
     p, q = pq_constants(FIB.incidence)
     assert p == Fraction(89, 55)
     assert q == Fraction(7921, 3025)
+
+
+def test_pq_constants_are_computed_once_per_structure(monkeypatch):
+    calls = []
+    envelopes = growth.letter_envelopes
+
+    def counted(structure):
+        calls.append(structure)
+        return envelopes(structure)
+
+    monkeypatch.setattr(growth, "letter_envelopes", counted)
+    inc = IncidenceStructure(FIB.alphabet, FIB.incidence.matrix)
+    first = pq_constants(inc)
+    assert pq_constants(inc) == first
+    assert calls == [inc]
 
 
 def test_pq_doubling():
