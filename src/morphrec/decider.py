@@ -9,6 +9,14 @@ constant sheet.  The rest run the derived-descriptor iteration with
 repetition detection; systems with bounded letters go through the
 pumping-word branch.  Verdicts carry machine-checkable certificates.
 
+One stage walk, `_stages`, serves the decider and the verifier alike.  It
+yields the prepared input and then, while a stage has bounded letters and
+no pumping witness, that stage's bounded-block encoding, at most
+MAX_ENCODE_HOPS times.  The decider settles the first stage it can (a
+letter that occurs finitely often, the growing branch or a pumping
+verdict); the verifier, `derive_chain` and the CLI replay the same walk, so
+a certificate is checked on the very stage it was issued for.
+
 The growing branch first drives the u-chain on sigma^p for the small powers
 in LOW_POWERS and accepts only a certified repetition there; everything else
 falls back to the full power P of the constant sheet, whose thresholds the
@@ -135,11 +143,12 @@ class PreparedSystem:
     def growing(self) -> bool:
         return self.staged.incidence.all_growing()
 
-    @property
-    def pumping_depth(self) -> int:
-        """Powers of sigma searched for a pumping witness: #A * r_sigma, the
-        same for the decider and the verifier (r_sigma is at least 1)."""
-        return len(self.staged.alphabet) * self.r_sigma
+    @cached_property
+    def pumping_witness(self) -> dict | None:
+        """The stage's pumping witness, searched over #A * r_sigma powers of
+        sigma (r_sigma is at least 1); computed once per stage and shared by
+        the stage walk, the decider and the verifier."""
+        return _pumping_witness(self.staged, len(self.staged.alphabet) * self.r_sigma)
 
 
 def prepare(sys: ProlongableSystem, trace: list[dict] | None = None) -> PreparedSystem:
@@ -462,7 +471,6 @@ def _levels(
     power: int,
     sheet: ConstantSheet,
     last: int,
-    pair_budget: int,
     work_budget: int,
 ):
     """The u-chain on sys_pow = sigma^power: yields (n, u, descriptor or
@@ -475,7 +483,7 @@ def _levels(
             u,
             sheet.K,
             K1=sheet.K1,
-            pair_budget=pair_budget,
+            pair_budget=PAIR_BUDGET,
             work_budget=work_budget,
             anchored=power < sheet.power_exponent,
         )
@@ -492,7 +500,6 @@ def _chain(
     power: int,
     sheet: ConstantSheet,
     practical_cap: int,
-    pair_budget: int,
     work_budget: int,
     trace: list[dict],
 ):
@@ -502,7 +509,7 @@ def _chain(
     (level, |u|, exit) of a driver exit, or None when the cap is reached.
     """
     seen: dict[tuple, tuple[int, DerivedDescriptor]] = {}
-    for n, u, res in _levels(sys_pow, power, sheet, practical_cap, pair_budget, work_budget):
+    for n, u, res in _levels(sys_pow, power, sheet, practical_cap, work_budget):
         if isinstance(res, DriverExit):
             return n, len(u), res
         key = (res.sigma_u_images, res.psi)
@@ -537,21 +544,35 @@ def _primitive_certificate(staged: ProlongableSystem) -> Certificate | None:
 
 
 def _growing_verdict(
-    prepared: PreparedSystem,
-    sheet: ConstantSheet,
-    practical_cap: int,
-    pair_budget: int,
-    work_budget: int,
-    trace: list[dict],
+    stage: PreparedSystem, practical_cap: int, work_budget: int, trace: list[dict]
 ) -> Verdict:
-    staged = prepared.staged
+    staged = stage.staged
+    # a periodic x is uniformly recurrent; a check that finds no period or
+    # runs out of budget leaves the decision to the sheet and the chain
+    try:
+        q, ev = resolve_periodicity(staged, qmax=UPFRONT_QMAX, scan=8 * UPFRONT_QMAX)
+    except BudgetExhausted:
+        q = None
+    if q is not None:
+        trace.append({"step": "upfront-periodic", "period": q})
+        cert = _periodic_certificate(staged, q, "upfront", ev)
+        return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
+    try:
+        sheet = compute_constant_sheet(staged)
+    except (PreconditionViolated, NoPrimitiveSubmorphism, BudgetExhausted) as e:
+        q, ev = resolve_periodicity(staged, qmax=1024)
+        if q is not None:
+            cert = _periodic_certificate(staged, q, "constants-unavailable", ev)
+            return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
+        trace.append({"step": "constants", "status": "unavailable", "reason": str(e)})
+        return Verdict(INCONCLUSIVE, None, None, tuple(trace))
+    trace.append({"step": "constants", "K": sheet.K, "K1": sheet.K1, "K2": sheet.K2})
+
     for p in LOW_POWERS:
         if p >= sheet.power_exponent:
             break
         try:
-            found = _chain(
-                staged.with_sigma_power(p), p, sheet, practical_cap, pair_budget, work_budget, []
-            )
+            found = _chain(staged.with_sigma_power(p), p, sheet, practical_cap, work_budget, [])
         except BudgetExhausted:
             found = None
         certified = isinstance(found, Certificate)
@@ -575,9 +596,7 @@ def _growing_verdict(
             "target": (sheet.K + 1) ** 2,
         }
     )
-    found = _chain(
-        sys_pow, sheet.power_exponent, sheet, practical_cap, pair_budget, work_budget, trace
-    )
+    found = _chain(sys_pow, sheet.power_exponent, sheet, practical_cap, work_budget, trace)
     if isinstance(found, Certificate):
         return Verdict(UNIFORMLY_RECURRENT, found, sheet, tuple(trace))
 
@@ -849,32 +868,10 @@ def _encode_bounded_blocks(sys: ProlongableSystem):
     return encoded, {"tokens": len(order), "power": p1}
 
 
-def _nongrowing_verdict(
-    prepared: PreparedSystem,
-    practical_cap: int,
-    pair_budget: int,
-    work_budget: int,
-    trace: list[dict],
-    _depth: int,
-) -> Verdict:
-    staged = prepared.staged
-    witness = _pumping_witness(staged, prepared.pumping_depth)
-    if witness is None:
-        if _depth >= MAX_ENCODE_HOPS:
-            trace.append(
-                {"step": "nongrowing", "status": "unresolved", "reason": "encode depth limit"}
-            )
-            return Verdict(INCONCLUSIVE, None, None, tuple(trace))
-        try:
-            encoded, info = _encode_bounded_blocks(staged)
-        except WitnessSearchExhausted as e:
-            trace.append({"step": "nongrowing", "status": "unresolved", "reason": str(e)})
-            return Verdict(INCONCLUSIVE, None, None, tuple(trace))
-        trace.append({"step": "block-encode", **info})
-        return _decide(
-            encoded, practical_cap, pair_budget, work_budget, trace, _depth + 1
-        )
-
+def _nongrowing_verdict(stage: PreparedSystem, trace: list[dict]) -> Verdict:
+    """The pumping-word verdict of a non-growing stage with a witness."""
+    staged = stage.staged
+    witness = stage.pumping_witness
     trace.append(
         {
             "step": "nongrowing",
@@ -923,6 +920,41 @@ def _nongrowing_verdict(
 
 
 # ---------------------------------------------------------------------------
+# the stage walk
+
+
+def _stages(sys: ProlongableSystem, trace: list[dict]):
+    """The one stage walk of the decider and the verifier.
+
+    Yields the prepared input; then, while a stage is non-growing and has no
+    pumping witness, block-encodes it and yields the prepared encoding, at
+    most MAX_ENCODE_HOPS times.  A walk that ends on such a stage records why
+    in an unresolved `nongrowing` trace step.
+    """
+    stage = prepare(sys, trace)
+    yield stage
+    hops = 0
+    while not stage.growing and stage.pumping_witness is None:
+        try:
+            if hops == MAX_ENCODE_HOPS:
+                raise WitnessSearchExhausted("encode depth limit")
+            encoded, info = _encode_bounded_blocks(stage.staged)
+        except WitnessSearchExhausted as e:
+            trace.append({"step": "nongrowing", "status": "unresolved", "reason": str(e)})
+            return
+        trace.append({"step": "block-encode", **info})
+        stage = prepare(encoded, trace)
+        hops += 1
+        yield stage
+
+
+def _growing_stage(sys: ProlongableSystem) -> PreparedSystem | None:
+    """The growing-branch input the decider would have used, if any."""
+    *_, last = _stages(sys, [])
+    return last if last.growing else None
+
+
+# ---------------------------------------------------------------------------
 # entry points
 
 
@@ -946,11 +978,7 @@ def _preimage_system(sys: ProlongableSystem) -> ProlongableSystem | None:
 
 
 def _image_shortcut(
-    sys: ProlongableSystem,
-    practical_cap: int,
-    pair_budget: int,
-    work_budget: int,
-    trace: list[dict],
+    sys: ProlongableSystem, practical_cap: int, work_budget: int, trace: list[dict]
 ) -> Verdict | None:
     """Decide the fixed point alone before paying for the letter blow-up.
 
@@ -967,7 +995,7 @@ def _image_shortcut(
         {"step": "image-shortcut", "status": "deciding-preimage", "letters": len(inner.alphabet)}
     )
     try:
-        sub = _decide(inner, practical_cap, pair_budget, work_budget, trace, 1)
+        sub = _decide(inner, practical_cap, work_budget, trace)
     except BudgetExhausted as e:
         trace.append({"step": "image-shortcut", "status": "fallthrough", "reason": str(e)})
         return None
@@ -985,65 +1013,33 @@ def _image_shortcut(
 
 
 def _decide(
-    sys: ProlongableSystem,
-    practical_cap: int,
-    pair_budget: int,
-    work_budget: int,
-    trace: list[dict],
-    _depth: int,
+    sys: ProlongableSystem, practical_cap: int, work_budget: int, trace: list[dict]
 ) -> Verdict:
-    if _depth == 0:
-        shortcut = _image_shortcut(sys, practical_cap, pair_budget, work_budget, trace)
-        if shortcut is not None:
-            return shortcut
-    prepared = prepare(sys, trace)
-    letter = finite_letter_witness(prepared.staged)
-    if letter is not None:
-        cert = Certificate(
-            kind="exit",
-            data={
-                "exit": "letter",
-                "unconditional": True,
-                "level": 0,
-                "letter": letter,
-                "message": f"letter {letter} occurs in x but only finitely often",
-                "evidence": {"graph": "no cycle reaches a preimage"},
-            },
-        )
-        return Verdict(NOT_UNIFORMLY_RECURRENT, cert, None, tuple(trace))
-    if not prepared.growing:
-        return _nongrowing_verdict(
-            prepared, practical_cap, pair_budget, work_budget, trace, _depth
-        )
-    # a periodic x is uniformly recurrent; a check that finds no period or
-    # runs out of budget leaves the decision to the sheet and the chain
-    try:
-        q, ev = resolve_periodicity(prepared.staged, qmax=UPFRONT_QMAX, scan=8 * UPFRONT_QMAX)
-    except BudgetExhausted:
-        q = None
-    if q is not None:
-        trace.append({"step": "upfront-periodic", "period": q})
-        cert = _periodic_certificate(prepared.staged, q, "upfront", ev)
-        return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
-    try:
-        sheet = compute_constant_sheet(prepared.staged)
-    except (PreconditionViolated, NoPrimitiveSubmorphism, BudgetExhausted) as e:
-        q, ev = resolve_periodicity(prepared.staged, qmax=1024)
-        if q is not None:
-            cert = _periodic_certificate(prepared.staged, q, "constants-unavailable", ev)
-            return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
-        trace.append({"step": "constants", "status": "unavailable", "reason": str(e)})
-        return Verdict(INCONCLUSIVE, None, None, tuple(trace))
-    trace.append({"step": "constants", "K": sheet.K, "K1": sheet.K1, "K2": sheet.K2})
-    return _growing_verdict(
-        prepared, sheet, practical_cap, pair_budget, work_budget, trace
-    )
+    for stage in _stages(sys, trace):
+        letter = finite_letter_witness(stage.staged)
+        if letter is not None:
+            cert = Certificate(
+                kind="exit",
+                data={
+                    "exit": "letter",
+                    "unconditional": True,
+                    "level": 0,
+                    "letter": letter,
+                    "message": f"letter {letter} occurs in x but only finitely often",
+                    "evidence": {"graph": "no cycle reaches a preimage"},
+                },
+            )
+            return Verdict(NOT_UNIFORMLY_RECURRENT, cert, None, tuple(trace))
+        if stage.growing:
+            return _growing_verdict(stage, practical_cap, work_budget, trace)
+        if stage.pumping_witness is not None:
+            return _nongrowing_verdict(stage, trace)
+    return Verdict(INCONCLUSIVE, None, None, tuple(trace))
 
 
 def decide_uniform_recurrence(
     sys: ProlongableSystem,
     practical_cap: int = PRACTICAL_CAP,
-    pair_budget: int = PAIR_BUDGET,
     work_budget: int = WORK_BUDGET,
 ) -> Verdict:
     """Full decision pipeline; see the module docstring for the stages."""
@@ -1051,7 +1047,10 @@ def decide_uniform_recurrence(
         raise ValueError("practical_cap must be at least 2")
     trace: list[dict] = []
     try:
-        return _decide(sys, practical_cap, pair_budget, work_budget, trace, 0)
+        shortcut = _image_shortcut(sys, practical_cap, work_budget, trace)
+        if shortcut is not None:
+            return shortcut
+        return _decide(sys, practical_cap, work_budget, trace)
     except BudgetExhausted as e:
         trace.append({"step": "budget", "reason": str(e)})
         return Verdict(INCONCLUSIVE, None, None, tuple(trace))
@@ -1061,37 +1060,10 @@ def decide_uniform_recurrence(
 # certificate verification
 
 
-def _stage_chain(sys: ProlongableSystem) -> list[PreparedSystem]:
-    """Replay the preprocessing chain: prepare, then bounded-block encodings
-    for as long as the decider would have applied them."""
-    prepared = prepare(sys, None)
-    stages = [prepared]
-    hops = 0
-    while not prepared.growing and hops < MAX_ENCODE_HOPS:
-        staged = prepared.staged
-        if _pumping_witness(staged, prepared.pumping_depth) is not None:
-            break
-        try:
-            encoded, _ = _encode_bounded_blocks(staged)
-        except WitnessSearchExhausted:
-            break
-        prepared = prepare(encoded, None)
-        stages.append(prepared)
-        hops += 1
-    return stages
-
-
-def _growing_stage(sys: ProlongableSystem) -> PreparedSystem | None:
-    """The growing-branch input the decider would have used, if any."""
-    last = _stage_chain(sys)[-1]
-    return last if last.growing else None
-
-
 def _drive_to_level(
     prepared: PreparedSystem,
     sheet: ConstantSheet,
     level: int,
-    pair_budget: int,
     work_budget: int,
     power: int | None = None,
 ):
@@ -1101,7 +1073,7 @@ def _drive_to_level(
         power = sheet.power_exponent
     sys_pow = prepared.staged.with_sigma_power(power)
     out = {}
-    for n, _, res in _levels(sys_pow, power, sheet, level, pair_budget, work_budget):
+    for n, _, res in _levels(sys_pow, power, sheet, level, work_budget):
         if isinstance(res, DriverExit):
             return sys_pow, out, (n, res)
         out[n] = res
@@ -1122,17 +1094,14 @@ class DeriveChainResult:
 
 
 def derive_chain(
-    sys: ProlongableSystem,
-    depth: int,
-    pair_budget: int = PAIR_BUDGET,
-    work_budget: int = WORK_BUDGET,
+    sys: ProlongableSystem, depth: int, work_budget: int = WORK_BUDGET
 ) -> DeriveChainResult:
     """Drive the descriptor chain u_1, u_2, ... down to the requested depth.
 
-    The input is staged exactly as the decision pipeline stages it
-    (restriction, coding normalization, the r_sigma power, bounded-block
-    encodings when needed); only a growing stage carries a chain, so systems
-    that resolve entirely in the non-growing branch are rejected.
+    The input is staged by the decider's own stage walk (restriction, coding
+    normalization, the r_sigma power, bounded-block encodings when needed);
+    only a growing stage carries a chain, so systems that resolve entirely
+    in the non-growing branch are rejected.
     """
     if depth < 1:
         raise PreconditionViolated("chain depth must be at least 1")
@@ -1142,7 +1111,7 @@ def derive_chain(
             "no growing stage: this system resolves in the non-growing branch"
         )
     sheet = compute_constant_sheet(stage.staged)
-    powered, levels, exited = _drive_to_level(stage, sheet, depth, pair_budget, work_budget)
+    powered, levels, exited = _drive_to_level(stage, sheet, depth, work_budget)
     return DeriveChainResult(stage, sheet, powered, levels, exited)
 
 
@@ -1184,6 +1153,15 @@ def _positivity_power_error(k, d: int) -> dict | None:
     return None
 
 
+def _int_fields_error(data: dict, fields: tuple[str, ...]) -> dict | None:
+    """The rejection of a certificate whose named fields are not all ints
+    (a bool is not one), or None."""
+    for f in fields:
+        if type(data.get(f)) is not int:
+            return {"reason": f"{f} must be an int, got {data.get(f)!r}"}
+    return None
+
+
 def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tuple[bool, dict]:
     expected = _CERT_OUTCOME.get(cert.kind)
     if expected is None:
@@ -1200,11 +1178,17 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         stripped = dict(cert.data)
         stripped.pop("via")
         return _verify(inner, verdict, Certificate(cert.kind, stripped))
+    # every branch reads the stages the decider walked: the first is the
+    # prepared input, the last the growing or pumping-branch stage
+    stages = list(_stages(sys, []))
+    last = stages[-1]
     if cert.kind == "repetition":
-        prepared = _growing_stage(sys)
-        if prepared is None:
+        if not last.growing:
             return False, {"reason": "repetition certificate on a pumping-branch system"}
-        sheet = compute_constant_sheet(prepared.staged)
+        bad = _int_fields_error(cert.data, ("n", "m", "table_size", "pair_count"))
+        if bad is not None:
+            return False, bad
+        sheet = compute_constant_sheet(last.staged)
         n, m = cert.data["n"], cert.data["m"]
         if not (1 <= n < m):
             return False, {"reason": "levels must satisfy 1 <= n < m"}
@@ -1213,9 +1197,7 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
             return False, {
                 "reason": f"power must be an int in 1..{sheet.power_exponent}, got {power!r}"
             }
-        sys_pow, descs, exited = _drive_to_level(
-            prepared, sheet, m, PAIR_BUDGET, WORK_BUDGET, power=power
-        )
+        sys_pow, descs, exited = _drive_to_level(last, sheet, m, WORK_BUDGET, power=power)
         if exited is not None:
             return False, {"reason": f"driver exited at level {exited[0]}"}
         low, high = descs[n], descs[m]
@@ -1252,10 +1234,9 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
 
     if cert.kind == "primitive":
         # the decider certifies the growing stage, block-encoded if need be
-        prepared = _growing_stage(sys)
-        if prepared is None:
+        if not last.growing:
             return False, {"reason": "primitive certificate on a pumping-branch system"}
-        staged = prepared.staged
+        staged = last.staged
         k = cert.data.get("positivity_power")
         bad = _positivity_power_error(k, len(staged.alphabet))
         if bad is not None:
@@ -1268,8 +1249,7 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         return True, {"checked": "primitive", "positivity_power": k}
 
     if cert.kind == "periodic":
-        prepared = prepare(sys, [])
-        staged = prepared.staged
+        staged = stages[0].staged
         q = cert.data["period"]
         word = cert.data["word"]
         if q != len(word) or q < 1:
@@ -1280,22 +1260,19 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         if not pure_period_check(staged, q):
             return False, {"reason": "exact period test failed"}
         if cert.data.get("source") == "nongrowing":
-            stage = _stage_chain(sys)[-1]
-            if stage.growing:
+            if last.growing:
                 return False, {"reason": "checklist stage is growing after all"}
-            report = periodic_checklist(stage.staged, cert.data["pumping"]["w"])
+            report = periodic_checklist(last.staged, cert.data["pumping"]["w"])
             if not report["periodic"]:
                 return False, {"reason": "checklist no longer passes"}
         return True, {"checked": "periodic", "period": q}
 
     if cert.kind == "periodic_mismatch":
-        stage = _stage_chain(sys)[-1]
-        if stage.growing:
+        if last.growing:
             return False, {"reason": "mismatch certificate on a growing system"}
-        staged = stage.staged
-        if _pumping_witness(staged, stage.pumping_depth) is None:
+        if last.pumping_witness is None:
             return False, {"reason": "pumping witness no longer found"}
-        report = periodic_checklist(staged, cert.data["pumping"]["w"])
+        report = periodic_checklist(last.staged, cert.data["pumping"]["w"])
         if report["periodic"]:
             return False, {"reason": "checklist passes; mismatch claim is wrong"}
         failing = 1 if not report["condition1"]["holds"] else 2
@@ -1305,21 +1282,23 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
 
     if cert.kind == "exit":
         data = cert.data
+        bad = _int_fields_error(data, ("level",))
+        if bad is not None:
+            return False, bad
+        level = data["level"]
         if data["exit"] == "letter":
-            for st in _stage_chain(sys):
+            if level != 0:
+                return False, {"reason": f"a letter exit is at level 0, got {level}"}
+            for st in stages:
                 if finite_letter_witness(st.staged) == data["letter"]:
                     return True, {"checked": "letter", "letter": data["letter"]}
             return False, {"reason": "letter witness not reproduced"}
-        prepared = _growing_stage(sys)
-        if prepared is None:
+        if not last.growing:
             return False, {"reason": "exit certificate on a pumping-branch system"}
         if data["exit"] == "cap":
             return False, {"reason": "theoretical-cap exits are not re-driven"}
-        sheet = compute_constant_sheet(prepared.staged)
-        level = data["level"]
-        sys_pow, descs, exited = _drive_to_level(
-            prepared, sheet, level, PAIR_BUDGET, WORK_BUDGET
-        )
+        sheet = compute_constant_sheet(last.staged)
+        sys_pow, descs, exited = _drive_to_level(last, sheet, level, WORK_BUDGET)
         if exited is None:
             return False, {"reason": "driver did not exit at the stated level"}
         got_level, got_exit = exited

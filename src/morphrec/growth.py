@@ -312,10 +312,6 @@ class PerronValue:
     def midpoint_float(self) -> float:
         return float((self.lo + self.hi) / 2)
 
-    def bounds(self, eps=Fraction(1, 1 << 20)) -> tuple[Fraction, Fraction]:
-        r = self.refined(Fraction(eps))
-        return r.lo, r.hi
-
 
 def compare_perron(p: PerronValue, q: PerronValue) -> str:
     """Exact trichotomy as one of '<', '=', '>'."""

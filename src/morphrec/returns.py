@@ -39,6 +39,9 @@ WORK_BUDGET = 1 << 26
 # letters the word-case closure may scan for the first recurrence of u
 _SCAN_BUDGET = 1 << 22
 
+# letters derived_step scans for the first return word of x to u
+_DERIVED_STEP_SCAN = 1 << 16
+
 
 @dataclass(frozen=True)
 class ReturnTable:
@@ -527,7 +530,7 @@ def delta_reconstruct(descriptor: DerivedDescriptor, n: int) -> list[str]:
     return out
 
 
-def derived_step(sys: ProlongableSystem, u: list[str], budget: int = 1 << 16) -> list[str]:
+def derived_step(sys: ProlongableSystem, u: list[str]) -> list[str]:
     """Next nested prefix: the first return word of x to u, concatenated with u."""
-    table = return_words_to_word(sys, u, budget=budget, which="x")
+    table = return_words_to_word(sys, u, budget=_DERIVED_STEP_SCAN, which="x")
     return list(table.theta(1)) + list(u)

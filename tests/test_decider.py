@@ -132,9 +132,10 @@ def test_verdict_json_shape_and_determinism():
 NONPRIMITIVE_GROWING = "alphabet: a b c\nstart: a\nsigma:\na -> a a c\nb -> b c b\nc -> b b\n"
 
 
-def test_inconclusive_on_tiny_pair_budget():
+def test_inconclusive_on_tiny_pair_budget(monkeypatch):
     text = NONPRIMITIVE_GROWING
-    v = decide_uniform_recurrence(parse_system(text), pair_budget=2)
+    monkeypatch.setattr(decider, "PAIR_BUDGET", 2)
+    v = decide_uniform_recurrence(parse_system(text))
     assert v.outcome == INCONCLUSIVE
     assert v.certificate is None
     assert any(step.get("step") == "budget" for step in v.trace)
@@ -191,6 +192,13 @@ def test_verify_rejects_tampered_repetition(monkeypatch):
     ):
         ok, detail = verify_certificate(sys_, bad)
         assert not ok, detail
+    # True == 1 and 2.0 == 2, so only the type check tells these apart
+    for field, value in (("n", True), ("n", 1.0), ("m", 2.0), ("table_size", 2.0),
+                         ("pair_count", 2.0)):
+        assert v.certificate.data[field] == value
+        ok, detail = verify_certificate(sys_, _tampered(v, **{field: value}))
+        assert not ok, (field, value, detail)
+        assert detail["reason"].startswith(f"{field} must be an int"), detail
     # a power in range replays honestly but builds another table at level n
     ok, detail = verify_certificate(sys_, _tampered(v, power=2))
     assert not ok
@@ -210,6 +218,16 @@ def test_verify_rejects_tampered_repetition(monkeypatch):
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
     assert powers == [v.certificate.data["positivity_power"]]
+
+
+def test_verify_rejects_letter_exit_off_level_zero():
+    sys_ = load("tail_fin")
+    v = decide_uniform_recurrence(sys_)
+    for level in (True, False, 0.0, 1, "0", None):
+        ok, detail = verify_certificate(sys_, _tampered(v, level=level))
+        assert not ok, (level, detail)
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
 
 
 def test_verify_rejects_tampered_periodic():
@@ -345,7 +363,7 @@ def test_low_power_repetition_matches_full_power(name):
     stage = _growing_stage(sys_)
     sheet = compute_constant_sheet(stage.staged)
     assert d["power"] < sheet.power_exponent
-    sys_pow, levels, exited = _drive_to_level(stage, sheet, d["m"], 4096, 1 << 26)
+    sys_pow, levels, exited = _drive_to_level(stage, sheet, d["m"], 1 << 26)
     assert exited is None
     low, high = levels[d["n"]], levels[d["m"]]
     assert low.canonical_text() == high.canonical_text()
@@ -471,6 +489,41 @@ def test_prepare_restricts_and_normalizes():
     # unreachable letters are gone from the staged system
     v = decide_uniform_recurrence(load("unreachable_extra"))
     assert v.outcome == UNIFORMLY_RECURRENT
+
+
+@pytest.mark.parametrize("name", ["case1_comb", "chacon_padded"])
+@pytest.mark.parametrize(
+    "limit,value,reason",
+    [
+        ("MAX_ENCODE_HOPS", 0, "encode depth limit"),
+        ("_MAX_CELL_TOKENS", 1, "cell alphabet exceeded its budget"),
+    ],
+)
+def test_stage_walk_stop_reasons(monkeypatch, name, limit, value, reason):
+    # both need a bounded-block encoding, so a walk that may not encode ends
+    # on its non-growing, witness-free input
+    monkeypatch.setattr(decider, limit, value)
+    v = decide_uniform_recurrence(load(name))
+    assert v.outcome == INCONCLUSIVE
+    assert v.certificate is None
+    assert v.trace[-1] == {"step": "nongrowing", "status": "unresolved", "reason": reason}
+    assert _growing_stage(load(name)) is None
+
+
+def test_pumping_witness_computed_once_per_stage(monkeypatch):
+    calls = []
+    real = decider._pumping_witness
+    monkeypatch.setattr(
+        decider, "_pumping_witness", lambda sys_, kmax: calls.append(kmax) or real(sys_, kmax)
+    )
+    sys_ = load("nonur_block")
+    v = decide_uniform_recurrence(sys_)
+    assert v.certificate.kind == "periodic_mismatch"
+    assert len(calls) == 1
+    calls.clear()
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+    assert len(calls) == 1
 
 
 def test_derive_chain_fibonacci_two_levels():
