@@ -53,6 +53,7 @@ constants that come with it.
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 
@@ -601,18 +602,6 @@ def _growing_verdict(
         return Verdict(UNIFORMLY_RECURRENT, found, sheet, tuple(trace))
 
     if found is None:
-        if sheet.cap.exceeded_by(practical_cap + 1):
-            cert = Certificate(
-                kind="exit",
-                data={
-                    "exit": "cap",
-                    "unconditional": True,
-                    "level": practical_cap + 1,
-                    "message": "descriptor count exceeded the theoretical cap",
-                    "evidence": {"cap": sheet.cap.describe()},
-                },
-            )
-            return Verdict(NOT_UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
         q, ev = resolve_periodicity(sys_pow, qmax=4096)
         if q is not None:
             cert = _periodic_certificate(sys_pow, q, "cap-resolution", ev)
@@ -752,25 +741,23 @@ def _encode_bounded_blocks(sys: ProlongableSystem):
     new substitution is growing and the image sequence is unchanged.
 
     Tokens are pairs (cell, next growing letter); sigma is first raised so
-    every growing letter's image contains at least two growing letters,
-    which makes the token images self-contained.
+    the start letter's image holds at least two growing letters, which makes
+    the token images self-contained.
     """
     inc = sys.incidence
     alpha = sys.alphabet
-    growing = {t for t in alpha.tokens if inc.is_growing(t)}
-    if sys.start not in growing:
+    growing = "".join(c for c, t in zip(alpha.chars, alpha.tokens) if inc.is_growing(t))
+    if alpha.char(sys.start) not in growing:
         raise WitnessSearchExhausted("the axiom letter does not grow")
+    # a cell: one growing letter and the bounded block after it
+    cell = re.compile(f"[{re.escape(growing)}][^{re.escape(growing)}]*")
 
-    # power so the start letter's image spans at least two cells; counting
-    # goes through the incidence matrix, the power is materialized once
-    mat = sys.sigma.incidence_matrix()
-    n = len(alpha.tokens)
-    start_i = alpha.tokens.index(sys.start)
-    grow_i = [i for i, t in enumerate(alpha.tokens) if t in growing]
-    vec = [1 if i == start_i else 0 for i in range(n)]
+    # power so the start letter's image spans at least two cells; until it
+    # does, the image holds one growing letter and stays short
+    word = alpha.char(sys.start)
     p1 = 0
-    while sum(vec[i] for i in grow_i) < 2:
-        vec = [sum(mat[i][j] * vec[j] for j in range(n)) for i in range(n)]
+    while len(cell.findall(word)) < 2:
+        word = sys.sigma.apply(word)
         p1 += 1
         if p1 > 64:
             raise WitnessSearchExhausted("images refuse to accumulate growing letters")
@@ -778,91 +765,49 @@ def _encode_bounded_blocks(sys: ProlongableSystem):
     if tau.max_image_len > 1 << 20:
         raise WitnessSearchExhausted("cell images exceeded their budget")
 
-    def carved(word_tokens):
-        """Split a token word into leading block + [(g, following block)...]."""
-        cells = []
-        i = 0
-        lead = []
-        while i < len(word_tokens) and word_tokens[i] not in growing:
-            lead.append(word_tokens[i])
-            i += 1
-        while i < len(word_tokens):
-            g = word_tokens[i]
-            i += 1
-            blk = []
-            while i < len(word_tokens) and word_tokens[i] not in growing:
-                blk.append(word_tokens[i])
-                i += 1
-            cells.append((g, tuple(blk)))
-        return lead, cells
-
-    def lead_of(g):
-        lead, _ = carved(tau.image_tokens(g))
-        return lead
-
-    def first_growing_of(g):
-        _, cells = carved(tau.image_tokens(g))
-        return cells[0][0]
+    # the bounded lead of tau(g) and its first growing letter, per growing g
+    lead, first = {}, {}
+    for g in growing:
+        img = tau.apply(g)
+        i = cell.search(img).start()
+        lead[g], first[g] = img[:i], img[i]
 
     # first two cells of y's own cell sequence
-    ystream = FixedPointStream(ProlongableSystem(tau, sys.start, sys.phi), "y")
-    head = ystream.prefix(4096)
-    _, head_cells = carved(head)
-    if len(head_cells) < 2:
+    y = FixedPointStream(ProlongableSystem(tau, sys.start), "y").prefix_chars(4096)
+    head = cell.findall(y)
+    if len(head) < 2:
         raise WitnessSearchExhausted("could not read two cells from the fixed point")
 
-    start_token = (head_cells[0], head_cells[1][0])
-    token_index: dict = {start_token: 1}
-    order = [start_token]
-    images: dict[int, list[int]] = {}
-    pos = 0
-    while pos < len(order):
-        (g, blk), nxt = order[pos]
-        pos += 1
-        word = list(tau.image_tokens(g))
-        for b in blk:
-            word.extend(tau.image_tokens(b))
-        # the leading block of the image belongs to the previous token
-        _, cells = carved(word)
+    order = [(head[0], head[1][0])]
+    token_index = {order[0]: 0}
+    images = []
+    for c, nxt in order:  # grows while it is read
+        # the lead of tau(c) belongs to the previous token, and the lead of
+        # the next token's image completes the last cell
+        cells = cell.findall(tau.apply(c) + lead[nxt])
         if not cells:
             raise WitnessSearchExhausted("a cell image contains no growing letter")
-        # complete the trailing block with the lead of the next token's image
-        g_last, blk_last = cells[-1]
-        cells[-1] = (g_last, tuple(list(blk_last) + lead_of(nxt)))
-        toks = []
-        for i, cell in enumerate(cells):
-            follower = cells[i + 1][0] if i + 1 < len(cells) else first_growing_of(nxt)
-            toks.append((cell, follower))
-        img_ids = []
-        for t in toks:
+        ids = []
+        for t in zip(cells, [d[0] for d in cells[1:]] + [first[nxt]]):
             if t not in token_index:
-                token_index[t] = len(order) + 1
+                token_index[t] = len(order)
                 order.append(t)
                 if len(order) > _MAX_CELL_TOKENS:
                     raise WitnessSearchExhausted("cell alphabet exceeded its budget")
-            img_ids.append(token_index[t])
-        images[token_index[((g, blk), nxt)]] = img_ids
+            ids.append(token_index[t])
+        images.append(ids)
 
     idx = Alphabet.indexed(len(order))
-    sigma_tokens = {str(i): [str(j) for j in images[i]] for i in range(1, len(order) + 1)}
-    new_sigma = Morphism.from_tokens(idx, idx, sigma_tokens)
-
+    new_sigma = Morphism(idx, idx, tuple("".join(idx.chars[i] for i in ids) for ids in images))
     phi = sys.effective_phi
-    target = sys.target_alphabet
-
-    def token_image(t):
-        (g, blk), _ = t
-        return target.decode(phi.apply(alpha.encode([g, *blk])))
-
-    phi_tokens = {str(i): token_image(order[i - 1]) for i in range(1, len(order) + 1)}
-    new_phi = Morphism.from_tokens(idx, target, phi_tokens)
+    new_phi = Morphism(idx, phi.dst, tuple(phi.apply(c) for c, _ in order))
     encoded = ProlongableSystem(new_sigma, "1", new_phi)
     if not encoded.is_prolongable():
         raise InternalConsistencyError("block encoding lost prolongability")
 
     # the encoding must reproduce the image sequence letter for letter
-    want = FixedPointStream(sys, "x").prefix(512)
-    got = FixedPointStream(encoded, "x").prefix(512)
+    want = FixedPointStream(sys, "x").prefix_chars(512)
+    got = FixedPointStream(encoded, "x").prefix_chars(512)
     if want != got:
         raise InternalConsistencyError("block encoding changed the image sequence")
     return encoded, {"tokens": len(order), "power": p1}

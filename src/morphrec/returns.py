@@ -90,13 +90,13 @@ def return_words_to_word(
     alpha = sys.alphabet if which == "y" else sys.target_alphabet
     pattern = alpha.encode(u)
     _check_prefix(stream, pattern, "u")
-    occ = stream.scan_occurrences(pattern, budget)
+    text = stream.prefix_chars(budget)
+    occ = occurrences_in_word(text, pattern)
     if len(occ) < 2:
         raise BudgetExhausted(
             f"word recurred {len(occ)} time(s) within the first {budget} letters",
             occurrences_found=len(occ),
         )
-    text = stream.prefix_chars(occ[-1] + len(pattern))
     index_of: dict[str, int] = {}
     words: list[tuple[str, ...]] = []
     derived: list[int] = []

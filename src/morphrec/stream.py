@@ -1,15 +1,15 @@
 """Lazy generation of y = sigma^inf(a) and x = phi(y), plus factor analysis.
 
 The stream decomposes the fixed point as a . u . sigma(u) . sigma^2(u) ...
-where sigma(a) = a u.  Bulk prefixes use repeated translate() doubling with a
-growable cache.  Streaming scans keep a block sigma^k(u) whole, one sigma at
-a time, while it has at most _CHUNK letters, and expand the blocks after the
-last whole one through a table of sigma^j images, built one level at a time
-when a scan first reaches it and never past the level whose images, known
-in advance from the image lengths of sigma's shared incidence analysis,
-would exceed _CHUNK letters; deeper blocks translate pieces of shallower
-ones, so memory stays proportional to the chunk size times the expansion
-depth.
+where sigma(a) = a u.  Bulk prefixes keep a cache sigma^k(a) and grow it one
+translated block sigma^k(u) at a time.  Streaming scans keep a block
+sigma^k(u) whole, one sigma at a time, while it has at most _CHUNK letters,
+and expand the blocks after the last whole one through a table of sigma^j
+images, built one level at a time when a scan first reaches it and never
+past the level whose images, known in advance from the image lengths of
+sigma's shared incidence analysis, would exceed _CHUNK letters; deeper
+blocks translate pieces of shallower ones, so memory stays proportional to
+the chunk size times the expansion depth.
 """
 
 from __future__ import annotations
@@ -44,6 +44,9 @@ class FixedPointStream:
         self.sys = sys
         self.which = which
         self._ycache = sys.alphabet.char(sys.start)
+        # y = a u sigma(u) sigma^2(u) ...: the cache is sigma^k(a), and this
+        # its last block sigma^(k-1)(u), None while k = 0
+        self._yblock: str | None = None
         self._xcache = None
         if which == "x":
             self._xcache = sys.effective_phi.apply(self._ycache)
@@ -79,8 +82,22 @@ class FixedPointStream:
         return alpha.decode(word)
 
     def _grow_y(self, n: int):
-        while len(self._ycache) < n:
-            self._ycache = self.sys.sigma.apply(self._ycache)
+        """Extend the cache sigma^k(a) to the first such prefix with at least
+        n letters, translating only the new block sigma^k(u) at each level:
+        translating the whole cache costs time quadratic in n when y grows
+        slowly (one letter per level for a -> a b, b -> b)."""
+        sigma = self.sys.sigma
+        parts = [self._ycache]
+        size = len(self._ycache)
+        while size < n:
+            if self._yblock is None:
+                self._yblock = sigma.image(self.sys.start)[1:]
+            else:
+                self._yblock = sigma.apply(self._yblock)
+            parts.append(self._yblock)
+            size += len(self._yblock)
+        if len(parts) > 1:
+            self._ycache = "".join(parts)
 
     # -- streaming -------------------------------------------------------------
 

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import (
     NormalizationUnsupported,
@@ -18,6 +19,9 @@ from .errors import (
 from .growth import IncidenceStructure
 from .morphism import Morphism, compose, power
 from .words import Alphabet
+
+# longest sigma^k image the letter blow-up's power search may build
+_BLOWUP_IMAGE_STOP = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -259,6 +263,14 @@ def _blowup_tokens(alphabet: Alphabet, widths: dict[str, int]) -> list[tuple[str
     return out
 
 
+def _onto_coding(src: Alphabet, dst: Alphabet, letters: str) -> Morphism:
+    """The coding sending the i-th letter of src to letters[i], a word over
+    dst, onto the letters of dst it uses (in dst order)."""
+    kept = "".join(c for c in dst.chars if c in letters)
+    target = Alphabet(tuple(map(dst.token_of_char, kept)))
+    return Morphism(src, target, tuple(letters.translate(str.maketrans(kept, target.chars))))
+
+
 def normalize_to_coding(sys: ProlongableSystem) -> ProlongableSystem:
     """Equivalent system whose outer morphism is a coding and sigma non-erasing.
 
@@ -267,8 +279,11 @@ def normalize_to_coding(sys: ProlongableSystem) -> ProlongableSystem:
     removed by the letter blow-up: each letter b becomes |phi(b)| indexed
     copies and the blown image of sigma(b) is split into that many non-empty
     pieces, powering sigma first, up to sigma^(#A(#A+1)), until every split
-    fits.  Erasing sigma or phi requires a general image-elimination pass
-    that is out of scope here.
+    fits.  The search also stops at the first power with an image longer
+    than _BLOWUP_IMAGE_STOP (2^16) letters: it then uses the split found so
+    far, and raises NormalizationUnsupported when there is none.
+    Erasing sigma or phi requires a general image-elimination pass that is
+    out of scope here.
     """
     if sys.sigma.is_erasing:
         raise NormalizationUnsupported(
@@ -286,14 +301,10 @@ def normalize_to_coding(sys: ProlongableSystem) -> ProlongableSystem:
         )
     if phi.max_image_len == 1:
         # letter-to-letter: shrink the target so phi is onto, keep sigma
-        seen = {phi.image_tokens(tok)[0] for tok in sys.alphabet.tokens}
-        target = Alphabet(tuple(t for t in phi.dst.tokens if t in seen))
-        if target.tokens == phi.dst.tokens and phi.is_coding:
+        coding = _onto_coding(sys.alphabet, phi.dst, "".join(phi.images))
+        if coding.dst.tokens == phi.dst.tokens:
             return sys
-        new_phi = Morphism.from_tokens(
-            sys.alphabet, target, {t: phi.image_tokens(t) for t in sys.alphabet.tokens}
-        )
-        return ProlongableSystem(sys.sigma, sys.start, new_phi)
+        return ProlongableSystem(sys.sigma, sys.start, coding)
 
     # blow-up: find a power where every letter's blown image splits.  Prefer a
     # power where every piece can have length >= 2: then each indexed copy is
@@ -302,66 +313,50 @@ def normalize_to_coding(sys: ProlongableSystem) -> ProlongableSystem:
     # smallest power admitting non-empty pieces.
     n = len(sys.alphabet)
     limit = n * (n + 1)
-    widths = {tok: len(phi.image_tokens(tok)) for tok in sys.alphabet.tokens}
+    widths = [len(img) for img in phi.images]
+    start_i = sys.alphabet.index(sys.start)
+    need = [w + (i == start_i) for i, w in enumerate(widths)]
     chosen = None
     sk = sys.sigma
     for k in range(1, limit + 1):
         if k > 1:
             sk = compose(sk, sys.sigma)
-        weak = True
-        strong = True
-        for tok in sys.alphabet.tokens:
-            have = sum(widths[c] for c in sk.image_tokens(tok))
-            if have < widths[tok] + (1 if tok == sys.start else 0):
-                weak = False
-            if have < 2 * widths[tok]:
-                strong = False
-        if strong:
+        have = [len(phi.apply(img)) for img in sk.images]
+        if all(h >= 2 * w for h, w in zip(have, widths)):
             chosen = sk
             break
-        if weak and chosen is None:
+        if chosen is None and all(h >= m for h, m in zip(have, need)):
             chosen = sk
-        if chosen is not None and sk.max_image_len > (1 << 16):
+        if sk.max_image_len > _BLOWUP_IMAGE_STOP:
             break
     if chosen is None:
+        stop = ""
+        if sk.max_image_len > _BLOWUP_IMAGE_STOP:
+            stop = f", and sigma^{k} has an image over {_BLOWUP_IMAGE_STOP} letters"
         raise NormalizationUnsupported(
-            f"no power of sigma up to {limit} admits the letter blow-up split"
+            f"no power of sigma up to {k} admits the letter blow-up split{stop}"
         )
 
-    triples = _blowup_tokens(sys.alphabet, widths)
-    new_tokens = tuple(t for t, _, _ in triples)
-    new_alpha = Alphabet(new_tokens)
-    name_of = {(old, i): new for new, old, i in triples}
+    triples = _blowup_tokens(sys.alphabet, dict(zip(sys.alphabet.tokens, widths)))
+    new_alpha = Alphabet(tuple(t for t, _, _ in triples))
+    # each letter's copies are consecutive in the new alphabet
+    copies = [new_alpha.chars[e - w : e] for e, w in zip(accumulate(widths), widths)]
+    blow = str.maketrans(dict(zip(sys.alphabet.chars, copies)))
 
-    def blow(word_tokens: list[str]) -> list[str]:
-        out = []
-        for c in word_tokens:
-            for i in range(widths[c]):
-                out.append(name_of[(c, i)])
-        return out
-
-    sigma_table: dict[str, list[str]] = {}
-    for tok in sys.alphabet.tokens:
-        blown = blow(chosen.image_tokens(tok))
-        pieces = widths[tok]
+    images = []
+    for img, pieces in zip(chosen.images, widths):
+        blown = img.translate(blow)
         base, extra = divmod(len(blown), pieces)
         # larger pieces first so the start copy keeps length >= 2
         sizes = [base + 1] * extra + [base] * (pieces - extra)
         pos = 0
-        for i, size in enumerate(sizes):
-            sigma_table[name_of[(tok, i)]] = blown[pos : pos + size]
+        for size in sizes:
+            images.append(blown[pos : pos + size])
             pos += size
-    new_sigma = Morphism.from_tokens(new_alpha, new_alpha, sigma_table)
+    new_sigma = Morphism(new_alpha, new_alpha, tuple(images))
+    new_phi = _onto_coding(new_alpha, phi.dst, "".join(phi.images))
 
-    coding_table = {
-        name_of[(tok, i)]: [phi.image_tokens(tok)[i]]
-        for tok in sys.alphabet.tokens
-        for i in range(widths[tok])
-    }
-    seen = {img[0] for img in coding_table.values()}
-    target = Alphabet(tuple(t for t in phi.dst.tokens if t in seen))
-    new_phi = Morphism.from_tokens(new_alpha, target, coding_table)
-
-    out = ProlongableSystem(new_sigma, name_of[(sys.start, 0)], new_phi)
+    start = new_alpha.token_of_char(copies[start_i][0])
+    out = ProlongableSystem(new_sigma, start, new_phi)
     out.require_prolongable()
     return out

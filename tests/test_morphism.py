@@ -2,6 +2,8 @@
 
 import pytest
 
+from morphrec import system as system_module
+from morphrec.decider import decide_uniform_recurrence
 from morphrec.errors import (
     AlphabetMismatch,
     MorphrecError,
@@ -245,6 +247,29 @@ def test_normalize_rejects_erasing_phi():
     )
     with pytest.raises(NormalizationUnsupported):
         normalize_to_coding(sys_)
+
+
+def test_normalize_blowup_search_stops_at_its_image_size(monkeypatch):
+    # b's image stays c, one letter short of |phi(b)| = 3 at every power,
+    # while a's and d's grow: no power splits, and the search must end at
+    # its image-size stop, not compose on to sigma^20
+    real = system_module.compose
+
+    def bounded(f, g):
+        out = real(f, g)
+        assert out.max_image_len <= 1 << 20, "power search composed past its size stop"
+        return out
+
+    monkeypatch.setattr(system_module, "compose", bounded)
+    sys_ = parse_system(
+        "alphabet: a b c d\ntarget: 0 1\nstart: a\n"
+        "sigma:\na -> a a a d\nb -> c\nc -> c\nd -> d d a b\n"
+        "phi:\na -> 1 0\nb -> 1 0 0\nc -> 1\nd -> 0\n"
+    )
+    with pytest.raises(NormalizationUnsupported, match="has an image over 65536 letters"):
+        normalize_to_coding(sys_)
+    with pytest.raises(NormalizationUnsupported):
+        decide_uniform_recurrence(sys_)
 
 
 def test_normalize_shrinks_coding_target():

@@ -3,6 +3,7 @@
 import pytest
 
 from morphrec.errors import NotEnoughOccurrences
+from morphrec.morphism import Morphism
 from morphrec.stream import (
     FixedPointStream,
     MaxGapResult,
@@ -43,6 +44,23 @@ def test_prefix_outer_vs_inner():
     x = prefix(sys_, 13, "x")
     code = {"a": "0", "b": "1"}
     assert [code[t] for t in y] == x
+
+
+def test_prefix_of_slowly_growing_y_translates_each_letter_once(monkeypatch):
+    # y = a b b b ... gains one letter per level, so translating the whole
+    # prefix at each level would translate about n^2 / 2 letters
+    sys_ = parse_system("alphabet: a b\nstart: a\nsigma:\na -> a b\nb -> b\n")
+    translated = []
+    real = Morphism.apply
+
+    def counted(m, w):
+        translated.append(len(w))
+        return real(m, w)
+
+    monkeypatch.setattr(Morphism, "apply", counted)
+    n = 4096
+    assert FixedPointStream(sys_, "y").prefix(n) == ["a"] + ["b"] * (n - 1)
+    assert sum(translated) <= n
 
 
 def test_sigma_of_prefix_is_prefix(fib, tm, trib):
