@@ -15,9 +15,11 @@ all >= 1 and not all equal to 1 has spectral radius above 1
 (Perron-Frobenius).  A letter grows iff it reaches an SCC of radius above 1
 or some path from it passes two cycle SCCs.  Primitivity and the least
 positive power depend only on the zero pattern, so they are computed over
-the Booleans.  Perron values (through sympy) are computed only where their
-digits are printed or enter a constant: growth types, and the envelopes of
-systems with several SCCs.
+the Booleans.  Perron values are computed only where their digits are
+printed or enter a constant: growth types, and the envelopes of systems
+with several SCCs.  They come from integer polynomials: the characteristic
+polynomial by Berkowitz's division-free algorithm, its square-free part by a
+Euclidean gcd over the rationals, and root counts from Sturm sequences.
 """
 
 from __future__ import annotations
@@ -28,18 +30,11 @@ from fractions import Fraction
 from functools import cached_property
 from typing import TYPE_CHECKING, Sequence
 
-# Imported eagerly on purpose: interrupting a first `import sympy` (say, by
-# a per-call time limit raised from a signal handler) leaves a half-imported
-# package behind, on which a retried import can miss `sympy.polys` or raise.
-import sympy
-
 from .errors import NotPrimitive, PreconditionViolated
 from .words import Alphabet
 
 if TYPE_CHECKING:
     from .morphism import Morphism
-
-_X = sympy.Symbol("x")
 
 Matrix = tuple[tuple[int, ...], ...]
 
@@ -123,23 +118,99 @@ def is_primitive(matrix: Sequence[Sequence[int]]) -> bool:
         return False
 
 
+# -- polynomials ----------------------------------------------------------------
+# Coefficient sequences run from the highest degree down; Fractions or ints.
+
+
+def _sign(p: Sequence, x: Fraction) -> int:
+    """Sign of p(x), read off the integer den^deg * p(num / den)."""
+    acc, scale = 0, 1
+    for c in p:
+        acc = acc * x.numerator + c * scale
+        scale *= x.denominator
+    return (acc > 0) - (acc < 0)
+
+
+def _charpoly(m: Sequence[Sequence]) -> list:
+    """det(xI - m) by Berkowitz's division-free algorithm: each leading row
+    and column folds in through the Toeplitz column (1, -a, -R C, -R S C,
+    ...), where S is the trailing block already done."""
+    n = len(m)
+    poly = [1, -m[-1][-1]]
+    for k in range(n - 2, -1, -1):
+        row, col = m[k][k + 1 :], [m[i][k] for i in range(k + 1, n)]
+        toeplitz = [1, -m[k][k]]
+        for _ in range(n - k - 1):
+            toeplitz.append(-sum(x * y for x, y in zip(row, col)))
+            col = [sum(x * y for x, y in zip(m[i][k + 1 :], col)) for i in range(k + 1, n)]
+        poly = [
+            sum(toeplitz[i - j] * poly[j] for j in range(min(i + 1, len(poly))))
+            for i in range(len(toeplitz))
+        ]
+    return poly
+
+
+def _divmod(a: Sequence, b: Sequence) -> tuple[list, list]:
+    """Quotient and remainder over the rationals; b has a non-zero leading
+    coefficient, and the remainder has none that is zero."""
+    rem = [Fraction(c) for c in a]
+    quo = []
+    while len(rem) >= len(b):
+        c = rem[0] / b[0]
+        quo.append(c)
+        for i in range(1, len(b)):
+            rem[i] -= c * b[i]
+        del rem[0]
+    while rem and rem[0] == 0:
+        del rem[0]
+    return quo, rem
+
+
+def _derivative(p: Sequence) -> list:
+    return [c * (len(p) - 1 - i) for i, c in enumerate(p[:-1])]
+
+
+def _gcd(a: Sequence, b: Sequence) -> Sequence:
+    while b:
+        a, b = b, _divmod(a, b)[1]
+    return a
+
+
+def _integral(p: Sequence) -> list[int]:
+    """p times the positive rational that makes it a primitive integer polynomial."""
+    den = math.lcm(*(Fraction(c).denominator for c in p))
+    ints = [int(c * den) for c in p]
+    g = math.gcd(*ints)
+    return [c // g for c in ints]
+
+
+def _squarefree(p: Sequence) -> tuple[int, ...]:
+    """Square-free primitive integer polynomial with positive leading
+    coefficient and the same roots as p, which has degree >= 1."""
+    ints = _integral(_divmod(p, _gcd(p, _derivative(p)))[0])
+    return tuple(ints if ints[0] > 0 else [-c for c in ints])
+
+
+def _sturm(p: Sequence) -> list[list[int]]:
+    """Sturm sequence of a square-free p: p, p', then negated remainders,
+    each scaled by a positive rational onto integers."""
+    chain = [_integral(p), _integral(_derivative(p))]
+    while chain[-1]:
+        chain.append(_integral([-c for c in _divmod(chain[-2], chain[-1])[1]]))
+    return chain[:-1]
+
+
+def _variations(chain: list[list[int]], x: Fraction) -> int:
+    signs = [v for v in (_sign(q, x) for q in chain) if v]
+    return sum(s != t for s, t in zip(signs, signs[1:]))
+
+
+def _count_roots(chain: list[list[int]], lo: Fraction, hi: Fraction) -> int:
+    """Distinct roots of chain[0] in [lo, hi] (Sturm's theorem counts (lo, hi])."""
+    return _variations(chain, lo) - _variations(chain, hi) + (_sign(chain[0], lo) == 0)
+
+
 # -- algebraic number handles ----------------------------------------------------
-
-
-def _eval_coeffs(coeffs: tuple[int, ...], q: Fraction) -> Fraction:
-    acc = Fraction(0)
-    for c in coeffs:
-        acc = acc * q + c
-    return acc
-
-
-def _canonical_poly(expr) -> tuple[int, ...]:
-    """Square-free primitive polynomial with positive leading coefficient."""
-    p = sympy.Poly(sympy.sqf_part(expr, _X), _X)
-    _, prim = p.primitive()
-    if prim.LC() < 0:
-        prim = -prim
-    return tuple(int(c) for c in prim.all_coeffs())
 
 
 @dataclass(frozen=True)
@@ -166,31 +237,36 @@ class PerronValue:
     @staticmethod
     def of_matrix(rows: Sequence[Sequence[int]]) -> "PerronValue":
         """Spectral radius of a non-negative integer matrix (largest real root
-        of its characteristic polynomial)."""
-        m = mat_from(rows)
-        if len(m) == 1:
-            return PerronValue.from_rational(m[0][0])
-        charpoly = sympy.Matrix([list(r) for r in m]).charpoly(_X).as_expr()
-        coeffs = _canonical_poly(charpoly)
-        poly = sympy.Poly(list(coeffs), _X)
-        intervals = poly.intervals()  # isolating intervals of all real roots, ascending
-        if not intervals:
-            raise PreconditionViolated("matrix has no real eigenvalue")
-        (a, b), _mult = intervals[-1]
-        return PerronValue._normalized(coeffs, Fraction(int(a.p), int(a.q)), Fraction(int(b.p), int(b.q)))
+        theta of its characteristic polynomial).
 
-    @staticmethod
-    def _normalized(coeffs: tuple[int, ...], lo: Fraction, hi: Fraction) -> "PerronValue":
-        if lo == hi:
-            return PerronValue(coeffs, lo, hi)
-        flo = _eval_coeffs(coeffs, lo)
-        if flo == 0:
+        The interval is canonical: exact when theta is an integer, else
+        [floor(theta), floor(theta) + 1] when no other root lies in it, else
+        the first dyadic half-interval around theta that holds no other root.
+        """
+        coeffs = _squarefree(_charpoly(mat_from(rows)))
+        chain = _sturm(coeffs)
+        # the poly is monic: every root lies strictly inside its Cauchy bound
+        hi = 1 + max(abs(c) for c in coeffs[1:])
+        lo = -hi
+        if not _count_roots(chain, lo, hi):
+            raise PreconditionViolated("matrix has no real eigenvalue")
+        while hi - lo > 1:  # theta in [lo, hi), no root at or above hi
+            mid = (lo + hi) // 2
+            if _count_roots(chain, mid, hi):
+                lo = mid
+            else:
+                hi = mid
+        lo, hi = Fraction(lo), Fraction(hi)
+        if _variations(chain, lo) == _variations(chain, hi):  # no root in (lo, hi]
             return PerronValue(coeffs, lo, lo)
-        fhi = _eval_coeffs(coeffs, hi)
-        if fhi == 0:
-            return PerronValue(coeffs, hi, hi)
-        if (flo > 0) == (fhi > 0):
-            raise PreconditionViolated("interval does not isolate a sign change")
+        # theta is irrational (rational roots of a monic integer poly are
+        # integers), so no midpoint hits it
+        while _count_roots(chain, lo, hi) > 1:
+            mid = (lo + hi) / 2
+            if _variations(chain, mid) > _variations(chain, hi):
+                lo = mid
+            else:
+                hi = mid
         return PerronValue(coeffs, lo, hi)
 
     # -- refinement ----------------------------------------------------------
@@ -201,17 +277,19 @@ class PerronValue:
 
     def refined(self, eps: Fraction) -> "PerronValue":
         """A handle for the same number with interval width <= eps (bisection)."""
+        if eps <= 0:
+            raise ValueError("refinement width must be positive")
         lo, hi = self.lo, self.hi
         if lo == hi:
             return self
-        flo = _eval_coeffs(self.coeffs, lo)
+        flo = _sign(self.coeffs, lo)
         while hi - lo > eps:
             mid = (lo + hi) / 2
-            fmid = _eval_coeffs(self.coeffs, mid)
+            fmid = _sign(self.coeffs, mid)
             if fmid == 0:
                 return PerronValue(self.coeffs, mid, mid)
-            if (fmid > 0) == (flo > 0):
-                lo, flo = mid, fmid
+            if fmid == flo:
+                lo = mid
             else:
                 hi = mid
         return PerronValue(self.coeffs, lo, hi)
@@ -223,7 +301,8 @@ class PerronValue:
 
         Equal handles denote one number (an isolating interval has a single
         root), and a rational is placed against an interval by the sign of
-        the polynomial there, so only two irrational values reach sympy.
+        the polynomial there, so only two irrational values reach the
+        common-factor test of _cmp_general.
         """
         a, b = self, other
         if a == b:
@@ -241,22 +320,16 @@ class PerronValue:
         separate, or until the common factor of the polynomials has a root
         where they overlap."""
         a, b = self, other
-        gcd_poly = None
+        common = None
         while True:
             if a.hi < b.lo:
                 return -1
             if b.hi < a.lo:
                 return 1
-            if gcd_poly is None:
-                gcd_expr = sympy.gcd(
-                    sympy.Poly(list(a.coeffs), _X), sympy.Poly(list(b.coeffs), _X)
-                )
-                gcd_poly = sympy.Poly(gcd_expr, _X)
-            if gcd_poly.degree() >= 1:
-                m = max(a.lo, b.lo)
-                mm = min(a.hi, b.hi)
-                if m <= mm and gcd_poly.count_roots(sympy.Rational(m), sympy.Rational(mm)) >= 1:
-                    return 0
+            if common is None:
+                common = _sturm(_gcd(a.coeffs, b.coeffs))
+            if _count_roots(common, max(a.lo, b.lo), min(a.hi, b.hi)):
+                return 0
             width_a = a.hi - a.lo
             width_b = b.hi - b.lo
             target = max(width_a, width_b) / 4 or Fraction(1, 16)
@@ -270,14 +343,14 @@ class PerronValue:
             return 1
         if q > self.hi:
             return -1
-        fq = _eval_coeffs(self.coeffs, q)
+        fq = _sign(self.coeffs, q)
         if fq == 0:
             return 0
-        flo = _eval_coeffs(self.coeffs, self.lo)
+        flo = _sign(self.coeffs, self.lo)
         if flo == 0:  # the root is lo itself
             return (self.lo > q) - (self.lo < q)
         # same sign as at lo: no root in [lo, q], so the root lies above q
-        return 1 if (fq > 0) == (flo > 0) else -1
+        return 1 if fq == flo else -1
 
     def eq(self, other: "PerronValue") -> bool:
         return self.cmp(other) == 0
@@ -295,18 +368,24 @@ class PerronValue:
             raise ValueError("power must be >= 1")
         if self.is_exact:
             return PerronValue.from_rational(self.lo**k)
-        y = sympy.Symbol("y")
-        p_y = sympy.Poly(list(self.coeffs), _X).as_expr().subs(_X, y)
-        res = sympy.resultant(p_y, _X - y**k, y)
-        coeffs = _canonical_poly(res)
-        poly = sympy.Poly(list(coeffs), _X)
+        n = len(self.coeffs) - 1
+        companion = tuple(
+            tuple(
+                Fraction(-self.coeffs[n - i], self.coeffs[0]) if j == n - 1 else int(i == j + 1)
+                for j in range(n)
+            )
+            for i in range(n)
+        )
+        coeffs = _squarefree(_charpoly(mat_pow(companion, k)))
+        chain = _sturm(coeffs)
         base = self
         while True:
-            lo, hi = base.lo**k, base.hi**k
-            if lo > hi:
-                lo, hi = hi, lo
-            if poly.count_roots(sympy.Rational(lo), sympy.Rational(hi)) == 1:
-                return PerronValue._normalized(coeffs, lo, hi)
+            lo, hi = sorted((base.lo**k, base.hi**k))
+            if _count_roots(chain, lo, hi) == 1:
+                for end in (lo, hi):
+                    if _sign(coeffs, end) == 0:
+                        return PerronValue(coeffs, end, end)
+                return PerronValue(coeffs, lo, hi)
             base = base.refined((base.hi - base.lo) / 4)
 
     def midpoint_float(self) -> float:

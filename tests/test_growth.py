@@ -1,7 +1,11 @@
 """Incidence matrices, primitivity, exact Perron values, growth types, blocks,
 and the P/Q growth-envelope constants."""
 
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -133,6 +137,21 @@ def test_perron_pow():
     assert sq.cmp_rational(Fraction(262, 100)) < 0
 
 
+def test_refined_rejects_a_width_that_is_not_positive():
+    for value in (PerronValue.of_matrix(FIB.incidence.matrix), PerronValue.from_rational(2)):
+        for eps in (0, Fraction(-1, 8)):
+            with pytest.raises(ValueError, match="positive"):
+                value.refined(eps)
+
+
+def test_import_loads_no_computer_algebra():
+    src = str(Path(growth.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    code = "import sys, morphrec; print(sorted({'sympy', 'mpmath'} & set(sys.modules)))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True)
+    assert out.stdout.strip() == "[]"
+
+
 def test_perron_rational_exact():
     v = PerronValue.from_rational(Fraction(3, 2))
     assert v.is_exact
@@ -168,6 +187,28 @@ def test_growth_types_pure_exponential():
         gt = growth_type(sys_.incidence, tok)
         assert gt.d == 0
         assert gt.theta.is_exact and gt.theta.lo == 2
+
+
+def test_growth_types_when_the_polynomial_has_a_smaller_integer_root():
+    # theta is about 1.7943, and the characteristic polynomial also vanishes at 1
+    sys_ = _sys("alphabet: b a c d e\nstart: b\nsigma:\nb -> b a\na -> c\nc -> b e\nd -> a d\ne -> a b d\n")
+    for tok in sys_.alphabet.tokens:
+        gt = growth_type(sys_.incidence, tok)
+        assert gt.d == 0
+        assert gt.theta.cmp_rational(Fraction(3, 2)) > 0
+
+
+def test_single_rate_when_a_block_polynomial_has_a_smaller_integer_root():
+    # {a, b, c, d} has radius about 1.8794, above the 1 of s's self-loop,
+    # and its characteristic polynomial also vanishes at 1
+    sys_ = _sys(
+        "alphabet: s a b c d\nstart: s\ntarget: 0 1\nsigma:\n"
+        "s -> s a\na -> a d\nb -> c d\nc -> b\nd -> a b\n"
+        "phi:\ns -> 0\na -> 0\nb -> 1\nc -> 1\nd -> 0\n"
+    )
+    assert growth_type(sys_.incidence, "s").d == 0
+    p, q = pq_constants(sys_.incidence)  # needs one growth type (0, theta) for every letter
+    assert p >= 1 and q >= 1
 
 
 def test_growth_type_ordering():
