@@ -32,7 +32,7 @@ from .oracle import window_ur_check
 from .returns import PRACTICAL_CAP, WORK_BUDGET, return_words_to_word
 from .system import ProlongableSystem, parse_system
 
-FORMAT_VERSION = 3
+FORMAT_VERSION = 4
 
 
 # ---------------------------------------------------------------------------
@@ -380,9 +380,10 @@ def _render_decide(env: dict) -> str:
         lines.append("certificate: none")
     constants = env.get("constants")
     if constants:
-        lines.append(
-            "constants: K={K} R={R} K1={K1} K2={K2} cap={cap}".format(**constants)
-        )
+        # a field the verdict did not need was not computed and is null
+        shown = [f"{k}={constants[k]}" for k in ("K", "R", "K1", "K2", "cap")
+                 if constants[k] is not None]
+        lines.append("constants: " + " ".join(shown))
     ver = env.get("verification")
     if ver is not None:
         lines.append(f"verification: {'ok' if ver['ok'] else 'FAILED'}")

@@ -3,13 +3,19 @@
 Everything is an exact integer or Fraction.  Over-approximation is always on
 the sound side: a larger K inflates caps and weakens early exits but never
 flips a verdict.
+
+The sheet is built in two steps.  `compute_count_free_sheet` fills in every
+constant that does not need the factor count p(K+1); `with_factor_count`
+counts the (K+1)-factors of y and adds the constants built on that count.
+The count is by far the costliest part, and only the full-power chain uses
+what it yields.
 """
 
 from __future__ import annotations
 
 import math
 import re
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from .errors import (
@@ -272,6 +278,11 @@ class CapsResult:
     preimage_bound: int
 
 
+def _compute_K2(k_const: int, powered_norm: int) -> int:
+    """K2 = |sigma|(K+1)K, with |sigma| the powered image norm."""
+    return powered_norm * (k_const + 1) * k_const
+
+
 def compute_caps(
     k_const: int,
     q_const: Fraction,
@@ -286,7 +297,7 @@ def compute_caps(
     k1 = math.ceil(
         Fraction(4 * k_const**3 * p_factor_count * powered_norm * kp1 * kp1) * q_const
     )
-    k2 = powered_norm * kp1 * k_const
+    k2 = _compute_K2(k_const, powered_norm)
     preimage = math.ceil(
         Fraction(p_factor_count * growth_stage_norm * kp1 * kp1) * q_const
     )
@@ -298,9 +309,12 @@ class ConstantSheet:
     """All decision constants for one normalized growing system.
 
     Stage one (the system as given, after restriction): norms, P, Q, R when
-    primitive, the sub-morphism table and K, the factor count p(K+1) and the
-    preimage bound.  Stage two (after raising sigma so <sigma> >= (K+1)^2):
-    the powered norm, K1, K2 and the cap expression.
+    primitive, the sub-morphism table and K.  Stage two (after raising sigma
+    so <sigma> >= (K+1)^2): the power exponent, the powered norm and min, and
+    K2.  The count fields, p_factor_count (p(K+1)), preimage_bound, K1 and
+    cap, are None on a sheet from `compute_count_free_sheet`, until
+    `with_factor_count` fills them in; a verdict's sheet leaves them None
+    when the verdict did not need them.
     """
 
     sigma_norm: int
@@ -311,14 +325,14 @@ class ConstantSheet:
     submorphisms: tuple[SubMorphismConstants, ...]
     chosen_submorphism: int
     K: int
-    p_factor_count: int
-    preimage_bound: int
+    p_factor_count: int | None
+    preimage_bound: int | None
     power_exponent: int
     powered_norm: int
     powered_min: int
-    K1: int
+    K1: int | None
     K2: int
-    cap: CapExpression
+    cap: CapExpression | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -337,15 +351,15 @@ class ConstantSheet:
             "powered_min": self.powered_min,
             "K1": self.K1,
             "K2": self.K2,
-            "cap": self.cap.describe(),
+            "cap": self.cap.describe() if self.cap is not None else None,
         }
 
 
-def compute_constant_sheet(sys: ProlongableSystem) -> ConstantSheet:
-    """Build the full sheet for a growing system (phi a coding or absent).
+def compute_count_free_sheet(sys: ProlongableSystem) -> ConstantSheet:
+    """The sheet of a growing system (phi a coding or absent) without the
+    factor count: its count fields are None.
 
-    The system is restricted to reachable letters first so the factor count
-    refers to the generated language.
+    The system is restricted to reachable letters first, as for the count.
     """
     sys = restrict_to_reachable(sys)
     inc = sys.incidence
@@ -355,11 +369,6 @@ def compute_constant_sheet(sys: ProlongableSystem) -> ConstantSheet:
         r_value = compute_R_sigma(sys)
     k_const, subs, chosen = compute_K(sys, r_value)
 
-    # the bounded-window language is exact only when every letter grows
-    if not inc.all_growing():
-        raise InternalConsistencyError("factor count must be exact for growing sigma")
-    p_count = len(_inner_language(sys, k_const + 1))
-
     target = (k_const + 1) ** 2
     k_pow = 1
     while min(inc.lengths_after(k_pow)) < target:
@@ -367,9 +376,6 @@ def compute_constant_sheet(sys: ProlongableSystem) -> ConstantSheet:
         if k_pow > 4096:
             raise InternalConsistencyError("powering failed to reach (K+1)^2")
     powered_lengths = inc.lengths_after(k_pow)
-    caps = compute_caps(
-        k_const, q_const, max(powered_lengths), p_count, sys.sigma.max_image_len
-    )
     return ConstantSheet(
         sigma_norm=sys.sigma.max_image_len,
         sigma_min=sys.sigma.min_image_len,
@@ -379,12 +385,42 @@ def compute_constant_sheet(sys: ProlongableSystem) -> ConstantSheet:
         submorphisms=subs,
         chosen_submorphism=chosen,
         K=k_const,
-        p_factor_count=p_count,
-        preimage_bound=caps.preimage_bound,
+        p_factor_count=None,
+        preimage_bound=None,
         power_exponent=k_pow,
         powered_norm=max(powered_lengths),
         powered_min=min(powered_lengths),
+        K1=None,
+        K2=_compute_K2(k_const, max(powered_lengths)),
+        cap=None,
+    )
+
+
+def with_factor_count(sys: ProlongableSystem, sheet: ConstantSheet) -> ConstantSheet:
+    """The count-free sheet of sys with p(K+1), the preimage bound, K1 and
+    the cap filled in.
+
+    The factors are counted on sys restricted to reachable letters, so the
+    count refers to the generated language.
+    """
+    sys = restrict_to_reachable(sys)
+    # the bounded-window language is exact only when every letter grows
+    if not sys.incidence.all_growing():
+        raise InternalConsistencyError("factor count must be exact for growing sigma")
+    p_count = len(_inner_language(sys, sheet.K + 1))
+    caps = compute_caps(
+        sheet.K, sheet.q_const, sheet.powered_norm, p_count, sheet.sigma_norm
+    )
+    return replace(
+        sheet,
+        p_factor_count=p_count,
+        preimage_bound=caps.preimage_bound,
         K1=caps.K1,
-        K2=caps.K2,
         cap=caps.cap,
     )
+
+
+def compute_constant_sheet(sys: ProlongableSystem) -> ConstantSheet:
+    """The full sheet of a growing system (phi a coding or absent), count
+    fields included."""
+    return with_factor_count(sys, compute_count_free_sheet(sys))

@@ -17,12 +17,14 @@ letter that occurs finitely often, the growing branch or a pumping
 verdict); the verifier, `derive_chain` and the CLI replay the same walk, so
 a certificate is checked on the very stage it was issued for.
 
-The growing branch first drives the u-chain on sigma^p for the small powers
-in LOW_POWERS and accepts only a certified repetition there; everything else
-falls back to the full power P of the constant sheet, whose thresholds the
-exit evidence needs.  Why a low-power repetition is sound: below P the
-driver demands that every pair image sigma^p(w) is cut exactly into whole
-return words (first cut at 0, closing cut at |sigma^p(w)|).  Each pair
+The growing branch first builds the constant sheet without the factor count
+p(K+1), then drives the u-chain on sigma^p for the small powers in
+LOW_POWERS and accepts only a certified repetition there; everything else
+falls back to the full power P of the sheet, whose thresholds the exit
+evidence needs, and only then is p(K+1) counted.  Why a low-power
+repetition is sound: below P the driver demands that every pair image
+sigma^p(w) is cut exactly into whole return words (first cut at 0, closing
+cut at |sigma^p(w)|).  Each pair
 (w, u') is then followed in y by its u', and the cuts are all occurrences of
 v = phi(u) that start inside sigma^p(w), so Theta sigma_U = sigma^p Theta
 holds letter for letter.  As sigma_U(1) starts with 1 and y is fixed by
@@ -34,7 +36,13 @@ tau(psi(D_m)) = psi(D_n) = psi(D_m).  With tau primitive, psi(D_n) is the
 fixed point of a primitive substitution, hence uniformly recurrent, and so
 is its non-erasing image x.  No constant of the sheet enters this argument,
 so it holds at any power (Durand 1998, "A characterization of substitutive
-sequences using return words").
+sequences using return words").  Why the low pass needs no p(K+1): the
+count enters the driver only through K1, the threshold of the guarded exit
+E3, and below P any exit only ends that power's try, never a decision.  So
+the low pass runs with no K1.  For K >= 3, K1 >= 4 K^3 (K+1)^4 >= 27,648
+exceeds PAIR_BUDGET, so the pair budget stops a table before E3 could fire
+and the pass is the same as with K1; only K <= 2 can certify where E3 would
+have ended the try.
 
 A growing stage that no low power certifies is checked for primitivity
 before sigma is raised to the full power P.  Why a `primitive` verdict is
@@ -46,9 +54,12 @@ the staged incidence matrix is positive, the staged sigma is primitive, so
 every factor of y occurs in every image sigma^n(b) for n large enough, and
 y is uniformly recurrent (Queffelec, "Substitution Dynamical Systems",
 LNM 1294, 1987).  A letter-to-letter image of a uniformly recurrent
-sequence is uniformly recurrent.  The check runs this late so that every
-system a low power settles keeps its `repetition` certificate and the
-constants that come with it.
+sequence is uniformly recurrent.  This uses no constant of the sheet
+either.  The check runs after the low pass so that every system a low power
+settles keeps its `repetition` certificate.  A verdict carries the sheet it
+used: a low-power `repetition` or a `primitive` verdict leaves the count
+fields of its sheet null and has no `constants` trace step, and the
+verifier replays a low-power `repetition` without counting either.
 """
 
 from __future__ import annotations
@@ -57,7 +68,12 @@ import re
 from dataclasses import dataclass, replace
 from functools import cached_property
 
-from .constants import ConstantSheet, compute_constant_sheet
+from .constants import (
+    ConstantSheet,
+    compute_constant_sheet,
+    compute_count_free_sheet,
+    with_factor_count,
+)
 from .errors import (
     BudgetExhausted,
     InternalConsistencyError,
@@ -559,7 +575,7 @@ def _growing_verdict(
         cert = _periodic_certificate(staged, q, "upfront", ev)
         return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
     try:
-        sheet = compute_constant_sheet(staged)
+        sheet = compute_count_free_sheet(staged)
     except (PreconditionViolated, NoPrimitiveSubmorphism, BudgetExhausted) as e:
         q, ev = resolve_periodicity(staged, qmax=1024)
         if q is not None:
@@ -567,7 +583,6 @@ def _growing_verdict(
             return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
         trace.append({"step": "constants", "status": "unavailable", "reason": str(e)})
         return Verdict(INCONCLUSIVE, None, None, tuple(trace))
-    trace.append({"step": "constants", "K": sheet.K, "K1": sheet.K1, "K2": sheet.K2})
 
     for p in LOW_POWERS:
         if p >= sheet.power_exponent:
@@ -588,6 +603,9 @@ def _growing_verdict(
         trace.append({"step": "primitive", **cert.data})
         return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
 
+    # only the full-power chain needs the factor count, through K1
+    sheet = with_factor_count(staged, sheet)
+    trace.append({"step": "constants", "K": sheet.K, "K1": sheet.K1, "K2": sheet.K2})
     sys_pow = staged.with_sigma_power(sheet.power_exponent)
     trace.append(
         {
@@ -1133,15 +1151,18 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         bad = _int_fields_error(cert.data, ("n", "m", "table_size", "pair_count"))
         if bad is not None:
             return False, bad
-        sheet = compute_constant_sheet(last.staged)
         n, m = cert.data["n"], cert.data["m"]
         if not (1 <= n < m):
             return False, {"reason": "levels must satisfy 1 <= n < m"}
+        sheet = compute_count_free_sheet(last.staged)
         power = cert.data.get("power")
         if type(power) is not int or not 1 <= power <= sheet.power_exponent:
             return False, {
                 "reason": f"power must be an int in 1..{sheet.power_exponent}, got {power!r}"
             }
+        if power == sheet.power_exponent:
+            # the full-power chain ran with K1, which needs the count
+            sheet = with_factor_count(last.staged, sheet)
         sys_pow, descs, exited = _drive_to_level(last, sheet, m, WORK_BUDGET, power=power)
         if exited is not None:
             return False, {"reason": f"driver exited at level {exited[0]}"}

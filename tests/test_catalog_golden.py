@@ -19,37 +19,37 @@ from morphrec.errors import MorphrecError
 from morphrec.system import parse_system
 
 GOLDEN = {
-    "blown_fib": "6ed2b55be645d4c7c0f577a50b8e0b8b8d686b715b6b3486895952f5a5968fce",
+    "blown_fib": "d1e6ca340a8d2e28eb59a6e1eb232afe142ea2062b0b32ae1e183e866e40ad0b",
     "blown_nonur": "7ccbf8a498f21f4a7886b629038b5a128c775e11b9709f4e82dde76d0417698c",
-    "case1_comb": "8344b86aad5e0b16b2d2e18c524a11da153e93a2d074d7c3b12ae2cf458bfb4f",
-    "chacon3": "a925f48125854ddf1fefe2bfff94ea26bf25e986c49f8c3372797cb479d159b1",
-    "chacon_padded": "e8d811aab2c48e5c3a3cfd8fb145afdd251f32e26e5f1e69e82536ca2a62a8a5",
+    "case1_comb": "07b3a0dd8966ec108f7a9399db2e68a55fb51f6e2d7d3429ba6a9f2228fe03cd",
+    "chacon3": "a86a06f268b627d514e96c2f779258ab16f97e30cd98488f580e724e946e86b2",
+    "chacon_padded": "9802c1f4bcb54cf31c9ed11e15225e6129cdf50265edd88a2721725ef51aa4b8",
     "cycle_tail": "3df0449f58d02b5d7d931cab03bdea93bc92873b352b28bdce75aeb6d78e9a48",
     "cycle_tail_const": "db2f89268745ab8813b261f1098b7662b7f428308a5aa5cb08ecc3b110be4874",
     "erasing_sigma": "error:NormalizationUnsupported",
-    "fib_cubed": "fcdc54f78d7e00366d1d1fc56cb1c95f24fddac3b8f09a0ac3f5f2e0e2ed05a2",
-    "fibonacci": "31e6d19ee7b171a610ff3b66cb5a6c91c2d2464d00a5c7cf04ac94c745440f3a",
+    "fib_cubed": "07250f3f223ba3c3bf54014d23d88223e1056adde966f34cf1e8a571a639290f",
+    "fibonacci": "8079da707aed1dbed31927773171e2d5af422f5c5a274e66f8490bb727b4b6fc",
     "mixed_growth": "556910a1c2b2199e618478ec7a710de8fdace84af1ee6ba43c6f1d8b2c701413",
     "nonprim_growing": "3df0449f58d02b5d7d931cab03bdea93bc92873b352b28bdce75aeb6d78e9a48",
     "nonur_block": "dba81d14dc20fa0a5b1663d8053f5583ca9ec2b60808ccdebc5144269229c844",
-    "paperfold4": "cee0e26637177c00683cacba18a07b70a13b2db04ec8d7e60a3e1c4af20a458d",
-    "paperfold_coded": "305cf4ab200205f1e7b6bab087a3e4855fd4a558e6386764b2f720e198a5992a",
-    "pell": "45f6ec40fadb1d9dff625f0a245ee7a233182bbcdc640a0e2048f01131be359d",
-    "period_doubling": "888807c88ef19b09ede4fece4354633934ce4657cb3a86d0ba0ee848d38ce800",
+    "paperfold4": "cde3d47f91eeb32efb097af8fe4d9e9996f59d5b5ddea5f9cf4ec9e4ee3911f7",
+    "paperfold_coded": "84b5b3b6871cc343f0aa96decd6123cfa076166128a9ef0e01280165b035aef3",
+    "pell": "ed7a8f07d9468a1b4ddda37e6ea8ea5e850bdc203978e175954323b08e79c684",
+    "period_doubling": "e3a1db7d698e52859a943f8866a9e674d7e799db53a9bc5617dca0dc37446d8e",
     "periodic_coded": "1f09181172168fccabbf71679b432dddd38edfeee35647076771079ce1b5bd28",
     "periodic_growing": "ff57fe6a6ec8267e7f79153e90a0295d35491693dc75d0cd016328580087fa3b",
-    "rand4": "22f78d172be9a130f4bd912edaf9766b2e703cc89c3d32fd1f2bee6a14e6788e",
-    "rudin_shapiro": "2c7fa54f41bbba62bac9f5b43a6e2a7231db7093a5a19cf8a8594ca6425ad35b",
-    "rudin_shapiro_coded": "f36b65e4219f737697df7013ea1f9b35535f608c81244842fe9470f8f4e2b666",
-    "silver": "9d2c628554eb201766c4aa0ba2d5908578cad668aa415e200c5cdc2698ea26f4",
-    "sturmian_ab": "310909372583d69e038f5aa346659334fddc02b4cdee4815a002d69b5fe5b1d6",
+    "rand4": "9878d7b0f3db2910bdd12b7ec147b0d24049a3d99c86f999af8173eb91f53359",
+    "rudin_shapiro": "666284bfe6ea7e311eb39c1331ee4309ef921d60eaf6649f50ac92af1063bffd",
+    "rudin_shapiro_coded": "31442ee1a05e4521e383cf46d2506498bd891c3754bf5345d392d44062d214c6",
+    "silver": "d1c4d2b689d3f93a5eff595a9b4693efd4b4e2b9046906563607272f896d6798",
+    "sturmian_ab": "0e4e071420f35c0968714489091892ae520b47439abd07dbbdfa9ade0f53b15e",
     "tail_fin": "4c85761ca768e44c9aebdf1ed74ecaded9546b0861fe7a25392724fe17014b2c",
     "tail_fin_const": "cc2279fd187fc649d718dd6d7f44ef88a85afb5c76ce8fe78c4785a414b6c458",
-    "thue_morse": "d240d1c5e4946f8621e2e92801971d97f8d91c4d443e442076cadb72a050a236",
-    "tribonacci": "72e474ee20651b9c1a15515e069f922cc7bc9932f29789a5596e1fab269743ed",
-    "twisted_tm": "e42cd0116a2012982281984968904cf844d662b432b29216ed22aa7169a30bdc",
-    "unreachable_extra": "31e6d19ee7b171a610ff3b66cb5a6c91c2d2464d00a5c7cf04ac94c745440f3a",
-    "vtm": "4c90725d7a1c73a812b0b300b645a373dc83104a6c04b93bd79a6491546ace37",
+    "thue_morse": "33a9d2ab7a16632345768c1abd32a65efc8dd0c52a97241d0a08fdf48e9781ef",
+    "tribonacci": "8a421b7c961246580bb5aa2482e2cdf6ab43d843e501e83a13bd3726ecbdfe90",
+    "twisted_tm": "098d5df3d7516fba71fff2631a58d046b8a2599999836229629b046659fbf57e",
+    "unreachable_extra": "8079da707aed1dbed31927773171e2d5af422f5c5a274e66f8490bb727b4b6fc",
+    "vtm": "a98a8aba81133875a7d5ad35f14c81a83821feb748fd9aa081839c1f6867a779",
 }
 
 

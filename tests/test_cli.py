@@ -38,18 +38,32 @@ def run(capsys, *argv):
 # -- decide-ur -------------------------------------------------------------------------
 
 
-def test_decide_ur_text(capsys, fib_file):
+def test_decide_ur_text(capsys, fib_file, tmp_path):
     code, out, err = run(capsys, "decide-ur", fib_file)
     assert code == 0
     assert "verdict: uniformly recurrent" in out
     assert "certificate: repetition" in out
+    # a low-power repetition needs no factor count, so K1 and the cap are
+    # not computed and not printed
+    line = next(x for x in out.splitlines() if x.startswith("constants:"))
+    assert line.startswith("constants: K=27 R=")
+    assert "K2=" in line and "K1" not in line and "cap" not in line and "None" not in line
+    # a full-power exit counts, and prints K1 and the cap; its sigma is not
+    # primitive, so R is not computed
+    p = tmp_path / "exit.txt"
+    p.write_text("alphabet: a b c\nstart: a\nsigma:\na -> a a c\nb -> c b c\nc -> b b\n")
+    code, out, err = run(capsys, "decide-ur", str(p))
+    assert code == 0
+    line = next(x for x in out.splitlines() if x.startswith("constants:"))
+    assert line.startswith("constants: K=391 K1=") and "R=" not in line, line
+    assert "K2=" in line and "cap=" in line and "None" not in line, line
 
 
 def test_decide_ur_json_envelope(capsys, fib_file):
     code, out, _ = run(capsys, "decide-ur", "--json", fib_file)
     assert code == 0
     env = json.loads(out)
-    assert env["format"] == 3
+    assert env["format"] == 4
     assert env["command"] == "decide-ur"
     assert env["input"] == fib_file
     assert env["verdict"] == "uniformly_recurrent"

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphrec import decider
+from morphrec import constants, decider
 from morphrec.catalog import get
 from morphrec.constants import compute_constant_sheet
 from morphrec.decider import (
@@ -417,6 +417,48 @@ def test_primitive_certificate_on_a_block_encoded_stage():
     assert v.outcome == UNIFORMLY_RECURRENT
     assert v.certificate.kind == "primitive"
     assert any(t["step"] == "block-encode" for t in v.trace)
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+
+
+# wide-sweep and random-workload draws whose sheets have K in the thousands:
+# the low-power pass settles each, so neither the decider nor the verifier
+# counts the (K+1)-factors
+COUNT_FREE = {
+    # K = 18,794 and p(K+1) = 157,112
+    "sweep2_draw15": (
+        "alphabet: a b c d\nstart: a\ntarget: 0 1\nsigma:\na -> a d d c\nb -> b b d d\n"
+        "c -> a\nd -> b a d c\nphi:\na -> 0\nb -> 1\nc -> 1\nd -> 1\n"
+    ),
+    "primitive_coded": (
+        "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a a c\nb -> c a a\nc -> b\n"
+        "phi:\na -> 1\nb -> 1\nc -> 0\n"
+    ),
+    "block_encoded": "alphabet: a b c\nstart: a\nsigma:\na -> a c b\nb -> c c a\nc -> c\n",
+}
+
+
+@pytest.mark.parametrize("name", sorted(COUNT_FREE))
+def test_low_power_verdict_needs_no_factor_count(monkeypatch, name):
+    monkeypatch.setattr(constants, "_inner_language", lambda *_: pytest.fail("counted"))
+    sys_ = parse_system(COUNT_FREE[name])
+    v = decide_uniform_recurrence(sys_)
+    assert v.outcome == UNIFORMLY_RECURRENT
+    assert v.certificate.kind == "repetition"
+    assert v.sheet.p_factor_count is None and v.sheet.K1 is None and v.sheet.cap is None
+    assert "constants" not in [t["step"] for t in v.trace]
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+
+
+def test_full_power_exit_counts_factors():
+    sys_ = parse_system("alphabet: a b c\nstart: a\nsigma:\na -> a a c\nb -> c b c\nc -> b b\n")
+    v = decide_uniform_recurrence(sys_)
+    assert v.outcome == NOT_UNIFORMLY_RECURRENT
+    assert v.certificate.kind == "exit"
+    assert v.sheet.K1 is not None
+    assert v.sheet == compute_constant_sheet(_growing_stage(sys_).staged)
+    assert [t["step"] for t in v.trace][-2:] == ["constants", "power"]
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
 
