@@ -58,8 +58,25 @@ sequence is uniformly recurrent.  This uses no constant of the sheet
 either.  The check runs after the low pass so that every system a low power
 settles keeps its `repetition` certificate.  A verdict carries the sheet it
 used: a low-power `repetition` or a `primitive` verdict leaves the count
-fields of its sheet null and has no `constants` trace step, and the
-verifier replays a low-power `repetition` without counting either.
+fields of its sheet null and has no `constants` trace step.
+
+The verifier checks a `repetition` whose power is in LOW_POWERS locally,
+with no constant sheet.  It composes the staged sigma to that power, gets
+|u_1|..|u_m| from the chain rule alone (u_(k+1) is y up to the second
+occurrence of v_k in x, plus |u_k| letters: one scan per level, no
+closure), builds only the closures at levels n and m, anchored and with no
+exit that K sets, and then checks the descriptors, tau and its positivity
+power as for any repetition.  Two facts let it skip the sheet.  The
+argument above needs only closed, anchored tables at two prefixes u_n and
+u_m of y with |u_n| < |u_m|, plus the checks on tau.  And K enters
+`build_sigma_U` only through exits and through E1's scan window, so a run
+that produced a descriptor reproduces it letter for letter with those
+exits off.  Neither fact involves P, so a low power is not checked against
+it.  The decider drives the full power P unanchored, so when an anchored
+check exits and the stated power is P (which needs P <= 3), the chain is
+replayed level by level on the sheet as before; at any other power the
+exit rejects the certificate.  Powers outside LOW_POWERS, and `exit`
+certificates, are replayed level by level on the sheet.
 """
 
 from __future__ import annotations
@@ -91,6 +108,7 @@ from .returns import (
     DerivedDescriptor,
     DriverExit,
     build_sigma_U,
+    first_two_occurrences,
 )
 from .stream import FixedPointStream, factor_language
 from .system import ProlongableSystem, normalize_to_coding, restrict_to_reachable
@@ -202,28 +220,28 @@ def pure_period_check(sys: ProlongableSystem, q: int) -> bool:
 
 
 def _prefix_period_candidates(word: str, qmax: int) -> list[int]:
-    """All q <= qmax that are periods of the given finite word (border scan)."""
+    """All q <= qmax that are periods of the given finite word, ascending:
+    the q <= |word| with word[q:] a prefix of word.
+
+    A period q <= top = min(qmax, |word|) puts head = word[:|word| - top]
+    at q, so str.find jumps from one candidate to the next, and a candidate
+    compares only its last top - q letters.  When |word| >= 2 top, two
+    periods p, q <= top have gcd(p, q) as a period (Fine and Wilf), so the
+    periods up to top are the multiples of the least one.
+    """
     n = len(word)
-    if n == 0:
-        return []
-    fail = [0] * n
-    k = 0
-    for i in range(1, n):
-        while k and word[i] != word[k]:
-            k = fail[k - 1]
-        if word[i] == word[k]:
-            k += 1
-        fail[i] = k
+    top = min(qmax, n)
+    h = n - top
+    head = word[:h]
     out = []
-    b = fail[n - 1]
-    while True:
-        q = n - b
-        if q <= qmax:
+    q = word.find(head, 1)
+    while 0 < q <= top:
+        if word.startswith(word[q + h :], h):
+            if 2 * top <= n:
+                return list(range(q, top + 1, q))
             out.append(q)
-        if b == 0:
-            break
-        b = fail[b - 1]
-    return sorted(out)
+        q = word.find(head, q + 1)
+    return out
 
 
 def resolve_periodicity(
@@ -231,7 +249,7 @@ def resolve_periodicity(
 ) -> tuple[int | None, dict]:
     """Find and exactly confirm a pure period of x, if one exists up to qmax.
 
-    Candidates are the periods of a prefix (border scan), ascending; every
+    Candidates are the periods of a prefix, ascending; every
     candidate is confirmed or rejected by the exact factor condition, so a
     returned period is proven.  Returns (period, evidence).
     """
@@ -1043,6 +1061,68 @@ def _drive_to_level(
     return sys_pow, out, None
 
 
+def _anchored_levels(stage: PreparedSystem, power: int, n: int, m: int):
+    """The descriptors at levels n and m of the u-chain on sigma^power,
+    checked locally: returns (powered system, level-n descriptor, level-m
+    descriptor), or the level at which the chain or a closure exited.
+
+    The chain rule alone gives |u_1|..|u_m|: u_1 is the start letter, and
+    u_(k+1) is y up to the second occurrence of v_k = phi(u_k) = x[:|u_k|]
+    in x, plus |u_k| letters.  The scans share one WORK_BUDGET of x letters,
+    so a forged level ends in an exit.  Only the closures at n and m are
+    built, anchored and with no exit that K sets.
+    """
+    sys_pow = stage.staged.with_sigma_power(power)
+    xstream = FixedPointStream(sys_pow, "x")
+    lengths = [1]  # |u_1|, |u_2|, ...
+    spent = 0
+    while len(lengths) < m:
+        size = lengths[-1]
+        occ = first_two_occurrences(xstream, xstream.prefix_chars(size), WORK_BUDGET - spent)
+        if len(occ) < 2:
+            return len(lengths)
+        lengths.append(occ[1] + size)
+        spent += lengths[-1]
+    ystream = FixedPointStream(sys_pow, "y")
+    descs = []
+    for level in (n, m):
+        u = sys_pow.alphabet.decode(ystream.prefix_chars(lengths[level - 1]))
+        res = build_sigma_U(sys_pow, u, None, anchored=True)
+        if isinstance(res, DriverExit):
+            return level
+        descs.append(res)
+    return sys_pow, descs[0], descs[1]
+
+
+def _repetition_levels(stage: PreparedSystem, power, n: int, m: int):
+    """The powered system and the descriptors at levels n and m that a
+    `repetition` certificate names, or the rejection of its power or of an
+    exit on the way.  A power in LOW_POWERS is checked locally, with no
+    constant sheet; its anchored closures can fail only where the decider
+    drove an unanchored table, at the full power P, so then the chain is
+    replayed on the sheet as for any other power."""
+    if type(power) is int and power in LOW_POWERS:
+        found = _anchored_levels(stage, power, n, m)
+        if not isinstance(found, int):
+            return found
+        sheet = compute_count_free_sheet(stage.staged)
+        if power != sheet.power_exponent:
+            return {"reason": f"driver exited at level {found}"}
+    else:
+        sheet = compute_count_free_sheet(stage.staged)
+        if type(power) is not int or not 1 <= power <= sheet.power_exponent:
+            return {
+                "reason": f"power must be an int in 1..{sheet.power_exponent}, got {power!r}"
+            }
+    if power == sheet.power_exponent:
+        # the full-power chain ran with K1, which needs the count
+        sheet = with_factor_count(stage.staged, sheet)
+    sys_pow, descs, exited = _drive_to_level(stage, sheet, m, WORK_BUDGET, power=power)
+    if exited is not None:
+        return {"reason": f"driver exited at level {exited[0]}"}
+    return sys_pow, descs[n], descs[m]
+
+
 @dataclass(frozen=True)
 class DeriveChainResult:
     """Replay of the u-chain for inspection: the growing stage, its constant
@@ -1079,8 +1159,12 @@ def derive_chain(
 
 
 def verify_certificate(sys: ProlongableSystem, verdict: Verdict) -> tuple[bool, dict]:
-    """Recheck a verdict's certificate from scratch.  Total: never raises.
+    """Recheck a verdict's certificate against the system.  Total: never
+    raises.
 
+    The stage walk and every fact the certificate rests on are recomputed;
+    a low-power `repetition` is checked locally at its two levels (see the
+    module docstring), other driver certificates by replaying the u-chain.
     The check runs on new morphism objects, so no analysis that an earlier
     decide cached on the caller's sigma or phi is reused.
     """
@@ -1154,19 +1238,10 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         n, m = cert.data["n"], cert.data["m"]
         if not (1 <= n < m):
             return False, {"reason": "levels must satisfy 1 <= n < m"}
-        sheet = compute_count_free_sheet(last.staged)
-        power = cert.data.get("power")
-        if type(power) is not int or not 1 <= power <= sheet.power_exponent:
-            return False, {
-                "reason": f"power must be an int in 1..{sheet.power_exponent}, got {power!r}"
-            }
-        if power == sheet.power_exponent:
-            # the full-power chain ran with K1, which needs the count
-            sheet = with_factor_count(last.staged, sheet)
-        sys_pow, descs, exited = _drive_to_level(last, sheet, m, WORK_BUDGET, power=power)
-        if exited is not None:
-            return False, {"reason": f"driver exited at level {exited[0]}"}
-        low, high = descs[n], descs[m]
+        found = _repetition_levels(last, cert.data.get("power"), n, m)
+        if isinstance(found, dict):
+            return False, found
+        sys_pow, low, high = found
         if (low.sigma_u_images, low.psi) != (high.sigma_u_images, high.psi):
             return False, {
                 "reason": "descriptors differ",
@@ -1215,6 +1290,9 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         return True, {"checked": "primitive", "positivity_power": k}
 
     if cert.kind == "periodic":
+        bad = _int_fields_error(cert.data, ("period",))
+        if bad is not None:
+            return False, bad
         staged = stages[0].staged
         q = cert.data["period"]
         word = cert.data["word"]

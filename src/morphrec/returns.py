@@ -228,6 +228,19 @@ def pms_decompose(
 # -- the set-case driver -------------------------------------------------------------
 
 
+def first_two_occurrences(stream: FixedPointStream, pattern: str, window: int) -> list[int]:
+    """The first two starts of pattern in the first `window` letters of the
+    stream, fewer when it does not recur there.  The scan limit grows by 4x,
+    so an early recurrence is found in the cached prefix, without streaming
+    sigma^j tables over the whole window."""
+    limit = max(4 * len(pattern), 64)
+    while True:
+        occ = stream.scan_occurrences(pattern, min(limit, window), max_count=2)
+        if len(occ) >= 2 or limit >= window:
+            return occ
+        limit *= 4
+
+
 @dataclass(frozen=True)
 class DriverExit:
     """Structured abort of the descriptor driver.
@@ -295,7 +308,7 @@ class DerivedDescriptor:
 def build_sigma_U(
     sys: ProlongableSystem,
     u: list[str],
-    K: int,
+    K: int | None,
     K1: int | None = None,
     pair_budget: int = PAIR_BUDGET,
     work_budget: int = WORK_BUDGET,
@@ -311,7 +324,11 @@ def build_sigma_U(
     expansion rounds of the index substitution.  With anchored=True every
     image block must be cut exactly into whole return words, so that
     Theta sigma_U = sigma Theta holds letter for letter; otherwise the driver
-    returns an 'unanchored' exit.
+    returns an 'unanchored' exit.  With K None the exits that K sets are
+    off: E1 scans up to work_budget letters, E2, short-return and E4 never
+    fire, and empty-image and no-occurrence are guarded.  Those exits are
+    the only places K enters, so a run that closes with an int K builds the
+    same descriptor with K None.
     """
     phi = sys.phi
     if phi is not None and not phi.is_coding:
@@ -325,17 +342,10 @@ def build_sigma_U(
     v_enc = code(u_enc)
     m = len(v_enc)
 
-    # E1: v must recur within the (K+1)|v| prefix of x; the scan limit grows
-    # by 4x so an early recurrence is found in the cached prefix, without
-    # streaming sigma^j tables over the whole window
-    window = (K + 1) * m
+    # E1: v must recur within the (K+1)|v| prefix of x
+    window = (K + 1) * m if K is not None else work_budget
     xstream = ystream if phi is None else FixedPointStream(sys, "x")
-    limit = max(4 * m, 64)
-    while True:
-        occ = xstream.scan_occurrences(v_enc, min(limit, window), max_count=2)
-        if len(occ) >= 2 or limit >= window:
-            break
-        limit *= 4
+    occ = first_two_occurrences(xstream, v_enc, window)
     if len(occ) < 2:
         return DriverExit(
             kind="E1",
@@ -354,6 +364,7 @@ def build_sigma_U(
     images: list[tuple[int, ...]] = []
     sigma = sys.sigma
     work = 0
+    bound = K * m if K is not None else None  # the E2 bound K|u|
 
     j = 0
     while j < len(pairs):
@@ -374,7 +385,7 @@ def build_sigma_U(
         before = [o for o in cuts_all if o < W]
         closing = next((o for o in cuts_all if o >= W), None)
         if not before:
-            uncond = W >= K * m
+            uncond = bound is not None and W >= bound
             return DriverExit(
                 kind="empty-image",
                 unconditional=uncond,
@@ -384,11 +395,11 @@ def build_sigma_U(
                     "pair_w": list(alpha.decode(w)),
                     "pair_u": list(alpha.decode(up)),
                     "window": W,
-                    "threshold": K * m,
+                    "threshold": bound,
                 },
             )
         if closing is None:
-            uncond = len(F) - W >= K * m
+            uncond = bound is not None and len(F) - W >= bound
             return DriverExit(
                 kind="no-occurrence",
                 unconditional=uncond,
@@ -398,7 +409,7 @@ def build_sigma_U(
                     "pair_w": list(alpha.decode(w)),
                     "pair_u": list(alpha.decode(up)),
                     "window": len(F) - W,
-                    "threshold": K * m,
+                    "threshold": bound,
                 },
             )
         if j == 1 and before[0] != 0:
@@ -419,19 +430,19 @@ def build_sigma_U(
         img: list[int] = []
         for a, b in zip(bounds, bounds[1:]):
             piece = (T[a:b], T[b : b + m])
-            if len(piece[0]) > K * m:
+            if bound is not None and len(piece[0]) > bound:
                 return DriverExit(
                     kind="E2",
                     unconditional=True,
-                    message=f"return word of length {len(piece[0])} exceeds K|u| = {K * m}",
+                    message=f"return word of length {len(piece[0])} exceeds K|u| = {bound}",
                     evidence={
                         "pair_index": j,
                         "word": list(alpha.decode(piece[0])),
                         "length": len(piece[0]),
-                        "bound": K * m,
+                        "bound": bound,
                     },
                 )
-            if len(piece[0]) * K < m:
+            if K is not None and len(piece[0]) * K < m:
                 return DriverExit(
                     kind="short-return",
                     unconditional=False,
@@ -467,24 +478,26 @@ def build_sigma_U(
     if images[0][0] != 1:
         raise InternalConsistencyError("sigma_U(1) does not start with 1")
 
-    # E4 / closure window: every pair must appear within K+1+#A^2 rounds
-    rounds = K + 1 + len(alpha) ** 2
-    support = {1}
-    for _ in range(rounds):
-        grown = set(support)
-        for i in support:
-            grown.update(images[i - 1])
-        if grown == support:
-            break
-        support = grown
-    if len(support) != len(pairs):
-        missing = sorted(set(range(1, len(pairs) + 1)) - support)
-        return DriverExit(
-            kind="E4",
-            unconditional=False,
-            message="table entries appear only beyond the closure window",
-            evidence={"missing_indices": missing, "rounds": rounds},
-        )
+    # E4 / closure window: every pair must appear within K+1+#A^2 rounds;
+    # with no window every pair appears, in the image of an earlier one
+    if K is not None:
+        rounds = K + 1 + len(alpha) ** 2
+        support = {1}
+        for _ in range(rounds):
+            grown = set(support)
+            for i in support:
+                grown.update(images[i - 1])
+            if grown == support:
+                break
+            support = grown
+        if len(support) != len(pairs):
+            missing = sorted(set(range(1, len(pairs) + 1)) - support)
+            return DriverExit(
+                kind="E4",
+                unconditional=False,
+                message="table entries appear only beyond the closure window",
+                evidence={"missing_indices": missing, "rounds": rounds},
+            )
 
     # x-side return words and psi, by first appearance of phi(w)
     x_words: list[str] = []

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from morphrec import constants, decider
-from morphrec.catalog import get
+from morphrec.catalog import entries, get
 from morphrec.constants import compute_constant_sheet
 from morphrec.decider import (
     INCONCLUSIVE,
@@ -28,8 +28,10 @@ from morphrec.decider import (
     verify_certificate,
 )
 from morphrec.errors import MorphrecError, PreconditionViolated
-from morphrec.returns import DriverExit, build_sigma_U
+from morphrec.returns import WORK_BUDGET, DriverExit, build_sigma_U
 from morphrec.system import parse_system
+
+import test_fuzz
 
 
 def load(name):
@@ -230,6 +232,12 @@ def test_verify_rejects_letter_exit_off_level_zero():
     assert ok, detail
 
 
+# x = 0^w: a growing sigma under a constant coding
+CONSTANT_CODING = (
+    "alphabet: a b\nstart: a\ntarget: 0\nsigma:\na -> a a b\nb -> a\nphi:\na -> 0\nb -> 0\n"
+)
+
+
 def test_verify_rejects_tampered_periodic():
     for name in ("tail_fin_const", "periodic_coded"):
         sys_ = load(name)
@@ -240,6 +248,15 @@ def test_verify_rejects_tampered_periodic():
         ):
             ok, detail = verify_certificate(sys_, bad)
             assert not ok, (name, detail)
+    # x = 0^w has period 1, and True == 1.0 == 1: only the type check
+    # tells these apart
+    sys_ = parse_system(CONSTANT_CODING)
+    v = decide_uniform_recurrence(sys_)
+    assert v.certificate.data["period"] == 1
+    for value in (True, 1.0):
+        ok, detail = verify_certificate(sys_, _tampered(v, period=value))
+        assert not ok, (value, detail)
+        assert detail["reason"].startswith("period must be an int"), detail
 
 
 def test_verify_rejects_swapped_outcome():
@@ -261,10 +278,7 @@ def test_verify_rejects_certificate_for_wrong_system():
 
 def test_constant_coding_settles_upfront():
     # x = 0^w is periodic, so it is settled before the constant sheet
-    sys_ = parse_system(
-        "alphabet: a b\nstart: a\ntarget: 0\nsigma:\na -> a a b\nb -> a\n"
-        "phi:\na -> 0\nb -> 0\n"
-    )
+    sys_ = parse_system(CONSTANT_CODING)
     v = decide_uniform_recurrence(sys_)
     assert v.outcome == UNIFORMLY_RECURRENT
     assert v.certificate.kind == "periodic"
@@ -297,6 +311,21 @@ def test_prefix_period_candidates_are_every_period_ascending(word, qmax):
         for q in range(1, min(qmax, len(word)) + 1)
         if all(word[i] == word[i + q] for i in range(len(word) - q))
     ]
+    assert _prefix_period_candidates(word, qmax) == want
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.text(alphabet="abc", min_size=1, max_size=6),
+    st.integers(0, 30),
+    st.text(alphabet="abc", max_size=8),
+    st.integers(0, 120),
+)
+def test_prefix_period_candidates_on_nearly_periodic_words(root, reps, tail, qmax):
+    # words periodic up to a short tail have many periods, and some
+    # candidates that fail only in their last letters
+    word = root * reps + tail
+    want = [q for q in range(1, min(qmax, len(word)) + 1) if word.startswith(word[q:])]
     assert _prefix_period_candidates(word, qmax) == want
 
 
@@ -461,6 +490,79 @@ def test_full_power_exit_counts_factors():
     assert [t["step"] for t in v.trace][-2:] == ["constants", "power"]
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
+
+
+def _low_power_repetitions(systems, work_budget=WORK_BUDGET):
+    """(system the certificate speaks of, verdict) for every low-power
+    `repetition` the decider issues on the given systems."""
+    out = []
+    for sys_ in systems:
+        try:
+            v = decide_uniform_recurrence(sys_, work_budget=work_budget)
+        except MorphrecError:
+            continue
+        cert = v.certificate
+        if cert is None or cert.kind != "repetition":
+            continue
+        if cert.data["power"] < v.sheet.power_exponent:
+            inner = decider._preimage_system(sys_) if cert.data.get("via") else sys_
+            out.append((sys_, inner, v))
+    return out
+
+
+def test_low_power_repetition_verifies_locally(monkeypatch):
+    systems = [e.build() for e in entries()] + [parse_system(t) for t in COUNT_FREE.values()]
+    found = _low_power_repetitions(systems)
+    assert len(found) == 23
+    for name in ("compute_count_free_sheet", "with_factor_count", "compute_constant_sheet"):
+        monkeypatch.setattr(decider, name, lambda *_, name=name: pytest.fail(f"{name} ran"))
+    calls = []
+    real = decider.build_sigma_U
+    monkeypatch.setattr(decider, "build_sigma_U", lambda *a, **k: calls.append(1) or real(*a, **k))
+    for sys_, _, v in found:
+        calls.clear()
+        ok, detail = verify_certificate(sys_, v)
+        assert ok, (v.certificate.data, detail)
+        assert len(calls) == 2, v.certificate.data
+
+
+# the certificates accepted at 1 <= n < m <= 6 and power 1..3, recorded on
+# the full replay that checked every level 1..m on the constant sheet
+REPLAY_ACCEPTS = {
+    "fibonacci": {(1, 2, 1), (2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1)},
+    "rudin_shapiro_coded": {(4, 5, 3), (5, 6, 3)},
+    "chacon_padded": {(2, 3, 1), (3, 4, 1), (4, 5, 1), (5, 6, 1)},
+}
+
+
+@pytest.mark.parametrize("name", sorted(REPLAY_ACCEPTS))
+def test_local_check_accepts_what_the_replay_accepted(name):
+    sys_ = load(name)
+    v = decide_uniform_recurrence(sys_)
+    accepted = set()
+    for n in range(1, 7):
+        for m in range(n + 1, 7):
+            for power in (1, 2, 3):
+                ok, _ = verify_certificate(sys_, _tampered(v, n=n, m=m, power=power))
+                if ok:
+                    accepted.add((n, m, power))
+    assert accepted == REPLAY_ACCEPTS[name]
+
+
+def test_local_check_builds_the_replayed_descriptors():
+    found = _low_power_repetitions([e.build() for e in entries()])
+    found += _low_power_repetitions(
+        [parse_system(t) for t in test_fuzz.SYSTEMS], work_budget=1 << 20
+    )
+    assert len(found) == 46
+    for _, inner, v in found:
+        d = v.certificate.data
+        stage = _growing_stage(inner)
+        sheet = constants.compute_count_free_sheet(stage.staged)
+        _, levels, exited = _drive_to_level(stage, sheet, d["m"], WORK_BUDGET, power=d["power"])
+        assert exited is None
+        _, low, high = decider._anchored_levels(stage, d["power"], d["n"], d["m"])
+        assert (low, high) == (levels[d["n"]], levels[d["m"]]), d
 
 
 def test_verify_rejects_tampered_primitive():
