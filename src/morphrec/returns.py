@@ -8,6 +8,13 @@ return_substitution (the returns of y to a single prefix u, with the induced
 substitution sigma_u), is its anchored identity-coding case, where U = {u}.
 return_words_to_word reads return words off a scanned prefix instead.  All
 tables index from 1; entry order is first appearance.
+
+Words inside the u-chain are internal strings (see words.Alphabet):
+build_sigma_U takes u over sys.alphabet, its descriptors hold u and the
+pairs over sys.alphabet and v and the x-return words over
+sys.target_alphabet, and delta_reconstruct returns a prefix of y over
+sys.alphabet.  Only the exit evidence and the word-case ReturnTable are
+decoded into tokens.
 """
 
 from __future__ import annotations
@@ -145,10 +152,11 @@ def return_substitution(
     """
     if sys.incidence.primitive_exponent is None:
         raise NotPrimitive("return substitutions need a primitive incidence matrix")
+    alpha = sys.alphabet
     K = max(_SCAN_BUDGET // max(len(u), 1), len(u))
     res = build_sigma_U(
         ProlongableSystem(sys.sigma, sys.start),
-        u,
+        alpha.encode(u),
         K,
         pair_budget=max_returns,
         anchored=True,
@@ -160,8 +168,7 @@ def return_substitution(
             )
         raise InternalConsistencyError(f"word-case closure exited: {res.message}")
 
-    alpha = sys.alphabet
-    words = [alpha.encode(w) for w, _ in res.pairs]
+    words = [w for w, _ in res.pairs]
     # independent re-check of the defining equation sigma(Theta(i)) = Theta(sigma_u(i))
     for i, (w, img) in enumerate(zip(words, res.sigma_u_images), start=1):
         if sys.sigma.apply(w) != "".join(words[k - 1] for k in img):
@@ -170,7 +177,7 @@ def return_substitution(
     table = ReturnTable(
         u=tuple(u),
         which="y",
-        words=tuple(w for w, _ in res.pairs),
+        words=tuple(tuple(alpha.decode(w)) for w in words),
         derived_prefix=tuple(_derived_prefix_from(res.sigma_u_images, 64)),
         complete=True,
         scanned=len(words[0]) + len(u),
@@ -269,16 +276,17 @@ class DerivedDescriptor:
     pairs[(j-1)] = (w, u') with w a return word of y to U and u' the U-word
     that follows; sigma_u_images are the index images of the induced
     substitution; psi maps pair indices onto x-side return indices;
-    x_returns are the return words of x to v = phi(u).
+    x_returns are the return words of x to v = phi(u).  Words are internal
+    strings: u and the pairs over sys.alphabet, v and x_returns over
+    sys.target_alphabet.
     """
 
-    u: tuple[str, ...]
-    v: tuple[str, ...]
-    pairs: tuple[tuple[tuple[str, ...], tuple[str, ...]], ...]
+    u: str
+    v: str
+    pairs: tuple[tuple[str, str], ...]
     sigma_u_images: tuple[tuple[int, ...], ...]
     psi: tuple[int, ...]
-    x_returns: tuple[tuple[str, ...], ...]
-    complete: bool = True
+    x_returns: tuple[str, ...]
 
     def __len__(self) -> int:
         return len(self.pairs)
@@ -286,13 +294,9 @@ class DerivedDescriptor:
     @cached_property
     def sigma_U(self) -> Morphism:
         idx = Alphabet.indexed(len(self.pairs))
-        return Morphism.from_tokens(
-            idx,
-            idx,
-            {
-                str(i): [str(k) for k in self.sigma_u_images[i - 1]]
-                for i in range(1, len(self.pairs) + 1)
-            },
+        chars = idx.chars
+        return Morphism(
+            idx, idx, tuple("".join(chars[k - 1] for k in img) for img in self.sigma_u_images)
         )
 
     def canonical_text(self) -> str:
@@ -307,14 +311,15 @@ class DerivedDescriptor:
 
 def build_sigma_U(
     sys: ProlongableSystem,
-    u: list[str],
+    u: str,
     K: int | None,
     K1: int | None = None,
     pair_budget: int = PAIR_BUDGET,
     work_budget: int = WORK_BUDGET,
     anchored: bool = False,
 ):
-    """Drive the set-case return construction for u (a prefix of y).
+    """Drive the set-case return construction for u, a prefix of y given as
+    an internal string over sys.alphabet.
 
     Returns a DerivedDescriptor on success or a DriverExit.  Processing goes
     in index order: the image of each known pair is cut at occurrences of
@@ -337,22 +342,21 @@ def build_sigma_U(
     code = phi.apply if phi is not None else (lambda w: w)
     ystream = FixedPointStream(sys, "y")
     alpha = sys.alphabet
-    u_enc = alpha.encode(u)
-    _check_prefix(ystream, u_enc, "u")
-    v_enc = code(u_enc)
-    m = len(v_enc)
+    _check_prefix(ystream, u, "u")
+    v = code(u)
+    m = len(v)
 
     # E1: v must recur within the (K+1)|v| prefix of x
     window = (K + 1) * m if K is not None else work_budget
     xstream = ystream if phi is None else FixedPointStream(sys, "x")
-    occ = first_two_occurrences(xstream, v_enc, window)
+    occ = first_two_occurrences(xstream, v, window)
     if len(occ) < 2:
         return DriverExit(
             kind="E1",
             unconditional=True,
             message=f"prefix of length {m} does not recur in the first {window} letters",
             evidence={
-                "u": list(u),
+                "u": alpha.decode(u),
                 "window": window,
                 "occurrences": len(occ),
             },
@@ -381,7 +385,7 @@ def build_sigma_U(
             )
         F = code(T)
         W = len(body)
-        cuts_all = occurrences_in_word(F, v_enc)
+        cuts_all = occurrences_in_word(F, v)
         before = [o for o in cuts_all if o < W]
         closing = next((o for o in cuts_all if o >= W), None)
         if not before:
@@ -392,8 +396,8 @@ def build_sigma_U(
                 message="an image block contains no occurrence of the target",
                 evidence={
                     "pair_index": j,
-                    "pair_w": list(alpha.decode(w)),
-                    "pair_u": list(alpha.decode(up)),
+                    "pair_w": alpha.decode(w),
+                    "pair_u": alpha.decode(up),
                     "window": W,
                     "threshold": bound,
                 },
@@ -406,8 +410,8 @@ def build_sigma_U(
                 message="no closing occurrence after an image block",
                 evidence={
                     "pair_index": j,
-                    "pair_w": list(alpha.decode(w)),
-                    "pair_u": list(alpha.decode(up)),
+                    "pair_w": alpha.decode(w),
+                    "pair_u": alpha.decode(up),
                     "window": len(F) - W,
                     "threshold": bound,
                 },
@@ -437,7 +441,7 @@ def build_sigma_U(
                     message=f"return word of length {len(piece[0])} exceeds K|u| = {bound}",
                     evidence={
                         "pair_index": j,
-                        "word": list(alpha.decode(piece[0])),
+                        "word": alpha.decode(piece[0]),
                         "length": len(piece[0]),
                         "bound": bound,
                     },
@@ -449,7 +453,7 @@ def build_sigma_U(
                     message=f"return word of length {len(piece[0])} is below |u|/K",
                     evidence={
                         "pair_index": j,
-                        "word": list(alpha.decode(piece[0])),
+                        "word": alpha.decode(piece[0]),
                         "length": len(piece[0]),
                         "u_length": m,
                         "K": K,
@@ -512,35 +516,30 @@ def build_sigma_U(
             x_index[r] = k
         psi.append(k)
 
-    target = sys.target_alphabet
     return DerivedDescriptor(
-        u=tuple(u),
-        v=tuple(target.decode(v_enc)),
-        pairs=tuple(
-            (tuple(alpha.decode(w)), tuple(alpha.decode(up))) for w, up in pairs
-        ),
+        u=u,
+        v=v,
+        pairs=tuple(pairs),
         sigma_u_images=tuple(images),
         psi=tuple(psi),
-        x_returns=tuple(tuple(target.decode(r)) for r in x_words),
+        x_returns=tuple(x_words),
     )
 
 
-def delta_reconstruct(descriptor: DerivedDescriptor, n: int) -> list[str]:
+def delta_reconstruct(descriptor: DerivedDescriptor, n: int) -> str:
     """Concatenate the first n return words of the derived expansion.
 
-    The result is a prefix of y (empty for n = 0).
+    The result is a prefix of y, an internal string over the alphabet of the
+    system the descriptor was built on (empty for n = 0).
     """
     if n < 0:
         raise ValueError("steps must be >= 0")
     if n == 0:
-        return []
+        return ""
     seq = _derived_prefix_from(descriptor.sigma_u_images, n)
     if len(seq) < n:
         raise InternalConsistencyError("descriptor expansion stalled before n letters")
-    out: list[str] = []
-    for i in seq:
-        out.extend(descriptor.pairs[i - 1][0])
-    return out
+    return "".join(descriptor.pairs[i - 1][0] for i in seq)
 
 
 def derived_step(sys: ProlongableSystem, u: list[str]) -> list[str]:

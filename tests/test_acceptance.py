@@ -145,14 +145,12 @@ def _staged_descriptor(sys_, u):
     powered = st.staged.with_sigma_power(sheet.power_exponent)
     from morphrec.returns import build_sigma_U
 
-    d = build_sigma_U(powered, u, sheet.K)
+    d = build_sigma_U(powered, powered.alphabet.encode(u), sheet.K)
     return powered, d
 
 
-def _direct_pair_sequence(powered, u, count):
+def _direct_pair_sequence(powered, enc_u, count):
     phi = powered.effective_phi
-    alpha = powered.alphabet
-    enc_u = alpha.encode(u)
     target = phi.apply(enc_u)
     limit = 256
     while True:
@@ -167,7 +165,7 @@ def _direct_pair_sequence(powered, u, count):
         limit *= 4
     out = []
     for a, b in zip(pos, pos[1:]):
-        out.append((tuple(alpha.decode(text[a:b])), tuple(alpha.decode(text[b : b + len(enc_u)]))))
+        out.append((text[a:b], text[b : b + len(enc_u)]))
     return out[:count]
 
 
@@ -210,25 +208,26 @@ def test_04_defining_equations_and_reconstruction():
             u = [st.staged.start]
         powered, d = _staged_descriptor(sys_, u)
         alpha = powered.alphabet
+        enc_u = alpha.encode(u)
 
         # induced substitution: sigma(w_i) p(u'_i) factors over the table and
         # the trailing middle word matches the last pair
         for i, (w, up) in enumerate(d.pairs, start=1):
-            p, m, s = pms_decompose(powered, list(up), list(u))
-            lhs = powered.sigma.apply(alpha.encode(w)) + alpha.encode(p)
+            p, m, s = pms_decompose(powered, alpha.decode(up), u)
+            lhs = powered.sigma.apply(w) + alpha.encode(p)
             img = d.sigma_u_images[i - 1]
-            rhs = "".join(alpha.encode(d.pairs[j - 1][0]) for j in img)
+            rhs = "".join(d.pairs[j - 1][0] for j in img)
             assert lhs == rhs
-            assert list(d.pairs[img[-1] - 1][1]) == m
+            assert alpha.decode(d.pairs[img[-1] - 1][1]) == m
             tail = rhs + alpha.encode(m)
             pos = 0
             for j in img:
-                pos += len(alpha.encode(d.pairs[j - 1][0]))
-                upj = alpha.encode(d.pairs[j - 1][1])
+                pos += len(d.pairs[j - 1][0])
+                upj = d.pairs[j - 1][1]
                 assert tail[pos : pos + len(upj)] == upj
 
         # the fixed point of sigma_U reproduces the scanned pair sequence
-        direct = _direct_pair_sequence(powered, u, 1000)
+        direct = _direct_pair_sequence(powered, enc_u, 1000)
         index_of = {pair: i for i, pair in enumerate(d.pairs, start=1)}
         fp = ProlongableSystem(d.sigma_U, "1")
         expect = [int(t) for t in FixedPointStream(fp, "y").prefix(len(direct))]
@@ -238,12 +237,12 @@ def test_04_defining_equations_and_reconstruction():
         from morphrec.returns import delta_reconstruct
 
         y_prefix = delta_reconstruct(d, 1000)
-        got = powered.effective_phi.apply(alpha.encode(y_prefix))
+        got = powered.effective_phi.apply(y_prefix)
         assert got == FixedPointStream(powered, "x").prefix_chars(len(got))
 
         # psi projects the pair sequence onto the return indices of x
         phi = powered.effective_phi
-        v = powered.target_alphabet.decode(phi.apply(alpha.encode(u)))
+        v = powered.target_alphabet.decode(phi.apply(enc_u))
         tx = return_words_to_word(powered, v, budget=1 << 15, which="x")
         through_psi = [d.psi[index_of[p] - 1] for p in direct]
         ncmp = min(len(through_psi), len(tx.derived_prefix))

@@ -28,8 +28,10 @@ from morphrec.decider import (
     verify_certificate,
 )
 from morphrec.errors import MorphrecError, PreconditionViolated
+from morphrec.morphism import Morphism
 from morphrec.returns import WORK_BUDGET, DriverExit, build_sigma_U
 from morphrec.system import parse_system
+from morphrec.words import Alphabet
 
 import test_fuzz
 
@@ -334,12 +336,12 @@ def test_prefix_period_candidates_on_nearly_periodic_words(root, reps, tail, qma
 
 def _first_exit(sys_pow, sheet, levels, anchored):
     """Drive the u-chain by hand; (level, exit) of the first exit, or None."""
-    u = [sys_pow.start]
+    u = sys_pow.alphabet.encode([sys_pow.start])
     for n in range(1, levels + 1):
         res = build_sigma_U(sys_pow, u, sheet.K, K1=sheet.K1, anchored=anchored)
         if isinstance(res, DriverExit):
             return n, res
-        u = list(res.pairs[0][0]) + list(res.pairs[0][1])
+        u = res.pairs[0][0] + res.pairs[0][1]
     return None
 
 
@@ -392,15 +394,11 @@ def test_low_power_repetition_matches_full_power(name):
     stage = _growing_stage(sys_)
     sheet = compute_constant_sheet(stage.staged)
     assert d["power"] < sheet.power_exponent
-    sys_pow, levels, exited = _drive_to_level(stage, sheet, d["m"], 1 << 26)
+    _, levels, exited = _drive_to_level(stage, sheet, d["m"], 1 << 26)
     assert exited is None
     low, high = levels[d["n"]], levels[d["m"]]
     assert low.canonical_text() == high.canonical_text()
-    tau = _connecting_morphism(sys_pow, low, high)
-    rebuilt = [
-        [int(t) for t in tau.image_tokens(str(j))] for j in range(1, len(high.x_returns) + 1)
-    ]
-    assert rebuilt == d["tau"]
+    assert [list(img) for img in _connecting_morphism(low, high)] == d["tau"]
     assert len(high.x_returns) == d["table_size"]
     assert len(high.pairs) == d["pair_count"]
 
@@ -565,6 +563,34 @@ def test_local_check_builds_the_replayed_descriptors():
         assert (low, high) == (levels[d["n"]], levels[d["m"]]), d
 
 
+def test_the_chain_path_converts_no_word(monkeypatch):
+    # the u-chain runs on internal strings: with every token conversion
+    # refused, the decider's levels, the local check's two closures, tau and
+    # the certificate are rebuilt for each low-power repetition of the catalog
+    found = _low_power_repetitions([e.build() for e in entries()])
+    assert len(found) == 20
+    cases = []
+    for _, inner, v in found:
+        stage = _growing_stage(inner)
+        sheet = constants.compute_count_free_sheet(stage.staged)
+        cases.append((stage, sheet, v.certificate.data))
+
+    def refuse(*_):
+        raise AssertionError("a word was converted between tokens and internal strings")
+
+    for cls, name in ((Alphabet, "encode"), (Alphabet, "decode"), (Morphism, "image_tokens")):
+        monkeypatch.setattr(cls, name, refuse)
+    for stage, sheet, d in cases:
+        n, m, power = d["n"], d["m"], d["power"]
+        sys_pow = stage.staged.with_sigma_power(power)
+        levels = {k: res for k, _, res in decider._levels(sys_pow, power, sheet, m, WORK_BUDGET)}
+        _, low, high = decider._anchored_levels(stage, power, n, m)
+        assert (low, high) == (levels[n], levels[m]), d
+        assert [list(img) for img in _connecting_morphism(low, high)] == d["tau"]
+        cert = decider._certify_repetition(sys_pow, power, n, m, low, high)
+        assert cert.data == {k: x for k, x in d.items() if k != "via"}
+
+
 def test_verify_rejects_tampered_primitive():
     sys_ = parse_system(PRIMITIVE_CODED)
     v = decide_uniform_recurrence(sys_)
@@ -673,8 +699,9 @@ def test_pumping_witness_computed_once_per_stage(monkeypatch):
 def test_derive_chain_fibonacci_two_levels():
     dc = derive_chain(load("fibonacci"), 2)
     assert sorted(dc.levels.keys()) == [1, 2]
-    assert "".join(dc.levels[1].u) == "a"
-    assert "".join(dc.levels[2].u) == "aba"
+    alpha = dc.powered.alphabet
+    assert "".join(alpha.decode(dc.levels[1].u)) == "a"
+    assert "".join(alpha.decode(dc.levels[2].u)) == "aba"
     assert len(dc.levels[1].pairs) == 2
     assert dc.driver_exit is None
 

@@ -28,11 +28,12 @@ from morphrec.words import Alphabet, occurrences_in_word
 
 
 def _descriptor(sys_, u):
-    """Stage the system the way the decision pipeline would, then drive u."""
+    """Stage the system the way the decision pipeline would, then drive the
+    token word u."""
     st = prepare(sys_)
     sheet = compute_constant_sheet(st.staged)
     powered = st.staged.with_sigma_power(sheet.power_exponent)
-    d = build_sigma_U(powered, u, sheet.K)
+    d = build_sigma_U(powered, powered.alphabet.encode(u), sheet.K)
     assert not isinstance(d, DriverExit)
     return powered, sheet, d
 
@@ -265,11 +266,12 @@ def test_pms_minimality(fib, tm):
 
 def test_build_sigma_u_fibonacci_identity_reduction(fib):
     powered, _, d = _descriptor(fib, ["a"])
-    assert [tuple(w) for w, _ in d.pairs] == [("a", "b"), ("a",)]
+    alpha = powered.alphabet
+    assert [alpha.decode(w) for w, _ in d.pairs] == [["a", "b"], ["a"]]
     assert d.psi == (1, 2)
-    assert d.complete
+    assert len(d.sigma_u_images) == len(d.pairs)  # closed: every pair has an image
     rs = return_substitution(fib, ["a"])
-    assert tuple(tuple(w) for w in rs.table.words) == tuple(w for w, _ in d.pairs)
+    assert rs.table.words == tuple(tuple(alpha.decode(w)) for w, _ in d.pairs)
 
 
 def test_build_sigma_u_collapsing_coding():
@@ -277,7 +279,7 @@ def test_build_sigma_u_collapsing_coding():
     powered, _, d = _descriptor(tmc, ["0"])
     assert len(d.pairs) <= 4
     assert all(len(w) == 1 for w, _ in d.pairs)  # every position starts a U word
-    assert d.x_returns == (("c",),)
+    assert [powered.target_alphabet.decode(w) for w in d.x_returns] == [["c"]]
     assert all(k == 1 for k in d.psi)
 
 
@@ -292,7 +294,7 @@ def test_build_sigma_u_driver_exit_on_nonrecurrent_prefix():
     st = prepare(sys_)
     sheet = compute_constant_sheet(st.staged)
     powered = st.staged.with_sigma_power(sheet.power_exponent)
-    res = build_sigma_U(powered, ["a"], sheet.K)
+    res = build_sigma_U(powered, powered.alphabet.encode(["a"]), sheet.K)
     assert isinstance(res, DriverExit)
     assert res.kind == "E1"
     assert res.unconditional
@@ -305,23 +307,24 @@ def test_sigma_u_defining_equation(fib, tm):
         powered, _, d = _descriptor(sys_, u)
         alpha = powered.alphabet
         for i, (w, up) in enumerate(d.pairs, start=1):
-            p, m, s = pms_decompose(powered, list(up), list(u))
-            lhs = powered.sigma.apply(alpha.encode(w)) + alpha.encode(p)
+            p, m, s = pms_decompose(powered, alpha.decode(up), u)
+            lhs = powered.sigma.apply(w) + alpha.encode(p)
             img = d.sigma_u_images[i - 1]
-            rhs = "".join(alpha.encode(d.pairs[j - 1][0]) for j in img)
+            rhs = "".join(d.pairs[j - 1][0] for j in img)
             assert lhs == rhs
-            assert list(d.pairs[img[-1] - 1][1]) == m
+            assert alpha.decode(d.pairs[img[-1] - 1][1]) == m
             # each intermediate following word is the text right after its w
             tail = rhs + alpha.encode(m)
             pos = 0
             for j in img:
-                pos += len(alpha.encode(d.pairs[j - 1][0]))
-                upj = alpha.encode(d.pairs[j - 1][1])
+                pos += len(d.pairs[j - 1][0])
+                upj = d.pairs[j - 1][1]
                 assert tail[pos : pos + len(upj)] == upj
 
 
 def _direct_pair_sequence(powered, u, count):
-    """Scan y and factor it into (return word, following U word) pairs."""
+    """Scan y and factor it into (return word, following U word) pairs, as
+    internal strings."""
     phi = powered.effective_phi
     alpha = powered.alphabet
     enc_u = alpha.encode(u)
@@ -337,7 +340,7 @@ def _direct_pair_sequence(powered, u, count):
         limit *= 4
     pairs = []
     for a, b in zip(pos, pos[1:]):
-        pairs.append((tuple(alpha.decode(text[a:b])), tuple(alpha.decode(text[b : b + len(enc_u)]))))
+        pairs.append((text[a:b], text[b : b + len(enc_u)]))
     return pairs[:count]
 
 
@@ -359,9 +362,7 @@ def test_descriptor_reconstructs_x_prefix(fib, tm):
     for sys_, u in ((fib, ["a"]), (tm, ["0"]), (tmc, ["0"])):
         powered, _, d = _descriptor(sys_, u)
         y_prefix = delta_reconstruct(d, 1000)
-        phi = powered.effective_phi
-        alpha = powered.alphabet
-        got = phi.apply(alpha.encode(y_prefix))
+        got = powered.effective_phi.apply(y_prefix)
         want = FixedPointStream(powered, "x").prefix_chars(len(got))
         assert got == want
 
@@ -380,14 +381,14 @@ def test_descriptor_psi_projects_to_x_returns(fib):
         n = min(len(through_psi), len(tx.derived_prefix))
         assert through_psi[:n] == list(tx.derived_prefix[:n])
         for i, w in enumerate(d.x_returns, start=1):
-            assert tx.words[i - 1] == w
+            assert tx.words[i - 1] == tuple(powered.target_alphabet.decode(w))
 
 
 def test_delta_reconstruct_edges(fib):
-    _, _, d = _descriptor(fib, ["a"])
-    assert delta_reconstruct(d, 0) == []
-    assert delta_reconstruct(d, 1) == list(d.pairs[0][0])
-    assert delta_reconstruct(d, 4) == list("abaabab")
+    powered, _, d = _descriptor(fib, ["a"])
+    assert delta_reconstruct(d, 0) == ""
+    assert delta_reconstruct(d, 1) == d.pairs[0][0]
+    assert powered.alphabet.decode(delta_reconstruct(d, 4)) == list("abaabab")
 
 
 def test_descriptor_canonical_text_deterministic(fib):
