@@ -2,8 +2,9 @@
 
 One subcommand per library operation: parse system files, run the operation,
 print a human-readable text report or a JSON envelope.  Every envelope starts
-with {"format": 3, "command": ..., "input": ...} and records the flags that
-influence the result, so a verdict can be reproduced from its own output.
+with {"format": FORMAT_VERSION, "command": ..., "input": ...} and records the
+flags that influence the result, so a verdict can be reproduced from its own
+output.
 
 Exit codes: 0 when the run produced its result (any verdict counts), 1 for
 input or usage errors, 2 for internal consistency failures (including a
@@ -14,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
@@ -32,7 +34,7 @@ from .oracle import window_ur_check
 from .returns import PRACTICAL_CAP, WORK_BUDGET, return_words_to_word
 from .system import ProlongableSystem, parse_system
 
-FORMAT_VERSION = 4
+FORMAT_VERSION = 5
 
 
 # ---------------------------------------------------------------------------
@@ -596,11 +598,31 @@ def main(argv=None) -> int:
         return 0 if code == 0 else 1
 
     results = _process(ns.command, ns.files, ns)
+    worst = max(code for code, _, _ in results)
+    text = _report(ns, results)
+    try:
+        sys.stdout.write(text)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader closed stdout early (`| head`); the results stand, so
+        # keep their code, and point stdout at devnull so that the flush at
+        # interpreter exit does not fail again
+        try:
+            fd = sys.stdout.fileno()
+        except (AttributeError, OSError, ValueError):  # not a file descriptor
+            return worst
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, fd)
+        os.close(devnull)
+    return worst
 
-    worst = 0
+
+def _report(ns: argparse.Namespace, results) -> str:
+    """The standard output of a run; per-file errors go to stderr as they
+    are met, so they are reported even when stdout is closed."""
+    lines = []
     envelopes = []
-    for path, (code, env, err) in zip(ns.files, results):
-        worst = max(worst, code)
+    for path, (_, env, err) in zip(ns.files, results):
         if err is not None:
             print(f"{path}: error: {err}", file=sys.stderr)
             if ns.json:
@@ -611,13 +633,13 @@ def main(argv=None) -> int:
         envelopes.append(env)
         if not ns.json:
             if len(ns.files) > 1:
-                print(f"== {path}")
-            print(_RENDERERS[ns.command](env))
+                lines.append(f"== {path}")
+            lines.append(_RENDERERS[ns.command](env))
 
     if ns.json and envelopes:
         payload = envelopes[0] if len(ns.files) == 1 else envelopes
-        print(json.dumps(payload, indent=2))
-    return worst
+        lines.append(json.dumps(payload, indent=2))
+    return "".join(line + "\n" for line in lines)
 
 
 if __name__ == "__main__":

@@ -60,6 +60,27 @@ settles keeps its `repetition` certificate.  A verdict carries the sheet it
 used: a low-power `repetition` or a `primitive` verdict leaves the count
 fields of its sheet null and has no `constants` trace step.
 
+A stage that is still open then gets the exit scan, before p(K+1) is
+counted and before sigma is raised to P.  It walks the u-chain's prefixes by
+the chain rule below, on one prefix of x, and ends the decision at the first
+level where v = x[:|u|] either has no second occurrence ending within
+(K+1)|v| letters (E1, the test the driver makes first at each level) or has
+two successive occurrences more than K|v| apart (a `gap`, the return word
+that E2 bounds).  Why either refutes uniform recurrence at any level and
+any power: a uniformly recurrent morphic x is linearly recurrent, and K
+bounds its constant, so every return word of x to any factor v has length
+at most K|v| (Durand, "Linearly recurrent subshifts have a finite number of
+non-periodic subshift factors", ETDS 2000).  Both facts are about x alone:
+v is a prefix of x whatever level named it, and sigma^p has the same fixed
+point for every p, so neither needs P, the factor count or a closure.  The
+scan runs after the low pass so that every system a low power settles keeps
+its `repetition` certificate, and after the `primitive` check because a
+primitive stage is uniformly recurrent, so the scan could find nothing
+there.  An E1 it finds is the certificate the full-power chain would have
+issued at that level; a gap is a new unconditional exit.  Its verdict
+carries the count-free sheet and one `scan` trace step.  A stage the scan
+does not settle goes on to the full-power chain, unchanged.
+
 The verifier checks a `repetition` whose power is in LOW_POWERS locally,
 with no constant sheet.  It composes the staged sigma to that power, gets
 |u_1|..|u_m| from the chain rule alone (u_(k+1) is y up to the second
@@ -75,15 +96,28 @@ exits off.  Neither fact involves P, so a low power is not checked against
 it.  The decider drives the full power P unanchored, so when an anchored
 check exits and the stated power is P (which needs P <= 3), the chain is
 replayed level by level on the sheet as before; at any other power the
-exit rejects the certificate.  Powers outside LOW_POWERS, and `exit`
-certificates, are replayed level by level on the sheet.
+exit rejects the certificate.  Powers outside LOW_POWERS are replayed
+level by level on the sheet.
+
+The verifier checks every E1 and every gap certificate locally too,
+whether the scan or the full-power chain issued it: K from the count-free
+sheet, |u_1|..|u_level| from the chain rule with each level's E1 window
+(an earlier level whose prefix does not recur there is an E1 at that
+level, so the stated level is wrong), and one scan of x at the stated
+level.  For E1, v must not recur within (K+1)|v|; for a gap, the stated
+positions must be successive occurrences of v more than K|v| apart.  The
+certificate must then equal the one rebuilt from these facts.  No factor
+count, no sigma^P and no closure are involved.  The other exit kinds are
+replayed level by level on the full sheet.
 """
 
 from __future__ import annotations
 
+import json
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
+from itertools import islice
 
 from .constants import (
     ConstantSheet,
@@ -108,6 +142,7 @@ from .returns import (
     DerivedDescriptor,
     DriverExit,
     build_sigma_U,
+    e1_exit,
     first_two_occurrences,
 )
 from .stream import FixedPointStream, factor_language
@@ -131,6 +166,14 @@ LOW_POWERS = (1, 2, 3)
 # largest period tried before the constant sheet: the exact check needs the
 # (q+1)-factors of x, whose count grows with q, and short periods are common
 UPFRONT_QMAX = 64
+
+# the exit scan reads at most SCAN_LETTERS letters of x, and at most
+# SCAN_IMAGES times the shortest image of sigma^P, so that it costs about
+# what the first level of the full-power chain costs: that level expands
+# sigma^P of its first pair alone, at least 2 such images.  It checks a level
+# of the u-chain only while that level's E1 window (K+1)|v| fits.
+SCAN_LETTERS = 1 << 18
+SCAN_IMAGES = 4
 
 # a low-power try that exits this way ends the low pass: the u-chain and the
 # x-side return words do not depend on the power, so a higher power walks to
@@ -494,6 +537,83 @@ def _exit_certificate(
     return Certificate(kind="exit", data=data)
 
 
+def _chain_rule(second):
+    """The lengths |u_1|, |u_2|, ... of the u-chain, which do not depend on
+    the power of sigma: u_1 is the start letter, and u_(k+1) is y up to the
+    second occurrence of v_k = phi(u_k) = x[:|u_k|] in x, plus |u_k|
+    letters.  Yields (k, |u_k|); only when resumed does it call
+    second(|u_k|) for the start of that second occurrence, and it stops
+    where second gives None.  The closures of the driver follow the same
+    rule: their first pair is (y[:p], y[p:p + |u|]), p that start."""
+    level, size = 1, 1
+    while True:
+        yield level, size
+        p = second(size)
+        if p is None:
+            return
+        level, size = level + 1, size + p
+
+
+def _gap_exit(level: int, size: int, p: int, q: int, bound: int) -> DriverExit:
+    """The exit for successive starts p < q of v = x[:size] with q - p above
+    bound = K|v|."""
+    return DriverExit(
+        kind="gap",
+        unconditional=True,
+        message=f"the prefix of length {size} recurs after {q - p} letters, "
+        f"more than K|u| = {bound}",
+        evidence={
+            "level": level,
+            "u_length": size,
+            "positions": [p, q],
+            "gap": q - p,
+            "bound": bound,
+        },
+    )
+
+
+def _first_gap(text: str, v: str, bound: int) -> tuple[int, int] | None:
+    """The first successive starts p < q of v in text with q - p > bound,
+    or None; v starts text.  Each step jumps to the last start within bound
+    letters, so a step costs one str.rfind and covers about bound letters."""
+    p = 0
+    while True:
+        last = text.rfind(v, p + 1, p + bound + len(v))
+        if last == -1:
+            q = text.find(v, p + 1)
+            return None if q == -1 else (p, q)
+        p = last
+
+
+def _exit_scan(
+    staged: ProlongableSystem, sheet: ConstantSheet
+) -> tuple[int, int, DriverExit] | None:
+    """(level, |u|, exit) of the first E1 or gap along the u-chain, with K
+    from the sheet, found on one prefix of x (see SCAN_LETTERS), or None.
+
+    At each level, first E1, the test build_sigma_U makes first (v = x[:|u|]
+    has no second start within Km, m = |v|, that is no second occurrence
+    ending within (K+1)m letters); then a gap, two successive starts of v
+    more than Km apart anywhere in the scanned prefix, a return word that
+    E2 bounds.  The walk stops at the first level whose E1 window does not
+    fit in the prefix."""
+    K = sheet.K
+    limit = min(SCAN_LETTERS, SCAN_IMAGES * sheet.powered_min)
+    text = ""
+    for level, size in _chain_rule(lambda size: text.find(text[:size], 1)):
+        window = (K + 1) * size
+        if window > limit:
+            return None
+        text = text or FixedPointStream(staged, "x").prefix_chars(limit)
+        v = text[:size]
+        if text.find(v, 1, window) == -1:
+            u = FixedPointStream(staged, "y").prefix_chars(size)
+            return level, size, e1_exit(staged.alphabet, u, window, 1)
+        gap = _first_gap(text, v, K * size)
+        if gap is not None:
+            return level, size, _gap_exit(level, size, *gap, K * size)
+
+
 def _levels(
     sys_pow: ProlongableSystem,
     power: int,
@@ -613,6 +733,13 @@ def _growing_verdict(
     if cert is not None:
         trace.append({"step": "primitive", **cert.data})
         return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
+
+    hit = _exit_scan(staged, sheet)
+    if hit is not None:
+        n, u_len, res = hit
+        trace.append({"step": "scan", "K": sheet.K, "level": n, "exit": res.kind})
+        cert = _exit_certificate(res, n, u_len, None)
+        return Verdict(NOT_UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
 
     # only the full-power chain needs the factor count, through K1
     sheet = with_factor_count(staged, sheet)
@@ -1056,26 +1183,29 @@ def _drive_to_level(
 
 def _anchored_levels(stage: PreparedSystem, power: int, n: int, m: int):
     """The descriptors at levels n and m of the u-chain on sigma^power,
-    checked locally: returns (powered system, level-n descriptor, level-m
-    descriptor), or the level at which the chain or a closure exited.
+    checked locally: returns (level-n descriptor, level-m descriptor), or
+    the level at which the chain or a closure exited.
 
-    The chain rule alone gives |u_1|..|u_m|: u_1 is the start letter, and
-    u_(k+1) is y up to the second occurrence of v_k = phi(u_k) = x[:|u_k|]
-    in x, plus |u_k| letters.  The scans share one WORK_BUDGET of x letters,
-    so a forged level ends in an exit.  Only the closures at n and m are
-    built, anchored and with no exit that K sets.
+    |u_1|..|u_m| come from the chain rule alone (`_chain_rule`).  Its scans
+    share one WORK_BUDGET of x letters, so a forged level ends in an exit.
+    Only the closures at n and m are built, anchored and with no exit that
+    K sets.
     """
     sys_pow = stage.staged.with_sigma_power(power)
     xstream = FixedPointStream(sys_pow, "x")
-    lengths = [1]  # |u_1|, |u_2|, ...
     spent = 0
-    while len(lengths) < m:
-        size = lengths[-1]
+
+    def second(size: int) -> int | None:
+        nonlocal spent
         occ = first_two_occurrences(xstream, xstream.prefix_chars(size), WORK_BUDGET - spent)
         if len(occ) < 2:
-            return len(lengths)
-        lengths.append(occ[1] + size)
-        spent += lengths[-1]
+            return None
+        spent += occ[1] + size
+        return occ[1]
+
+    lengths = [size for _, size in islice(_chain_rule(second), m)]
+    if len(lengths) < m:
+        return len(lengths)
     ystream = FixedPointStream(sys_pow, "y")
     descs = []
     for level in (n, m):
@@ -1083,16 +1213,16 @@ def _anchored_levels(stage: PreparedSystem, power: int, n: int, m: int):
         if isinstance(res, DriverExit):
             return level
         descs.append(res)
-    return sys_pow, descs[0], descs[1]
+    return descs[0], descs[1]
 
 
 def _repetition_levels(stage: PreparedSystem, power, n: int, m: int):
-    """The powered system and the descriptors at levels n and m that a
-    `repetition` certificate names, or the rejection of its power or of an
-    exit on the way.  A power in LOW_POWERS is checked locally, with no
-    constant sheet; its anchored closures can fail only where the decider
-    drove an unanchored table, at the full power P, so then the chain is
-    replayed on the sheet as for any other power."""
+    """The descriptors at levels n and m that a `repetition` certificate
+    names, or the rejection of its power or of an exit on the way.  A power
+    in LOW_POWERS is checked locally, with no constant sheet; its anchored
+    closures can fail only where the decider drove an unanchored table, at
+    the full power P, so then the chain is replayed on the sheet as for any
+    other power."""
     if type(power) is int and power in LOW_POWERS:
         found = _anchored_levels(stage, power, n, m)
         if not isinstance(found, int):
@@ -1109,10 +1239,10 @@ def _repetition_levels(stage: PreparedSystem, power, n: int, m: int):
     if power == sheet.power_exponent:
         # the full-power chain ran with K1, which needs the count
         sheet = with_factor_count(stage.staged, sheet)
-    sys_pow, descs, exited = _drive_to_level(stage, sheet, m, WORK_BUDGET, power=power)
+    _, descs, exited = _drive_to_level(stage, sheet, m, WORK_BUDGET, power=power)
     if exited is not None:
         return {"reason": f"driver exited at level {exited[0]}"}
-    return sys_pow, descs[n], descs[m]
+    return descs[n], descs[m]
 
 
 @dataclass(frozen=True)
@@ -1155,8 +1285,9 @@ def verify_certificate(sys: ProlongableSystem, verdict: Verdict) -> tuple[bool, 
     raises.
 
     The stage walk and every fact the certificate rests on are recomputed;
-    a low-power `repetition` is checked locally at its two levels (see the
-    module docstring), other driver certificates by replaying the u-chain.
+    a low-power `repetition` is checked locally at its two levels, an E1 or
+    a gap `exit` locally at its level (see the module docstring), and other
+    driver certificates by replaying the u-chain.
     The check runs on new morphism objects, so no analysis that an earlier
     decide cached on the caller's sigma or phi is reused.
     """
@@ -1201,6 +1332,59 @@ def _int_fields_error(data: dict, fields: tuple[str, ...]) -> dict | None:
     return None
 
 
+def _scan_exit_error(stage: PreparedSystem, data: dict) -> dict | None:
+    """The rejection of an E1 or a gap certificate on a growing stage, or
+    None.  Checked locally: K from the count-free sheet, |u_1|..|u_level|
+    from the chain rule with each level's E1 window, and one scan of x at
+    the stated level; the certificate must equal the one rebuilt from them.
+    """
+    bad = _int_fields_error(data, ("u_length",))
+    if bad is not None:
+        return bad
+    level, u_len = data["level"], data["u_length"]
+    K = compute_count_free_sheet(stage.staged).K
+    if level < 1 or u_len < 1 or (K + 1) * u_len > WORK_BUDGET:
+        return {"reason": f"level and u_length must be positive, with (K+1)|u| <= {WORK_BUDGET}"}
+    xstream = FixedPointStream(stage.staged, "x")
+
+    def second(size: int) -> int | None:
+        occ = first_two_occurrences(xstream, xstream.prefix_chars(size), (K + 1) * size)
+        return occ[1] if len(occ) == 2 else None
+
+    for k, size in _chain_rule(second):
+        if k == level or size >= u_len:
+            break
+    else:
+        return {"reason": f"E1 fires at level {k}"}
+    if (k, size) != (level, u_len):
+        return {"reason": f"the chain rule gives |u_{k}| = {size}"}
+    if data["exit"] == "E1":
+        if second(size) is not None:
+            return {"reason": "the prefix recurs within its E1 window"}
+        # v = x[:size] starts x, so its one occurrence in the window is at 0
+        u = FixedPointStream(stage.staged, "y").prefix_chars(size)
+        rebuilt = e1_exit(stage.staged.alphabet, u, (K + 1) * size, 1)
+    else:
+        evidence = data.get("evidence")
+        positions = evidence.get("positions") if isinstance(evidence, dict) else None
+        if type(positions) is not list or [type(i) for i in positions] != [int, int]:
+            return {"reason": f"positions must be two ints, got {positions!r}"}
+        p, q = positions
+        if not 0 <= p < q or q + size > WORK_BUDGET:
+            return {"reason": f"positions must satisfy 0 <= p < q <= {WORK_BUDGET} - |u|"}
+        text = xstream.prefix_chars(q + size)
+        v = text[:size]
+        if not text.startswith(v, p) or text.find(v, p + 1) != q:
+            return {"reason": "the positions are not successive occurrences of the prefix"}
+        if q - p <= K * size:
+            return {"reason": f"a gap of {q - p} is within K|u| = {K * size}"}
+        rebuilt = _gap_exit(level, size, p, q, K * size)
+    want = _exit_certificate(rebuilt, level, size, None).data
+    if json.dumps(want, sort_keys=True) != json.dumps(data, sort_keys=True):
+        return {"reason": "the certificate differs from the rebuilt one"}
+    return None
+
+
 def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tuple[bool, dict]:
     expected = _CERT_OUTCOME.get(cert.kind)
     if expected is None:
@@ -1233,7 +1417,7 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         found = _repetition_levels(last, cert.data.get("power"), n, m)
         if isinstance(found, dict):
             return False, found
-        _, low, high = found
+        low, high = found
         if (low.sigma_u_images, low.psi) != (high.sigma_u_images, high.psi):
             return False, {
                 "reason": "descriptors differ",
@@ -1328,6 +1512,11 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
             return False, {"reason": "exit certificate on a pumping-branch system"}
         if data["exit"] == "cap":
             return False, {"reason": "theoretical-cap exits are not re-driven"}
+        if data["exit"] in ("E1", "gap"):
+            bad = _scan_exit_error(last, data)
+            if bad is not None:
+                return False, bad
+            return True, {"checked": "exit", "kind": data["exit"], "level": level}
         sheet = compute_constant_sheet(last.staged)
         sys_pow, descs, exited = _drive_to_level(last, sheet, level, WORK_BUDGET)
         if exited is None:

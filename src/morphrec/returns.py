@@ -258,7 +258,9 @@ class DriverExit:
     the target), 'empty-image' (an image block contributes no occurrence),
     'short-return' (return word shorter than |u|/K), 'unanchored' (anchoring
     was asked for and an image's first cut is not at 0 or its closing cut is
-    not at the end of the image block).  unconditional=True
+    not at the end of the image block), and 'gap' (two successive
+    occurrences of v in x more than K|v| apart, which the decider's exit
+    scan reports; the driver itself never does).  unconditional=True
     means the evidence alone refutes uniform recurrence; guarded exits also
     need aperiodicity, which the decider resolves separately.
     """
@@ -267,6 +269,18 @@ class DriverExit:
     unconditional: bool
     message: str
     evidence: dict = field(default_factory=dict, compare=False)
+
+
+def e1_exit(alpha: Alphabet, u: str, window: int, occurrences: int) -> DriverExit:
+    """The E1 exit of the prefix u of y (an internal string over alpha, the
+    alphabet of y), whose image v = phi(u) occurs `occurrences` times in the
+    first `window` letters of x, so it does not recur there."""
+    return DriverExit(
+        kind="E1",
+        unconditional=True,
+        message=f"prefix of length {len(u)} does not recur in the first {window} letters",
+        evidence={"u": alpha.decode(u), "window": window, "occurrences": occurrences},
+    )
 
 
 @dataclass(frozen=True)
@@ -351,16 +365,7 @@ def build_sigma_U(
     xstream = ystream if phi is None else FixedPointStream(sys, "x")
     occ = first_two_occurrences(xstream, v, window)
     if len(occ) < 2:
-        return DriverExit(
-            kind="E1",
-            unconditional=True,
-            message=f"prefix of length {m} does not recur in the first {window} letters",
-            evidence={
-                "u": alpha.decode(u),
-                "window": window,
-                "occurrences": len(occ),
-            },
-        )
+        return e1_exit(alpha, u, window, len(occ))
     p2 = occ[1]
     ytext = ystream.prefix_chars(p2 + m)
     pairs: list[tuple[str, str]] = [(ytext[:p2], ytext[p2 : p2 + m])]

@@ -1,6 +1,8 @@
 """Command-line interface: envelopes, exit codes, determinism, batch mode."""
 
+import io
 import json
+import sys
 
 import pytest
 
@@ -48,14 +50,18 @@ def test_decide_ur_text(capsys, fib_file, tmp_path):
     line = next(x for x in out.splitlines() if x.startswith("constants:"))
     assert line.startswith("constants: K=27 R=")
     assert "K2=" in line and "K1" not in line and "cap" not in line and "None" not in line
-    # a full-power exit counts, and prints K1 and the cap; its sigma is not
-    # primitive, so R is not computed
-    p = tmp_path / "exit.txt"
-    p.write_text("alphabet: a b c\nstart: a\nsigma:\na -> a a c\nb -> c b c\nc -> b b\n")
+    # a full-power verdict counts, and prints K1 and the cap; its sigma is
+    # not primitive, so R is not computed
+    p = tmp_path / "full.txt"
+    p.write_text(
+        "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b c\nb -> b c\nc -> c b\n"
+        "phi:\na -> 1\nb -> 1\nc -> 0\n"
+    )
     code, out, err = run(capsys, "decide-ur", str(p))
     assert code == 0
+    assert "certificate: repetition" in out
     line = next(x for x in out.splitlines() if x.startswith("constants:"))
-    assert line.startswith("constants: K=391 K1=") and "R=" not in line, line
+    assert line.startswith("constants: K=16 K1=") and "R=" not in line, line
     assert "K2=" in line and "cap=" in line and "None" not in line, line
 
 
@@ -63,7 +69,7 @@ def test_decide_ur_json_envelope(capsys, fib_file):
     code, out, _ = run(capsys, "decide-ur", "--json", fib_file)
     assert code == 0
     env = json.loads(out)
-    assert env["format"] == 4
+    assert env["format"] == 5
     assert env["command"] == "decide-ur"
     assert env["input"] == fib_file
     assert env["verdict"] == "uniformly_recurrent"
@@ -108,6 +114,21 @@ def test_decide_ur_multi_file_json_array_keeps_order(capsys, fib_file, tm_file):
     assert code == 0
     envs = json.loads(out)
     assert [e["input"] for e in envs] == [fib_file, tm_file]
+
+
+class _ClosedStdout(io.StringIO):
+    """A standard output whose reader has gone away, as under `| head`."""
+
+    def write(self, text):
+        raise BrokenPipeError(32, "Broken pipe")
+
+
+@pytest.mark.parametrize("flags", [["--json"], []])
+def test_closed_stdout_keeps_the_exit_code(monkeypatch, capsys, fib_file, tmp_path, flags):
+    monkeypatch.setattr(sys, "stdout", _ClosedStdout())
+    assert main(["decide-ur", "--verify", *flags, fib_file]) == 0
+    assert main(["decide-ur", "--verify", *flags, fib_file, str(tmp_path / "missing.txt")]) == 1
+    assert "missing.txt" in capsys.readouterr().err
 
 
 def test_missing_file_is_reported(capsys, tmp_path):

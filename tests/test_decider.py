@@ -2,12 +2,14 @@
 inspection helpers around them."""
 
 import json
+import time
+from dataclasses import replace
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphrec import constants, decider
+from morphrec import constants, decider, stream
 from morphrec.catalog import entries, get
 from morphrec.constants import compute_constant_sheet
 from morphrec.decider import (
@@ -30,8 +32,8 @@ from morphrec.decider import (
 from morphrec.errors import MorphrecError, PreconditionViolated
 from morphrec.morphism import Morphism
 from morphrec.returns import WORK_BUDGET, DriverExit, build_sigma_U
-from morphrec.system import parse_system
-from morphrec.words import Alphabet
+from morphrec.system import ProlongableSystem, parse_system
+from morphrec.words import Alphabet, occurrences_in_word
 
 import test_fuzz
 
@@ -131,13 +133,19 @@ def test_verdict_json_shape_and_determinism():
         assert json.loads(blob) == a
 
 
-# growing but not primitive (b and c never reach a), so the decider drives
-# the full-power chain
+# growing but not primitive (b and c never reach a)
 NONPRIMITIVE_GROWING = "alphabet: a b c\nstart: a\nsigma:\na -> a a c\nb -> b c b\nc -> b b\n"
+# growing, not primitive, and uniformly recurrent: no low power certifies
+# it and the exit scan finds nothing, so the decider drives the full-power
+# chain, which certifies a repetition at sigma^9
+FULL_POWER_UR = (
+    "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b c\nb -> b c\nc -> c b\n"
+    "phi:\na -> 1\nb -> 1\nc -> 0\n"
+)
 
 
 def test_inconclusive_on_tiny_pair_budget(monkeypatch):
-    text = NONPRIMITIVE_GROWING
+    text = FULL_POWER_UR
     monkeypatch.setattr(decider, "PAIR_BUDGET", 2)
     v = decide_uniform_recurrence(parse_system(text))
     assert v.outcome == INCONCLUSIVE
@@ -478,16 +486,312 @@ def test_low_power_verdict_needs_no_factor_count(monkeypatch, name):
     assert ok, detail
 
 
+def _thue_morse_block(j: int) -> str:
+    """tau^j(b) for the Thue-Morse substitution tau: b -> bc, c -> cb."""
+    word = "b"
+    for _ in range(j):
+        word = "".join({"b": "bc", "c": "cb"}[ch] for ch in word)
+    return word
+
+
+# a -> a X X with X = tau^5(b), and {b, c} closed under Thue-Morse: y is
+# a X X tau(X X) tau^2(X X) ..., with a cube of tau^(5+k)(b) at the k-th
+# junction.  Under the coding, the prefix of length 160 does not recur
+# within (K + 1) 160 = 2,720 letters (K = 16), an E1 at level 5 whose window
+# exceeds the exit scan's prefix, so the full-power chain finds it.
+LATE_E1 = (
+    "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\n"
+    f"a -> a {' '.join(_thue_morse_block(5) * 2)}\nb -> b c\nc -> c b\n"
+    "phi:\na -> 0\nb -> 0\nc -> 1\n"
+)
+
+
 def test_full_power_exit_counts_factors():
-    sys_ = parse_system("alphabet: a b c\nstart: a\nsigma:\na -> a a c\nb -> c b c\nc -> b b\n")
+    sys_ = parse_system(LATE_E1)
     v = decide_uniform_recurrence(sys_)
     assert v.outcome == NOT_UNIFORMLY_RECURRENT
     assert v.certificate.kind == "exit"
+    d = v.certificate.data
+    assert (d["exit"], d["level"], d["u_length"]) == ("E1", 5, 160)
     assert v.sheet.K1 is not None
     assert v.sheet == compute_constant_sheet(_growing_stage(sys_).staged)
-    assert [t["step"] for t in v.trace][-2:] == ["constants", "power"]
+    steps = [t["step"] for t in v.trace]
+    assert steps[-6:] == ["constants", "power"] + ["level"] * 4
+    assert "scan" not in steps
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
+
+
+# -- the exit scan ---------------------------------------------------------------------
+
+# systems whose full-power chain was slow, settled by the exit scan; the
+# notes give the exit and the cost of the full-power chain
+SCAN_SETTLED = {
+    # gap at level 1 (K 391); the chain needed p(K+1) and sigma^P for an E2
+    "gap_level1": ("alphabet: a b c\nstart: a\nsigma:\na -> a a c\nb -> c b c\nc -> b b\n", "gap", 1),
+    # E1 at level 3 (K 1,095); the chain ran past 20 s with no verdict
+    "ad_db": (
+        "alphabet: a b c d\nstart: a\ntarget: 0 1\nsigma:\na -> a d\nb -> d b\nc -> b b b\n"
+        "d -> c\nphi:\na -> 0\nb -> 0\nc -> 1\nd -> 1\n",
+        "E1",
+        3,
+    ),
+    # wide-sweep seed-2 draw 183: gap at level 3; the chain took 9.3 s to an E2
+    "sweep2_draw183": (
+        "alphabet: a b c d\nstart: a\ntarget: 0 1\nsigma:\na -> a a b\nb -> b c d\n"
+        "c -> d b b d\nd -> c b d d\nphi:\na -> 0\nb -> 1\nc -> 1\nd -> 0\n",
+        "gap",
+        3,
+    ),
+    # E1 at level 7 (K 1,782); the chain ended inconclusive after 21 s
+    "s_sa": (
+        "alphabet: s a b c d\nstart: s\ntarget: 0 1\nsigma:\ns -> s a\na -> a d\nb -> c d\n"
+        "c -> b\nd -> a b\nphi:\ns -> 0\na -> 0\nb -> 1\nc -> 1\nd -> 0\n",
+        "E1",
+        7,
+    ),
+    # E1 at level 4; its replay took 1.17 s to verify
+    "ab_ccb": (
+        "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b\nb -> c c b\nc -> b c\n"
+        "phi:\na -> 0\nb -> 1\nc -> 0\n",
+        "E1",
+        4,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SCAN_SETTLED))
+def test_exit_scan_settles_slow_full_power_draws(name):
+    text, kind, level = SCAN_SETTLED[name]
+    sys_ = parse_system(text)
+    t0 = time.perf_counter()
+    v = decide_uniform_recurrence(sys_)
+    ok, detail = verify_certificate(sys_, v)
+    elapsed = time.perf_counter() - t0
+    assert ok, detail
+    assert elapsed < 1.0, elapsed
+    assert v.outcome == NOT_UNIFORMLY_RECURRENT
+    d = v.certificate.data
+    assert (d["exit"], d["level"], d["unconditional"]) == (kind, level, True)
+    assert v.trace[-1] == {"step": "scan", "K": v.sheet.K, "level": level, "exit": kind}
+    assert not {"constants", "power", "level"} & {t["step"] for t in v.trace}
+    assert v.sheet.p_factor_count is None and v.sheet.K1 is None and v.sheet.cap is None
+
+
+def test_gap_exit_needs_no_count_and_no_full_power(monkeypatch):
+    sys_ = parse_system(SCAN_SETTLED["gap_level1"][0])
+    full = constants.compute_count_free_sheet(_growing_stage(sys_).staged).power_exponent
+    real = ProlongableSystem.with_sigma_power
+
+    def low_powers_only(self, k):
+        if k >= full:
+            pytest.fail(f"sigma^{k} composed")
+        return real(self, k)
+
+    monkeypatch.setattr(ProlongableSystem, "with_sigma_power", low_powers_only)
+    for module in (stream, constants):
+        monkeypatch.setattr(module, "_inner_language", lambda *_: pytest.fail("counted"))
+    v = decide_uniform_recurrence(sys_)
+    assert v.outcome == NOT_UNIFORMLY_RECURRENT
+    d = v.certificate.to_json_dict()
+    ev = d["evidence"]
+    assert (d["exit"], d["level"], d["u_length"]) == ("gap", 1, 1)
+    assert ev["bound"] == v.sheet.K == 391
+    assert ev["gap"] == ev["positions"][1] - ev["positions"][0] > 391
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+
+
+def test_scan_e1_is_the_chains_e1():
+    # the scan walks the chain rule, which is the full-power chain's own
+    sys_ = parse_system(SCAN_SETTLED["ab_ccb"][0])
+    v = decide_uniform_recurrence(sys_)
+    stage = _growing_stage(sys_)
+    sheet = compute_constant_sheet(stage.staged)
+    level = v.certificate.data["level"]
+    _, _, (n, exit_) = _drive_to_level(stage, sheet, level, WORK_BUDGET)
+    chain = decider._exit_certificate(exit_, n, len(exit_.evidence["u"]), None)
+    assert chain.to_json_dict() == v.certificate.to_json_dict()
+
+
+def test_verify_checks_exit_certificates_locally(monkeypatch):
+    found = []
+    for text in (LATE_E1, SCAN_SETTLED["gap_level1"][0], SCAN_SETTLED["ab_ccb"][0]):
+        sys_ = parse_system(text)
+        found.append((sys_, decide_uniform_recurrence(sys_)))
+    assert [v.certificate.data["exit"] for _, v in found] == ["E1", "gap", "E1"]
+    for name in ("with_factor_count", "compute_constant_sheet", "build_sigma_U", "_drive_to_level"):
+        monkeypatch.setattr(decider, name, lambda *_, name=name, **__: pytest.fail(f"{name} ran"))
+    for sys_, v in found:
+        ok, detail = verify_certificate(sys_, v)
+        assert ok, detail
+
+
+def _with_evidence(verdict, **changes):
+    return _tampered(verdict, evidence={**verdict.certificate.data["evidence"], **changes})
+
+
+@pytest.mark.parametrize("text", [LATE_E1, SCAN_SETTLED["ab_ccb"][0]])
+def test_verify_rejects_tampered_e1(text):
+    sys_ = parse_system(text)
+    v = decide_uniform_recurrence(sys_)
+    d = v.certificate.data
+    level, u_len, window = d["level"], d["u_length"], d["evidence"]["window"]
+    K = window // u_len - 1
+    for bad in (
+        _tampered(v, level=level + 1),
+        _tampered(v, level=level - 1),
+        _tampered(v, level=10**6),
+        _tampered(v, level=0),
+        _tampered(v, level=float(level)),
+        _tampered(v, u_length=u_len + 1),
+        _tampered(v, u_length=u_len - 1),
+        _tampered(v, u_length=True),
+        _tampered(v, u_length=str(u_len)),
+        _with_evidence(v, window=window + 1),
+        _with_evidence(v, window=window - 1),
+        _with_evidence(v, window=K * u_len),
+        _with_evidence(v, window=float(window)),
+        _with_evidence(v, occurrences=2),
+        _with_evidence(v, u=["a"]),
+        _tampered(v, unconditional=False),
+        _tampered(v, message="forged"),
+    ):
+        ok, detail = verify_certificate(sys_, bad)
+        assert not ok, (bad.certificate.data, detail)
+    # a self-consistent E1 one level early: its prefix recurs in its window
+    stage = _growing_stage(sys_)
+    prev = dict(zip(range(1, level), decider._chain_rule(lambda size: _second(stage, K, size))))
+    _, size = prev[level - 1]
+    y = stream.FixedPointStream(stage.staged, "y").prefix_chars(size)
+    early = decider.e1_exit(stage.staged.alphabet, y, (K + 1) * size, 1)
+    ok, detail = verify_certificate(sys_, _as_exit(v, early, level - 1, size))
+    assert not ok and "recurs" in detail["reason"], detail
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+
+
+def _second(stage, K, size):
+    """The second start of x[:size] within its E1 window, or None."""
+    xs = stream.FixedPointStream(stage.staged, "x")
+    occ = xs.scan_occurrences(xs.prefix_chars(size), (K + 1) * size, max_count=2)
+    return occ[1] if len(occ) == 2 else None
+
+
+def _as_exit(verdict, exit_, level, u_len):
+    cert = decider._exit_certificate(exit_, level, u_len, None)
+    return Verdict(verdict.outcome, cert, verdict.sheet, verdict.trace)
+
+
+def test_verify_rejects_tampered_gap():
+    sys_ = parse_system(SCAN_SETTLED["gap_level1"][0])
+    v = decide_uniform_recurrence(sys_)
+    ev = v.certificate.data["evidence"]
+    (p, q), gap, bound = ev["positions"], ev["gap"], ev["bound"]
+    for bad in (
+        _with_evidence(v, positions=[p + 1, q]),
+        _with_evidence(v, positions=[p - 1, q]),
+        _with_evidence(v, positions=[p, q + 1]),
+        _with_evidence(v, positions=[p, q - 1]),
+        _with_evidence(v, positions=[q, p]),
+        _with_evidence(v, positions=[p, q + gap]),
+        _with_evidence(v, gap=gap + 1),
+        _with_evidence(v, gap=gap - 1),
+        _with_evidence(v, bound=bound + 1),
+        _with_evidence(v, bound=bound - 1),
+        _with_evidence(v, level=2),
+        _with_evidence(v, u_length=2),
+        _tampered(v, level=2),
+        _tampered(v, u_length=2),
+        # fields that are not ints
+        _with_evidence(v, positions=[float(p), q]),
+        _with_evidence(v, positions=[p, str(q)]),
+        _with_evidence(v, positions=(p, q)),
+        _with_evidence(v, positions=[p, q, q]),
+        _with_evidence(v, gap=float(gap)),
+        _with_evidence(v, bound=float(bound)),
+        _with_evidence(v, level=True),
+        _with_evidence(v, u_length=1.0),
+        _tampered(v, level=True),
+        _tampered(v, u_length=True),
+        _tampered(v, evidence=None),
+        _tampered(v, unconditional=False),
+    ):
+        ok, detail = verify_certificate(sys_, bad)
+        assert not ok, (bad.certificate.data, detail)
+    # self-consistent forgeries: occurrences that are not successive, and
+    # successive occurrences within the bound
+    x = stream.FixedPointStream(_growing_stage(sys_).staged, "x").prefix_chars(2 * q)
+    v_ = x[:1]
+    later = x.find(v_, q + 1)
+    ok, detail = verify_certificate(sys_, _as_exit(v, decider._gap_exit(1, 1, p, later, bound), 1, 1))
+    assert not ok and "successive" in detail["reason"], detail
+    near = x.find(v_, 1)
+    ok, detail = verify_certificate(sys_, _as_exit(v, decider._gap_exit(1, 1, 0, near, bound), 1, 1))
+    assert not ok and "within" in detail["reason"], detail
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+
+
+def _brute_exit_scan(staged, K, limit):
+    """The exit scan by definition, from every occurrence of each prefix."""
+    x = stream.FixedPointStream(staged, "x").prefix_chars(limit)
+    size, level = 1, 1
+    while (K + 1) * size <= limit:
+        occ = occurrences_in_word(x, x[:size])
+        if len(occ) < 2 or occ[1] > K * size:
+            return level, size, "E1"
+        gaps = [(a, b) for a, b in zip(occ, occ[1:]) if b - a > K * size]
+        if gaps:
+            return level, size, "gap", gaps[0]
+        size, level = size + occ[1], level + 1
+    return None
+
+
+@pytest.mark.parametrize("K", [1, 2, 3, 5, 8, 13])
+def test_exit_scan_matches_its_definition(K):
+    # small K puts E1 windows and gap bounds right at the returns of x
+    texts = list(test_fuzz.SYSTEMS) + [t for t, _, _ in SCAN_SETTLED.values()] + [FULL_POWER_UR]
+    hits = 0
+    for text in texts:
+        stage = _growing_stage(parse_system(text))
+        if stage is None:
+            continue
+        sheet = constants.compute_count_free_sheet(stage.staged)
+        sheet = replace(sheet, K=K, powered_min=(K + 1) ** 2)
+        limit = min(decider.SCAN_LETTERS, decider.SCAN_IMAGES * sheet.powered_min)
+        got = decider._exit_scan(stage.staged, sheet)
+        if got is not None:
+            level, size, exit_ = got
+            got = (level, size, exit_.kind) + (
+                (tuple(exit_.evidence["positions"]),) if exit_.kind == "gap" else ()
+            )
+            hits += 1
+        assert got == _brute_exit_scan(stage.staged, K, limit), text
+    assert hits >= 5, hits
+
+
+def test_exit_scan_is_silent_on_uniformly_recurrent_inputs():
+    systems = [e.build() for e in entries() if e.expected == "ur"]
+    for text in test_fuzz.SYSTEMS:
+        sys_ = parse_system(text)
+        try:
+            if decide_uniform_recurrence(sys_, work_budget=1 << 20).outcome == UNIFORMLY_RECURRENT:
+                systems.append(sys_)
+        except MorphrecError:
+            pass
+    scanned = 0
+    for sys_ in systems:
+        stage = _growing_stage(sys_)
+        if stage is None:
+            continue
+        try:
+            sheet = constants.compute_count_free_sheet(stage.staged)
+        except MorphrecError:
+            continue
+        assert decider._exit_scan(stage.staged, sheet) is None, sys_
+        scanned += 1
+    assert scanned >= 40, scanned
 
 
 def _low_power_repetitions(systems, work_budget=WORK_BUDGET):
@@ -559,7 +863,7 @@ def test_local_check_builds_the_replayed_descriptors():
         sheet = constants.compute_count_free_sheet(stage.staged)
         _, levels, exited = _drive_to_level(stage, sheet, d["m"], WORK_BUDGET, power=d["power"])
         assert exited is None
-        _, low, high = decider._anchored_levels(stage, d["power"], d["n"], d["m"])
+        low, high = decider._anchored_levels(stage, d["power"], d["n"], d["m"])
         assert (low, high) == (levels[d["n"]], levels[d["m"]]), d
 
 
@@ -584,7 +888,7 @@ def test_the_chain_path_converts_no_word(monkeypatch):
         n, m, power = d["n"], d["m"], d["power"]
         sys_pow = stage.staged.with_sigma_power(power)
         levels = {k: res for k, _, res in decider._levels(sys_pow, power, sheet, m, WORK_BUDGET)}
-        _, low, high = decider._anchored_levels(stage, power, n, m)
+        low, high = decider._anchored_levels(stage, power, n, m)
         assert (low, high) == (levels[n], levels[m]), d
         assert [list(img) for img in _connecting_morphism(low, high)] == d["tau"]
         cert = decider._certify_repetition(sys_pow, power, n, m, low, high)

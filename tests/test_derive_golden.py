@@ -23,32 +23,32 @@ SLOW = ("chacon3", "vtm", "chacon_padded", "blown_fib")
 
 GOLDEN = {
     "blown_nonur": "error:PreconditionViolated",
-    "case1_comb": "95733fb3c281227bb1272cba7a28e1912c160214c4f2c5edd7afa5c70c4732e1",
+    "case1_comb": "cfd21d7ba5b27d125b58f47c7d2647dc573934013fb6c90ad822c4c687e0a64e",
     "cycle_tail": "error:PreconditionViolated",
     "cycle_tail_const": "error:PreconditionViolated",
     "erasing_sigma": "error:NormalizationUnsupported",
-    "fib_cubed": "32f3707e51d53e59ac97a86e09b825dc9796d64df8466f4d3eff26a8df2912fd",
-    "fibonacci": "ef8a6135334d5c581f86a5b1277dc1d63f4f718bbeb1a0a10f41c1df3de9ab0e",
-    "mixed_growth": "a46d403223615ea61635b0078c029820cb6b5b21e9b0250f9bd19401c1973bb4",
-    "nonprim_growing": "564528e192e8a7f449aee47d06f244e5c74f9405fd66196ec2618f3cdd9a3611",
+    "fib_cubed": "e2077223aa7250755c407c2af3acadcb95bfb2ba53b064762b42ccc847a3141c",
+    "fibonacci": "5352e3437acf59f05c40f06585b10965b8f6e8bd94076719001ede445785d143",
+    "mixed_growth": "4f9789ad340a02aed371f3a08b7a52b33c4df0ab8ffbfcdfcb7b1438bfc3c6e1",
+    "nonprim_growing": "733b2a98000c39d7d25f527619daa8a051ee440bb7d92f8ce00fdcf222eb7508",
     "nonur_block": "error:PreconditionViolated",
-    "paperfold4": "ccd8556516aa876930717c1b42d9837c8f50291ef9d85bb4caa71be3097d1f50",
-    "paperfold_coded": "a2aba64b0baa18ac079fd89d136e04a7291b3090f6fffba1c4d5f7e39634caf1",
-    "pell": "c0a78f44af91be28301713350240a5afedc32dfec9a7270df31cb712728fa323",
-    "period_doubling": "9c811a51f07779b74ed865aa4c81e82048bf7294a4fad78eba01bb302f4d843f",
-    "periodic_coded": "2fcd07952c07f40cc1bf23c221b74da3d075270e9edfabb33cd1513294ae3162",
-    "periodic_growing": "e834df6dfdbbd3d73d6e1b8c3d3f9948c98fbc8d6c7a7726ff7fb6e4f54fc843",
-    "rand4": "7bd9c660c0a7ee2a1098a406d524b930edb2a752b2e37ae6b3b220da96399007",
-    "rudin_shapiro": "0c2dd2073a2c003f61e3db22eca0ba6a2be4b61db9b541d707667662e5c180ff",
-    "rudin_shapiro_coded": "9b13f6f546017641f4febf7a3f0e6b6dffc33875519f23951b35d80622ce57e8",
-    "silver": "7b11a79035ef6929498a54a9d1d7617167c4fb7a98c61e22ede6df4fe4e13516",
-    "sturmian_ab": "25a631cc6a50998605ffae9599ca487cf1f4ddf6a072d17cbad9d9b93a759749",
+    "paperfold4": "0fc4326ea3a6ccfb74ba6f961d27068ac9da4877800bf4d7a800d8305785d990",
+    "paperfold_coded": "2e98c6a0805ec2bd6dbf1f6ad809c21cc0a5b121d157c7f788fe5723dd6bf5b4",
+    "pell": "a5faeaad069ddf9b1a6eabfc03506f2c03c17b933ed888a38e481da082572ca8",
+    "period_doubling": "0816c93851f9a0546a678fec77e5f378a17857ffe2dccb3e695af2b48fdecc1c",
+    "periodic_coded": "2d0165d9717df340efd93508ea45ed67ac6f2b90555b8670acd4be476f238578",
+    "periodic_growing": "38f1700ec371705708e2ea53fe71d57c2ea11aa208202a4e56cb05ba85c3cbeb",
+    "rand4": "1d48773f5e60d82022969470c34fc7857883719f19c7c95fade834cd2248647c",
+    "rudin_shapiro": "4c8845720b85e0cb21ec07de690faa4117a84e943cdd78e3baa6015b7b36eda7",
+    "rudin_shapiro_coded": "4bbfb95219eabce6c70487043c0fa4aa6dc3ea4ce175af4a8aebbced0b20f1cf",
+    "silver": "7504b5cc8eb818e7f92d9be50b80b8cdfc7fb7facd13fb6bb3650ef475719a53",
+    "sturmian_ab": "f7241e6c76af4bdd68d6df59f4fe2ca7f0c63d136d79935ebfcb6d1078d8c5fa",
     "tail_fin": "error:PreconditionViolated",
     "tail_fin_const": "error:PreconditionViolated",
-    "thue_morse": "850bda429e979c412e2c33561b597d52984f8a2a0eaf66e2753c0b5f56101982",
-    "tribonacci": "343c461ab9389b98ea1752c29ecef7ff211645adb8e5160c114cd4a0ffeaad98",
-    "twisted_tm": "dd9f8c84e55f2c8123042002f502d10384ddc8babf695950f769bbefa933c33f",
-    "unreachable_extra": "ef8a6135334d5c581f86a5b1277dc1d63f4f718bbeb1a0a10f41c1df3de9ab0e",
+    "thue_morse": "800830345f65decbeeae36a531e0984ab110511a22f679bfd9416758c96aa028",
+    "tribonacci": "74bca1a1a712ddc398f948dcd9d46f4127c70f7defdd7eb56f1a4d1f3121f287",
+    "twisted_tm": "4bf0c8ef31908ee385b77fa62649b8ae1f3f89c1265b80e834d650ae0be716ad",
+    "unreachable_extra": "5352e3437acf59f05c40f06585b10965b8f6e8bd94076719001ede445785d143",
 }
 
 
