@@ -34,7 +34,7 @@ from .oracle import window_ur_check
 from .returns import PRACTICAL_CAP, WORK_BUDGET, return_words_to_word
 from .system import ProlongableSystem, parse_system
 
-FORMAT_VERSION = 5
+FORMAT_VERSION = 6
 
 
 # ---------------------------------------------------------------------------

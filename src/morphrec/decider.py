@@ -78,8 +78,47 @@ its `repetition` certificate, and after the `primitive` check because a
 primitive stage is uniformly recurrent, so the scan could find nothing
 there.  An E1 it finds is the certificate the full-power chain would have
 issued at that level; a gap is a new unconditional exit.  Its verdict
-carries the count-free sheet and one `scan` trace step.  A stage the scan
-does not settle goes on to the full-power chain, unchanged.
+carries the count-free sheet and one `scan` trace step.
+
+A stage the scan does not settle gets the `primitive_tail` check before
+the full-power chain.  It applies when the start letter s is transient:
+sigma(s) = s w, and B, the letters reachable from w, does not hold s, so s
+occurs once in y = s z, with z = w sigma(z).  It needs sigma restricted to B
+primitive, with language L_B and minimal subshift X_B (every letter of B
+grows on a growing stage).  The certificate holds w, B, a positivity power
+k of sigma on B, a letter e of B with phi(e) = phi(s), words v_0 = e, v_1,
+..., v_n over B with each sigma(v_(i+1)) ending with v_i w, an index j < n
+with v_n = v_j, and a prefix length m.  Why it implies uniform recurrence:
+  - If sigma(v') = P v w, then sigma(v' z) = P v w sigma(z) = P v z, so
+    t_i = v_i z is a suffix of sigma(t_(i+1)).
+  - Let p = n - j and W_p = w sigma(w) ... sigma^(p-1)(w), so that
+    z = W_p sigma^p(z).  Composing the suffix conditions around the cycle
+    gives sigma^p(v_j) = s' v_j W_p for some word s'; the verifier checks
+    this letter for letter.  Then t = t_j satisfies
+    sigma^p(t) = s' v_j W_p sigma^p(z) = s' t.
+  - Suppose t[:m] is in L_B and |sigma^p(t[:m])| > |s'| + m.  As
+    sigma^p(t[:m]) is a prefix of sigma^p(t) = s' t, it equals s' t[:m']
+    with m' > m, and t[:m'] is in L_B, a factor of a word of L_B's image.
+    sigma is non-erasing, so m' - m does not shrink from one step to the
+    next, the prefixes grow without bound, every prefix of t is in L_B,
+    and t lies in X_B.
+  - X_B is closed under sigma and the shift, so each t_i lies in X_B as a
+    suffix of sigma(t_(i+1)), down to t_0 = e z.  Then x = phi(s) phi(z)
+    = phi(e z) lies in phi(X_B), which is minimal because sigma on B is
+    primitive (Queffelec, LNM 1294), so every factor of e z recurs in it
+    with bounded gaps and x is uniformly recurrent.
+Since |W_p| >= 1, m = |v_j| always meets the length condition, so
+t[:m] = v_j[:m]; the certificate states the least such m, which is usually
+1, and then the condition t[0] in B holds by itself.  A larger m is checked
+against the exact m-factors of L_B (`factor_language`'s closure on a
+positive power of sigma restricted to B).  The decider searches depth first
+from e over minimal preimages v' (no proper suffix of v' ends its image
+with v w), along a path of distinct words, within TAIL_WORD letters,
+TAIL_CHAIN steps and TAIL_STEPS letters tried; finding no chain leaves the
+stage to the full-power chain, unchanged.  The verdict
+carries the count-free sheet and one `tail` trace step.  The verifier
+rebuilds w and B from the stage and checks every stated fact locally, with
+no sheet, no sigma^P and no replay.
 
 The verifier checks a `repetition` whose power is in LOW_POWERS locally,
 with no constant sheet.  It composes the staged sigma to that power, gets
@@ -180,12 +219,21 @@ SCAN_IMAGES = 4
 # the same exit
 _POWER_INDEPENDENT_EXITS = ("short-return", "E1")
 
+# the primitive-tail search tries at most TAIL_STEPS letters in all, for
+# words v_i of at most TAIL_WORD letters along chains of at most TAIL_CHAIN
+# steps; the verifier rejects longer words and chains, and a cycle whose
+# sigma^p(v_j) has more than TAIL_IMAGE letters
+TAIL_WORD = 16
+TAIL_CHAIN = 32
+TAIL_STEPS = 4096
+TAIL_IMAGE = 1 << 16
+
 
 @dataclass(frozen=True)
 class Certificate:
     """Machine-checkable evidence: kind plus a JSON-ready payload."""
 
-    kind: str  # repetition | periodic | primitive | exit | periodic_mismatch
+    kind: str  # repetition | periodic | primitive | primitive_tail | exit | periodic_mismatch
     data: dict
 
     def to_json_dict(self) -> dict:
@@ -691,6 +739,148 @@ def _primitive_certificate(staged: ProlongableSystem) -> Certificate | None:
     return Certificate(kind="primitive", data={"positivity_power": k})
 
 
+@dataclass(frozen=True)
+class _Tail:
+    """A transient start letter s of a stage: sigma(s) = s w, and B, the
+    letters reachable from w, does not hold s."""
+
+    w: str  # over the staged alphabet
+    letters: str  # B, over the staged alphabet, in alphabet order
+    sub: Morphism  # sigma restricted to B, over its own alphabet
+
+
+def _transient_tail(staged: ProlongableSystem) -> _Tail | None:
+    """The stage's transient tail, or None when the start letter is reachable
+    from its own tail."""
+    alpha = staged.alphabet
+    w = staged.sigma.image(staged.start)[1:]
+    reach: set[str] = set()
+    for c in set(w):
+        reach.update(staged.incidence.reachable_letters(alpha.token_of_char(c)))
+    if staged.start in reach:
+        return None
+    tokens = [t for t in alpha.tokens if t in reach]
+    return _Tail(w, alpha.encode(tokens), staged.sigma.restricted_to(tokens))
+
+
+def _in_tail_language(tail: _Tail, word: str, k: int) -> bool:
+    """Whether word, over B, is a factor of L_B, the language of sigma
+    restricted to B, by the exact closure of `factor_language` on its
+    positive power k: every image of that power holds every letter, so its
+    iterates grow from any letter, and a primitive sigma and its powers
+    share one language, generated by any letter."""
+    sub = power(tail.sub, k)
+    lang = factor_language(ProlongableSystem(sub, sub.src.tokens[0]), len(word))
+    return word.translate(str.maketrans(tail.letters, sub.src.chars)) in lang
+
+
+def _tail_prefix(staged: ProlongableSystem, v: str, p: int) -> int | None:
+    """For t = v z, z = w sigma(z) the tail of y: the least m with
+    |sigma^p(t[:m])| > |s'| + m, when sigma^p(v) = s' v W_p with
+    W_p = w sigma(w) ... sigma^(p-1)(w), that is sigma^p(s) without the
+    start letter s, checked letter for letter; None when sigma^p(v) is not
+    of that form or either image has more than TAIL_IMAGE letters.
+    m <= |v| always, as W_p is not empty."""
+    sigma = staged.sigma
+    img, head = v, staged.alphabet.char(staged.start)
+    for _ in range(p):
+        img, head = sigma.apply(img), sigma.apply(head)
+        if max(len(img), len(head)) > TAIL_IMAGE:
+            return None
+    if not img.endswith(v + head[1:]):
+        return None
+    lead = len(img) - len(v) - len(head) + 1  # |s'|
+    lengths = dict(zip(staged.alphabet.chars, staged.incidence.lengths_after(p)))
+    size = 0
+    for m, c in enumerate(v, start=1):
+        size += lengths[c]
+        if size > lead + m:
+            return m
+    raise InternalConsistencyError("sigma^p(v) ends with v W_p but does not outgrow v")
+
+
+def _minimal_preimages(images: dict[str, str], target: str, budget: list[int]) -> list[str]:
+    """The words v' of at most TAIL_WORD letters over the letters of images
+    (letter -> sigma image) with sigma(v') ending with target and no proper
+    suffix of v' doing so, shortest first; each letter tried spends one unit
+    of budget[0].  Read right to left, each image must end what is left of
+    the target until one image covers the rest."""
+    out = []
+    stack = [(len(target), "")]  # (length of the target left, suffix of v')
+    while stack and budget[0] > 0:
+        end, suffix = stack.pop()
+        for c, img in images.items():
+            budget[0] -= 1
+            if len(img) >= end:
+                if img.endswith(target[:end]):
+                    out.append(c + suffix)
+            elif len(suffix) + 1 < TAIL_WORD and target.endswith(img, 0, end):
+                stack.append((end - len(img), c + suffix))
+    return sorted(out, key=lambda v: (len(v), v))
+
+
+def _tail_chain(staged: ProlongableSystem, tail: _Tail, e: str, k: int, budget: list[int]):
+    """(v_0 = e, ..., v_n; j; m): a path of distinct words, each v_(i+1) a
+    minimal preimage of v_i w, that closes with v_n = v_j, and whose cycle
+    meets the prefix condition at m; found by a depth-first search, or
+    None."""
+    images = {c: staged.sigma.apply(c) for c in tail.letters}
+    path, index, done = [e], {e: 0}, set()
+
+    def visit(v: str):
+        for nxt in _minimal_preimages(images, v + tail.w, budget):
+            if nxt in index:
+                j = index[nxt]
+                m = _tail_prefix(staged, nxt, len(path) - j)
+                if m is not None and (m == 1 or _in_tail_language(tail, nxt[:m], k)):
+                    return path + [nxt], j, m
+            elif nxt not in done and len(path) < TAIL_CHAIN and budget[0] > 0:
+                index[nxt] = len(path)
+                path.append(nxt)
+                found = visit(nxt)
+                if found is not None:
+                    return found
+                del index[path.pop()]
+                done.add(nxt)
+        return None
+
+    return visit(e)
+
+
+def _tail_certificate(staged: ProlongableSystem) -> Certificate | None:
+    """The `primitive_tail` certificate of a stage with a transient start
+    letter and a primitive sigma on B, or None (see the module docstring
+    for why it implies uniform recurrence)."""
+    tail = _transient_tail(staged)
+    if tail is None:
+        return None
+    k = tail.sub.incidence.primitive_exponent
+    # a preimage v' of v w has |sigma(v')| > |w| letters, within TAIL_WORD images
+    if k is None or len(tail.w) >= TAIL_WORD * tail.sub.max_image_len:
+        return None
+    alpha = staged.alphabet
+    phi = staged.effective_phi
+    lead = phi.apply(alpha.char(staged.start))
+    budget = [TAIL_STEPS]
+    for e in tail.letters:
+        if phi.apply(e) != lead:
+            continue
+        found = _tail_chain(staged, tail, e, k, budget)
+        if found is not None:
+            chain, j, m = found
+            data = {
+                "w": alpha.decode(tail.w),
+                "B": list(tail.sub.src.tokens),
+                "positivity_power": k,
+                "e": alpha.token_of_char(e),
+                "v": [alpha.decode(v) for v in chain],
+                "j": j,
+                "m": m,
+            }
+            return Certificate(kind="primitive_tail", data=data)
+    return None
+
+
 def _growing_verdict(
     stage: PreparedSystem, practical_cap: int, work_budget: int, trace: list[dict]
 ) -> Verdict:
@@ -740,6 +930,13 @@ def _growing_verdict(
         trace.append({"step": "scan", "K": sheet.K, "level": n, "exit": res.kind})
         cert = _exit_certificate(res, n, u_len, None)
         return Verdict(NOT_UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
+
+    cert = _tail_certificate(staged)
+    if cert is not None:
+        d = cert.data
+        n = len(d["v"]) - 1
+        trace.append({"step": "tail", "letters": len(d["B"]), "n": n, "p": n - d["j"]})
+        return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
 
     # only the full-power chain needs the factor count, through K1
     sheet = with_factor_count(staged, sheet)
@@ -1286,8 +1483,9 @@ def verify_certificate(sys: ProlongableSystem, verdict: Verdict) -> tuple[bool, 
 
     The stage walk and every fact the certificate rests on are recomputed;
     a low-power `repetition` is checked locally at its two levels, an E1 or
-    a gap `exit` locally at its level (see the module docstring), and other
-    driver certificates by replaying the u-chain.
+    a gap `exit` locally at its level, a `primitive_tail` locally from the
+    stage's tail (see the module docstring), and other driver certificates
+    by replaying the u-chain.
     The check runs on new morphism objects, so no analysis that an earlier
     decide cached on the caller's sigma or phi is reused.
     """
@@ -1307,6 +1505,7 @@ _CERT_OUTCOME = {
     "repetition": UNIFORMLY_RECURRENT,
     "periodic": UNIFORMLY_RECURRENT,
     "primitive": UNIFORMLY_RECURRENT,
+    "primitive_tail": UNIFORMLY_RECURRENT,
     "periodic_mismatch": NOT_UNIFORMLY_RECURRENT,
     "exit": NOT_UNIFORMLY_RECURRENT,
 }
@@ -1385,6 +1584,62 @@ def _scan_exit_error(stage: PreparedSystem, data: dict) -> dict | None:
     return None
 
 
+def _tail_error(stage: PreparedSystem, data: dict) -> dict | None:
+    """The rejection of a `primitive_tail` certificate on a growing stage,
+    or None.  Checked locally from the stage's own tail: w and B, the
+    positivity power of sigma on B, the chain's suffix conditions, the
+    minimality of each v_(i+1), the cycle's image sigma^p(v_j) and the least
+    prefix length m, with no sheet, no sigma^P and no replay."""
+    staged = stage.staged
+    tail = _transient_tail(staged)
+    if tail is None:
+        return {"reason": "the start letter is not transient"}
+    alpha = staged.alphabet
+    if data.get("w") != alpha.decode(tail.w):
+        return {"reason": "w is not the tail of the start letter's image"}
+    tokens = list(tail.sub.src.tokens)
+    if data.get("B") != tokens:
+        return {"reason": "B is not the set of letters reachable from w"}
+    k = data.get("positivity_power")
+    bad = _positivity_power_error(k, len(tokens)) or _int_fields_error(data, ("j", "m"))
+    if bad is not None:
+        return bad
+    if not mat_positive(mat_pow(tuple(map(tuple, tail.sub.incidence_matrix())), k)):
+        return {"reason": "stated power does not make sigma on B positive"}
+    e, v = data.get("e"), data.get("v")
+    if type(v) is not list or not 2 <= len(v) <= TAIL_CHAIN + 1 or any(
+        type(x) is not list or not 1 <= len(x) <= TAIL_WORD or not set(x) <= set(tokens)
+        for x in v
+    ):
+        return {
+            "reason": f"v must be 2..{TAIL_CHAIN + 1} words of 1..{TAIL_WORD} letters of B"
+        }
+    if e not in tokens or v[0] != [e]:
+        return {"reason": "e must be a letter of B and v_0 = e"}
+    phi = staged.effective_phi
+    if phi.image(e) != phi.image(staged.start):
+        return {"reason": "phi(e) differs from phi of the start letter"}
+    words = [alpha.encode(x) for x in v]
+    n, j = len(words) - 1, data["j"]
+    if not 0 <= j < n or words[n] != words[j] or len(set(words[:n])) != n:
+        return {"reason": "v_0 .. v_(n-1) must be distinct, with v_n = v_j for 0 <= j < n"}
+    sigma = staged.sigma
+    for i in range(n):
+        want = words[i] + tail.w
+        if not sigma.apply(words[i + 1]).endswith(want):
+            return {"reason": f"sigma(v_{i + 1}) does not end with v_{i} w"}
+        if sigma.apply(words[i + 1][1:]).endswith(want):
+            return {"reason": f"v_{i + 1} is not a minimal preimage"}
+    m = _tail_prefix(staged, words[j], n - j)
+    if m is None:
+        return {"reason": f"sigma^p(v_j) is not s' v_j W_p within {TAIL_IMAGE} letters"}
+    if data["m"] != m:
+        return {"reason": f"the least prefix length is {m}"}
+    if m > 1 and not _in_tail_language(tail, words[j][:m], k):
+        return {"reason": "the prefix of v_j is not a factor of L_B"}
+    return None
+
+
 def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tuple[bool, dict]:
     expected = _CERT_OUTCOME.get(cert.kind)
     if expected is None:
@@ -1459,6 +1714,14 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         if not mat_positive(mat_pow(mat, k)):
             return False, {"reason": "stated power does not make sigma positive"}
         return True, {"checked": "primitive", "positivity_power": k}
+
+    if cert.kind == "primitive_tail":
+        if not last.growing:
+            return False, {"reason": "primitive_tail certificate on a pumping-branch system"}
+        bad = _tail_error(last, cert.data)
+        if bad is not None:
+            return False, bad
+        return True, {"checked": "primitive_tail", "p": len(cert.data["v"]) - 1 - cert.data["j"]}
 
     if cert.kind == "periodic":
         bad = _int_fields_error(cert.data, ("period",))

@@ -51,25 +51,38 @@ def test_decide_ur_text(capsys, fib_file, tmp_path):
     assert line.startswith("constants: K=27 R=")
     assert "K2=" in line and "K1" not in line and "cap" not in line and "None" not in line
     # a full-power verdict counts, and prints K1 and the cap; its sigma is
-    # not primitive, so R is not computed
+    # not primitive, so R is not computed.  This system reaches the
+    # full-power chain (no image ends in c, so it has no primitive tail), and
+    # with the cap at 2 levels it ends inconclusive on the full sheet
     p = tmp_path / "full.txt"
+    p.write_text(
+        "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a c\nb -> b c b\nc -> b\n"
+        "phi:\na -> 1\nb -> 1\nc -> 0\n"
+    )
+    code, out, err = run(capsys, "decide-ur", "--cap", "2", "--budget", "1048576", str(p))
+    assert code == 0
+    assert "verdict: inconclusive" in out and "certificate: none" in out
+    line = next(x for x in out.splitlines() if x.startswith("constants:"))
+    assert line.startswith("constants: K=70 K1=") and "R=" not in line, line
+    assert "K2=" in line and "cap=" in line and "None" not in line, line
+    # a transient start letter with a Thue-Morse tail settles before the
+    # full-power chain, on the count-free sheet
     p.write_text(
         "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b c\nb -> b c\nc -> c b\n"
         "phi:\na -> 1\nb -> 1\nc -> 0\n"
     )
     code, out, err = run(capsys, "decide-ur", str(p))
     assert code == 0
-    assert "certificate: repetition" in out
+    assert "certificate: primitive_tail" in out
     line = next(x for x in out.splitlines() if x.startswith("constants:"))
-    assert line.startswith("constants: K=16 K1=") and "R=" not in line, line
-    assert "K2=" in line and "cap=" in line and "None" not in line, line
+    assert line.startswith("constants: K=16 K2=") and "K1" not in line and "cap" not in line
 
 
 def test_decide_ur_json_envelope(capsys, fib_file):
     code, out, _ = run(capsys, "decide-ur", "--json", fib_file)
     assert code == 0
     env = json.loads(out)
-    assert env["format"] == 5
+    assert env["format"] == 6
     assert env["command"] == "decide-ur"
     assert env["input"] == fib_file
     assert env["verdict"] == "uniformly_recurrent"

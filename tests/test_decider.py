@@ -30,7 +30,7 @@ from morphrec.decider import (
     verify_certificate,
 )
 from morphrec.errors import MorphrecError, PreconditionViolated
-from morphrec.morphism import Morphism
+from morphrec.morphism import Morphism, power
 from morphrec.returns import WORK_BUDGET, DriverExit, build_sigma_U
 from morphrec.system import ProlongableSystem, parse_system
 from morphrec.words import Alphabet, occurrences_in_word
@@ -136,18 +136,27 @@ def test_verdict_json_shape_and_determinism():
 # growing but not primitive (b and c never reach a)
 NONPRIMITIVE_GROWING = "alphabet: a b c\nstart: a\nsigma:\na -> a a c\nb -> b c b\nc -> b b\n"
 # growing, not primitive, and uniformly recurrent: no low power certifies
-# it and the exit scan finds nothing, so the decider drives the full-power
-# chain, which certifies a repetition at sigma^9
+# it and the exit scan finds nothing.  The start letter is transient with a
+# Thue-Morse tail, so it gets a primitive_tail certificate (e = b,
+# v_1 = v_2 = cb) before the full-power chain, which would certify a
+# repetition at sigma^9
 FULL_POWER_UR = (
     "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b c\nb -> b c\nc -> c b\n"
+    "phi:\na -> 1\nb -> 1\nc -> 0\n"
+)
+# transient start letter with a primitive tail but no chain (no image ends
+# in c = w), so the decider drives the full-power chain; with the default
+# budgets it ends inconclusive on the work budget after about 1.6 s
+CHAIN_ONLY = (
+    "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a c\nb -> b c b\nc -> b\n"
     "phi:\na -> 1\nb -> 1\nc -> 0\n"
 )
 
 
 def test_inconclusive_on_tiny_pair_budget(monkeypatch):
-    text = FULL_POWER_UR
+    text = CHAIN_ONLY
     monkeypatch.setattr(decider, "PAIR_BUDGET", 2)
-    v = decide_uniform_recurrence(parse_system(text))
+    v = decide_uniform_recurrence(parse_system(text), work_budget=1 << 16)
     assert v.outcome == INCONCLUSIVE
     assert v.certificate is None
     assert any(step.get("step") == "budget" for step in v.trace)
@@ -792,6 +801,225 @@ def test_exit_scan_is_silent_on_uniformly_recurrent_inputs():
         assert decider._exit_scan(stage.staged, sheet) is None, sys_
         scanned += 1
     assert scanned >= 40, scanned
+
+
+# -- the primitive-tail certificate ----------------------------------------------------
+
+# random-workload draws with a transient start letter that reached the
+# full-power chain; the notes give what the chain made of them
+TAIL_SETTLED = {
+    # a full-power repetition
+    "ac_c_cb": (
+        "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a c\nb -> c\nc -> c b\n"
+        "phi:\na -> 1\nb -> 1\nc -> 0\n"
+    ),
+    # inconclusive on the work budget; the chain is e -> v_1 = v_0 (n = 1)
+    "ab_cbb_bb": (
+        "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b\nb -> c b b\nc -> b b\n"
+        "phi:\na -> 1\nb -> 1\nc -> 0\n"
+    ),
+    # inconclusive; the chain enters a 2-cycle after 3 steps
+    "abb_cb_b": (
+        "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b b\nb -> c b\nc -> b\n"
+        "phi:\na -> 0\nb -> 1\nc -> 0\n"
+    ),
+    # P = 17: inconclusive at the default work budget, and a repetition at
+    # levels 9 and 10 with 2^28
+    "ac_c_bc": (
+        "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a c\nb -> c\nc -> b c\n"
+        "phi:\na -> 1\nb -> 1\nc -> 0\n"
+    ),
+    "full_power_ur": FULL_POWER_UR,
+}
+
+# wide-sweep seed-3 draw 101: transient, B = {b, c, d} primitive, and no chain
+SWEEP3_DRAW101 = (
+    "alphabet: a b c d\nstart: a\ntarget: 0 1\nsigma:\na -> a b\nb -> c d\nc -> b b\n"
+    "d -> b b c b\nphi:\na -> 1\nb -> 1\nc -> 0\nd -> 1\n"
+)
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_SETTLED))
+def test_primitive_tail_settles_chain_draws(name):
+    sys_ = parse_system(TAIL_SETTLED[name])
+    t0 = time.perf_counter()
+    v = decide_uniform_recurrence(sys_)
+    ok, detail = verify_certificate(sys_, v)
+    elapsed = time.perf_counter() - t0
+    assert ok, detail
+    assert elapsed < 1.0, elapsed
+    assert v.outcome == UNIFORMLY_RECURRENT
+    assert v.certificate.kind == "primitive_tail"
+    d = v.certificate.data
+    n = len(d["v"]) - 1
+    assert v.trace[-1] == {"step": "tail", "letters": len(d["B"]), "n": n, "p": n - d["j"]}
+    assert not {"constants", "power", "level"} & {t["step"] for t in v.trace}
+    assert v.sheet.p_factor_count is None and v.sheet.K1 is None and v.sheet.cap is None
+
+
+def test_full_power_ur_settles_without_the_chain(monkeypatch):
+    sys_ = parse_system(FULL_POWER_UR)
+    full = constants.compute_count_free_sheet(_growing_stage(sys_).staged).power_exponent
+    real = ProlongableSystem.with_sigma_power
+
+    def low_powers_only(self, k):
+        if k >= full:
+            pytest.fail(f"sigma^{k} composed")
+        return real(self, k)
+
+    monkeypatch.setattr(ProlongableSystem, "with_sigma_power", low_powers_only)
+    monkeypatch.setattr(decider, "with_factor_count", lambda *_: pytest.fail("counted"))
+    v = decide_uniform_recurrence(sys_)
+    assert v.outcome == UNIFORMLY_RECURRENT
+    assert v.certificate.to_json_dict() == {
+        "kind": "primitive_tail",
+        "w": ["b", "c"],
+        "B": ["b", "c"],
+        "positivity_power": 1,
+        "e": "b",
+        "v": [["b"], ["c", "b"], ["c", "b"]],
+        "j": 1,
+        "m": 1,
+    }
+    for name in ("compute_count_free_sheet", "compute_constant_sheet", "build_sigma_U", "_drive_to_level"):
+        monkeypatch.setattr(decider, name, lambda *_, name=name, **__: pytest.fail(f"{name} ran"))
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+
+
+def _tail_language_images(staged, tokens, n):
+    """phi of the n-factors of L_B, B the given tokens of the stage, from
+    the exact closure on a positive power of sigma restricted to B (its
+    iterates grow from every letter)."""
+    sub = staged.sigma.restricted_to(tokens)
+    sub = power(sub, sub.incidence.primitive_exponent)
+    to_stage = str.maketrans(sub.src.chars, staged.alphabet.encode(tokens))
+    lang = stream.factor_language(ProlongableSystem(sub, tokens[0]), n)
+    return {staged.effective_phi.apply(f.translate(to_stage)) for f in lang}
+
+
+@pytest.mark.parametrize("name", sorted(TAIL_SETTLED))
+def test_primitive_tail_x_lies_in_phi_of_l_b(name):
+    # an oracle that does not read the chain: x = phi(e z) with e z in X_B
+    # makes every factor of x a factor of phi(L_B)
+    sys_ = parse_system(TAIL_SETTLED[name])
+    v = decide_uniform_recurrence(sys_)
+    staged = _growing_stage(sys_).staged
+    x = stream.FixedPointStream(staged, "x").prefix_chars(4096)
+    for n in range(1, 9):
+        seen = {x[i : i + n] for i in range(len(x) - n + 1)}
+        assert seen <= _tail_language_images(staged, v.certificate.data["B"], n), n
+
+
+@pytest.mark.parametrize("name", ["full_power_ur", "ac_c_bc", "abb_cb_b"])
+def test_verify_rejects_tampered_primitive_tail(name):
+    sys_ = parse_system(TAIL_SETTLED[name])
+    v = decide_uniform_recurrence(sys_)
+    d = v.certificate.data
+    B, e, j, m, k = d["B"], d["e"], d["j"], d["m"], d["positivity_power"]
+    other = next(t for t in B if t != e)
+    bad = [
+        _tampered(v, e=other),
+        _tampered(v, j=j + 1),
+        _tampered(v, j=j - 1),
+        _tampered(v, j=len(d["v"]) - 1),
+        _tampered(v, m=m + 1),
+        _tampered(v, m=m - 1),
+        _tampered(v, w=d["w"] + [B[0]]),
+        _tampered(v, w=d["w"][1:]),
+        _tampered(v, B=B[1:]),
+        _tampered(v, B=B + ["a"]),
+        _tampered(v, B=B[::-1]),
+        _tampered(v, positivity_power=k - 1),
+        _tampered(v, v=d["v"][:-1]),
+        _tampered(v, v=d["v"] + [d["v"][-1]]),
+    ]
+    for i, word in enumerate(d["v"]):
+        swapped = word[:-1] + [next(t for t in B if t != word[-1])]
+        for changed in ([B[0]] + word, word[1:] or [other if word == [e] else e], swapped):
+            bad.append(_tampered(v, v=d["v"][:i] + [changed] + d["v"][i + 1 :]))
+            if i == j:  # v_j and v_n together, so the cycle still closes
+                bad.append(_tampered(v, v=d["v"][:i] + [changed] + d["v"][i + 1 : -1] + [changed]))
+    for field in ("e", "v", "j", "m", "w", "B", "positivity_power"):
+        for value in ("1", True, None):
+            bad.append(_tampered(v, **{field: value}))
+    for forged in bad:
+        ok, detail = verify_certificate(sys_, forged)
+        assert not ok, (forged.certificate.data, detail)
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+
+
+def test_verify_rejects_huge_primitive_tail_quickly():
+    sys_ = parse_system(FULL_POWER_UR)
+    v = decide_uniform_recurrence(sys_)
+    d = v.certificate.data
+    t0 = time.perf_counter()
+    for forged in (
+        _tampered(v, v=d["v"] * 10**5),
+        _tampered(v, v=[d["v"][0], ["c", "b"] * 10**6, ["c", "b"] * 10**6]),
+        _tampered(v, j=10**9),
+        _tampered(v, m=10**9),
+        _tampered(v, positivity_power=10**9),
+    ):
+        ok, detail = verify_certificate(sys_, forged)
+        assert not ok, detail
+    assert time.perf_counter() - t0 < 1.0
+
+
+def test_verify_rejects_primitive_tail_on_a_recurrent_start():
+    # fibonacci's start letter a is reachable from its tail b
+    v = decide_uniform_recurrence(parse_system(FULL_POWER_UR))
+    ok, detail = verify_certificate(load("fibonacci"), v)
+    assert not ok and "transient" in detail["reason"], detail
+    ok, detail = verify_certificate(load("nonur_block"), v)
+    assert not ok and "pumping-branch" in detail["reason"], detail
+
+
+def test_tail_search_finds_no_chain_on_non_ur_inputs():
+    texts = [t for t, _, _ in SCAN_SETTLED.values()] + [LATE_E1]
+    for text in test_fuzz.SYSTEMS:
+        try:
+            outcome = decide_uniform_recurrence(parse_system(text), work_budget=1 << 20).outcome
+        except MorphrecError:
+            continue
+        if outcome == NOT_UNIFORMLY_RECURRENT:
+            texts.append(text)
+    searched = 0
+    for text in texts:
+        stage = _growing_stage(parse_system(text))
+        if stage is None:
+            continue
+        tail = decider._transient_tail(stage.staged)
+        if tail is not None and tail.sub.incidence.primitive_exponent is not None:
+            searched += 1
+        assert decider._tail_certificate(stage.staged) is None, text
+    assert searched >= 6, searched
+
+
+@pytest.mark.parametrize("text", [CHAIN_ONLY, SWEEP3_DRAW101])
+def test_tail_search_without_a_chain(text):
+    staged = _growing_stage(parse_system(text)).staged
+    tail = decider._transient_tail(staged)
+    assert tail is not None and tail.sub.incidence.primitive_exponent is not None
+    assert decider._tail_certificate(staged) is None
+
+
+def test_tail_prefix_can_need_more_than_one_letter():
+    # sigma(b c) = c . b c . c b = s' v w with s' = c, and |sigma(b)| = 2 is
+    # not above |s'| + 1, so the least prefix length of t = b c z is 2
+    staged = _growing_stage(
+        parse_system("alphabet: a b c\nstart: a\nsigma:\na -> a c b\nb -> c b\nc -> c c b\n")
+    ).staged
+    tail = decider._transient_tail(staged)
+    enc = staged.alphabet.encode
+    assert decider._tail_prefix(staged, enc(["b", "c"]), 1) == 2
+    assert decider._tail_prefix(staged, enc(["c", "b"]), 1) == 1
+    # sigma(b) = c b does not end with b w
+    assert decider._tail_prefix(staged, enc(["b"]), 1) is None
+    k = tail.sub.incidence.primitive_exponent
+    assert decider._in_tail_language(tail, enc(["b", "c"]), k)
+    assert not decider._in_tail_language(tail, enc(["b", "b"]), k)
 
 
 def _low_power_repetitions(systems, work_budget=WORK_BUDGET):
