@@ -34,7 +34,7 @@ from .oracle import window_ur_check
 from .returns import PRACTICAL_CAP, WORK_BUDGET, return_words_to_word
 from .system import ProlongableSystem, parse_system
 
-FORMAT_VERSION = 6
+FORMAT_VERSION = 7
 
 
 # ---------------------------------------------------------------------------
@@ -383,9 +383,9 @@ def _render_decide(env: dict) -> str:
         lines.append("certificate: none")
     constants = env.get("constants")
     if constants:
-        # a field the verdict did not need was not computed and is null
-        shown = [f"{k}={constants[k]}" for k in ("K", "R", "K1", "K2", "cap")
-                 if constants[k] is not None]
+        # a verdict's sheet has no count fields, and R only for a primitive
+        # sigma
+        shown = [f"{k}={constants[k]}" for k in ("K", "R", "K2") if constants[k] is not None]
         lines.append("constants: " + " ".join(shown))
     ver = env.get("verification")
     if ver is not None:

@@ -7,8 +7,10 @@ flips a verdict.
 The sheet is built in two steps.  `compute_count_free_sheet` fills in every
 constant that does not need the factor count p(K+1); `with_factor_count`
 counts the (K+1)-factors of y and adds the constants built on that count.
-The count is by far the costliest part, and only the full-power chain uses
-what it yields.
+The count is by far the costliest part, and only the paper's full-power
+chain uses what it yields: `compute_constant_sheet` serves `derive_chain`
+and the `constants` and `derive` commands, while the decider and the
+verifier use the count-free sheet alone.
 """
 
 from __future__ import annotations
@@ -313,8 +315,7 @@ class ConstantSheet:
     so <sigma> >= (K+1)^2): the power exponent, the powered norm and min, and
     K2.  The count fields, p_factor_count (p(K+1)), preimage_bound, K1 and
     cap, are None on a sheet from `compute_count_free_sheet`, until
-    `with_factor_count` fills them in; a verdict's sheet leaves them None
-    when the verdict did not need them.
+    `with_factor_count` fills them in; a verdict's sheet leaves them None.
     """
 
     sigma_norm: int

@@ -19,50 +19,53 @@ a certificate is checked on the very stage it was issued for.
 
 The growing branch first builds the constant sheet without the factor count
 p(K+1), then drives the u-chain on sigma^p for the small powers in
-LOW_POWERS and accepts only a certified repetition there; everything else
-falls back to the full power P of the sheet, whose thresholds the exit
-evidence needs, and only then is p(K+1) counted.  Why a low-power
-repetition is sound: below P the driver demands that every pair image
-sigma^p(w) is cut exactly into whole return words (first cut at 0, closing
-cut at |sigma^p(w)|).  Each pair
-(w, u') is then followed in y by its u', and the cuts are all occurrences of
-v = phi(u) that start inside sigma^p(w), so Theta sigma_U = sigma^p Theta
-holds letter for letter.  As sigma_U(1) starts with 1 and y is fixed by
-sigma^p, y = Theta(D) for the fixed point D of sigma_U, and x = phi(y) cuts
-at every occurrence of v into the x-side return words psi(D).  Levels n < m
-with the same sigma_U and psi have D_n = D_m, and tau factors each level-m
-return word at the occurrences of v_n (v_m starts with v_n), so
-tau(psi(D_m)) = psi(D_n) = psi(D_m).  With tau primitive, psi(D_n) is the
-fixed point of a primitive substitution, hence uniformly recurrent, and so
-is its non-erasing image x.  No constant of the sheet enters this argument,
-so it holds at any power (Durand 1998, "A characterization of substitutive
-sequences using return words").  Why the low pass needs no p(K+1): the
-count enters the driver only through K1, the threshold of the guarded exit
-E3, and below P any exit only ends that power's try, never a decision.  So
-the low pass runs with no K1.  For K >= 3, K1 >= 4 K^3 (K+1)^4 >= 27,648
-exceeds PAIR_BUDGET, so the pair budget stops a table before E3 could fire
-and the pass is the same as with K1; only K <= 2 can certify where E3 would
-have ended the try.
+LOW_POWERS below the sheet's full power P and accepts only a certified
+repetition there.  A stage that this low pass, the `primitive` check, the
+`primitive_tail` search and the exit scan all leave open ends
+inconclusive, with one `unsettled` trace step.  The paper drives the chain
+at P, after counting p(K+1); the decider never does, and `derive_chain`
+keeps that chain for inspection.  Why a low-power repetition is sound:
+below P the driver demands that every pair image sigma^p(w) is cut exactly
+into whole return words (first cut at 0, closing cut at |sigma^p(w)|).
+Each pair (w, u') is then followed in y by its u', and the cuts are all
+occurrences of v = phi(u) that start inside sigma^p(w), so
+Theta sigma_U = sigma^p Theta holds letter for letter.  As sigma_U(1)
+starts with 1 and y is fixed by sigma^p, y = Theta(D) for the fixed point D
+of sigma_U, and x = phi(y) cuts at every occurrence of v into the x-side
+return words psi(D).  Levels n < m with the same sigma_U and psi have
+D_n = D_m, and tau factors each level-m return word at the occurrences of
+v_n (v_m starts with v_n), so tau(psi(D_m)) = psi(D_n) = psi(D_m).  With
+tau primitive, psi(D_n) is the fixed point of a primitive substitution,
+hence uniformly recurrent, and so is its non-erasing image x.  No constant
+of the sheet enters this argument, so it holds at any power (Durand 1998,
+"A characterization of substitutive sequences using return words").  Why
+the low pass needs no p(K+1): the count enters the driver only through K1,
+the threshold of the guarded exit E3, and below P any exit only ends that
+power's try, never a decision.  So the low pass runs with no K1.  For
+K >= 3, K1 >= 4 K^3 (K+1)^4 >= 27,648 exceeds PAIR_BUDGET, so the pair
+budget stops a table before E3 could fire and the pass is the same as with
+K1; only K <= 2 can certify where E3 would have ended the try.
 
 A growing stage that no low power certifies is checked for primitivity
-before sigma is raised to the full power P.  Why a `primitive` verdict is
-sound: the stage is the input after restriction to the letters the start
-reaches, coding normalization, the r_sigma power and any bounded-block
-encodings, each of which keeps x = phi(y) letter for letter, with y the
-fixed point of the staged sigma and phi a coding.  If some power M^k of
-the staged incidence matrix is positive, the staged sigma is primitive, so
-every factor of y occurs in every image sigma^n(b) for n large enough, and
-y is uniformly recurrent (Queffelec, "Substitution Dynamical Systems",
-LNM 1294, 1987).  A letter-to-letter image of a uniformly recurrent
-sequence is uniformly recurrent.  This uses no constant of the sheet
-either.  The check runs after the low pass so that every system a low power
-settles keeps its `repetition` certificate.  A verdict carries the sheet it
-used: a low-power `repetition` or a `primitive` verdict leaves the count
-fields of its sheet null and has no `constants` trace step.
+next.  Why a `primitive` verdict is sound: the stage is the input after
+restriction to the letters the start reaches, coding normalization, the
+r_sigma power and any bounded-block encodings, each of which keeps
+x = phi(y) letter for letter, with y the fixed point of the staged sigma
+and phi a coding.  If some power M^k of the staged incidence matrix is
+positive, the staged sigma is primitive, so every factor of y occurs in
+every image sigma^n(b) for n large enough, and y is uniformly recurrent
+(Queffelec, "Substitution Dynamical Systems", LNM 1294, 1987).  A
+letter-to-letter image of a uniformly recurrent sequence is uniformly
+recurrent.  This uses no constant of the sheet either.  The check runs
+after the low pass so that every system a low power settles keeps its
+`repetition` certificate.  A verdict carries the sheet it used: a
+low-power `repetition` or a `primitive` verdict leaves the count fields of
+its sheet null and has no `constants` trace step.
 
-A stage that is still open then gets the exit scan, before p(K+1) is
-counted and before sigma is raised to P.  It walks the u-chain's prefixes by
-the chain rule below, on one prefix of x, and ends the decision at the first
+A stage that is still open gets the `primitive_tail` check below, then the
+exit scan.  The scan walks the u-chain's prefixes by the chain rule below,
+on prefixes of x that double from SCAN_FIRST to SCAN_LETTERS letters and
+within SCAN_WORK letters searched, and ends the decision at the first
 level where v = x[:|u|] either has no second occurrence ending within
 (K+1)|v| letters (E1, the test the driver makes first at each level) or has
 two successive occurrences more than K|v| apart (a `gap`, the return word
@@ -74,14 +77,14 @@ non-periodic subshift factors", ETDS 2000).  Both facts are about x alone:
 v is a prefix of x whatever level named it, and sigma^p has the same fixed
 point for every p, so neither needs P, the factor count or a closure.  The
 scan runs after the low pass so that every system a low power settles keeps
-its `repetition` certificate, and after the `primitive` check because a
-primitive stage is uniformly recurrent, so the scan could find nothing
-there.  An E1 it finds is the certificate the full-power chain would have
-issued at that level; a gap is a new unconditional exit.  Its verdict
-carries the count-free sheet and one `scan` trace step.
+its `repetition` certificate, and after the `primitive` and `primitive_tail`
+checks because each of them proves uniform recurrence, so the scan could
+find nothing where they succeed, and a stage they settle never pays for it.
+An E1 it finds is the certificate the full-power chain would have issued at
+that level; a gap is an unconditional exit that the chain does not name.
+Its verdict carries the count-free sheet and one `scan` trace step.
 
-A stage the scan does not settle gets the `primitive_tail` check before
-the full-power chain.  It applies when the start letter s is transient:
+The `primitive_tail` check applies when the start letter s is transient:
 sigma(s) = s w, and B, the letters reachable from w, does not hold s, so s
 occurs once in y = s z, with z = w sigma(z).  It needs sigma restricted to B
 primitive, with language L_B and minimal subshift X_B (every letter of B
@@ -115,14 +118,14 @@ positive power of sigma restricted to B).  The decider searches depth first
 from e over minimal preimages v' (no proper suffix of v' ends its image
 with v w), along a path of distinct words, within TAIL_WORD letters,
 TAIL_CHAIN steps and TAIL_STEPS letters tried; finding no chain leaves the
-stage to the full-power chain, unchanged.  The verdict
+stage to the exit scan.  The verdict
 carries the count-free sheet and one `tail` trace step.  The verifier
 rebuilds w and B from the stage and checks every stated fact locally, with
 no sheet, no sigma^P and no replay.
 
-The verifier checks a `repetition` whose power is in LOW_POWERS locally,
-with no constant sheet.  It composes the staged sigma to that power, gets
-|u_1|..|u_m| from the chain rule alone (u_(k+1) is y up to the second
+The verifier checks a `repetition` locally, with no constant sheet, and
+only at a power in LOW_POWERS.  It composes the staged sigma to that power,
+gets |u_1|..|u_m| from the chain rule alone (u_(k+1) is y up to the second
 occurrence of v_k in x, plus |u_k| letters: one scan per level, no
 closure), builds only the closures at levels n and m, anchored and with no
 exit that K sets, and then checks the descriptors, tau and its positivity
@@ -132,22 +135,18 @@ u_m of y with |u_n| < |u_m|, plus the checks on tau.  And K enters
 `build_sigma_U` only through exits and through E1's scan window, so a run
 that produced a descriptor reproduces it letter for letter with those
 exits off.  Neither fact involves P, so a low power is not checked against
-it.  The decider drives the full power P unanchored, so when an anchored
-check exits and the stated power is P (which needs P <= 3), the chain is
-replayed level by level on the sheet as before; at any other power the
-exit rejects the certificate.  Powers outside LOW_POWERS are replayed
-level by level on the sheet.
+it, and an anchored check that exits rejects the certificate.
 
-The verifier checks every E1 and every gap certificate locally too,
-whether the scan or the full-power chain issued it: K from the count-free
-sheet, |u_1|..|u_level| from the chain rule with each level's E1 window
-(an earlier level whose prefix does not recur there is an E1 at that
-level, so the stated level is wrong), and one scan of x at the stated
+The verifier checks every E1 and every gap certificate locally too: K from
+the count-free sheet, |u_1|..|u_level| from the chain rule with each level's
+E1 window (an earlier level whose prefix does not recur there is an E1 at
+that level, so the stated level is wrong), and one scan of x at the stated
 level.  For E1, v must not recur within (K+1)|v|; for a gap, the stated
 positions must be successive occurrences of v more than K|v| apart.  The
 certificate must then equal the one rebuilt from these facts.  No factor
-count, no sigma^P and no closure are involved.  The other exit kinds are
-replayed level by level on the full sheet.
+count, no sigma^P and no closure are involved.  Every other exit kind but
+`letter` is rejected: the decider issues none, and nothing is replayed on
+the full sheet.
 """
 
 from __future__ import annotations
@@ -162,7 +161,6 @@ from .constants import (
     ConstantSheet,
     compute_constant_sheet,
     compute_count_free_sheet,
-    with_factor_count,
 )
 from .errors import (
     BudgetExhausted,
@@ -199,20 +197,21 @@ MAX_ENCODE_HOPS = 8
 # largest cell alphabet a bounded-block encoding may build
 _MAX_CELL_TOKENS = 512
 
-# powers tried, below the sheet's full power, before the full-power chain
+# powers tried, below the sheet's full power, before the other checks
 LOW_POWERS = (1, 2, 3)
 
 # largest period tried before the constant sheet: the exact check needs the
 # (q+1)-factors of x, whose count grows with q, and short periods are common
 UPFRONT_QMAX = 64
 
-# the exit scan reads at most SCAN_LETTERS letters of x, and at most
-# SCAN_IMAGES times the shortest image of sigma^P, so that it costs about
-# what the first level of the full-power chain costs: that level expands
-# sigma^P of its first pair alone, at least 2 such images.  It checks a level
-# of the u-chain only while that level's E1 window (K+1)|v| fits.
-SCAN_LETTERS = 1 << 18
-SCAN_IMAGES = 4
+# the exit scan walks the u-chain on prefixes of x that double from
+# SCAN_FIRST letters up to SCAN_LETTERS, checking a level on a prefix only
+# while that level's E1 window (K+1)|v| fits in it; each level checked
+# charges the prefix length, and the scan gives up once the charges pass
+# SCAN_WORK letters
+SCAN_FIRST = 1 << 12
+SCAN_LETTERS = 1 << 20
+SCAN_WORK = 1 << 23
 
 # a low-power try that exits this way ends the low pass: the u-chain and the
 # x-side return words do not depend on the power, so a higher power walks to
@@ -569,9 +568,7 @@ def _certify_repetition(
     )
 
 
-def _exit_certificate(
-    exit_: DriverExit, level: int, u_len: int, resolution: dict | None
-) -> Certificate:
+def _exit_certificate(exit_: DriverExit, level: int, u_len: int) -> Certificate:
     data = {
         "exit": exit_.kind,
         "unconditional": exit_.unconditional,
@@ -580,8 +577,6 @@ def _exit_certificate(
         "message": exit_.message,
         "evidence": dict(exit_.evidence),
     }
-    if resolution is not None:
-        data["resolution"] = resolution
     return Certificate(kind="exit", data=data)
 
 
@@ -633,33 +628,38 @@ def _first_gap(text: str, v: str, bound: int) -> tuple[int, int] | None:
         p = last
 
 
-def _exit_scan(
-    staged: ProlongableSystem, sheet: ConstantSheet
-) -> tuple[int, int, DriverExit] | None:
-    """(level, |u|, exit) of the first E1 or gap along the u-chain, with K
-    from the sheet, found on one prefix of x (see SCAN_LETTERS), or None.
+def _exit_scan(staged: ProlongableSystem, K: int) -> tuple[int, int, DriverExit] | None:
+    """(level, |u|, exit) of the first E1 or gap along the u-chain, or None.
 
     At each level, first E1, the test build_sigma_U makes first (v = x[:|u|]
     has no second start within Km, m = |v|, that is no second occurrence
     ending within (K+1)m letters); then a gap, two successive starts of v
-    more than Km apart anywhere in the scanned prefix, a return word that
-    E2 bounds.  The walk stops at the first level whose E1 window does not
-    fit in the prefix."""
-    K = sheet.K
-    limit = min(SCAN_LETTERS, SCAN_IMAGES * sheet.powered_min)
-    text = ""
-    for level, size in _chain_rule(lambda size: text.find(text[:size], 1)):
-        window = (K + 1) * size
-        if window > limit:
-            return None
-        text = text or FixedPointStream(staged, "x").prefix_chars(limit)
-        v = text[:size]
-        if text.find(v, 1, window) == -1:
-            u = FixedPointStream(staged, "y").prefix_chars(size)
-            return level, size, e1_exit(staged.alphabet, u, window, 1)
-        gap = _first_gap(text, v, K * size)
-        if gap is not None:
-            return level, size, _gap_exit(level, size, *gap, K * size)
+    more than Km apart anywhere in the prefix, a return word that E2 bounds.
+    The walk runs on x[:SCAN_FIRST], then on prefixes twice as long up to
+    x[:SCAN_LETTERS], each time from level 1 up to the first level whose E1
+    window does not fit; it stops at the first hit, or once the levels it
+    checked have charged SCAN_WORK letters, one prefix length each."""
+    xstream = FixedPointStream(staged, "x")
+    spent = 0
+    length = SCAN_FIRST
+    while length <= SCAN_LETTERS and spent + length <= SCAN_WORK:
+        text = xstream.prefix_chars(length)
+        for level, size in _chain_rule(lambda size: text.find(text[:size], 1)):
+            window = (K + 1) * size
+            if window > length:
+                break
+            spent += length
+            if spent > SCAN_WORK:
+                return None
+            v = text[:size]
+            if text.find(v, 1, window) == -1:
+                u = FixedPointStream(staged, "y").prefix_chars(size)
+                return level, size, e1_exit(staged.alphabet, u, window, 1)
+            gap = _first_gap(text, v, K * size)
+            if gap is not None:
+                return level, size, _gap_exit(level, size, *gap, K * size)
+        length *= 2
+    return None
 
 
 def _levels(
@@ -697,7 +697,6 @@ def _chain(
     sheet: ConstantSheet,
     practical_cap: int,
     work_budget: int,
-    trace: list[dict],
 ):
     """Drive the u-chain up to the practical cap, watching for repetitions.
 
@@ -709,21 +708,11 @@ def _chain(
         if isinstance(res, DriverExit):
             return n, len(u), res
         key = (res.sigma_u_images, res.psi)
-        trace.append(
-            {
-                "step": "level",
-                "n": n,
-                "u_length": len(u),
-                "pairs": len(res.pairs),
-                "x_returns": len(res.x_returns),
-            }
-        )
         if key in seen:
             n_low, desc_low = seen[key]
             cert = _certify_repetition(sys_pow, power, n_low, n, desc_low, res)
             if cert is not None:
                 return cert
-            trace.append({"step": "rejected-match", "n": n, "with": n_low})
         else:
             seen[key] = (n, res)
     return None
@@ -909,7 +898,7 @@ def _growing_verdict(
         if p >= sheet.power_exponent:
             break
         try:
-            found = _chain(staged.with_sigma_power(p), p, sheet, practical_cap, work_budget, [])
+            found = _chain(staged.with_sigma_power(p), p, sheet, practical_cap, work_budget)
         except BudgetExhausted:
             found = None
         certified = isinstance(found, Certificate)
@@ -924,13 +913,6 @@ def _growing_verdict(
         trace.append({"step": "primitive", **cert.data})
         return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
 
-    hit = _exit_scan(staged, sheet)
-    if hit is not None:
-        n, u_len, res = hit
-        trace.append({"step": "scan", "K": sheet.K, "level": n, "exit": res.kind})
-        cert = _exit_certificate(res, n, u_len, None)
-        return Verdict(NOT_UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
-
     cert = _tail_certificate(staged)
     if cert is not None:
         d = cert.data
@@ -938,49 +920,15 @@ def _growing_verdict(
         trace.append({"step": "tail", "letters": len(d["B"]), "n": n, "p": n - d["j"]})
         return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
 
-    # only the full-power chain needs the factor count, through K1
-    sheet = with_factor_count(staged, sheet)
-    trace.append({"step": "constants", "K": sheet.K, "K1": sheet.K1, "K2": sheet.K2})
-    sys_pow = staged.with_sigma_power(sheet.power_exponent)
-    trace.append(
-        {
-            "step": "power",
-            "exponent": sheet.power_exponent,
-            "min_image": sheet.powered_min,
-            "target": (sheet.K + 1) ** 2,
-        }
-    )
-    found = _chain(sys_pow, sheet.power_exponent, sheet, practical_cap, work_budget, trace)
-    if isinstance(found, Certificate):
-        return Verdict(UNIFORMLY_RECURRENT, found, sheet, tuple(trace))
+    hit = _exit_scan(staged, sheet.K)
+    if hit is not None:
+        n, u_len, res = hit
+        trace.append({"step": "scan", "K": sheet.K, "level": n, "exit": res.kind})
+        cert = _exit_certificate(res, n, u_len)
+        return Verdict(NOT_UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
 
-    if found is None:
-        q, ev = resolve_periodicity(sys_pow, qmax=4096)
-        if q is not None:
-            cert = _periodic_certificate(sys_pow, q, "cap-resolution", ev)
-            return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
-        trace.append({"step": "cap", "practical_cap": practical_cap})
-        return Verdict(INCONCLUSIVE, None, sheet, tuple(trace))
-
-    n, u_len, res = found
-    if res.unconditional:
-        return Verdict(
-            NOT_UNIFORMLY_RECURRENT,
-            _exit_certificate(res, n, u_len, None),
-            sheet,
-            tuple(trace),
-        )
-    qmax = max(2 * u_len, 512)
-    q, ev = resolve_periodicity(sys_pow, qmax=qmax)
-    if q is not None:
-        cert = _periodic_certificate(sys_pow, q, "guarded-exit-resolution", ev)
-        return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
-    return Verdict(
-        NOT_UNIFORMLY_RECURRENT,
-        _exit_certificate(res, n, u_len, ev),
-        sheet,
-        tuple(trace),
-    )
+    trace.append({"step": "unsettled", "reason": "no check settles the stage"})
+    return Verdict(INCONCLUSIVE, None, sheet, tuple(trace))
 
 
 # ---------------------------------------------------------------------------
@@ -1363,12 +1311,10 @@ def _drive_to_level(
     sheet: ConstantSheet,
     level: int,
     work_budget: int,
-    power: int | None = None,
 ):
-    """Reproduce the u-chain on sigma^power (default: the sheet's full power);
-    returns (powered system, descriptors by level, exit or None)."""
-    if power is None:
-        power = sheet.power_exponent
+    """Reproduce the u-chain on sigma^P, P the sheet's full power; returns
+    (powered system, descriptors by level, exit or None)."""
+    power = sheet.power_exponent
     sys_pow = prepared.staged.with_sigma_power(power)
     out = {}
     for n, _, res in _levels(sys_pow, power, sheet, level, work_budget):
@@ -1415,31 +1361,14 @@ def _anchored_levels(stage: PreparedSystem, power: int, n: int, m: int):
 
 def _repetition_levels(stage: PreparedSystem, power, n: int, m: int):
     """The descriptors at levels n and m that a `repetition` certificate
-    names, or the rejection of its power or of an exit on the way.  A power
-    in LOW_POWERS is checked locally, with no constant sheet; its anchored
-    closures can fail only where the decider drove an unanchored table, at
-    the full power P, so then the chain is replayed on the sheet as for any
-    other power."""
-    if type(power) is int and power in LOW_POWERS:
-        found = _anchored_levels(stage, power, n, m)
-        if not isinstance(found, int):
-            return found
-        sheet = compute_count_free_sheet(stage.staged)
-        if power != sheet.power_exponent:
-            return {"reason": f"driver exited at level {found}"}
-    else:
-        sheet = compute_count_free_sheet(stage.staged)
-        if type(power) is not int or not 1 <= power <= sheet.power_exponent:
-            return {
-                "reason": f"power must be an int in 1..{sheet.power_exponent}, got {power!r}"
-            }
-    if power == sheet.power_exponent:
-        # the full-power chain ran with K1, which needs the count
-        sheet = with_factor_count(stage.staged, sheet)
-    _, descs, exited = _drive_to_level(stage, sheet, m, WORK_BUDGET, power=power)
-    if exited is not None:
-        return {"reason": f"driver exited at level {exited[0]}"}
-    return descs[n], descs[m]
+    names, checked locally at its power, which must be in LOW_POWERS; or
+    the rejection of that power or of an exit on the way."""
+    if type(power) is not int or power not in LOW_POWERS:
+        return {"reason": f"power must be an int in {LOW_POWERS}, got {power!r}"}
+    found = _anchored_levels(stage, power, n, m)
+    if isinstance(found, int):
+        return {"reason": f"driver exited at level {found}"}
+    return found
 
 
 @dataclass(frozen=True)
@@ -1578,7 +1507,7 @@ def _scan_exit_error(stage: PreparedSystem, data: dict) -> dict | None:
         if q - p <= K * size:
             return {"reason": f"a gap of {q - p} is within K|u| = {K * size}"}
         rebuilt = _gap_exit(level, size, p, q, K * size)
-    want = _exit_certificate(rebuilt, level, size, None).data
+    want = _exit_certificate(rebuilt, level, size).data
     if json.dumps(want, sort_keys=True) != json.dumps(data, sort_keys=True):
         return {"reason": "the certificate differs from the rebuilt one"}
     return None
@@ -1773,30 +1702,11 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
             return False, {"reason": "letter witness not reproduced"}
         if not last.growing:
             return False, {"reason": "exit certificate on a pumping-branch system"}
-        if data["exit"] == "cap":
-            return False, {"reason": "theoretical-cap exits are not re-driven"}
-        if data["exit"] in ("E1", "gap"):
-            bad = _scan_exit_error(last, data)
-            if bad is not None:
-                return False, bad
-            return True, {"checked": "exit", "kind": data["exit"], "level": level}
-        sheet = compute_constant_sheet(last.staged)
-        sys_pow, descs, exited = _drive_to_level(last, sheet, level, WORK_BUDGET)
-        if exited is None:
-            return False, {"reason": "driver did not exit at the stated level"}
-        got_level, got_exit = exited
-        if got_level != level or got_exit.kind != data["exit"]:
-            return False, {
-                "reason": "exit mismatch",
-                "got": {"level": got_level, "kind": got_exit.kind},
-            }
-        if got_exit.unconditional != data["unconditional"]:
-            return False, {"reason": "exit conditionality differs"}
-        if not got_exit.unconditional:
-            qmax = data.get("resolution", {}).get("qmax", 512)
-            q, _ = resolve_periodicity(sys_pow, qmax=qmax)
-            if q is not None:
-                return False, {"reason": f"a pure period {q} was found after all"}
+        if data["exit"] not in ("E1", "gap"):
+            return False, {"reason": f"{data['exit']!r} exits are not issued"}
+        bad = _scan_exit_error(last, data)
+        if bad is not None:
+            return False, bad
         return True, {"checked": "exit", "kind": data["exit"], "level": level}
 
     return False, {"reason": f"unknown certificate kind {cert.kind!r}"}

@@ -387,15 +387,18 @@ def factor_language(sys: ProlongableSystem, n: int, which: str = "y") -> frozens
     sigma = sys.sigma
     if sigma.is_erasing:
         raise PreconditionViolated("exact factor sets need a non-erasing sigma")
-    # seed with a full sigma^T(a), T minimal with |sigma^T(a)| >= n
+    # seed with a full sigma^T(a), T minimal with |sigma^T(a)| >= n; iterates
+    # shorter than n that repeat (a fixed word, or a cycle of one-letter
+    # images) never reach n letters
     seed = sys.alphabet.char(sys.start)
+    seeds = {seed}
     while len(seed) < n:
-        grown = sigma.apply(seed)
-        if len(grown) > _CLOSURE_BUDGET:
+        seed = sigma.apply(seed)
+        if len(seed) > _CLOSURE_BUDGET:
             raise BudgetExhausted("factor closure seed exceeded its budget")
-        if len(grown) == len(seed):
-            break  # degenerate fixed word shorter than n
-        seed = grown
+        if seed in seeds:
+            break
+        seeds.add(seed)
     seen = set(factor_set(seed, n))
     frontier = list(seen)
     spent = 0

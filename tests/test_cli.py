@@ -50,10 +50,9 @@ def test_decide_ur_text(capsys, fib_file, tmp_path):
     line = next(x for x in out.splitlines() if x.startswith("constants:"))
     assert line.startswith("constants: K=27 R=")
     assert "K2=" in line and "K1" not in line and "cap" not in line and "None" not in line
-    # a full-power verdict counts, and prints K1 and the cap; its sigma is
-    # not primitive, so R is not computed.  This system reaches the
-    # full-power chain (no image ends in c, so it has no primitive tail), and
-    # with the cap at 2 levels it ends inconclusive on the full sheet
+    # a stage that no check settles ends inconclusive on the count-free
+    # sheet, with the named last step; its sigma is not primitive, so R is
+    # not computed.  No image ends in c, so it has no primitive tail
     p = tmp_path / "full.txt"
     p.write_text(
         "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a c\nb -> b c b\nc -> b\n"
@@ -63,8 +62,11 @@ def test_decide_ur_text(capsys, fib_file, tmp_path):
     assert code == 0
     assert "verdict: inconclusive" in out and "certificate: none" in out
     line = next(x for x in out.splitlines() if x.startswith("constants:"))
-    assert line.startswith("constants: K=70 K1=") and "R=" not in line, line
-    assert "K2=" in line and "cap=" in line and "None" not in line, line
+    assert line.startswith("constants: K=70 K2=") and "R=" not in line, line
+    assert "K1" not in line and "cap" not in line and "None" not in line, line
+    code, out, err = run(capsys, "decide-ur", "--json", str(p))
+    assert json.loads(out)["trace"][-1] == {"step": "unsettled",
+                                            "reason": "no check settles the stage"}
     # a transient start letter with a Thue-Morse tail settles before the
     # full-power chain, on the count-free sheet
     p.write_text(
@@ -82,7 +84,7 @@ def test_decide_ur_json_envelope(capsys, fib_file):
     code, out, _ = run(capsys, "decide-ur", "--json", fib_file)
     assert code == 0
     env = json.loads(out)
-    assert env["format"] == 6
+    assert env["format"] == 7
     assert env["command"] == "decide-ur"
     assert env["input"] == fib_file
     assert env["verdict"] == "uniformly_recurrent"

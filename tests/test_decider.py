@@ -145,21 +145,29 @@ FULL_POWER_UR = (
     "phi:\na -> 1\nb -> 1\nc -> 0\n"
 )
 # transient start letter with a primitive tail but no chain (no image ends
-# in c = w), so the decider drives the full-power chain; with the default
-# budgets it ends inconclusive on the work budget after about 1.6 s
+# in c = w), and the exit scan finds nothing: no check settles it, so it
+# ends inconclusive
 CHAIN_ONLY = (
     "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a c\nb -> b c b\nc -> b\n"
     "phi:\na -> 1\nb -> 1\nc -> 0\n"
 )
 
 
+UNSETTLED = {"step": "unsettled", "reason": "no check settles the stage"}
+
+
 def test_inconclusive_on_tiny_pair_budget(monkeypatch):
+    # the pair budget bounds only the low-power pass; a stage that no check
+    # settles ends in one named step, with the count-free sheet and no
+    # certificate to verify
     text = CHAIN_ONLY
     monkeypatch.setattr(decider, "PAIR_BUDGET", 2)
     v = decide_uniform_recurrence(parse_system(text), work_budget=1 << 16)
     assert v.outcome == INCONCLUSIVE
     assert v.certificate is None
-    assert any(step.get("step") == "budget" for step in v.trace)
+    assert v.trace[-1] == UNSETTLED
+    assert [t["certified"] for t in v.trace if t["step"] == "low-power"] == [False] * 3
+    assert v.sheet.K1 is None and "budget" not in [t["step"] for t in v.trace]
     ok, detail = verify_certificate(parse_system(text), v)
     assert not ok
     assert "certificate" in detail["reason"]
@@ -506,8 +514,8 @@ def _thue_morse_block(j: int) -> str:
 # a -> a X X with X = tau^5(b), and {b, c} closed under Thue-Morse: y is
 # a X X tau(X X) tau^2(X X) ..., with a cube of tau^(5+k)(b) at the k-th
 # junction.  Under the coding, the prefix of length 160 does not recur
-# within (K + 1) 160 = 2,720 letters (K = 16), an E1 at level 5 whose window
-# exceeds the exit scan's prefix, so the full-power chain finds it.
+# within (K + 1) 160 = 2,720 letters (K = 16), an E1 at level 5, which the
+# exit scan finds on its first prefix.
 LATE_E1 = (
     "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\n"
     f"a -> a {' '.join(_thue_morse_block(5) * 2)}\nb -> b c\nc -> c b\n"
@@ -516,22 +524,45 @@ LATE_E1 = (
 
 
 def test_full_power_exit_counts_factors():
+    # the paper's chain, driven at the full power on the counted sheet
+    # through derive_chain, exits where the scan does, with the same
+    # certificate; the decider's verdict carries the count-free sheet
     sys_ = parse_system(LATE_E1)
     v = decide_uniform_recurrence(sys_)
     assert v.outcome == NOT_UNIFORMLY_RECURRENT
-    assert v.certificate.kind == "exit"
     d = v.certificate.data
     assert (d["exit"], d["level"], d["u_length"]) == ("E1", 5, 160)
-    assert v.sheet.K1 is not None
-    assert v.sheet == compute_constant_sheet(_growing_stage(sys_).staged)
-    steps = [t["step"] for t in v.trace]
-    assert steps[-6:] == ["constants", "power"] + ["level"] * 4
-    assert "scan" not in steps
+    assert v.sheet.K1 is None
+    assert v.trace[-1] == {"step": "scan", "K": 16, "level": 5, "exit": "E1"}
+    chain = derive_chain(sys_, 5)
+    assert chain.sheet.K1 is not None
+    assert chain.sheet == compute_constant_sheet(_growing_stage(sys_).staged)
+    assert replace(chain.sheet, p_factor_count=None, preimage_bound=None, K1=None,
+                   cap=None) == v.sheet
+    assert sorted(chain.levels) == [1, 2, 3, 4]
+    n, exit_ = chain.driver_exit
+    assert decider._exit_certificate(exit_, n, 160) == v.certificate
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
 
 
 # -- the exit scan ---------------------------------------------------------------------
+
+# wide-sweep seed-3 draw 101: transient, B = {b, c, d} primitive, and no
+# tail chain; an E1 at level 5 with |u| = 129 and a window of 316,824 letters
+SWEEP3_DRAW101 = (
+    "alphabet: a b c d\nstart: a\ntarget: 0 1\nsigma:\na -> a b\nb -> c d\nc -> b b\n"
+    "d -> b b c b\nphi:\na -> 1\nb -> 1\nc -> 0\nd -> 1\n"
+)
+
+
+def _aab_ca_ccc(coding: str) -> str:
+    """a -> aab, b -> ca, c -> ccc under the coding of a, b, c given as digits."""
+    return (
+        "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a a b\nb -> c a\nc -> c c c\n"
+        "phi:\n" + "".join(f"{c} -> {d}\n" for c, d in zip("abc", coding))
+    )
+
 
 # systems whose full-power chain was slow, settled by the exit scan; the
 # notes give the exit and the cost of the full-power chain
@@ -566,6 +597,13 @@ SCAN_SETTLED = {
         "E1",
         4,
     ),
+    # census draws whose chain ended in an E2 after 3 ms
+    "aab_ca_ccc_010": (_aab_ca_ccc("010"), "gap", 3),
+    "aab_ca_ccc_101": (_aab_ca_ccc("101"), "gap", 3),
+    # the chain took 46 ms to this E1
+    "late_e1": (LATE_E1, "E1", 5),
+    # the chain timed out
+    "sweep3_draw101": (SWEEP3_DRAW101, "E1", 5),
 }
 
 
@@ -619,7 +657,7 @@ def test_scan_e1_is_the_chains_e1():
     sheet = compute_constant_sheet(stage.staged)
     level = v.certificate.data["level"]
     _, _, (n, exit_) = _drive_to_level(stage, sheet, level, WORK_BUDGET)
-    chain = decider._exit_certificate(exit_, n, len(exit_.evidence["u"]), None)
+    chain = decider._exit_certificate(exit_, n, len(exit_.evidence["u"]))
     assert chain.to_json_dict() == v.certificate.to_json_dict()
 
 
@@ -629,11 +667,17 @@ def test_verify_checks_exit_certificates_locally(monkeypatch):
         sys_ = parse_system(text)
         found.append((sys_, decide_uniform_recurrence(sys_)))
     assert [v.certificate.data["exit"] for _, v in found] == ["E1", "gap", "E1"]
-    for name in ("with_factor_count", "compute_constant_sheet", "build_sigma_U", "_drive_to_level"):
-        monkeypatch.setattr(decider, name, lambda *_, name=name, **__: pytest.fail(f"{name} ran"))
+    _refuse(monkeypatch, decider, "compute_constant_sheet", "build_sigma_U", "_drive_to_level")
+    _refuse(monkeypatch, constants, "with_factor_count")
     for sys_, v in found:
         ok, detail = verify_certificate(sys_, v)
         assert ok, detail
+
+
+def _refuse(monkeypatch, module, *names):
+    """Make each named function of the module fail the test when called."""
+    for name in names:
+        monkeypatch.setattr(module, name, lambda *_, name=name, **__: pytest.fail(f"{name} ran"))
 
 
 def _with_evidence(verdict, **changes):
@@ -688,7 +732,7 @@ def _second(stage, K, size):
 
 
 def _as_exit(verdict, exit_, level, u_len):
-    cert = decider._exit_certificate(exit_, level, u_len, None)
+    cert = decider._exit_certificate(exit_, level, u_len)
     return Verdict(verdict.outcome, cert, verdict.sheet, verdict.trace)
 
 
@@ -742,45 +786,62 @@ def test_verify_rejects_tampered_gap():
     assert ok, detail
 
 
-def _brute_exit_scan(staged, K, limit):
-    """The exit scan by definition, from every occurrence of each prefix."""
-    x = stream.FixedPointStream(staged, "x").prefix_chars(limit)
-    size, level = 1, 1
-    while (K + 1) * size <= limit:
-        occ = occurrences_in_word(x, x[:size])
-        if len(occ) < 2 or occ[1] > K * size:
-            return level, size, "E1"
-        gaps = [(a, b) for a, b in zip(occ, occ[1:]) if b - a > K * size]
-        if gaps:
-            return level, size, "gap", gaps[0]
-        size, level = size + occ[1], level + 1
-    return None
+def _brute_exit_scan(staged, K):
+    """The exit scan by definition, from every occurrence of each prefix,
+    on each prefix length of the doubling schedule in turn; (hit or None,
+    whether the letters charged ran out)."""
+    spent, length = 0, decider.SCAN_FIRST
+    while length <= decider.SCAN_LETTERS:
+        x = stream.FixedPointStream(staged, "x").prefix_chars(length)
+        size, level = 1, 1
+        while (K + 1) * size <= length:
+            spent += length
+            if spent > decider.SCAN_WORK:
+                return None, True
+            occ = occurrences_in_word(x, x[:size])
+            if len(occ) < 2 or occ[1] > K * size:
+                return (level, size, "E1"), False
+            gaps = [(a, b) for a, b in zip(occ, occ[1:]) if b - a > K * size]
+            if gaps:
+                return (level, size, "gap", gaps[0]), False
+            size, level = size + occ[1], level + 1
+        length *= 2
+    return None, False
 
 
 @pytest.mark.parametrize("K", [1, 2, 3, 5, 8, 13])
-def test_exit_scan_matches_its_definition(K):
-    # small K puts E1 windows and gap bounds right at the returns of x
+def test_exit_scan_matches_its_definition(monkeypatch, K):
+    # small K puts E1 windows and gap bounds right at the returns of x; small
+    # bounds keep the brute reference fast and make every bound bind
+    monkeypatch.setattr(decider, "SCAN_FIRST", 1 << 4)
+    monkeypatch.setattr(decider, "SCAN_LETTERS", 1 << 10)
+    monkeypatch.setattr(decider, "SCAN_WORK", 1 << 15)
     texts = list(test_fuzz.SYSTEMS) + [t for t, _, _ in SCAN_SETTLED.values()] + [FULL_POWER_UR]
-    hits = 0
+    hits = late = spent = 0
     for text in texts:
         stage = _growing_stage(parse_system(text))
         if stage is None:
             continue
-        sheet = constants.compute_count_free_sheet(stage.staged)
-        sheet = replace(sheet, K=K, powered_min=(K + 1) ** 2)
-        limit = min(decider.SCAN_LETTERS, decider.SCAN_IMAGES * sheet.powered_min)
-        got = decider._exit_scan(stage.staged, sheet)
+        got = decider._exit_scan(stage.staged, K)
         if got is not None:
             level, size, exit_ = got
             got = (level, size, exit_.kind) + (
                 (tuple(exit_.evidence["positions"]),) if exit_.kind == "gap" else ()
             )
             hits += 1
-        assert got == _brute_exit_scan(stage.staged, K, limit), text
-    assert hits >= 5, hits
+            late += (K + 1) * size > decider.SCAN_FIRST
+        want, ran_out = _brute_exit_scan(stage.staged, K)
+        assert got == want, text
+        spent += ran_out
+    # some walks run out of letters to charge; from K = 3 on, some hits
+    # need a prefix longer than the first
+    assert hits >= 5 and spent >= 1 and late >= (K >= 3), (hits, late, spent)
 
 
-def test_exit_scan_is_silent_on_uniformly_recurrent_inputs():
+def test_exit_scan_is_silent_on_uniformly_recurrent_inputs(monkeypatch):
+    # a scan with no hit runs to its bounds; smaller ones keep this test fast
+    monkeypatch.setattr(decider, "SCAN_LETTERS", 1 << 16)
+    monkeypatch.setattr(decider, "SCAN_WORK", 1 << 20)
     systems = [e.build() for e in entries() if e.expected == "ur"]
     for text in test_fuzz.SYSTEMS:
         sys_ = parse_system(text)
@@ -798,7 +859,7 @@ def test_exit_scan_is_silent_on_uniformly_recurrent_inputs():
             sheet = constants.compute_count_free_sheet(stage.staged)
         except MorphrecError:
             continue
-        assert decider._exit_scan(stage.staged, sheet) is None, sys_
+        assert decider._exit_scan(stage.staged, sheet.K) is None, sys_
         scanned += 1
     assert scanned >= 40, scanned
 
@@ -832,13 +893,6 @@ TAIL_SETTLED = {
     "full_power_ur": FULL_POWER_UR,
 }
 
-# wide-sweep seed-3 draw 101: transient, B = {b, c, d} primitive, and no chain
-SWEEP3_DRAW101 = (
-    "alphabet: a b c d\nstart: a\ntarget: 0 1\nsigma:\na -> a b\nb -> c d\nc -> b b\n"
-    "d -> b b c b\nphi:\na -> 1\nb -> 1\nc -> 0\nd -> 1\n"
-)
-
-
 @pytest.mark.parametrize("name", sorted(TAIL_SETTLED))
 def test_primitive_tail_settles_chain_draws(name):
     sys_ = parse_system(TAIL_SETTLED[name])
@@ -868,7 +922,7 @@ def test_full_power_ur_settles_without_the_chain(monkeypatch):
         return real(self, k)
 
     monkeypatch.setattr(ProlongableSystem, "with_sigma_power", low_powers_only)
-    monkeypatch.setattr(decider, "with_factor_count", lambda *_: pytest.fail("counted"))
+    _refuse(monkeypatch, constants, "with_factor_count")
     v = decide_uniform_recurrence(sys_)
     assert v.outcome == UNIFORMLY_RECURRENT
     assert v.certificate.to_json_dict() == {
@@ -881,8 +935,8 @@ def test_full_power_ur_settles_without_the_chain(monkeypatch):
         "j": 1,
         "m": 1,
     }
-    for name in ("compute_count_free_sheet", "compute_constant_sheet", "build_sigma_U", "_drive_to_level"):
-        monkeypatch.setattr(decider, name, lambda *_, name=name, **__: pytest.fail(f"{name} ran"))
+    _refuse(monkeypatch, decider, "compute_count_free_sheet", "compute_constant_sheet",
+            "build_sigma_U", "_drive_to_level")
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
 
@@ -977,7 +1031,7 @@ def test_verify_rejects_primitive_tail_on_a_recurrent_start():
 
 
 def test_tail_search_finds_no_chain_on_non_ur_inputs():
-    texts = [t for t, _, _ in SCAN_SETTLED.values()] + [LATE_E1]
+    texts = [t for t, _, _ in SCAN_SETTLED.values()]
     for text in test_fuzz.SYSTEMS:
         try:
             outcome = decide_uniform_recurrence(parse_system(text), work_budget=1 << 20).outcome
@@ -1003,6 +1057,61 @@ def test_tail_search_without_a_chain(text):
     tail = decider._transient_tail(staged)
     assert tail is not None and tail.sub.incidence.primitive_exponent is not None
     assert decider._tail_certificate(staged) is None
+
+
+def test_decide_and_verify_never_drive_the_full_power(monkeypatch):
+    # the decider counts no factors and composes no sigma^P, the power of
+    # the paper's chain; the verifier replays no chain and builds no
+    # counted sheet
+    systems = [e.build() for e in entries() if e.expected != "error"]
+    systems += [parse_system(t) for t, _, _ in SCAN_SETTLED.values()]
+    systems += [parse_system(t) for t in TAIL_SETTLED.values()]
+    systems += [parse_system(t) for t in (CHAIN_ONLY, PRIMITIVE_CODED)]
+    full = []  # P of each growing stage being decided, innermost last
+    real_verdict = decider._growing_verdict
+
+    def growing_verdict(stage, *args):
+        try:
+            full.append(constants.compute_count_free_sheet(stage.staged).power_exponent)
+        except MorphrecError:
+            full.append(None)
+        try:
+            return real_verdict(stage, *args)
+        finally:
+            full.pop()
+
+    real_power = ProlongableSystem.with_sigma_power
+
+    def with_sigma_power(self, k):
+        if full and full[-1] is not None and k >= full[-1]:
+            pytest.fail(f"sigma^{k} composed, P = {full[-1]}")
+        return real_power(self, k)
+
+    monkeypatch.setattr(decider, "_growing_verdict", growing_verdict)
+    monkeypatch.setattr(ProlongableSystem, "with_sigma_power", with_sigma_power)
+    _refuse(monkeypatch, constants, "with_factor_count", "compute_constant_sheet")
+    _refuse(monkeypatch, decider, "compute_constant_sheet", "_drive_to_level")
+    kinds = set()
+    for sys_ in systems:
+        v = decide_uniform_recurrence(sys_)
+        if v.certificate is None:
+            assert v.trace[-1] == UNSETTLED, v.trace
+            continue
+        kinds.add(v.certificate.kind)
+        ok, detail = verify_certificate(sys_, v)
+        assert ok, (v.certificate.data, detail)
+    assert kinds == set(decider._CERT_OUTCOME), kinds
+
+
+def test_verify_rejects_exit_kinds_it_does_not_check():
+    # only letter, E1 and gap exits are issued; a driver exit of any other
+    # kind, even one the driver can produce, is not replayed
+    sys_ = parse_system(SCAN_SETTLED["gap_level1"][0])
+    v = decide_uniform_recurrence(sys_)
+    for kind in ("E2", "E3", "E4", "empty-image", "no-occurrence", "short-return",
+                 "unanchored", "cap", None, ["gap"]):
+        ok, detail = verify_certificate(sys_, _tampered(v, exit=kind))
+        assert not ok and "not issued" in detail["reason"], (kind, detail)
 
 
 def test_tail_prefix_can_need_more_than_one_letter():
@@ -1044,8 +1153,8 @@ def test_low_power_repetition_verifies_locally(monkeypatch):
     systems = [e.build() for e in entries()] + [parse_system(t) for t in COUNT_FREE.values()]
     found = _low_power_repetitions(systems)
     assert len(found) == 23
-    for name in ("compute_count_free_sheet", "with_factor_count", "compute_constant_sheet"):
-        monkeypatch.setattr(decider, name, lambda *_, name=name: pytest.fail(f"{name} ran"))
+    _refuse(monkeypatch, decider, "compute_count_free_sheet", "compute_constant_sheet")
+    _refuse(monkeypatch, constants, "with_factor_count")
     calls = []
     real = decider.build_sigma_U
     monkeypatch.setattr(decider, "build_sigma_U", lambda *a, **k: calls.append(1) or real(*a, **k))
@@ -1089,8 +1198,10 @@ def test_local_check_builds_the_replayed_descriptors():
         d = v.certificate.data
         stage = _growing_stage(inner)
         sheet = constants.compute_count_free_sheet(stage.staged)
-        _, levels, exited = _drive_to_level(stage, sheet, d["m"], WORK_BUDGET, power=d["power"])
-        assert exited is None
+        sys_pow = stage.staged.with_sigma_power(d["power"])
+        levels = {k: res for k, _, res in decider._levels(sys_pow, d["power"], sheet, d["m"],
+                                                           WORK_BUDGET)}
+        assert not any(isinstance(res, DriverExit) for res in levels.values())
         low, high = decider._anchored_levels(stage, d["power"], d["n"], d["m"])
         assert (low, high) == (levels[d["n"]], levels[d["m"]]), d
 

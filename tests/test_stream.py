@@ -175,3 +175,22 @@ def test_factor_language_windows(trib):
     lang = factor_language(trib, 6, "y")
     big = factor_set(FixedPointStream(trib, "y").prefix_chars(1 << 15), 6)
     assert lang == big
+
+
+def test_factor_language_seeds_past_one_letter_images():
+    # b -> c, c -> b c from b: sigma(b) = c has the length of b, yet
+    # sigma^2(b) = b c, so L_2 is not empty
+    sys_ = parse_system("alphabet: b c\nstart: b\nsigma:\nb -> c\nc -> b c\n")
+    lang = factor_language(sys_, 2)
+    assert {"".join(sys_.alphabet.decode(w)) for w in lang} == {"bc", "cb", "cc"}
+    word = sys_.alphabet.char("b")
+    for _ in range(12):
+        word = sys_.sigma.apply(word)
+    assert lang == factor_set(word, 2)
+
+
+def test_factor_language_ends_on_a_cycle_of_one_letter_images():
+    # a -> b, b -> a: every iterate has one letter, so no factor has two
+    sys_ = parse_system("alphabet: a b\nstart: a\nsigma:\na -> b\nb -> a\n")
+    assert factor_language(sys_, 2) == frozenset()
+    assert {"".join(sys_.alphabet.decode(w)) for w in factor_language(sys_, 1)} == {"a", "b"}
