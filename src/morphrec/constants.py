@@ -11,6 +11,10 @@ The count is by far the costliest part, and only the paper's full-power
 chain uses what it yields: `compute_constant_sheet` serves `derive_chain`
 and the `constants` and `derive` commands, while the decider and the
 verifier use the count-free sheet alone.
+
+R, the largest gap between successive occurrences of a 2-factor of y, is
+read off the images of the 2-factors under one power of sigma, with no
+scan of a prefix of y.
 """
 
 from __future__ import annotations
@@ -33,7 +37,7 @@ from .growth import (
 )
 from .morphism import power
 from .returns import WORK_BUDGET
-from .stream import FixedPointStream, _inner_language, two_factor_closure
+from .stream import _inner_language, factor_language
 from .system import ProlongableSystem, restrict_to_reachable
 
 
@@ -54,12 +58,17 @@ def _steps_until_min_length(inc: IncidenceStructure, n: int) -> int:
 def compute_R_sigma(sys: ProlongableSystem) -> int:
     """Exact maximal gap between successive occurrences of any length-2 factor.
 
-    Completeness: for each pair u, a power t* is found with u occurring in
-    sigma^{t*}(e) for every letter e, so no u-free window can reach length
-    2|sigma^{t*}|; every distinct return word of that length occurs inside
-    the image of some two-letter factor, hence within a computable prefix.
-    The result is checked against the 2|sigma^{2d^2}| bound.  Materialized
-    images and the certified scan are each held to WORK_BUDGET letters.
+    Completeness: for each 2-factor u a power t* is found with u occurring
+    in sigma^{t*}(e) for every letter e, so successive occurrences of u are
+    less than 2|sigma^{t*}| apart, and the factor of y from one to the end
+    of the next has at most 2|sigma^{t*}| + 1 letters.  With s least such
+    that every |sigma^s(e)| >= 2|sigma^{t*}| + 2, that factor lies inside
+    sigma^s(cd) for a 2-factor cd, since y is the concatenation of the
+    images sigma^s(y_i); and sigma^s(cd) is itself a factor of y, so
+    successive occurrences of u inside it are successive in y.  R is thus
+    read off the windows sigma^s(c)sigma^s(d), with no prefix of y.  The
+    result is checked against the 2|sigma^{2d^2}| bound.  Materialized
+    images are held to WORK_BUDGET letters.
     """
     inc = sys.incidence
     horn = inc.primitive_exponent
@@ -68,8 +77,10 @@ def compute_R_sigma(sys: ProlongableSystem) -> int:
     sys.require_prolongable()
     alpha = sys.alphabet
     d = len(alpha)
-    pairs, depth = two_factor_closure(sys)
-    t_cap = horn + depth + 1 + _steps_until_min_length(inc, 2)
+    pairs = sorted(factor_language(sys, 2))
+    # each pair occurs in sigma^k(a) for some k <= d^2, and a in every
+    # sigma^horn(e)
+    t_cap = horn + d * d
 
     # materialized images per level, for the containment searches
     level_images: list[dict[str, str]] = [{c: c for c in alpha.chars}]
@@ -83,8 +94,8 @@ def compute_R_sigma(sys: ProlongableSystem) -> int:
             level_images.append(nxt)
         return level_images[t]
 
-    scans: dict[str, int] = {}
-    for u in sorted(pairs):
+    best = 1  # a word that recurs has gaps of at least 1
+    for u in pairs:
         t_star = None
         for t in range(1, t_cap + 1):
             if all(u in w for w in images_at(t).values()):
@@ -94,55 +105,23 @@ def compute_R_sigma(sys: ProlongableSystem) -> int:
             raise InternalConsistencyError(
                 "primitive substitution never covered a two-letter factor"
             )
-        g_bound = 2 * max(inc.lengths_after(t_star))
-        s_needed = _steps_until_min_length(inc, g_bound + 2)
-        scan = inc.lengths_after(depth + 1 + s_needed)[alpha.index(sys.start)]
-        if scan > WORK_BUDGET:
-            raise BudgetExhausted(
-                f"certified scan length {scan} exceeds the work budget"
-            )
-        scans[u] = scan
-    best = _largest_pair_gap(FixedPointStream(sys, "y"), scans)
+        images = images_at(_steps_until_min_length(inc, 2 * max(inc.lengths_after(t_star)) + 2))
+        # a piece between occurrences of u (between maximal runs of c for
+        # u = cc, whose occurrences overlap with gaps 1) is a gap less 2
+        split = re.compile(re.escape(u[0]) + "{2,}").split if u[0] == u[1] else None
+        for c, e in pairs:
+            window = images[c] + images[e]
+            if window.find(u, window.find(u) + 1) == -1:
+                raise InternalConsistencyError("two-letter factor did not recur in its window")
+            pieces = split(window) if split else window.split(u)
+            if len(pieces) > 2:
+                best = max(best, max(map(len, pieces[1:-1])) + 2)
 
     bound = 2 * max(inc.lengths_after(2 * d * d))
     if best > bound:
         raise InternalConsistencyError(
             f"computed R = {best} exceeds the 2|sigma^(2d^2)| = {bound} bound"
         )
-    return best
-
-
-def _largest_pair_gap(stream: FixedPointStream, scans: dict[str, int]) -> int:
-    """Largest gap between successive occurrences of a two-letter word u in
-    y[:scans[u]], over every u, from one pass over y.
-
-    Each window is split at the occurrences of u (at maximal runs of c for
-    u = cc, whose occurrences overlap: inside a run the gaps are 1), so a
-    gap is the length of a piece plus 2; only the first and last occurrence
-    of each u are kept across windows.
-    """
-    runs = {u: re.compile(re.escape(u[0]) + "{2,}") for u in scans if u[0] == u[1]}
-    first: dict[str, int] = {}
-    last: dict[str, int] = {}
-    best = 1  # a word that recurs has gaps of at least 1
-    for offset, window in stream.windows(max(scans.values()), 1):
-        for u, scan in scans.items():
-            if scan - offset < 2:
-                continue
-            text = window[: scan - offset]
-            pieces = runs[u].split(text) if u in runs else text.split(u)
-            if len(pieces) == 1:
-                continue
-            here = offset + len(pieces[0])
-            if u in last:
-                best = max(best, here - last[u])
-            else:
-                first[u] = here
-            if len(pieces) > 2:
-                best = max(best, max(map(len, pieces[1:-1])) + 2)
-            last[u] = offset + len(text) - len(pieces[-1]) - 2
-    if any(last.get(u, -1) <= first.get(u, -1) for u in scans):
-        raise InternalConsistencyError("two-letter factor did not recur in scan")
     return best
 
 
@@ -201,15 +180,11 @@ def _prolongable_block_system(
     return block_sys, exponent
 
 
-def compute_K(
-    sys: ProlongableSystem, r_value: int | None = None
-) -> tuple[int, tuple[SubMorphismConstants, ...], int]:
+def compute_K(sys: ProlongableSystem) -> tuple[int, tuple[SubMorphismConstants, ...], int]:
     """K = ceil of the least Q_t * R_t * |t| over primitive sub-morphisms.
 
     Candidates are the closed primitive blocks of the cyclicity decomposition
     of sigma, each raised to the recorded power making it prolongable.
-    r_value, when given, is R of sys itself and is reused for a block system
-    with the same sigma and start.
     Returns (K, all candidate constants, index of the chosen candidate).
     """
     inc = sys.incidence
@@ -220,10 +195,7 @@ def compute_K(
             continue
         block_sys, exponent = _prolongable_block_system(sys, letters, bd.r_sigma)
         _, q = pq_constants(block_sys.incidence)
-        if r_value is not None and (block_sys.sigma, block_sys.start) == (sys.sigma, sys.start):
-            r = r_value
-        else:
-            r = compute_R_sigma(block_sys)
+        r = compute_R_sigma(block_sys)
         norm = block_sys.sigma.max_image_len
         out.append(
             SubMorphismConstants(
@@ -365,10 +337,10 @@ def compute_count_free_sheet(sys: ProlongableSystem) -> ConstantSheet:
     sys = restrict_to_reachable(sys)
     inc = sys.incidence
     p_const, q_const = pq_constants(inc)
-    r_value = None
-    if inc.primitive_exponent is not None:
-        r_value = compute_R_sigma(sys)
-    k_const, subs, chosen = compute_K(sys, r_value)
+    k_const, subs, chosen = compute_K(sys)
+    # a primitive sigma is its own single block, whose power shares sigma's
+    # language and so its R
+    r_value = subs[0].r_value if inc.primitive_exponent is not None else None
 
     target = (k_const + 1) ** 2
     k_pow = 1

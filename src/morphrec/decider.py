@@ -1313,14 +1313,19 @@ def _drive_to_level(
     work_budget: int,
 ):
     """Reproduce the u-chain on sigma^P, P the sheet's full power; returns
-    (powered system, descriptors by level, exit or None)."""
+    (powered system, descriptors by level, exit or None).  A closure that
+    runs out of budget ends the chain with a `budget` exit at its level,
+    after the levels already built."""
     power = sheet.power_exponent
     sys_pow = prepared.staged.with_sigma_power(power)
     out = {}
-    for n, _, res in _levels(sys_pow, power, sheet, level, work_budget):
-        if isinstance(res, DriverExit):
-            return sys_pow, out, (n, res)
-        out[n] = res
+    try:
+        for n, _, res in _levels(sys_pow, power, sheet, level, work_budget):
+            if isinstance(res, DriverExit):
+                return sys_pow, out, (n, res)
+            out[n] = res
+    except BudgetExhausted as e:
+        return sys_pow, out, (len(out) + 1, DriverExit("budget", False, str(e)))
     return sys_pow, out, None
 
 

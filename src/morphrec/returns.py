@@ -37,8 +37,8 @@ from .words import Alphabet, occurrences_in_word
 
 # Default budgets, stated once for the library, the CLI and the scripts:
 # levels of the u-chain driven before the decider stops watching for a
-# repetition, pairs one closure may discover, and letters one closure (or
-# the certified scan behind R) may expand.
+# repetition, pairs one closure may discover, and letters one closure may
+# expand.
 PRACTICAL_CAP = 64
 PAIR_BUDGET = 4096
 WORK_BUDGET = 1 << 26
@@ -260,9 +260,10 @@ class DriverExit:
     was asked for and an image's first cut is not at 0 or its closing cut is
     not at the end of the image block), and 'gap' (two successive
     occurrences of v in x more than K|v| apart, which the decider's exit
-    scan reports; the driver itself never does).  unconditional=True
-    means the evidence alone refutes uniform recurrence; guarded exits also
-    need aperiodicity, which the decider resolves separately.
+    scan reports; the driver itself never does).  `derive_chain` alone
+    issues 'budget' (a closure ran past its work or pair budget), which
+    refutes nothing.  unconditional=True means the evidence alone refutes
+    uniform recurrence.
     """
 
     kind: str

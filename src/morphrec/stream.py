@@ -272,27 +272,6 @@ class ComplexityResult:
     exact: bool
 
 
-def two_factor_closure(sys: ProlongableSystem) -> tuple[set[str], int]:
-    """All length-2 factors of y, by closing {y[0:2]} under pair -> factors of
-    its image, plus the closure depth: every factor occurs in sigma^depth
-    applied to the first two letters.  Exact when every letter grows."""
-    seed = FixedPointStream(sys, "y").prefix_chars(2)
-    seen = {seed: 0}
-    frontier = [seed]
-    sigma = sys.sigma
-    while frontier:
-        nxt = []
-        for pair in frontier:
-            w = sigma.apply(pair)
-            for i in range(len(w) - 1):
-                f = w[i : i + 2]
-                if f not in seen:
-                    seen[f] = seen[pair] + 1
-                    nxt.append(f)
-        frontier = nxt
-    return set(seen), max(seen.values())
-
-
 def _inner_language(sys: ProlongableSystem, n: int) -> set[str]:
     """Exact L_n(y) for growing sigma via bounded windows over two-letter seeds.
 
@@ -305,7 +284,7 @@ def _inner_language(sys: ProlongableSystem, n: int) -> set[str]:
     """
     if n == 0:
         return {""}
-    pairs, _ = two_factor_closure(sys)
+    pairs = factor_language(sys, 2)
     if n == 1:
         return {c for p in pairs for c in p}
     inc = sys.incidence

@@ -215,6 +215,26 @@ def test_derive_json(capsys, tm_file):
     assert ["011010", "0110"] in by_level[2]["pairs"]
 
 
+def test_derive_keeps_its_levels_on_a_budget_exit(capsys, tmp_path):
+    # the closure at level 4 runs past 2^20 letters: derive lists the three
+    # levels it built and reports the budget like any other driver exit
+    p = tmp_path / "budget.txt"
+    p.write_text(
+        "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a c\nb -> a b\nc -> b c\n"
+        "phi:\na -> 1\nb -> 0\nc -> 0\n"
+    )
+    code, out, err = run(capsys, "derive", "--json", "--depth", "8", "--budget", "1048576", str(p))
+    assert code == 0 and err == ""
+    env = json.loads(out)
+    assert [lv["level"] for lv in env["levels"]] == [1, 2, 3]
+    assert env["driver_exit"]["level"] == 4
+    assert env["driver_exit"]["kind"] == "budget"
+    assert env["driver_exit"]["unconditional"] is False
+    code, out, _ = run(capsys, "derive", "--depth", "8", "--budget", "1048576", str(p))
+    assert code == 0
+    assert "driver exit at level 4: budget (unconditional=False)" in out
+
+
 def test_constants_json(capsys, fib_file):
     code, out, _ = run(capsys, "constants", "--json", fib_file)
     env = json.loads(out)

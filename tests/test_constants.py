@@ -6,16 +6,17 @@ from fractions import Fraction
 
 import pytest
 
-from morphrec.catalog import get
+from morphrec.catalog import entries, get
 from morphrec.constants import (
     CapExpression,
     compute_constant_sheet,
+    compute_count_free_sheet,
     compute_R_sigma,
 )
-from morphrec.decider import prepare
-from morphrec.errors import NotPrimitive
+from morphrec.decider import _growing_stage, prepare
+from morphrec.errors import MorphrecError, NotPrimitive
 from morphrec.returns import return_words_to_word
-from morphrec.stream import complexity, factor_language
+from morphrec.stream import FixedPointStream, complexity, factor_language
 from morphrec.system import parse_system
 
 
@@ -100,10 +101,59 @@ def test_sheet_json_shape():
     assert d["submorphisms"][0]["letters"] == ["a", "b"]
 
 
+def _growing_stages(texts):
+    """The staged system of each text's growing stage, where it has one."""
+    out = []
+    for text in texts:
+        try:
+            stage = _growing_stage(parse_system(text))
+        except MorphrecError:
+            continue
+        if stage is not None:
+            out.append(stage.staged)
+    return out
+
+
 def test_r_value_matches_direct_computation():
-    for name in ("fibonacci", "thue_morse", "period_doubling"):
-        staged = _staged(name)
-        assert _sheet(name).r_value == compute_R_sigma(staged)
+    # the sheet reads R off sigma's single block, a power of sigma with the
+    # same language
+    primitive = [
+        staged
+        for staged in _growing_stages(e.text for e in entries())
+        if staged.incidence.primitive_exponent is not None
+    ]
+    assert len(primitive) >= 10
+    for staged in primitive:
+        assert compute_count_free_sheet(staged).r_value == compute_R_sigma(staged)
+
+
+# random draws with a bounded letter whose R once took a second to stream
+_BOUNDED_LETTER_DRAWS = [
+    "alphabet: a b c\nstart: a\nsigma:\na -> a c c\nb -> b\nc -> b a a\n",
+    "alphabet: a b c\nstart: a\nsigma:\na -> a a b\nb -> c a a\nc -> c\n",
+    "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a c c\nb -> b\nc -> b a a\n"
+    "phi:\na -> 1\nb -> 0\nc -> 0\n",
+    "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b b\nb -> c a a\nc -> c\n"
+    "phi:\na -> 1\nb -> 0\nc -> 0\n",
+]
+
+
+def test_count_free_sheet_streams_no_prefix_of_y(monkeypatch):
+    stages = _growing_stages([e.text for e in entries()] + _BOUNDED_LETTER_DRAWS)
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sheet streamed y")
+
+    monkeypatch.setattr(FixedPointStream, "windows", refuse)
+    monkeypatch.setattr(FixedPointStream, "chunks", refuse)
+    sheets = 0
+    for staged in stages:
+        try:
+            compute_count_free_sheet(staged)
+        except MorphrecError:
+            continue
+        sheets += 1
+    assert sheets >= len(_BOUNDED_LETTER_DRAWS) + 10
 
 
 def test_r_sigma_requires_primitivity():

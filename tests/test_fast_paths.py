@@ -5,7 +5,7 @@ lengths_after extends cached rows one step at a time, PerronValue.cmp
 settles equal handles and rationals without a gcd, and the stream expands
 sigma^k(u) through a lazily built image table into coalesced chunks.
 Growth is read off the SCC radius classes and primitivity off the zero
-pattern, R comes from one pass over y that keeps no occurrence list, the
+pattern, R comes from the images of the 2-factors with no prefix of y, the
 bounded-window language adds each image's interior windows once,
 decoding and encoding go through char <-> token tables, a primitive
 staged sigma is certified without the full-power chain, and the finite-letter
@@ -15,11 +15,11 @@ screen reads cycles and reachability off the shared incidence analysis.
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from morphrec import catalog, decider
-from morphrec.constants import _largest_pair_gap, compute_constant_sheet
+from morphrec.constants import compute_constant_sheet, compute_R_sigma
 from morphrec.decider import (
     UNIFORMLY_RECURRENT,
     _growing_stage,
@@ -416,49 +416,65 @@ def test_catalog_decides_and_verifies_without_perron_values(monkeypatch):
     assert calls == []
 
 
-# -- R from one pass ---------------------------------------------------------------------
+# -- R from the images of the 2-factors ---------------------------------------------------
 
 
-def _gap_from_lists(stream: FixedPointStream, scans: dict[str, int]) -> int:
+def _largest_gap_in(y: str) -> int:
+    """The largest gap between successive occurrences of any 2-factor of y."""
+    last: dict[str, int] = {}
     best = 0
-    for u, scan in scans.items():
-        occ = stream.scan_occurrences(u, scan)
-        assert len(occ) >= 2
-        best = max(best, max(b - a for a, b in zip(occ, occ[1:])))
+    for i in range(len(y) - 1):
+        u = y[i : i + 2]
+        if u in last:
+            best = max(best, i - last[u])
+        last[u] = i
     return best
 
 
+def _window_prefix_length(sys_: ProlongableSystem) -> int | None:
+    """|sigma^(d^2+s)(a)|, s least such that every |sigma^s(e)| >= 2|sigma^t|
+    + 2 for the least t that puts any one 2-factor in every sigma^t(e), or
+    None past 2^20 letters.  Every 2-factor cd occurs in some sigma^k(a) with
+    k <= d^2, so the prefix holds each window sigma^s(cd)."""
+    inc = sys_.incidence
+    d = len(sys_.alphabet)
+    images = {c: c for c in sys_.alphabet.chars}
+    todo = set(factor_language(sys_, 2))
+    t = s = 0
+    while todo:
+        t += 1
+        images = {c: sys_.sigma.apply(w) for c, w in images.items()}
+        if sum(map(len, images.values())) > 1 << 20:
+            return None
+        if any(all(u in w for w in images.values()) for u in todo):
+            todo = {u for u in todo if not all(u in w for w in images.values())}
+            need = 2 * max(inc.lengths_after(t)) + 2
+            while min(inc.lengths_after(s)) < need:
+                s += 1
+    n = inc.lengths_after(d * d + s)[sys_.alphabet.index(sys_.start)]
+    return n if n <= 1 << 20 else None
+
+
 @settings(max_examples=40, deadline=None)
-@given(prolongable_systems(), st.data())
-def test_largest_pair_gap_matches_occurrence_lists(sys_, data):
-    y = FixedPointStream(sys_, "y").prefix_chars(3 * _CHUNK)
-    pairs = sorted({y[i : i + 2] for i in range(len(y) - 1)})
-    scans = {}
-    for u in pairs:
-        occ = [i for i in range(len(y) - 1) if y.startswith(u, i)]
-        if len(occ) < 2:
-            continue
-        low = occ[1] + 2  # the least scan with two occurrences
-        scans[u] = data.draw(
-            st.sampled_from([low, max(low, _CHUNK - 1), max(low, _CHUNK + 1), 3 * _CHUNK])
-        )
-    if not scans:
-        return
-    want = _gap_from_lists(FixedPointStream(sys_, "y"), scans)
-    assert _largest_pair_gap(FixedPointStream(sys_, "y"), scans) == want
+@given(prolongable_systems())
+def test_r_sigma_matches_a_brute_force_prefix(sys_):
+    assume(sys_.incidence.primitive_exponent is not None)
+    n = _window_prefix_length(sys_)
+    assume(n is not None)
+    y = FixedPointStream(sys_, "y").prefix_chars(n)
+    assert compute_R_sigma(sys_) == _largest_gap_in(y)
 
 
-def test_largest_pair_gap_on_letter_runs():
-    # y = a b^64 a b^64 ...: "bb" overlaps itself inside every run
+def test_r_sigma_on_letter_runs():
+    # y = (a b^64)^inf: "bb" overlaps itself inside every run, and the gap
+    # from the last bb of a run to the first of the next is 3; y has period
+    # 65, so four periods show every gap
     body = " ".join(["b"] * 64)
     sys_ = parse_system(f"alphabet: a b\nstart: a\nsigma:\na -> a {body}\nb -> a {body}\n")
-    ab, bb = sys_.alphabet.encode(["a", "b"]), sys_.alphabet.encode(["b", "b"])
-    for scans in ({bb: 3 * _CHUNK}, {bb: 40}, {ab: 3 * _CHUNK, bb: _CHUNK + 70}):
-        want = _gap_from_lists(FixedPointStream(sys_, "y"), scans)
-        assert _largest_pair_gap(FixedPointStream(sys_, "y"), scans) == want
+    y = FixedPointStream(sys_, "y").prefix_chars(4 * 65)
+    assert compute_R_sigma(sys_) == _largest_gap_in(y) == 65
     single = parse_system("alphabet: a\nstart: a\nsigma:\na -> a a\n")
-    aa = single.alphabet.encode(["a", "a"])
-    assert _largest_pair_gap(FixedPointStream(single, "y"), {aa: 5000}) == 1
+    assert compute_R_sigma(single) == 1
 
 
 # -- bounded-window language -------------------------------------------------------------
