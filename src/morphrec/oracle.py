@@ -1,10 +1,16 @@
-"""Brute-force scanning checks, independent of the return-word machinery.
+"""Checks on a prefix, independent of the return-word machinery.
 
 These exist so tests (and example generation) can compare structural
 computations against direct observation of the sequences.  A finite scan
 can refute a linear-recurrence bound but can never prove uniform
 recurrence; every report says explicitly which of the two it is.  Nothing
 here is consulted by the decision procedure itself.
+
+window_ur_check reads each factor's gaps off the distinct pieces of
+words.split_occurrences, and the letters that follow a factor give the
+factors one letter longer; a test pins it to the per-position definition,
+one left-to-right pass per factor length.  brute_force_return_words stays
+a plain str.find scan, the ground truth for the return tables.
 """
 
 from __future__ import annotations
@@ -14,6 +20,7 @@ from dataclasses import dataclass
 from .errors import NotEnoughOccurrences
 from .stream import FixedPointStream
 from .system import ProlongableSystem
+from .words import split_occurrences
 
 
 @dataclass(frozen=True)
@@ -41,6 +48,58 @@ class OracleReport:
     def ur_consistent(self) -> bool:
         """No violation found.  Explicitly NOT a proof of uniform recurrence."""
         return not self.violations
+
+
+@dataclass(frozen=True)
+class _Recurrence:
+    """Occurrences of one factor in a text: the largest gap between
+    successive starts (0 when it occurs once) with the first pair of starts
+    at that gap, its second and last starts, and the letters that follow it."""
+
+    gap: int
+    pair: tuple[int, int] | None
+    second: int | None
+    last: int
+    followers: frozenset[str]
+
+
+def _recurrence(text: str, f: str) -> _Recurrence:
+    """The _Recurrence of a factor f of text, read off the distinct pieces of
+    split_occurrences: a segment from a greedy start q to the next one, with
+    the inner piece P between them, holds the starts q + d of its offsets and
+    ends at q + |f| + |P|; the last segment holds only its offsets."""
+    pieces, inner, tail = split_occurrences(text, f)
+    m = len(f)
+    gap, best, at = 0, None, 0
+    followers = set()
+    for p, offsets in inner.items():
+        cuts = (0, *offsets, m + len(p))
+        for a, b in zip(cuts, cuts[1:]):
+            if b - a > gap:
+                gap, best, at = b - a, p, a
+        followers.update((p + f)[a] for a in cuts[:-1])
+    end = pieces[-1]
+    q_last = len(text) - len(end) - m
+    cuts = (0, *tail)
+    for a, b in zip(cuts, cuts[1:]):
+        if b - a > gap:
+            gap, best, at = b - a, None, a
+    followers.update(end[a] for a in cuts if a < len(end))
+    first = len(pieces[0])
+    if len(pieces) > 2:
+        offsets = inner[pieces[1]]
+        second = first + (offsets[0] if offsets else m + len(pieces[1]))
+    else:
+        second = first + tail[0] if tail else None
+    pair = None
+    if gap:
+        if best is None:  # the largest gap lies after the last greedy start
+            q = q_last
+        else:
+            i = pieces.index(best, 1)
+            q = sum(map(len, pieces[:i])) + (i - 1) * m
+        pair = (q + at, q + at + gap)
+    return _Recurrence(gap, pair, second, q_last + cuts[-1], frozenset(followers))
 
 
 def window_ur_check(
@@ -77,38 +136,32 @@ def window_ur_check(
     violations: list[GapViolation] = []
     total_factors = 0
 
-    for ln in range(1, min(factor_len_max, len(text)) + 1):
-        last: dict[str, int] = {}
-        gap_of: dict[str, tuple[int, tuple[int, int]]] = {}
-        for i in range(len(text) - ln + 1):
-            f = text[i : i + ln]
-            prev = last.get(f)
-            if prev is not None:
-                gap = i - prev
-                cur = gap_of.get(f)
-                if cur is None or gap > cur[0]:
-                    gap_of[f] = (gap, (prev, i))
-            last[f] = i
-        total_factors += len(last)
-        if gap_of:
-            top = max(gap_of.items(), key=lambda kv: kv[1][0])
-            worst[ln] = {
-                "factor": tuple(alpha.decode(top[0])),
-                "gap": top[1][0],
-                "positions": top[1][1],
-            }
-        if linear_bound is None:
-            continue
-        limit = linear_bound * ln
-        for f, (gap, pos) in gap_of.items():
-            if gap > limit:
-                violations.append(GapViolation(tuple(alpha.decode(f)), gap, pos, "internal"))
-        scan_end = len(text) - ln  # last start position fully checked
-        for f, pos in last.items():
-            if scan_end - pos > limit:
-                violations.append(
-                    GapViolation(tuple(alpha.decode(f)), scan_end - pos, (pos, scan_end), "tail")
-                )
+    factors = set(text)
+    top = min(factor_len_max, len(text))
+    for ln in range(1, top + 1):
+        stats = {f: _recurrence(text, f) for f in factors}
+        total_factors += len(stats)
+        gapped = [(f, st) for f, st in stats.items() if st.gap]
+        if gapped:
+            # the first factor to recur breaks ties, as a left-to-right scan does
+            f, st = min(gapped, key=lambda kv: (-kv[1].gap, kv[1].second))
+            worst[ln] = {"factor": tuple(alpha.decode(f)), "gap": st.gap, "positions": st.pair}
+        if linear_bound is not None:
+            limit = linear_bound * ln
+            scan_end = len(text) - ln  # last start position fully checked
+            for f, st in stats.items():
+                if st.gap > limit:
+                    violations.append(
+                        GapViolation(tuple(alpha.decode(f)), st.gap, st.pair, "internal")
+                    )
+                if scan_end - st.last > limit:
+                    violations.append(
+                        GapViolation(
+                            tuple(alpha.decode(f)), scan_end - st.last, (st.last, scan_end), "tail"
+                        )
+                    )
+        if ln < top:
+            factors = {f + c for f, st in stats.items() for c in st.followers}
 
     violations.sort(key=lambda v: (-v.gap, v.factor))
     return OracleReport(

@@ -22,6 +22,7 @@ from __future__ import annotations
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
 
 from .errors import (
     BudgetExhausted,
@@ -33,7 +34,7 @@ from .errors import (
 from .morphism import Morphism
 from .stream import FixedPointStream
 from .system import ProlongableSystem
-from .words import Alphabet, occurrences_in_word
+from .words import Alphabet, occurrences_in_word, split_occurrences
 
 # Default budgets, stated once for the library, the CLI and the scripts:
 # levels of the u-chain driven before the decider stops watching for a
@@ -84,6 +85,12 @@ def _check_prefix(stream: FixedPointStream, pattern: str, label: str):
         raise PrefixInvalid(f"{label} is not a prefix of the sequence")
 
 
+def _cut(segment: str, offsets: tuple[int, ...], closed: bool) -> tuple[str, ...]:
+    """segment cut at 0 and the offsets, and at its end when closed."""
+    cuts = (0, *offsets, len(segment)) if closed else (0, *offsets)
+    return tuple(segment[a:b] for a, b in zip(cuts, cuts[1:]))
+
+
 def return_words_to_word(
     sys: ProlongableSystem, u: list[str], budget: int = 1 << 16, which: str = "x"
 ) -> ReturnTable:
@@ -97,29 +104,32 @@ def return_words_to_word(
     alpha = sys.alphabet if which == "y" else sys.target_alphabet
     pattern = alpha.encode(u)
     _check_prefix(stream, pattern, "u")
-    text = stream.prefix_chars(budget)
-    occ = occurrences_in_word(text, pattern)
-    if len(occ) < 2:
+    pieces, inner, tail = split_occurrences(stream.prefix_chars(budget), pattern)
+    found = len(pieces) - 1 + len(tail)  # exact up to one greedy start
+    if found < 2:
         raise BudgetExhausted(
-            f"word recurred {len(occ)} time(s) within the first {budget} letters",
-            occurrences_found=len(occ),
+            f"word recurred {found} time(s) within the first {budget} letters",
+            occurrences_found=found,
         )
-    index_of: dict[str, int] = {}
-    words: list[tuple[str, ...]] = []
-    derived: list[int] = []
-    for a, b in zip(occ, occ[1:]):
-        w = text[a:b]
-        idx = index_of.get(w)
-        if idx is None:
-            idx = len(words) + 1
-            index_of[w] = idx
-            words.append(tuple(alpha.decode(w)))
-        derived.append(idx)
+    # the returns from a greedy start to the next, then those after the last
+    segments = {p: _cut(pattern + p, offsets, True) for p, offsets in inner.items()}
+    last = _cut(pattern + pieces[-1], tail, False)
+    index_of = {
+        w: i for i, w in enumerate(dict.fromkeys(chain(*segments.values(), last)), 1)
+    }
+    indices = {p: tuple(map(index_of.__getitem__, ws)) for p, ws in segments.items()}
+    if any(inner.values()):
+        derived = tuple(chain.from_iterable(map(indices.__getitem__, pieces[1:-1])))
+    else:  # one return per inner piece
+        derived = tuple(map({p: i for p, (i,) in indices.items()}.__getitem__, pieces[1:-1]))
+    derived += tuple(map(index_of.__getitem__, last))
+    del pieces
+    words = tuple(tuple(alpha.decode(w)) for w in index_of)
     return ReturnTable(
         u=tuple(u),
         which=which,
-        words=tuple(words),
-        derived_prefix=tuple(derived),
+        words=words,
+        derived_prefix=derived,
         complete=False,
         scanned=budget,
     )

@@ -1,15 +1,21 @@
 """Lazy generation of y = sigma^inf(a) and x = phi(y), plus factor analysis.
 
 The stream decomposes the fixed point as a . u . sigma(u) . sigma^2(u) ...
-where sigma(a) = a u.  Bulk prefixes keep a cache sigma^k(a) and grow it one
-translated block sigma^k(u) at a time.  Streaming scans keep a block
-sigma^k(u) whole, one sigma at a time, while it has at most _CHUNK letters,
-and expand the blocks after the last whole one through a table of sigma^j
-images, built one level at a time when a scan first reaches it and never
-past the level whose images, known in advance from the image lengths of
-sigma's shared incidence analysis, would exceed _CHUNK letters; deeper
-blocks translate pieces of shallower ones, so memory stays proportional to
-the chunk size times the expansion depth.
+where sigma(a) = a u.  Streaming scans keep a block sigma^k(u) whole, one
+sigma at a time, while it has at most _CHUNK letters, and expand the blocks
+after the last whole one through a table of sigma^j images, built one level
+at a time when a scan first reaches it and never past the level whose
+images, known in advance from the image lengths of sigma's shared incidence
+analysis, would exceed _CHUNK letters; deeper blocks translate pieces of
+shallower ones, so memory stays proportional to the chunk size times the
+expansion depth.
+
+Bulk prefixes keep a cache sigma^k(a), with the offsets of its blocks, and
+grow it one translated block sigma^k(u) at a time: from the block before
+while that one has fewer than _CHUNK letters, and after it from the block j
+levels earlier through the deepest sigma^j table, since str.translate with
+multi-letter images pays for every letter it reads.  The x cache grows by
+the phi-image of the new letters of y.
 """
 
 from __future__ import annotations
@@ -44,9 +50,9 @@ class FixedPointStream:
         self.sys = sys
         self.which = which
         self._ycache = sys.alphabet.char(sys.start)
-        # y = a u sigma(u) sigma^2(u) ...: the cache is sigma^k(a), and this
-        # its last block sigma^(k-1)(u), None while k = 0
-        self._yblock: str | None = None
+        # y = a u sigma(u) sigma^2(u) ...: the cache is sigma^k(a), and these
+        # the offsets of its blocks sigma^i(u), i < k
+        self._ystarts: list[int] = []
         self._xcache = None
         if which == "x":
             self._xcache = sys.effective_phi.apply(self._ycache)
@@ -64,10 +70,12 @@ class FixedPointStream:
             self._grow_y(n)
             return self._ycache[:n]
         guard = 0
+        phi = self.sys.effective_phi
         while len(self._xcache) < n:
             before = len(self._ycache)
-            self._grow_y(max(2 * len(self._ycache), 16))
-            self._xcache = self.sys.effective_phi.apply(self._ycache)
+            self._grow_y(max(2 * before, 16))
+            # phi(uv) = phi(u) phi(v): only the new letters of y are mapped
+            self._xcache += phi.apply(self._ycache[before:])
             guard += len(self._ycache) - before
             if len(self._xcache) < n and guard > _ERASE_GUARD + (n << 4):
                 raise BudgetExhausted(
@@ -85,17 +93,31 @@ class FixedPointStream:
         """Extend the cache sigma^k(a) to the first such prefix with at least
         n letters, translating only the new block sigma^k(u) at each level:
         translating the whole cache costs time quadratic in n when y grows
-        slowly (one letter per level for a -> a b, b -> b)."""
+        slowly (one letter per level for a -> a b, b -> b).  Once the last
+        block has _CHUNK letters, the next one is sigma^j of the block j
+        levels earlier, through the deepest table of _deepest_level."""
         sigma = self.sys.sigma
-        parts = [self._ycache]
-        size = len(self._ycache)
+        cache, starts = self._ycache, self._ystarts
+        parts = [cache]
+        size = len(cache)
+        old = len(starts)  # blocks from `old` on are in parts[1:]
         while size < n:
-            if self._yblock is None:
-                self._yblock = sigma.image(self.sys.start)[1:]
+            k = len(starts)
+            if k == 0:
+                new = sigma.image(self.sys.start)[1:]
+            elif size - starts[-1] < _CHUNK:
+                new = sigma.apply(parts[-1] if k > old else cache[starts[-1] :])
             else:
-                self._yblock = sigma.apply(self._yblock)
-            parts.append(self._yblock)
-            size += len(self._yblock)
+                j = self._deepest_level(k)
+                i = k - j
+                if i >= old:
+                    block = parts[i - old + 1]
+                else:
+                    block = cache[starts[i] : starts[i + 1] if i + 1 < old else len(cache)]
+                new = block.translate(self._levels[j - 1])
+            starts.append(size)
+            parts.append(new)
+            size += len(new)
         if len(parts) > 1:
             self._ycache = "".join(parts)
 

@@ -5,6 +5,11 @@ alphabet letter is one Python character starting at chr(33), so words are
 plain str values and morphism application / occurrence scanning run at
 C speed through str.translate and str.find. An Alphabet owns the two-way
 mapping; all internal words are strings over its internal characters.
+
+split_occurrences finds every occurrence of a word through str.split, which
+cuts at the greedy non-overlapping ones, and recovers the overlapping starts
+that split skips once per distinct piece; the return-word scan and the
+window oracle read their tables and gaps off those pieces.
 """
 
 from __future__ import annotations
@@ -110,3 +115,35 @@ def occurrences_in_word(word: str, pattern: str) -> list[int]:
         out.append(i)
         i = word.find(pattern, i + 1)
     return out
+
+
+def split_occurrences(
+    word: str, pattern: str
+) -> tuple[list[str], dict[str, tuple[int, ...]], tuple[int, ...]]:
+    """Every occurrence of pattern in word, read off word.split(pattern).
+
+    Returns (pieces, inner, tail).  pieces is word.split(pattern): the greedy,
+    non-overlapping starts are q_i = |pieces[0] .. pieces[i]| + i|pattern|,
+    with pieces[i + 1] between q_i + |pattern| and the next greedy start.
+    The starts split skips lie at q_i + d with 0 < d < |pattern|, d a period
+    of pattern, exactly when the text after q_i + |pattern| begins with
+    pattern[-d:]; for an inner piece P that text is P + pattern, for the last
+    piece it is P alone.  inner maps each distinct inner piece, in order of
+    first appearance, to the ascending offsets d found before it; tail holds
+    those of the last greedy start.  Each distinct piece is examined once.
+    """
+    if not pattern:
+        raise ValueError("pattern must be non-empty")
+    pieces = word.split(pattern)
+    m = len(pattern)
+    periods = [d for d in range(1, m) if pattern[d:] == pattern[: m - d]]
+    if not periods:
+        return pieces, dict.fromkeys(pieces[1:-1], ()), ()
+    inner = {
+        p: tuple(d for d in periods if (p + pattern).startswith(pattern[m - d :]))
+        for p in dict.fromkeys(pieces[1:-1])
+    }
+    tail = ()
+    if len(pieces) > 1:
+        tail = tuple(d for d in periods if pieces[-1].startswith(pattern[m - d :]))
+    return pieces, inner, tail

@@ -1,11 +1,18 @@
-"""Scan-based cross-checks: window gap reports and brute-force return words."""
+"""Scan-based cross-checks: window gap reports and brute-force return words.
+
+window_ur_check reads its gaps off split pieces (words.split_occurrences);
+_window_reference keeps the per-position definition it is pinned to.
+"""
+
+import random
 
 import pytest
 
-from morphrec.catalog import get
+from morphrec.catalog import PRIMITIVE_CORPUS, get
 from morphrec.errors import NotEnoughOccurrences
-from morphrec.oracle import brute_force_return_words, window_ur_check
+from morphrec.oracle import GapViolation, OracleReport, brute_force_return_words, window_ur_check
 from morphrec.returns import return_words_to_word
+from morphrec.stream import FixedPointStream
 from morphrec.system import parse_system
 
 
@@ -92,3 +99,120 @@ def test_brute_force_agrees_with_return_table():
         t = return_words_to_word(sys_, u, budget=4096)
         bf = brute_force_return_words(sys_, u, prefix_len=4096)
         assert tuple(bf) == t.words
+
+
+# -- the per-position definition --------------------------------------------------
+
+
+def _window_reference(sys_, factor_len_max, prefix_len, linear_bound=None, which="x", cut=64):
+    """window_ur_check as one left-to-right pass over every start position
+    per factor length, keeping each factor's last start; prefix_len and
+    factor_len_max are at least 1."""
+    text = FixedPointStream(sys_, which).prefix_chars(prefix_len)
+    alpha = sys_.alphabet if which == "y" else sys_.target_alphabet
+    worst = {}
+    violations = []
+    total_factors = 0
+    for ln in range(1, min(factor_len_max, len(text)) + 1):
+        last = {}
+        gap_of = {}
+        for i in range(len(text) - ln + 1):
+            f = text[i : i + ln]
+            prev = last.get(f)
+            if prev is not None:
+                gap = i - prev
+                cur = gap_of.get(f)
+                if cur is None or gap > cur[0]:
+                    gap_of[f] = (gap, (prev, i))
+            last[f] = i
+        total_factors += len(last)
+        if gap_of:
+            top = max(gap_of.items(), key=lambda kv: kv[1][0])
+            worst[ln] = {
+                "factor": tuple(alpha.decode(top[0])),
+                "gap": top[1][0],
+                "positions": top[1][1],
+            }
+        if linear_bound is None:
+            continue
+        limit = linear_bound * ln
+        for f, (gap, pos) in gap_of.items():
+            if gap > limit:
+                violations.append(GapViolation(tuple(alpha.decode(f)), gap, pos, "internal"))
+        scan_end = len(text) - ln
+        for f, pos in last.items():
+            if scan_end - pos > limit:
+                violations.append(
+                    GapViolation(tuple(alpha.decode(f)), scan_end - pos, (pos, scan_end), "tail")
+                )
+    violations.sort(key=lambda v: (-v.gap, v.factor))
+    return OracleReport(
+        checked="recurrence gaps of short factors",
+        prefix_len=prefix_len,
+        factor_len_max=factor_len_max,
+        factor_count=total_factors,
+        worst=worst,
+        violations=tuple(violations[:cut]),
+        conclusive=bool(violations) and linear_bound is not None,
+    )
+
+
+def _draw(rng):
+    """2-3 letters, sigma(a) = a..., other images of 1-3 letters, and a 0/1
+    coding half of the time."""
+    letters = "abc"[: rng.randint(2, 3)]
+    images = {"a": "a" + "".join(rng.choice(letters) for _ in range(rng.randint(1, 2)))}
+    for c in letters[1:]:
+        images[c] = "".join(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+    lines = [f"alphabet: {' '.join(letters)}", "start: a"]
+    coded = rng.random() < 0.5
+    if coded:
+        lines.append("target: 0 1")
+    lines += ["sigma:"] + [f"{c} -> {' '.join(images[c])}" for c in letters]
+    if coded:
+        lines += ["phi:"] + [f"{c} -> {rng.choice('01')}" for c in letters]
+    return parse_system("\n".join(lines) + "\n")
+
+
+_RNG = random.Random(20261019)
+DRAWS = [_draw(_RNG) for _ in range(16)]
+
+
+@pytest.mark.parametrize(
+    "sys_", [load(n) for n in PRIMITIVE_CORPUS] + DRAWS,
+    ids=list(PRIMITIVE_CORPUS) + [f"draw{i}" for i in range(len(DRAWS))],
+)
+def test_window_check_matches_the_per_position_definition(sys_):
+    for which in ("y", "x"):
+        for n in range(1, 65):
+            bound = (None, 1, 2, 3, 4)[n % 5]
+            got = window_ur_check(sys_, 6, n, bound, which)
+            assert got == _window_reference(sys_, 6, n, bound, which), (which, n, bound)
+
+
+def test_equal_worst_gaps_go_to_the_factor_that_recurs_first():
+    # y = 01101001: 1 starts at 1, 2, 4, 7 and 0 at 0, 3, 5, 6, both with the
+    # largest gap 3; 1 recurs first (at 2), though 0 starts first, has the
+    # earlier pair and the smaller letter
+    r = window_ur_check(load("thue_morse"), 1, 8, which="y")
+    assert r.worst[1] == {"factor": ("1",), "gap": 3, "positions": (4, 7)}
+    assert r == _window_reference(load("thue_morse"), 1, 8, which="y")
+
+
+def test_a_factor_with_an_internal_and_a_tail_violation():
+    # y = 0110100: 1 starts at 1, 2, 4 (largest gap 2, from 2 to 4) and
+    # leaves 2 letters after its last start; the internal one sorts first
+    r = window_ur_check(load("thue_morse"), 1, 7, linear_bound=1, which="y")
+    assert r.violations == (
+        GapViolation(("0",), 3, (0, 3), "internal"),
+        GapViolation(("1",), 2, (2, 4), "internal"),
+        GapViolation(("1",), 2, (4, 6), "tail"),
+    )
+    assert r == _window_reference(load("thue_morse"), 1, 7, linear_bound=1, which="y")
+
+
+def test_violations_are_cut_at_64():
+    tm = load("thue_morse")
+    full = _window_reference(tm, 6, 64, linear_bound=1, cut=None).violations
+    assert len(full) > 64
+    assert window_ur_check(tm, 6, 64, linear_bound=1).violations == full[:64]

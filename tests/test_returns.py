@@ -95,6 +95,31 @@ def test_return_words_budget_exhausted(fib):
     assert exc.value.occurrences_found == 1
 
 
+def test_return_words_budget_messages_for_zero_and_one_occurrence(fib):
+    zero = r"^word recurred 0 time\(s\) within the first 2 letters$"
+    with pytest.raises(BudgetExhausted, match=zero) as exc:
+        return_words_to_word(fib, ["a", "b", "a"], budget=2)
+    assert exc.value.occurrences_found == 0
+    once = parse_system("alphabet: a b\nstart: a\nsigma:\na -> a b\nb -> b\n")
+    one = r"^word recurred 1 time\(s\) within the first 4096 letters$"
+    with pytest.raises(BudgetExhausted, match=one) as exc:
+        return_words_to_word(once, ["a"], budget=4096, which="y")
+    assert exc.value.occurrences_found == 1
+
+
+def test_return_words_read_a_start_inside_the_last_segment():
+    # y = aaab aaab aaab b ...: split cuts a a a at u = aa only at 0; the
+    # second start, 1, lies inside the last segment
+    sys_ = parse_system("alphabet: a b\nstart: a\nsigma:\na -> a a a b\nb -> b\n")
+    t = return_words_to_word(sys_, ["a", "a"], budget=3, which="y")
+    assert t.words == (("a",),) and t.derived_prefix == (1,)
+    t = return_words_to_word(sys_, ["a", "a"], budget=64, which="y")
+    text = FixedPointStream(sys_, "y").prefix_chars(64)
+    occ = occurrences_in_word(text, sys_.alphabet.encode(["a", "a"]))
+    cuts = [text[a:b] for a, b in zip(occ, occ[1:])]
+    assert [t.theta(i) for i in t.derived_prefix] == [tuple(sys_.alphabet.decode(w)) for w in cuts]
+
+
 def test_return_words_require_prefix(fib):
     with pytest.raises(PrefixInvalid):
         return_words_to_word(fib, ["b"], budget=64)

@@ -2,9 +2,11 @@
 
 import pytest
 
+from morphrec.catalog import PRIMITIVE_CORPUS, get
 from morphrec.errors import NotEnoughOccurrences
 from morphrec.morphism import Morphism
 from morphrec.stream import (
+    _CHUNK,
     FixedPointStream,
     MaxGapResult,
     complexity,
@@ -61,6 +63,53 @@ def test_prefix_of_slowly_growing_y_translates_each_letter_once(monkeypatch):
     n = 4096
     assert FixedPointStream(sys_, "y").prefix(n) == ["a"] + ["b"] * (n - 1)
     assert sum(translated) <= n
+
+
+# lengths at and around multiples of _CHUNK, where blocks start to go
+# through the deepest sigma^j table
+AROUND_CHUNKS = sorted({m * _CHUNK + e for m in (1, 2, 3, 8, 32) for e in (-1, 0, 1)})
+
+
+def _iterate(sys_, n, which):
+    """The first n letters of the plain iterate sigma^k(a), or of its image
+    under phi, applying sigma to the whole word at each step."""
+    w = sys_.alphabet.char(sys_.start)
+    phi = sys_.effective_phi
+    while len(w if which == "y" else phi.apply(w)) < n:
+        w = sys_.sigma.apply(w)
+    return (w if which == "y" else phi.apply(w))[:n]
+
+
+def _check_prefixes_against_the_iterate(sys_, lengths):
+    for which in ("y", "x"):
+        want = _iterate(sys_, max(lengths), which)
+        grown = FixedPointStream(sys_, which)
+        for n in lengths:
+            assert grown.prefix_chars(n) == want[:n], (which, n)
+            assert FixedPointStream(sys_, which).prefix_chars(n) == want[:n], (which, n)
+
+
+@pytest.mark.parametrize("name", PRIMITIVE_CORPUS)
+def test_prefixes_of_the_corpus_equal_the_plain_iterate(name):
+    _check_prefixes_against_the_iterate(get(name).build(), AROUND_CHUNKS)
+
+
+def test_prefixes_of_polynomial_growth_equal_the_plain_iterate():
+    # |sigma^k(b)| grows like k^2 / 2, so blocks reach _CHUNK letters near
+    # k = 90, and the table stops near level 28, where |sigma^j(a)| passes it
+    sys_ = parse_system(
+        "alphabet: a b c d\nstart: a\ntarget: 0 1\nsigma:\na -> a b\nb -> b c\n"
+        "c -> c d\nd -> d\nphi:\na -> 0 1\nb -> 1\nc -> ε\nd -> 0\n"
+    )
+    _check_prefixes_against_the_iterate(sys_, AROUND_CHUNKS + [150_000])
+
+
+def test_prefixes_of_linear_growth_equal_the_plain_iterate():
+    sys_ = parse_system(
+        "alphabet: a b\nstart: a\ntarget: 0 1\nsigma:\na -> a b\nb -> b\n"
+        "phi:\na -> 0\nb -> 1 0\n"
+    )
+    _check_prefixes_against_the_iterate(sys_, [n for n in AROUND_CHUNKS if n <= _CHUNK + 1])
 
 
 def test_sigma_of_prefix_is_prefix(fib, tm, trib):

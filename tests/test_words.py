@@ -1,9 +1,12 @@
 """Alphabet encoding and plain word helpers."""
 
+import itertools
+import random
+
 import pytest
 
 from morphrec.errors import AlphabetMismatch
-from morphrec.words import Alphabet, factor_set, occurrences_in_word
+from morphrec.words import Alphabet, factor_set, occurrences_in_word, split_occurrences
 
 
 def test_alphabet_roundtrip():
@@ -54,3 +57,68 @@ def test_occurrences_in_word_overlapping():
     assert occurrences_in_word(w, a.encode(["a", "a"])) == [0, 1, 2, 3]
     with pytest.raises(ValueError):
         occurrences_in_word(w, "")
+
+
+def _starts(word, pattern):
+    """Every start of pattern in word, rebuilt from split_occurrences."""
+    pieces, inner, tail = split_occurrences(word, pattern)
+    out = []
+    q = len(pieces[0])
+    for i in range(1, len(pieces)):
+        out.append(q)
+        out.extend(q + d for d in (tail if i == len(pieces) - 1 else inner[pieces[i]]))
+        q += len(pattern) + len(pieces[i])
+    return out
+
+
+def test_split_occurrences_on_every_short_binary_word():
+    patterns = [
+        "".join(p) for k in range(1, 6) for p in itertools.product("ab", repeat=k)
+    ]
+    for n in range(13):
+        for letters in itertools.product("ab", repeat=n):
+            word = "".join(letters)
+            for pattern in patterns:
+                assert _starts(word, pattern) == occurrences_in_word(word, pattern)
+
+
+def test_split_occurrences_on_seeded_ternary_words():
+    rng = random.Random(7)
+    for _ in range(3000):
+        word = "".join(rng.choice("abc") for _ in range(rng.randint(0, 60)))
+        if word and rng.random() < 0.5:  # a factor of the word, so that it occurs
+            i = rng.randrange(len(word))
+            pattern = word[i : i + rng.randint(1, 6)]
+        else:
+            pattern = "".join(rng.choice("abc") for _ in range(rng.randint(1, 6)))
+        assert _starts(word, pattern) == occurrences_in_word(word, pattern)
+
+
+def test_split_occurrences_skips_several_starts_in_one_segment():
+    # split cuts at 0 and 4 in a^9; the starts 1, 2, 3 lie before the
+    # inner piece, and 5 in the last segment
+    assert split_occurrences("a" * 9, "aaaa") == (["", "", "a"], {"": (1, 2, 3)}, (1,))
+    for word, pattern, skipped in (
+        ("ab" * 4, "abab", (2,)),
+        ("abaabaabaab", "abaab", (3,)),
+        ("a" * 6 + "b" + "a" * 5, "aaaa", (1, 2)),
+    ):
+        pieces, inner, _ = split_occurrences(word, pattern)
+        assert inner[pieces[1]] == skipped
+        assert _starts(word, pattern) == occurrences_in_word(word, pattern)
+
+
+def test_split_occurrences_in_the_last_segment():
+    assert split_occurrences("aaaaa", "aa") == (["", "", "a"], {"": (1,)}, (1,))
+    assert split_occurrences("babab", "bab") == (["", "ab"], {}, (2,))
+    # the last piece equals the inner one but is not followed by the pattern
+    assert split_occurrences("aaaa", "aa") == (["", "", ""], {"": (1,)}, ())
+
+
+def test_split_occurrences_with_zero_or_one_occurrence():
+    assert split_occurrences("bbb", "a") == (["bbb"], {}, ())
+    assert split_occurrences("", "a") == ([""], {}, ())
+    assert split_occurrences("bab", "a") == (["b", "b"], {}, ())
+    assert split_occurrences("baa", "aa") == (["b", ""], {}, ())
+    with pytest.raises(ValueError):
+        split_occurrences("ab", "")
