@@ -16,10 +16,10 @@ DRAWS = 60
 PREFIX = 4096
 
 
-def _draw(rng: random.Random) -> str:
-    """2-3 letters, images of 1-3 letters with sigma(a) = a..., and an
-    optional 0/1 coding."""
-    letters = "abc"[: rng.randint(2, 3)]
+def _draw(rng: random.Random, alphabet: str = "abc") -> str:
+    """2-3 letters (2 to len(alphabet) when an alphabet is given), images of
+    1-3 letters with sigma(a) = a..., and an optional 0/1 coding."""
+    letters = alphabet[: rng.randint(2, len(alphabet))]
     images = {"a": "a" + "".join(rng.choice(letters) for _ in range(rng.randint(1, 2)))}
     for c in letters[1:]:
         images[c] = "".join(rng.choice(letters) for _ in range(rng.randint(1, 3)))
