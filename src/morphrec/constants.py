@@ -13,8 +13,9 @@ and the `constants` and `derive` commands, while the decider and the
 verifier use the count-free sheet alone.
 
 R, the largest gap between successive occurrences of a 2-factor of y, is
-read off the images of the 2-factors under one power of sigma, with no
-scan of a prefix of y.
+read off the images of the letters under one power of sigma, each split
+once per 2-factor, with no scan of a prefix of y; its sanity bound reads
+image lengths only up to the first power that covers R.
 """
 
 from __future__ import annotations
@@ -45,14 +46,33 @@ from .system import ProlongableSystem, restrict_to_reachable
 _MAX_STEPS = 512
 
 
-def _steps_until_min_length(inc: IncidenceStructure, n: int) -> int:
-    """Least t with every |sigma^t(b)| >= n."""
-    t = 0
-    while min(inc.lengths_after(t)) < n:
+def _covering_power(inc: IncidenceStructure, t_star: int) -> int:
+    """Least s with every |sigma^s(b)| >= 2|sigma^{t*}| + 2.
+
+    The search starts past t*: for a primitive sigma, max|sigma^k| never
+    shrinks as k grows, so no s <= t* reaches the target.
+    """
+    n = 2 * max(inc.lengths_after(t_star)) + 2
+    t = t_star + 1
+    while t <= _MAX_STEPS and min(inc.lengths_after(t)) < n:
         t += 1
-        if t > _MAX_STEPS:
-            raise InternalConsistencyError("image lengths failed to reach the target")
+    if t > _MAX_STEPS:
+        raise InternalConsistencyError("image lengths failed to reach the target")
     return t
+
+
+def _image_occurrences(image: str, split) -> tuple[int, int, int, int]:
+    """(count, first start, last start, largest gap between successive
+    starts) of a 2-letter word u in image, read off the pieces that split
+    leaves between its cuts: the occurrences of u, or, for u = cc, the
+    maximal runs of c.  A cut of r letters holds r - 1 occurrences, 1 apart,
+    and a piece between two cuts is a gap less 2.  The gap is 1 when no
+    piece lies between two cuts; the starts mean nothing when the count is 0.
+    """
+    pieces = split(image)
+    count = len(image) - sum(map(len, pieces)) - len(pieces) + 1
+    gap = max(map(len, pieces[1:-1]), default=-1) + 2
+    return count, len(pieces[0]), len(image) - len(pieces[-1]) - 2, gap
 
 
 def compute_R_sigma(sys: ProlongableSystem) -> int:
@@ -66,9 +86,20 @@ def compute_R_sigma(sys: ProlongableSystem) -> int:
     sigma^s(cd) for a 2-factor cd, since y is the concatenation of the
     images sigma^s(y_i); and sigma^s(cd) is itself a factor of y, so
     successive occurrences of u inside it are successive in y.  R is thus
-    read off the windows sigma^s(c)sigma^s(d), with no prefix of y.  The
-    result is checked against the 2|sigma^{2d^2}| bound.  Materialized
-    images are held to WORK_BUDGET letters.
+    read off the windows sigma^s(c)sigma^s(d), with no prefix of y.
+
+    Each image sigma^s(c) is split once per u, and keeps u's count, first
+    and last starts and largest inner gap.  An occurrence of u in the
+    window lies in sigma^s(c), in sigma^s(d), or across the junction, so
+    the window's gaps are the two images' inner gaps and the gaps through
+    the junction, with no window built.
+
+    The result is checked against the 2|sigma^{2d^2}| bound, at the least
+    power k <= 2d^2 with 2|sigma^k| >= R.  That is the same check, as
+    |sigma^k| never shrinks as k grows: a letter c with the longest
+    sigma^k(c) occurs in some image sigma(b) of a primitive sigma, so
+    |sigma^(k+1)(b)| >= |sigma^k(c)|.  Images are held to
+    WORK_BUDGET letters, and a level is compared with it before it is built.
     """
     inc = sys.incidence
     horn = inc.primitive_exponent
@@ -87,13 +118,14 @@ def compute_R_sigma(sys: ProlongableSystem) -> int:
 
     def images_at(t: int) -> dict[str, str]:
         while len(level_images) <= t:
-            prev = level_images[-1]
-            nxt = {c: sys.sigma.apply(prev[c]) for c in alpha.chars}
-            if sum(len(w) for w in nxt.values()) > WORK_BUDGET:
+            if sum(inc.lengths_after(len(level_images))) > WORK_BUDGET:
                 raise BudgetExhausted("image materialization exceeded the work budget")
-            level_images.append(nxt)
+            prev = level_images[-1]
+            level_images.append({c: sys.sigma.apply(prev[c]) for c in alpha.chars})
         return level_images[t]
 
+    letters = {c for p in pairs for c in p}
+    covering: dict[int, int] = {}
     best = 1  # a word that recurs has gaps of at least 1
     for u in pairs:
         t_star = None
@@ -105,23 +137,43 @@ def compute_R_sigma(sys: ProlongableSystem) -> int:
             raise InternalConsistencyError(
                 "primitive substitution never covered a two-letter factor"
             )
-        images = images_at(_steps_until_min_length(inc, 2 * max(inc.lengths_after(t_star)) + 2))
-        # a piece between occurrences of u (between maximal runs of c for
-        # u = cc, whose occurrences overlap with gaps 1) is a gap less 2
-        split = re.compile(re.escape(u[0]) + "{2,}").split if u[0] == u[1] else None
+        if t_star not in covering:
+            covering[t_star] = _covering_power(inc, t_star)
+        images = images_at(covering[t_star])
+        # a run of c holds overlapping occurrences of u = cc, so the images
+        # are cut at the maximal runs of c
+        if u[0] == u[1]:
+            split = re.compile(re.escape(u[0]) + "{2,}").split
+        else:
+            split = lambda w: w.split(u)  # noqa: E731
+        found = {c: _image_occurrences(images[c], split) for c in letters}
         for c, e in pairs:
-            window = images[c] + images[e]
-            if window.find(u, window.find(u) + 1) == -1:
+            left, right = images[c], images[e]
+            n_c, _, last_c, gap_c = found[c]
+            n_e, first_e, _, gap_e = found[e]
+            junction = left[-1] == u[0] and right[0] == u[1]
+            if n_c + n_e + junction < 2:
                 raise InternalConsistencyError("two-letter factor did not recur in its window")
-            pieces = split(window) if split else window.split(u)
-            if len(pieces) > 2:
-                best = max(best, max(map(len, pieces[1:-1])) + 2)
+            gap = max(gap_c, gap_e)
+            # the last start before sigma^s(e), and the gap it closes
+            if junction:
+                before = len(left) - 1
+                if n_c:
+                    gap = max(gap, before - last_c)
+            else:
+                before = last_c if n_c else None
+            if n_e and before is not None:
+                gap = max(gap, len(left) + first_e - before)
+            best = max(best, gap)
 
-    bound = 2 * max(inc.lengths_after(2 * d * d))
-    if best > bound:
-        raise InternalConsistencyError(
-            f"computed R = {best} exceeds the 2|sigma^(2d^2)| = {bound} bound"
-        )
+    k = 0
+    while 2 * max(inc.lengths_after(k)) < best:
+        if k == 2 * d * d:
+            raise InternalConsistencyError(
+                f"computed R = {best} exceeds the 2|sigma^(2d^2)| = "
+                f"{2 * max(inc.lengths_after(k))} bound"
+            )
+        k += 1
     return best
 
 

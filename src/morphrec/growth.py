@@ -28,6 +28,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from operator import mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import NotPrimitive, PreconditionViolated
@@ -47,11 +48,8 @@ def mat_from(rows: Sequence[Sequence[int]]) -> Matrix:
 
 
 def mat_mul(a: Matrix, b: Matrix) -> Matrix:
-    n = len(a)
     bt = tuple(zip(*b))
-    return tuple(
-        tuple(sum(x * y for x, y in zip(row, col)) for col in bt) for row in a
-    )
+    return tuple(tuple(sum(map(mul, row, col)) for col in bt) for row in a)
 
 
 def mat_identity(n: int) -> Matrix:
@@ -463,6 +461,7 @@ class IncidenceStructure:
         self._perron_cache: dict[int, PerronValue] = {}
         self._growth_cache: dict[int, GrowthType] = {}
         self._lengths: list[list[int]] = [[1] * n]  # row k: |sigma^k(b)| per letter b
+        self._columns = tuple(zip(*matrix))  # column b: letter counts of sigma(b)
         self._pq: tuple[Fraction, Fraction] | None = None  # see pq_constants
 
     @staticmethod
@@ -688,11 +687,9 @@ class IncidenceStructure:
         if k < 0:
             raise ValueError("negative matrix power")
         rows = self._lengths
-        m = self.matrix
-        n = len(m)
         while len(rows) <= k:
             prev = rows[-1]
-            rows.append([sum(prev[i] * m[i][j] for i in range(n)) for j in range(n)])
+            rows.append([sum(map(mul, prev, col)) for col in self._columns])
         return list(rows[k])
 
 
@@ -757,19 +754,35 @@ _TIGHTEN_POWER = 8
 
 def _eigenvector_ratio_bounds(n_matrix: Matrix) -> tuple[list[Fraction], list[Fraction]]:
     """Per-row bounds on w_i / max_j w_j and w_i / min_j w_j for the positive
-    eigenvector w of a matrix whose displayed power n_matrix is positive."""
-    d = len(n_matrix)
-    ref = 0
-    r_lo = []
-    r_hi = []
-    for i in range(d):
-        ratios = [Fraction(n_matrix[i][l], n_matrix[ref][l]) for l in range(d)]
-        r_lo.append(min(ratios))
-        r_hi.append(max(ratios))
-    hi_all = max(r_hi)
-    lo_all = min(r_lo)
-    lo_bounds = [r_lo[i] / hi_all for i in range(d)]  # >= w_i / max w
-    hi_bounds = [r_hi[i] / lo_all for i in range(d)]  # <= w_i / min w  (outward)
+    eigenvector w of a matrix whose displayed power n_matrix is positive.
+
+    Row i's ratios to row 0 are n_i,l / n_0,l; their least and largest are
+    picked by integer cross-multiplication, a/b < c/d iff ad < cb for
+    positive entries, and only the returned quotients become Fractions.
+    """
+    ref = n_matrix[0]
+    r_lo = []  # (numerator, denominator) of each row's least ratio
+    r_hi = []  # and of its largest
+    for row in n_matrix:
+        lo_n = hi_n = row[0]
+        lo_d = hi_d = ref[0]
+        for a, b in zip(row, ref):
+            if a * lo_d < lo_n * b:
+                lo_n, lo_d = a, b
+            elif a * hi_d > hi_n * b:
+                hi_n, hi_d = a, b
+        r_lo.append((lo_n, lo_d))
+        r_hi.append((hi_n, hi_d))
+    hi_n, hi_d = r_hi[0]
+    for a, b in r_hi:
+        if a * hi_d > hi_n * b:
+            hi_n, hi_d = a, b
+    lo_n, lo_d = r_lo[0]
+    for a, b in r_lo:
+        if a * lo_d < lo_n * b:
+            lo_n, lo_d = a, b
+    lo_bounds = [Fraction(a * hi_d, b * hi_n) for a, b in r_lo]  # >= w_i / max w
+    hi_bounds = [Fraction(a * lo_d, b * lo_n) for a, b in r_hi]  # <= w_i / min w  (outward)
     return lo_bounds, hi_bounds
 
 
@@ -781,12 +794,24 @@ def _scc_ratio_bounds(structure, comp) -> tuple[list[Fraction], list[Fraction]]:
     """Eigenvector ratio bounds of a non-trivial SCC's transposed block, read
     off a positive power of it: past its primitive exponent, or, when the
     block is irreducible but imprimitive, a power of I + T, which is
-    primitive with the same eigenvector."""
+    primitive with the same eigenvector.
+
+    A block over the whole alphabet is the matrix with its letters
+    reordered, so it and its transpose share the structure's cached
+    primitive exponent.
+    """
     t_block = _transpose(structure.block(comp))
-    try:
-        n_matrix = mat_pow(t_block, horn_exponent(t_block) + _TIGHTEN_POWER)
-    except NotPrimitive:
-        d = len(comp)
+    d = len(comp)
+    if d == len(structure.matrix):
+        horn = structure.primitive_exponent
+    else:
+        try:
+            horn = horn_exponent(t_block)
+        except NotPrimitive:
+            horn = None
+    if horn is not None:
+        n_matrix = mat_pow(t_block, horn + _TIGHTEN_POWER)
+    else:
         it = tuple(tuple(int(i == j) + t_block[i][j] for j in range(d)) for i in range(d))
         n_matrix = mat_pow(it, (d - 1) + _TIGHTEN_POWER)
     return _eigenvector_ratio_bounds(n_matrix)

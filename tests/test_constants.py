@@ -2,10 +2,13 @@
 they are required to dominate."""
 
 import math
+import random
+import re
 from fractions import Fraction
 
 import pytest
 
+from morphrec import constants
 from morphrec.catalog import entries, get
 from morphrec.constants import (
     CapExpression,
@@ -14,10 +17,19 @@ from morphrec.constants import (
     compute_R_sigma,
 )
 from morphrec.decider import _growing_stage, prepare
-from morphrec.errors import MorphrecError, NotPrimitive
-from morphrec.returns import return_words_to_word
+from morphrec.errors import (
+    BudgetExhausted,
+    InternalConsistencyError,
+    MorphrecError,
+    NotPrimitive,
+)
+from morphrec.growth import IncidenceStructure, block_decomposition
+from morphrec.morphism import Morphism
+from morphrec.returns import WORK_BUDGET, return_words_to_word
 from morphrec.stream import FixedPointStream, complexity, factor_language
 from morphrec.system import parse_system
+
+from test_fuzz import _draw
 
 
 def _staged(name):
@@ -160,6 +172,172 @@ def test_r_sigma_requires_primitivity():
     sys_ = parse_system("alphabet: a b\nstart: a\nsigma:\na -> a b\nb -> b\n")
     with pytest.raises(NotPrimitive):
         compute_R_sigma(sys_)
+
+
+# -- R read per image against the per-window reading ---------------------------------
+
+
+def _windowed_R(sys_) -> tuple[int, int, int]:
+    """R read the way it was before the per-image reading: each window
+    sigma^s(c)sigma^s(e) is built and split whole, and the result is checked
+    against 2|sigma^(2d^2)| built in full.  Also returns how many windows
+    had an occurrence across the junction and how many had two runs of a
+    letter c for u = cc, so a test can show that it met both."""
+    inc = sys_.incidence
+    if inc.primitive_exponent is None:
+        raise NotPrimitive("R is computed for primitive substitutions only")
+    sys_.require_prolongable()
+    chars = sys_.alphabet.chars
+    d = len(chars)
+    pairs = sorted(factor_language(sys_, 2))
+    levels = [{c: c for c in chars}]
+
+    def images_at(t):
+        while len(levels) <= t:
+            nxt = {c: sys_.sigma.apply(levels[-1][c]) for c in chars}
+            if sum(map(len, nxt.values())) > WORK_BUDGET:
+                raise BudgetExhausted("image materialization exceeded the work budget")
+            levels.append(nxt)
+        return levels[t]
+
+    best, junctions, runs = 1, 0, 0
+    for u in pairs:
+        t_star = next(
+            (t for t in range(1, inc.primitive_exponent + d * d + 1)
+             if all(u in w for w in images_at(t).values())),
+            None,
+        )
+        if t_star is None:
+            raise InternalConsistencyError(
+                "primitive substitution never covered a two-letter factor"
+            )
+        need = 2 * max(inc.lengths_after(t_star)) + 2
+        s = 0
+        while min(inc.lengths_after(s)) < need:
+            s += 1
+        images = images_at(s)
+        split = re.compile(re.escape(u[0]) + "{2,}").split if u[0] == u[1] else None
+        for c, e in pairs:
+            window = images[c] + images[e]
+            if window.find(u, window.find(u) + 1) == -1:
+                raise InternalConsistencyError("two-letter factor did not recur in its window")
+            junctions += window[len(images[c]) - 1 : len(images[c]) + 1] == u
+            pieces = split(window) if split else window.split(u)
+            runs += bool(split) and len(pieces) > 2
+            if len(pieces) > 2:
+                best = max(best, max(map(len, pieces[1:-1])) + 2)
+    bound = 2 * max(inc.lengths_after(2 * d * d))
+    if best > bound:
+        raise InternalConsistencyError(
+            f"computed R = {best} exceeds the 2|sigma^(2d^2)| = {bound} bound"
+        )
+    return best, junctions, runs
+
+
+def _outcome(fn, *args):
+    try:
+        return fn(*args)
+    except MorphrecError as e:
+        return type(e).__name__, str(e)
+
+
+def _primitive_draws(seed: int, count: int) -> list:
+    """Seeded prolongable systems of 1-6 letters whose sigma is primitive."""
+    rng = random.Random(seed)
+    out = []
+    while len(out) < count:
+        letters = "abcdef"[: rng.randint(1, 6)]
+        images = {"a": "a" + "".join(rng.choice(letters) for _ in range(rng.randint(1, 3)))}
+        for c in letters[1:]:
+            images[c] = "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
+        text = f"alphabet: {' '.join(letters)}\nstart: a\nsigma:\n" + "".join(
+            f"{c} -> {' '.join(images[c])}\n" for c in letters
+        )
+        sys_ = parse_system(text)
+        if sys_.incidence.primitive_exponent is not None:
+            out.append(sys_)
+    return out
+
+
+def _block_systems(texts) -> list:
+    """The closed primitive block systems compute_K reads R from, over the
+    growing stages of texts."""
+    out = []
+    for staged in _growing_stages(texts):
+        bd = block_decomposition(staged.incidence)
+        for letters, flag, closed in zip(bd.blocks, bd.flags, bd.closed):
+            if closed and flag == "primitive":
+                out.append(constants._prolongable_block_system(staged, letters, bd.r_sigma)[0])
+    return out
+
+
+def test_r_per_image_matches_the_per_window_reading():
+    body = " ".join(["b"] * 64)
+    runs = [
+        parse_system(f"alphabet: a b\nstart: a\nsigma:\na -> a {body}\nb -> a\n"),
+        parse_system(f"alphabet: a b\nstart: a\nsigma:\na -> a {body}\nb -> a {body}\n"),
+        parse_system("alphabet: a b\nstart: a\nsigma:\na -> a a b\nb -> b b a\n"),
+        parse_system("alphabet: a\nstart: a\nsigma:\na -> a a a\n"),
+    ]
+    rng = random.Random(20261019)
+    blocks = _block_systems(
+        [e.text for e in entries()] + [_draw(rng, "abcde") for _ in range(200)]
+    )
+    systems = runs + _primitive_draws(7, 150) + blocks
+    assert sum(len(s.alphabet) == 1 for s in systems) >= 2
+    assert sum(len(s.alphabet) > 5 for s in blocks) >= 3
+    junctions = letter_runs = 0
+    for sys_ in systems:
+        want = _outcome(_windowed_R, sys_)
+        got = _outcome(compute_R_sigma, sys_)
+        if isinstance(want, tuple) and isinstance(want[0], int):
+            want, j, r = want
+            junctions, letter_runs = junctions + j, letter_runs + r
+        assert got == want, sys_.sigma.images
+    assert junctions > 1000 and letter_runs > 100
+
+
+def test_r_compares_a_level_with_the_budget_before_building_it(monkeypatch):
+    # sigma^2(a) has 17 letters and level 2 has 26, past a budget of 16:
+    # the check must refuse the level before any of its images is built (the
+    # 2-factors are found first, so every image counted is one of R's)
+    sys_ = parse_system(
+        "alphabet: a b\nstart: a\nsigma:\na -> a b b b b b b b b\nb -> a\n"
+    )
+    built = []
+    apply = Morphism.apply
+
+    def spy(self, word):
+        out = apply(self, word)
+        built.append(len(out))
+        return out
+
+    pairs = factor_language(sys_, 2)
+    monkeypatch.setattr(constants, "factor_language", lambda *_: pairs)
+    monkeypatch.setattr(constants, "WORK_BUDGET", 16)
+    monkeypatch.setattr(Morphism, "apply", spy)
+    with pytest.raises(BudgetExhausted, match="^image materialization exceeded the work budget$"):
+        compute_R_sigma(sys_)
+    assert built and max(built) <= 16
+
+
+def test_r_bound_builds_length_rows_only_to_the_covering_power(monkeypatch):
+    # case1_comb's stage is an 8-letter block: checking R = 18 against
+    # 2|sigma^(2d^2)| in full would build 2 * 8^2 + 1 = 129 length rows, but
+    # |sigma^4| = 16 already covers it, and the images R is read off need
+    # only rows 0-6
+    staged = _growing_stage(parse_system(get("case1_comb").text)).staged
+    assert len(staged.alphabet) == 8
+    asked = []
+    lengths_after = IncidenceStructure.lengths_after
+
+    def spy(self, k):
+        asked.append(k)
+        return lengths_after(self, k)
+
+    monkeypatch.setattr(IncidenceStructure, "lengths_after", spy)
+    assert compute_R_sigma(staged) == 18
+    assert len(staged.incidence._lengths) == max(asked) + 1 <= 8
 
 
 # -- structural bounds the constants must dominate ------------------------------------

@@ -2,6 +2,7 @@
 and the P/Q growth-envelope constants."""
 
 import os
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -26,6 +27,7 @@ from morphrec.growth import (
 )
 from morphrec.morphism import power
 from morphrec.system import parse_system
+from morphrec.words import Alphabet
 
 
 def _sys(text):
@@ -370,3 +372,103 @@ def test_incidence_structure_sccs_topological():
         for i in range(n):
             if st.matrix[i][j] > 0:
                 assert order[j] <= order[i]
+
+
+# -- P/Q ratio bounds against the Fraction reading -----------------------------------
+
+
+def _fraction_ratio_bounds(n_matrix):
+    """The ratio bounds read with a Fraction per entry, as before the
+    integer cross-multiplication."""
+    d = len(n_matrix)
+    r_lo, r_hi = [], []
+    for i in range(d):
+        ratios = [Fraction(n_matrix[i][l], n_matrix[0][l]) for l in range(d)]
+        r_lo.append(min(ratios))
+        r_hi.append(max(ratios))
+    return [v / max(r_hi) for v in r_lo], [v / min(r_lo) for v in r_hi]
+
+
+def _reference_scc_ratio_bounds(structure, comp):
+    """_scc_ratio_bounds with the block's own primitive exponent and the
+    Fraction reading."""
+    t_block = tuple(zip(*structure.block(comp)))
+    d = len(comp)
+    try:
+        n_matrix = mat_pow(t_block, horn_exponent(t_block) + growth._TIGHTEN_POWER)
+    except NotPrimitive:
+        it = tuple(tuple(int(i == j) + t_block[i][j] for j in range(d)) for i in range(d))
+        n_matrix = mat_pow(it, (d - 1) + growth._TIGHTEN_POWER)
+    return _fraction_ratio_bounds(n_matrix)
+
+
+def _seeded_matrices(seed, count):
+    """Non-negative 1-6 letter matrices, each entry 0 with probability 1/4,
+    1/2 or 3/4 and otherwise 1-3."""
+    rng = random.Random(seed)
+    out = []
+    for _ in range(count):
+        n = rng.randint(1, 6)
+        zeros = rng.choice((0.25, 0.5, 0.75))
+        out.append(tuple(
+            tuple(0 if rng.random() < zeros else rng.randint(1, 3) for _ in range(n))
+            for _ in range(n)
+        ))
+    return out
+
+
+def test_eigenvector_ratio_bounds_match_the_fraction_reading():
+    rng = random.Random(5)
+    positive = [
+        tuple(tuple(rng.randint(1, 10 ** rng.randint(1, 40)) for _ in range(n)) for _ in range(n))
+        for n in [rng.randint(1, 6) for _ in range(300)]
+    ]
+    equal_ratios = [((2, 4, 6), (1, 2, 3), (3, 6, 9)), ((5,),), ((1, 1), (1, 1))]
+    for m in positive + equal_ratios:
+        assert growth._eigenvector_ratio_bounds(m) == _fraction_ratio_bounds(m), m
+
+
+def test_scc_ratio_bounds_match_the_reference():
+    cyclic = ((0, 2, 0), (0, 0, 1), (3, 0, 0))  # irreducible, period 3
+    swap = ((0, 1), (1, 0))
+    seen = {"whole": 0, "part": 0, "imprimitive": 0}
+    for m in _seeded_matrices(13, 400) + [cyclic, swap]:
+        structure = IncidenceStructure(Alphabet(tuple(str(i) for i in range(len(m)))), m)
+        for sid, comp in enumerate(structure.sccs):
+            if structure.scc_trivial[sid]:
+                continue
+            seen["whole" if len(comp) == len(m) else "part"] += 1
+            seen["imprimitive"] += structure.scc_period[sid] > 1
+            want = _reference_scc_ratio_bounds(structure, comp)
+            assert growth._scc_ratio_bounds(structure, comp) == want, (m, comp)
+    assert min(seen.values()) >= 10, seen
+
+
+def test_pq_constants_match_the_reference_on_growing_stages(monkeypatch):
+    import test_fuzz
+    from morphrec.catalog import entries
+    from morphrec.decider import _growing_stage
+    from morphrec.errors import MorphrecError
+
+    rng = random.Random(20261019)
+    texts = [e.text for e in entries()] + [test_fuzz._draw(rng, "abcde") for _ in range(200)]
+    structures = []
+    for text in texts:
+        try:
+            stage = _growing_stage(parse_system(text))
+        except MorphrecError:
+            continue
+        if stage is not None:
+            structures.append(stage.staged.incidence)
+
+    def pq_of(structure):
+        fresh = IncidenceStructure(structure.alphabet, structure.matrix)
+        try:
+            return pq_constants(fresh)
+        except MorphrecError as e:
+            return type(e).__name__, str(e)
+
+    got = [pq_of(s) for s in structures]
+    monkeypatch.setattr(growth, "_scc_ratio_bounds", _reference_scc_ratio_bounds)
+    assert got == [pq_of(s) for s in structures]
+    assert sum(isinstance(g[0], Fraction) for g in got) >= 150
