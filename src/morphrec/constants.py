@@ -61,18 +61,44 @@ def _covering_power(inc: IncidenceStructure, t_star: int) -> int:
     return t
 
 
-def _image_occurrences(image: str, split) -> tuple[int, int, int, int]:
+def _image_occurrences(image: str, u: str) -> tuple[int, int, int, int]:
     """(count, first start, last start, largest gap between successive
-    starts) of a 2-letter word u in image, read off the pieces that split
-    leaves between its cuts: the occurrences of u, or, for u = cc, the
-    maximal runs of c.  A cut of r letters holds r - 1 occurrences, 1 apart,
-    and a piece between two cuts is a gap less 2.  The gap is 1 when no
-    piece lies between two cuts; the starts mean nothing when the count is 0.
+    starts) of a 2-letter word u in image, read off the pieces left between
+    cuts at the occurrences of u, or, for u = cc, whose occurrences overlap,
+    at the maximal runs of c.  A cut of r letters holds r - 1 occurrences, 1
+    apart, and a piece between two cuts is a gap less 2.  The gap is 1 when
+    no piece lies between two cuts; the starts mean nothing when the count
+    is 0.
     """
-    pieces = split(image)
+    if u[0] == u[1]:
+        pieces = re.split(re.escape(u[0]) + "{2,}", image)
+    else:
+        pieces = image.split(u)
     count = len(image) - sum(map(len, pieces)) - len(pieces) + 1
     gap = max(map(len, pieces[1:-1]), default=-1) + 2
     return count, len(pieces[0]), len(image) - len(pieces[-1]) - 2, gap
+
+
+def _window_gap(left: str, right: str, u: str, found_left, found_right) -> int | None:
+    """Largest gap between successive starts of u in left + right, from the
+    _image_occurrences of both words, or None when u occurs there fewer
+    than twice.  An occurrence lies in left, in right, or across the
+    junction, where it starts at len(left) - 1.
+    """
+    n_l, _, last_l, gap_l = found_left
+    n_r, first_r, _, gap_r = found_right
+    junction = left[-1] == u[0] and right[0] == u[1]
+    if n_l + n_r + junction < 2:
+        return None
+    gap = max(gap_l, gap_r)
+    if junction:
+        if n_l:
+            gap = max(gap, len(left) - 1 - last_l)
+        if n_r:
+            gap = max(gap, first_r + 1)
+    elif n_l and n_r:
+        gap = max(gap, len(left) + first_r - last_l)
+    return gap
 
 
 def compute_R_sigma(sys: ProlongableSystem) -> int:
@@ -92,14 +118,14 @@ def compute_R_sigma(sys: ProlongableSystem) -> int:
     and last starts and largest inner gap.  An occurrence of u in the
     window lies in sigma^s(c), in sigma^s(d), or across the junction, so
     the window's gaps are the two images' inner gaps and the gaps through
-    the junction, with no window built.
+    the junction (`_window_gap`), with no window built.
 
     The result is checked against the 2|sigma^{2d^2}| bound, at the least
     power k <= 2d^2 with 2|sigma^k| >= R.  That is the same check, as
     |sigma^k| never shrinks as k grows: a letter c with the longest
     sigma^k(c) occurs in some image sigma(b) of a primitive sigma, so
-    |sigma^(k+1)(b)| >= |sigma^k(c)|.  Images are held to
-    WORK_BUDGET letters, and a level is compared with it before it is built.
+    |sigma^(k+1)(b)| >= |sigma^k(c)|.  Images are held to WORK_BUDGET
+    letters, and a level is compared with it before it is built.
     """
     inc = sys.incidence
     horn = inc.primitive_exponent
@@ -125,7 +151,6 @@ def compute_R_sigma(sys: ProlongableSystem) -> int:
         return level_images[t]
 
     letters = {c for p in pairs for c in p}
-    covering: dict[int, int] = {}
     best = 1  # a word that recurs has gaps of at least 1
     for u in pairs:
         t_star = None
@@ -137,33 +162,12 @@ def compute_R_sigma(sys: ProlongableSystem) -> int:
             raise InternalConsistencyError(
                 "primitive substitution never covered a two-letter factor"
             )
-        if t_star not in covering:
-            covering[t_star] = _covering_power(inc, t_star)
-        images = images_at(covering[t_star])
-        # a run of c holds overlapping occurrences of u = cc, so the images
-        # are cut at the maximal runs of c
-        if u[0] == u[1]:
-            split = re.compile(re.escape(u[0]) + "{2,}").split
-        else:
-            split = lambda w: w.split(u)  # noqa: E731
-        found = {c: _image_occurrences(images[c], split) for c in letters}
+        images = images_at(_covering_power(inc, t_star))
+        found = {c: _image_occurrences(images[c], u) for c in letters}
         for c, e in pairs:
-            left, right = images[c], images[e]
-            n_c, _, last_c, gap_c = found[c]
-            n_e, first_e, _, gap_e = found[e]
-            junction = left[-1] == u[0] and right[0] == u[1]
-            if n_c + n_e + junction < 2:
+            gap = _window_gap(images[c], images[e], u, found[c], found[e])
+            if gap is None:
                 raise InternalConsistencyError("two-letter factor did not recur in its window")
-            gap = max(gap_c, gap_e)
-            # the last start before sigma^s(e), and the gap it closes
-            if junction:
-                before = len(left) - 1
-                if n_c:
-                    gap = max(gap, before - last_c)
-            else:
-                before = last_c if n_c else None
-            if n_e and before is not None:
-                gap = max(gap, len(left) + first_e - before)
             best = max(best, gap)
 
     k = 0

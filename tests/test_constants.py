@@ -1,7 +1,9 @@
 """Exact constant sheets: recurrence constants, powers, caps, and the bounds
 they are required to dominate."""
 
+import itertools
 import math
+import operator
 import random
 import re
 from fractions import Fraction
@@ -241,24 +243,6 @@ def _outcome(fn, *args):
         return type(e).__name__, str(e)
 
 
-def _primitive_draws(seed: int, count: int) -> list:
-    """Seeded prolongable systems of 1-6 letters whose sigma is primitive."""
-    rng = random.Random(seed)
-    out = []
-    while len(out) < count:
-        letters = "abcdef"[: rng.randint(1, 6)]
-        images = {"a": "a" + "".join(rng.choice(letters) for _ in range(rng.randint(1, 3)))}
-        for c in letters[1:]:
-            images[c] = "".join(rng.choice(letters) for _ in range(rng.randint(1, 4)))
-        text = f"alphabet: {' '.join(letters)}\nstart: a\nsigma:\n" + "".join(
-            f"{c} -> {' '.join(images[c])}\n" for c in letters
-        )
-        sys_ = parse_system(text)
-        if sys_.incidence.primitive_exponent is not None:
-            out.append(sys_)
-    return out
-
-
 def _block_systems(texts) -> list:
     """The closed primitive block systems compute_K reads R from, over the
     growing stages of texts."""
@@ -279,12 +263,15 @@ def test_r_per_image_matches_the_per_window_reading():
         parse_system("alphabet: a b\nstart: a\nsigma:\na -> a a b\nb -> b b a\n"),
         parse_system("alphabet: a\nstart: a\nsigma:\na -> a a a\n"),
     ]
+    rng = random.Random(7)
+    drawn = [parse_system(_draw(rng, "abcdef")) for _ in range(400)]
+    primitive = [s for s in drawn if s.incidence.primitive_exponent is not None]
     rng = random.Random(20261019)
     blocks = _block_systems(
         [e.text for e in entries()] + [_draw(rng, "abcde") for _ in range(200)]
     )
-    systems = runs + _primitive_draws(7, 150) + blocks
-    assert sum(len(s.alphabet) == 1 for s in systems) >= 2
+    systems = runs + primitive + blocks
+    assert len(primitive) >= 100 and max(len(s.alphabet) for s in primitive) == 6
     assert sum(len(s.alphabet) > 5 for s in blocks) >= 3
     junctions = letter_runs = 0
     for sys_ in systems:
@@ -295,6 +282,24 @@ def test_r_per_image_matches_the_per_window_reading():
             junctions, letter_runs = junctions + j, letter_runs + r
         assert got == want, sys_.sigma.images
     assert junctions > 1000 and letter_runs > 100
+
+
+def test_window_gaps_match_the_starts_of_the_joined_words():
+    # every pair of {a, b, c} words of 1-5 letters, and every 2-letter u:
+    # the gaps through the junction are pinned here, since on the images
+    # of a primitive sigma they have not been seen to give R
+    words = ["".join(p) for n in range(1, 6) for p in itertools.product("abc", repeat=n)]
+    rng = random.Random(3)
+    for left, right in (rng.sample(words, 2) for _ in range(4000)):
+        for u in ("".join(p) for p in itertools.product("abc", repeat=2)):
+            window = left + right
+            starts = [i for i in range(len(window) - 1) if window.startswith(u, i)]
+            want = max(map(operator.sub, starts[1:], starts), default=None)
+            got = constants._window_gap(
+                left, right, u,
+                constants._image_occurrences(left, u), constants._image_occurrences(right, u),
+            )
+            assert got == want, (left, right, u)
 
 
 def test_r_compares_a_level_with_the_budget_before_building_it(monkeypatch):

@@ -11,7 +11,9 @@ from pathlib import Path
 import pytest
 
 from morphrec import growth
-from morphrec.errors import NotPrimitive
+from morphrec.catalog import entries
+from morphrec.decider import _growing_stage
+from morphrec.errors import MorphrecError, NotPrimitive
 from morphrec.growth import (
     IncidenceStructure,
     PerronValue,
@@ -22,12 +24,16 @@ from morphrec.growth import (
     is_primitive,
     letter_envelopes,
     mat_colsums,
+    mat_from,
     mat_pow,
     pq_constants,
 )
 from morphrec.morphism import power
 from morphrec.system import parse_system
 from morphrec.words import Alphabet
+
+import test_fuzz
+from test_perron_golden import _matrices
 
 
 def _sys(text):
@@ -402,21 +408,6 @@ def _reference_scc_ratio_bounds(structure, comp):
     return _fraction_ratio_bounds(n_matrix)
 
 
-def _seeded_matrices(seed, count):
-    """Non-negative 1-6 letter matrices, each entry 0 with probability 1/4,
-    1/2 or 3/4 and otherwise 1-3."""
-    rng = random.Random(seed)
-    out = []
-    for _ in range(count):
-        n = rng.randint(1, 6)
-        zeros = rng.choice((0.25, 0.5, 0.75))
-        out.append(tuple(
-            tuple(0 if rng.random() < zeros else rng.randint(1, 3) for _ in range(n))
-            for _ in range(n)
-        ))
-    return out
-
-
 def test_eigenvector_ratio_bounds_match_the_fraction_reading():
     rng = random.Random(5)
     positive = [
@@ -432,7 +423,7 @@ def test_scc_ratio_bounds_match_the_reference():
     cyclic = ((0, 2, 0), (0, 0, 1), (3, 0, 0))  # irreducible, period 3
     swap = ((0, 1), (1, 0))
     seen = {"whole": 0, "part": 0, "imprimitive": 0}
-    for m in _seeded_matrices(13, 400) + [cyclic, swap]:
+    for m in [mat_from(m) for m in _matrices()] + [cyclic, swap]:
         structure = IncidenceStructure(Alphabet(tuple(str(i) for i in range(len(m)))), m)
         for sid, comp in enumerate(structure.sccs):
             if structure.scc_trivial[sid]:
@@ -445,11 +436,6 @@ def test_scc_ratio_bounds_match_the_reference():
 
 
 def test_pq_constants_match_the_reference_on_growing_stages(monkeypatch):
-    import test_fuzz
-    from morphrec.catalog import entries
-    from morphrec.decider import _growing_stage
-    from morphrec.errors import MorphrecError
-
     rng = random.Random(20261019)
     texts = [e.text for e in entries()] + [test_fuzz._draw(rng, "abcde") for _ in range(200)]
     structures = []
