@@ -18,10 +18,10 @@ import time
 from morphrec.catalog import entries
 from morphrec.decider import decide_uniform_recurrence, verify_certificate
 from morphrec.errors import MorphrecError
-from morphrec.returns import PRACTICAL_CAP, WORK_BUDGET
+from morphrec.returns import WORK_BUDGET
 
 
-def run(names: list[str] | None, cap: int, budget: int) -> int:
+def run(names: list[str] | None, budget: int) -> int:
     failures = []
     rows = []
     selected = [e for e in entries() if names is None or e.name in names]
@@ -29,7 +29,7 @@ def run(names: list[str] | None, cap: int, budget: int) -> int:
         t0 = time.perf_counter()
         try:
             system = entry.build()
-            verdict = decide_uniform_recurrence(system, practical_cap=cap, work_budget=budget)
+            verdict = decide_uniform_recurrence(system, work_budget=budget)
         except MorphrecError as e:
             dt = time.perf_counter() - t0
             if entry.expected == "error":
@@ -80,10 +80,9 @@ def run(names: list[str] | None, cap: int, budget: int) -> int:
 def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("names", nargs="*", help="catalog entries to run (default: all)")
-    ap.add_argument("--cap", type=int, default=PRACTICAL_CAP)
     ap.add_argument("--budget", type=int, default=WORK_BUDGET)
     args = ap.parse_args()
-    return run(args.names or None, args.cap, args.budget)
+    return run(args.names or None, args.budget)
 
 
 if __name__ == "__main__":

@@ -127,12 +127,12 @@ def _theta_text(tj: dict) -> str:
 
 def _env_decide(path: str, ns: argparse.Namespace):
     system = _load(path)
-    verdict = decide_uniform_recurrence(system, practical_cap=ns.cap, work_budget=ns.budget)
+    verdict = decide_uniform_recurrence(system, work_budget=ns.budget)
     env = {
         "format": FORMAT_VERSION,
         "command": "decide-ur",
         "input": path,
-        "options": {"cap": ns.cap, "budget": ns.budget},
+        "options": {"cap": PRACTICAL_CAP, "budget": ns.budget},
     }
     env.update(_plain(verdict.to_json_dict()))
     code = 0
@@ -551,7 +551,6 @@ def _build_parser() -> argparse.ArgumentParser:
         return p
 
     p = add("decide-ur", "run the full decision pipeline")
-    p.add_argument("--cap", type=int, default=PRACTICAL_CAP, help="practical repetition cap")
     p.add_argument("--budget", type=int, default=WORK_BUDGET, help="letter work budget")
     p.add_argument("--verify", action="store_true", help="re-check the certificate")
 

@@ -275,26 +275,10 @@ def compute_K(sys: ProlongableSystem) -> tuple[int, tuple[SubMorphismConstants, 
 
 @dataclass(frozen=True)
 class CapExpression:
-    """base ** exponent, never evaluated unless small enough to be cheap."""
+    """base ** exponent, kept symbolic: the power itself is never computed."""
 
     base: int
     exponent: int
-
-    def greater_than(self, counter: int) -> bool:
-        if self.base < 2:
-            return self.base**self.exponent > counter
-        if counter < 0:
-            return True
-        # base >= 2 so cap >= 2**exponent
-        if counter.bit_length() <= self.exponent:
-            return True
-        if self.exponent <= 512:
-            return self.base**self.exponent > counter
-        # counter needs more than 2**512 bits to get here; treat cap as larger
-        return True
-
-    def exceeded_by(self, counter: int) -> bool:
-        return not self.greater_than(counter)
 
     def describe(self) -> str:
         return f"{self.base}^{self.exponent}"

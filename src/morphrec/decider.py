@@ -18,9 +18,12 @@ verdict); the verifier, `derive_chain` and the CLI replay the same walk, so
 a certificate is checked on the very stage it was issued for.
 
 The growing branch first builds the constant sheet without the factor count
-p(K+1), then drives the u-chain on sigma^p for the small powers in
-LOW_POWERS below the sheet's full power P and accepts only a certified
-repetition there.  A stage that this low pass, the `primitive` check, the
+p(K+1).  When the sheet raises, a stage that no period of up to 1024 letters
+settles gets only the `primitive` and `primitive_tail` checks, which read
+none of its constants, and its verdict carries no sheet.  Otherwise the
+branch drives the u-chain on sigma^p for the small powers in LOW_POWERS
+below the sheet's full power P and accepts only a certified repetition
+there.  A stage that this low pass, the `primitive` check, the
 `primitive_tail` search and the exit scan all leave open ends
 inconclusive, with one `unsettled` trace step.  The paper drives the chain
 at P, after counting p(K+1); the decider never does, and `derive_chain`
@@ -118,10 +121,10 @@ positive power of sigma restricted to B).  The decider searches depth first
 from e over minimal preimages v' (no proper suffix of v' ends its image
 with v w), along a path of distinct words, within TAIL_WORD letters,
 TAIL_CHAIN steps and TAIL_STEPS letters tried; finding no chain leaves the
-stage to the exit scan.  The verdict
-carries the count-free sheet and one `tail` trace step.  The verifier
-rebuilds w and B from the stage and checks every stated fact locally, with
-no sheet, no sigma^P and no replay.
+stage to the exit scan.  The verdict carries the count-free sheet, if there
+is one, and one `tail` trace step.  The verifier rebuilds w and B from the
+stage and checks every stated fact locally, with no sheet, no sigma^P and
+no replay.
 
 The verifier checks a `repetition` locally, with no constant sheet, and
 only at a power in LOW_POWERS.  It composes the staged sigma to that power,
@@ -173,7 +176,6 @@ from .errors import (
 from .growth import Matrix, block_decomposition, horn_exponent, mat_positive, mat_pow
 from .morphism import Morphism, power
 from .returns import (
-    PAIR_BUDGET,
     PRACTICAL_CAP,
     WORK_BUDGET,
     DerivedDescriptor,
@@ -679,7 +681,6 @@ def _levels(
             u,
             sheet.K,
             K1=sheet.K1,
-            pair_budget=PAIR_BUDGET,
             work_budget=work_budget,
             anchored=power < sheet.power_exponent,
         )
@@ -695,16 +696,15 @@ def _chain(
     sys_pow: ProlongableSystem,
     power: int,
     sheet: ConstantSheet,
-    practical_cap: int,
     work_budget: int,
 ):
-    """Drive the u-chain up to the practical cap, watching for repetitions.
+    """Drive the u-chain up to PRACTICAL_CAP levels, watching for repetitions.
 
     Returns the certificate of the first certified repetition, the
     (level, |u|, exit) of a driver exit, or None when the cap is reached.
     """
     seen: dict[tuple, tuple[int, DerivedDescriptor]] = {}
-    for n, u, res in _levels(sys_pow, power, sheet, practical_cap, work_budget):
+    for n, u, res in _levels(sys_pow, power, sheet, PRACTICAL_CAP, work_budget):
         if isinstance(res, DriverExit):
             return n, len(u), res
         key = (res.sigma_u_images, res.psi)
@@ -870,9 +870,26 @@ def _tail_certificate(staged: ProlongableSystem) -> Certificate | None:
     return None
 
 
-def _growing_verdict(
-    stage: PreparedSystem, practical_cap: int, work_budget: int, trace: list[dict]
-) -> Verdict:
+def _sheet_free_verdict(
+    staged: ProlongableSystem, sheet: ConstantSheet | None, trace: list[dict]
+) -> Verdict | None:
+    """The `primitive` or else the `primitive_tail` verdict of a growing
+    stage, or None.  Neither check reads a constant of the sheet, so a stage
+    whose sheet cannot be built gets them too, with sheet None."""
+    cert = _primitive_certificate(staged)
+    if cert is not None:
+        trace.append({"step": "primitive", **cert.data})
+        return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
+    cert = _tail_certificate(staged)
+    if cert is not None:
+        d = cert.data
+        n = len(d["v"]) - 1
+        trace.append({"step": "tail", "letters": len(d["B"]), "n": n, "p": n - d["j"]})
+        return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
+    return None
+
+
+def _growing_verdict(stage: PreparedSystem, work_budget: int, trace: list[dict]) -> Verdict:
     staged = stage.staged
     # a periodic x is uniformly recurrent; a check that finds no period or
     # runs out of budget leaves the decision to the sheet and the chain
@@ -892,13 +909,14 @@ def _growing_verdict(
             cert = _periodic_certificate(staged, q, "constants-unavailable", ev)
             return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
         trace.append({"step": "constants", "status": "unavailable", "reason": str(e)})
-        return Verdict(INCONCLUSIVE, None, None, tuple(trace))
+        settled = _sheet_free_verdict(staged, None, trace)
+        return settled or Verdict(INCONCLUSIVE, None, None, tuple(trace))
 
     for p in LOW_POWERS:
         if p >= sheet.power_exponent:
             break
         try:
-            found = _chain(staged.with_sigma_power(p), p, sheet, practical_cap, work_budget)
+            found = _chain(staged.with_sigma_power(p), p, sheet, work_budget)
         except BudgetExhausted:
             found = None
         certified = isinstance(found, Certificate)
@@ -908,17 +926,9 @@ def _growing_verdict(
         if isinstance(found, tuple) and found[2].kind in _POWER_INDEPENDENT_EXITS:
             break
 
-    cert = _primitive_certificate(staged)
-    if cert is not None:
-        trace.append({"step": "primitive", **cert.data})
-        return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
-
-    cert = _tail_certificate(staged)
-    if cert is not None:
-        d = cert.data
-        n = len(d["v"]) - 1
-        trace.append({"step": "tail", "letters": len(d["B"]), "n": n, "p": n - d["j"]})
-        return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
+    settled = _sheet_free_verdict(staged, sheet, trace)
+    if settled is not None:
+        return settled
 
     hit = _exit_scan(staged, sheet.K)
     if hit is not None:
@@ -1223,9 +1233,7 @@ def _preimage_system(sys: ProlongableSystem) -> ProlongableSystem | None:
     return ProlongableSystem(restricted.sigma, restricted.start, None)
 
 
-def _image_shortcut(
-    sys: ProlongableSystem, practical_cap: int, work_budget: int, trace: list[dict]
-) -> Verdict | None:
+def _image_shortcut(sys: ProlongableSystem, work_budget: int, trace: list[dict]) -> Verdict | None:
     """Decide the fixed point alone before paying for the letter blow-up.
 
     The blow-up multiplies the alphabet and can inflate the recurrence
@@ -1241,7 +1249,7 @@ def _image_shortcut(
         {"step": "image-shortcut", "status": "deciding-preimage", "letters": len(inner.alphabet)}
     )
     try:
-        sub = _decide(inner, practical_cap, work_budget, trace)
+        sub = _decide(inner, work_budget, trace)
     except BudgetExhausted as e:
         trace.append({"step": "image-shortcut", "status": "fallthrough", "reason": str(e)})
         return None
@@ -1258,9 +1266,7 @@ def _image_shortcut(
     )
 
 
-def _decide(
-    sys: ProlongableSystem, practical_cap: int, work_budget: int, trace: list[dict]
-) -> Verdict:
+def _decide(sys: ProlongableSystem, work_budget: int, trace: list[dict]) -> Verdict:
     for stage in _stages(sys, trace):
         letter = finite_letter_witness(stage.staged)
         if letter is not None:
@@ -1277,26 +1283,22 @@ def _decide(
             )
             return Verdict(NOT_UNIFORMLY_RECURRENT, cert, None, tuple(trace))
         if stage.growing:
-            return _growing_verdict(stage, practical_cap, work_budget, trace)
+            return _growing_verdict(stage, work_budget, trace)
         if stage.pumping_witness is not None:
             return _nongrowing_verdict(stage, trace)
     return Verdict(INCONCLUSIVE, None, None, tuple(trace))
 
 
 def decide_uniform_recurrence(
-    sys: ProlongableSystem,
-    practical_cap: int = PRACTICAL_CAP,
-    work_budget: int = WORK_BUDGET,
+    sys: ProlongableSystem, work_budget: int = WORK_BUDGET
 ) -> Verdict:
     """Full decision pipeline; see the module docstring for the stages."""
-    if practical_cap < 2:
-        raise ValueError("practical_cap must be at least 2")
     trace: list[dict] = []
     try:
-        shortcut = _image_shortcut(sys, practical_cap, work_budget, trace)
+        shortcut = _image_shortcut(sys, work_budget, trace)
         if shortcut is not None:
             return shortcut
-        return _decide(sys, practical_cap, work_budget, trace)
+        return _decide(sys, work_budget, trace)
     except BudgetExhausted as e:
         trace.append({"step": "budget", "reason": str(e)})
         return Verdict(INCONCLUSIVE, None, None, tuple(trace))

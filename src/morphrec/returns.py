@@ -36,10 +36,10 @@ from .stream import FixedPointStream
 from .system import ProlongableSystem
 from .words import Alphabet, occurrences_in_word, split_occurrences
 
-# Default budgets, stated once for the library, the CLI and the scripts:
-# levels of the u-chain driven before the decider stops watching for a
-# repetition, pairs one closure may discover, and letters one closure may
-# expand.
+# Budgets, stated once for the library, the CLI and the scripts: levels of
+# the u-chain the decider drives before it stops watching for a repetition,
+# pairs one closure may discover, and letters one closure may expand.  Only
+# the last is a parameter (work_budget, with WORK_BUDGET its default).
 PRACTICAL_CAP = 64
 PAIR_BUDGET = 4096
 WORK_BUDGET = 1 << 26
@@ -144,11 +144,7 @@ class ReturnSubstitution:
     table: ReturnTable
 
 
-def return_substitution(
-    sys: ProlongableSystem,
-    u: list[str],
-    max_returns: int = PAIR_BUDGET,
-) -> ReturnSubstitution:
+def return_substitution(sys: ProlongableSystem, u: list[str]) -> ReturnSubstitution:
     """Induced substitution on return-word indices for a primitive system.
 
     This is the anchored identity-coding case of build_sigma_U: with phi the
@@ -157,7 +153,7 @@ def return_substitution(
     a scan budget of _SCAN_BUDGET letters, so that the first-recurrence
     window covers it, and at least |u|, so that no return word is short
     against |u|/K.  A prefix that does not recur in the window, a return
-    word longer than K|u| and more than max_returns words all raise
+    word longer than K|u| and more than PAIR_BUDGET words all raise
     BudgetExhausted.
     """
     if sys.incidence.primitive_exponent is None:
@@ -168,7 +164,6 @@ def return_substitution(
         ProlongableSystem(sys.sigma, sys.start),
         alpha.encode(u),
         K,
-        pair_budget=max_returns,
         anchored=True,
     )
     if isinstance(res, DriverExit):
@@ -339,7 +334,6 @@ def build_sigma_U(
     u: str,
     K: int | None,
     K1: int | None = None,
-    pair_budget: int = PAIR_BUDGET,
     work_budget: int = WORK_BUDGET,
     anchored: bool = False,
 ):
@@ -484,9 +478,9 @@ def build_sigma_U(
                         message=f"more than K1 = {K1} table entries",
                         evidence={"entries": len(pairs) + 1, "K1": K1},
                     )
-                if len(pairs) >= pair_budget:
+                if len(pairs) >= PAIR_BUDGET:
                     raise BudgetExhausted(
-                        f"more than {pair_budget} pairs discovered",
+                        f"more than {PAIR_BUDGET} pairs discovered",
                         occurrences_found=len(pairs),
                     )
                 pairs.append(piece)

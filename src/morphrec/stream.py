@@ -31,6 +31,7 @@ _CHUNK = 4096
 _MAX_LEVEL = 64  # deepest table level, for letters whose images grow slowly
 _ERASE_GUARD = 1 << 22  # y letters consumed without x progress before giving up
 _CLOSURE_BUDGET = 1 << 22  # letters factor_language may expand
+_COMPLEXITY_PREFIX = 1 << 15  # letters complexity scans when it cannot be exact
 
 
 class FixedPointStream:
@@ -329,18 +330,13 @@ def _inner_language(sys: ProlongableSystem, n: int) -> set[str]:
     return out
 
 
-def complexity(
-    sys: ProlongableSystem,
-    n: int,
-    which: str = "y",
-    prefix_length: int | None = None,
-) -> ComplexityResult:
+def complexity(sys: ProlongableSystem, n: int, which: str = "y") -> ComplexityResult:
     """Factor count p(n) with the factor set itself.
 
     Exact when every letter of sigma grows (and, for the outer sequence, phi
     is non-erasing): every length-n factor then sits inside the image of a
     two-letter factor under a sufficient power of sigma.  Otherwise the count
-    is a lower bound from a plain prefix scan of prefix_length letters.
+    is a lower bound from a plain prefix scan of _COMPLEXITY_PREFIX letters.
     """
     if n < 0:
         raise ValueError("factor length must be >= 0")
@@ -366,8 +362,7 @@ def complexity(
         factors = frozenset(tuple(alpha.decode(w)) for w in lang)
         return ComplexityResult(len(factors), factors, True)
 
-    length = prefix_length if prefix_length is not None else 1 << 15
-    word = FixedPointStream(sys, which).prefix_chars(length)
+    word = FixedPointStream(sys, which).prefix_chars(_COMPLEXITY_PREFIX)
     lang = factor_set(word, n)
     factors = frozenset(tuple(alpha.decode(w)) for w in lang)
     return ComplexityResult(len(factors), factors, False)

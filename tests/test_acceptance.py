@@ -91,7 +91,7 @@ def test_02_primitive_corpus_repetition_certificates():
     for name in PRIMITIVE_CORPUS:
         sys_ = load(name)
         t0 = time.monotonic()
-        v = decide_uniform_recurrence(sys_, practical_cap=64)
+        v = decide_uniform_recurrence(sys_)
         elapsed = time.monotonic() - t0
         worst = max(worst, elapsed)
         assert elapsed < 60.0, f"{name} took {elapsed:.1f}s"

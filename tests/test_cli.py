@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from morphrec import decider
 from morphrec.catalog import get
 from morphrec.cli import main
 
@@ -40,7 +41,7 @@ def run(capsys, *argv):
 # -- decide-ur -------------------------------------------------------------------------
 
 
-def test_decide_ur_text(capsys, fib_file, tmp_path):
+def test_decide_ur_text(capsys, fib_file, tmp_path, monkeypatch):
     code, out, err = run(capsys, "decide-ur", fib_file)
     assert code == 0
     assert "verdict: uniformly recurrent" in out
@@ -58,7 +59,8 @@ def test_decide_ur_text(capsys, fib_file, tmp_path):
         "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a c\nb -> b c b\nc -> b\n"
         "phi:\na -> 1\nb -> 1\nc -> 0\n"
     )
-    code, out, err = run(capsys, "decide-ur", "--cap", "2", "--budget", "1048576", str(p))
+    monkeypatch.setattr(decider, "PRACTICAL_CAP", 2)
+    code, out, err = run(capsys, "decide-ur", "--budget", "1048576", str(p))
     assert code == 0
     assert "verdict: inconclusive" in out and "certificate: none" in out
     line = next(x for x in out.splitlines() if x.startswith("constants:"))

@@ -424,29 +424,12 @@ def test_preimage_counts_within_bound():
             assert max(counts.values()) <= sh.preimage_bound
 
 
-# -- the lazily evaluated cap ---------------------------------------------------------
+# -- the symbolic cap -----------------------------------------------------------------
 
 
 def test_cap_expression_small_values():
     cap = CapExpression(3, 5)  # 243
     assert cap.describe() == "3^5"
-    assert cap.greater_than(242)
-    assert not cap.greater_than(243)
-    assert cap.exceeded_by(243)
-    assert not cap.exceeded_by(242)
-    assert cap.greater_than(-1)
-
-
-def test_cap_expression_degenerate_base():
-    assert not CapExpression(1, 10**30).greater_than(1)
-    assert CapExpression(1, 10**30).greater_than(0)
-
-
-def test_cap_expression_huge_values_stay_cheap():
-    sh = _sheet("fibonacci")
-    # any counter a real run could reach is dwarfed by the cap
-    assert sh.cap.greater_than(10**200)
-    assert not sh.cap.exceeded_by(2**4096)
 
 
 def test_sheet_describe_roundtrip():

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphrec import constants, decider, stream
+from morphrec import constants, decider, returns, stream
 from morphrec.catalog import entries, get
 from morphrec.constants import compute_constant_sheet
 from morphrec.decider import (
@@ -161,7 +161,7 @@ def test_inconclusive_on_tiny_pair_budget(monkeypatch):
     # settles ends in one named step, with the count-free sheet and no
     # certificate to verify
     text = CHAIN_ONLY
-    monkeypatch.setattr(decider, "PAIR_BUDGET", 2)
+    monkeypatch.setattr(returns, "PAIR_BUDGET", 2)
     v = decide_uniform_recurrence(parse_system(text), work_budget=1 << 16)
     assert v.outcome == INCONCLUSIVE
     assert v.certificate is None
@@ -173,15 +173,11 @@ def test_inconclusive_on_tiny_pair_budget(monkeypatch):
     assert "certificate" in detail["reason"]
 
 
-def test_small_practical_cap_still_finds_fibonacci():
-    v = decide_uniform_recurrence(load("fibonacci"), practical_cap=2)
+def test_small_practical_cap_still_finds_fibonacci(monkeypatch):
+    monkeypatch.setattr(decider, "PRACTICAL_CAP", 2)
+    v = decide_uniform_recurrence(load("fibonacci"))
     assert v.outcome == UNIFORMLY_RECURRENT
     assert (v.certificate.data["n"], v.certificate.data["m"]) == (1, 2)
-
-
-def test_practical_cap_validation():
-    with pytest.raises(ValueError):
-        decide_uniform_recurrence(load("fibonacci"), practical_cap=1)
 
 
 # -- certificate verification rejects tampering ----------------------------------------

@@ -42,7 +42,7 @@ from morphrec.growth import (
     mat_pow,
 )
 from morphrec.morphism import Morphism
-from morphrec.returns import PRACTICAL_CAP, WORK_BUDGET
+from morphrec.returns import WORK_BUDGET
 from morphrec.stream import _CHUNK, FixedPointStream, _inner_language, factor_language
 from morphrec.system import ProlongableSystem, parse_system
 from morphrec.words import Alphabet
@@ -580,7 +580,7 @@ def test_primitive_certificate_agrees_with_the_chain(images, coding):
     stage = _growing_stage(parse_system(text))
     sheet = compute_constant_sheet(stage.staged)
     P = sheet.power_exponent
-    slow = decider._chain(stage.staged.with_sigma_power(P), P, sheet, PRACTICAL_CAP, WORK_BUDGET)
+    slow = decider._chain(stage.staged.with_sigma_power(P), P, sheet, WORK_BUDGET)
     assert slow.kind == "repetition" and slow.data["power"] == P
 
 

@@ -1,6 +1,7 @@
-"""Fuzz over small random systems drawn from one fixed seed: the decider
+"""Fuzz over small random systems drawn from fixed seeds: the decider
 either answers (a certificate, if any, verifies) or raises a MorphrecError,
-and a periodic certificate's period holds on a long prefix of x."""
+and a periodic certificate's period holds on a long prefix of x.  A second
+stratum draws 5-8 letters with images of up to WIDE_LONGEST letters."""
 
 import random
 
@@ -14,15 +15,30 @@ from morphrec.system import parse_system
 SEED = 20261017
 DRAWS = 60
 PREFIX = 4096
+WIDE_SEED = 20261019
+WIDE_DRAWS = 20
+# images of 1 to 4 letters keep the stratum within a second: work_budget
+# does not bound the E1 scan of the low-power chain, which on images of up
+# to 6 letters has read more than 2^26 letters of x
+WIDE_LONGEST = 4
+
+# draw 49 of the wide-alphabet set (seed 12, 6-8 letters, images of up to 6
+# letters): its primitive 34-letter block stage has no constant sheet, as
+# the images R reads pass the work budget
+DRAW_49 = (
+    "alphabet: a b c d e f g h\nstart: a\nsigma:\na -> a c e e b\nb -> e b a e c b\n"
+    "c -> b h g\nd -> c e b\ne -> e e c h c\nf -> f\ng -> d\nh -> d h c f c a\n"
+)
 
 
-def _draw(rng: random.Random, alphabet: str = "abc") -> str:
-    """2-3 letters (2 to len(alphabet) when an alphabet is given), images of
-    1-3 letters with sigma(a) = a..., and an optional 0/1 coding."""
-    letters = alphabet[: rng.randint(2, len(alphabet))]
-    images = {"a": "a" + "".join(rng.choice(letters) for _ in range(rng.randint(1, 2)))}
+def _draw(rng: random.Random, alphabet: str = "abc", fewest: int = 2, longest: int = 3) -> str:
+    """fewest to len(alphabet) letters (2-3 by default), images of 1 to
+    longest letters with sigma(a) = a... (2 to longest letters), and an
+    optional 0/1 coding."""
+    letters = alphabet[: rng.randint(fewest, len(alphabet))]
+    images = {"a": "a" + "".join(rng.choice(letters) for _ in range(rng.randint(1, longest - 1)))}
     for c in letters[1:]:
-        images[c] = "".join(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+        images[c] = "".join(rng.choice(letters) for _ in range(rng.randint(1, longest)))
     coded = rng.random() < 0.5
     lines = [f"alphabet: {' '.join(letters)}", "start: a"]
     if coded:
@@ -37,9 +53,15 @@ def _draw(rng: random.Random, alphabet: str = "abc") -> str:
 
 _RNG = random.Random(SEED)
 SYSTEMS = [_draw(_RNG) for _ in range(DRAWS)]
+_WIDE_RNG = random.Random(WIDE_SEED)
+WIDE_SYSTEMS = [_draw(_WIDE_RNG, "abcdefgh", 5, WIDE_LONGEST) for _ in range(WIDE_DRAWS)]
 
 
-@pytest.mark.parametrize("text", SYSTEMS, ids=[f"draw{i}" for i in range(DRAWS)])
+@pytest.mark.parametrize(
+    "text",
+    SYSTEMS + WIDE_SYSTEMS,
+    ids=[f"draw{i}" for i in range(DRAWS)] + [f"wide{i}" for i in range(WIDE_DRAWS)],
+)
 def test_random_system(text):
     sys_ = parse_system(text)
     try:
@@ -54,3 +76,13 @@ def test_random_system(text):
         q = verdict.certificate.data["period"]
         x = FixedPointStream(sys_, "x").prefix_chars(PREFIX)
         assert x[q:] == x[:-q]
+
+
+def test_primitive_stage_settles_without_the_sheet():
+    sys_ = parse_system(DRAW_49)
+    verdict = decide_uniform_recurrence(sys_)
+    assert verdict.certificate.kind == "primitive" and verdict.sheet is None
+    assert {"step": "constants", "status": "unavailable",
+            "reason": "image materialization exceeded the work budget"} in verdict.trace
+    ok, detail = verify_certificate(sys_, verdict)
+    assert ok, detail

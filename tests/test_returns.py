@@ -3,6 +3,7 @@ and their defining equations."""
 
 import pytest
 
+from morphrec import returns
 from morphrec.catalog import get
 from morphrec.constants import compute_constant_sheet
 from morphrec.decider import prepare
@@ -208,12 +209,14 @@ def test_return_substitution_requires_prefix(fib):
         return_substitution(fib, ["b", "a"])
 
 
-def test_return_substitution_max_returns_below_the_table():
+def test_return_substitution_max_returns_below_the_table(monkeypatch):
     # rudin_shapiro has 8 return words to its first letter
     rs_sys = get("rudin_shapiro").build()
-    assert len(return_substitution(rs_sys, ["a"], max_returns=8).table) == 8
+    monkeypatch.setattr(returns, "PAIR_BUDGET", 8)
+    assert len(return_substitution(rs_sys, ["a"]).table) == 8
+    monkeypatch.setattr(returns, "PAIR_BUDGET", 7)
     with pytest.raises(BudgetExhausted):
-        return_substitution(rs_sys, ["a"], max_returns=7)
+        return_substitution(rs_sys, ["a"])
 
 
 def test_return_substitution_ignores_phi():

@@ -2,6 +2,7 @@
 
 import pytest
 
+from morphrec import stream
 from morphrec.catalog import PRIMITIVE_CORPUS, get
 from morphrec.errors import NotEnoughOccurrences
 from morphrec.morphism import Morphism
@@ -202,9 +203,10 @@ def test_complexity_outer_coded():
     assert res.exact and res.count == 1
 
 
-def test_complexity_inexact_fallback(nonur):
+def test_complexity_inexact_fallback(nonur, monkeypatch):
     # non-growing letter: exact enumeration unavailable, scan lower bound
-    res = complexity(nonur, 2, prefix_length=4096)
+    monkeypatch.setattr(stream, "_COMPLEXITY_PREFIX", 4096)
+    res = complexity(nonur, 2)
     assert not res.exact
     assert res.count >= 3
 
