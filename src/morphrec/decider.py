@@ -67,15 +67,16 @@ its sheet null and has no `constants` trace step.
 
 A stage that is still open gets the `primitive_tail` check below, then the
 exit scan.  The scan walks the u-chain's prefixes by the chain rule below,
-on prefixes of x that double from SCAN_FIRST to SCAN_LETTERS letters and
-within SCAN_WORK letters searched, and ends the decision at the first
-level where v = x[:|u|] either has no second occurrence ending within
-(K+1)|v| letters (E1, the test the driver makes first at each level) or has
-two successive occurrences more than K|v| apart (a `gap`, the return word
-that E2 bounds).  Why either refutes uniform recurrence at any level and
-any power: a uniformly recurrent morphic x is linearly recurrent, and K
-bounds its constant, so every return word of x to any factor v has length
-at most K|v| (Durand, "Linearly recurrent subshifts have a finite number of
+on prefixes of x that double from SCAN_FIRST to SCAN_LETTERS letters (the
+bound on every E1 scan, stated in returns.py) and within SCAN_WORK letters
+searched, and ends the decision at the first level where v = x[:|u|]
+either has no second occurrence ending within (K+1)|v| letters (E1, the
+test the driver makes first at each level) or has two successive
+occurrences more than K|v| apart (a `gap`, the return word that E2 bounds).
+Why either refutes uniform recurrence at any level and any power: a
+uniformly recurrent morphic x is linearly recurrent, and K bounds its
+constant, so every return word of x to any factor v has length at most
+K|v| (Durand, "Linearly recurrent subshifts have a finite number of
 non-periodic subshift factors", ETDS 2000).  Both facts are about x alone:
 v is a prefix of x whatever level named it, and sigma^p has the same fixed
 point for every p, so neither needs P, the factor count or a closure.  The
@@ -145,7 +146,9 @@ the count-free sheet, |u_1|..|u_level| from the chain rule with each level's
 E1 window (an earlier level whose prefix does not recur there is an E1 at
 that level, so the stated level is wrong), and one scan of x at the stated
 level.  For E1, v must not recur within (K+1)|v|; for a gap, the stated
-positions must be successive occurrences of v more than K|v| apart.  The
+positions must be successive occurrences of v more than K|v| apart.  Both
+must lie within SCAN_LETTERS letters of x, the prefix the exit scan reads,
+so the verifier reads no further than the decider.  The
 certificate must then equal the one rebuilt from these facts.  No factor
 count, no sigma^P and no closure are involved.  Every other exit kind but
 `letter` is rejected: the decider issues none, and nothing is replayed on
@@ -177,6 +180,7 @@ from .growth import Matrix, block_decomposition, horn_exponent, mat_positive, ma
 from .morphism import Morphism, power
 from .returns import (
     PRACTICAL_CAP,
+    SCAN_LETTERS,
     WORK_BUDGET,
     DerivedDescriptor,
     DriverExit,
@@ -207,12 +211,11 @@ LOW_POWERS = (1, 2, 3)
 UPFRONT_QMAX = 64
 
 # the exit scan walks the u-chain on prefixes of x that double from
-# SCAN_FIRST letters up to SCAN_LETTERS, checking a level on a prefix only
-# while that level's E1 window (K+1)|v| fits in it; each level checked
-# charges the prefix length, and the scan gives up once the charges pass
-# SCAN_WORK letters
+# SCAN_FIRST letters up to SCAN_LETTERS (returns.py), checking a level on a
+# prefix only while that level's E1 window (K+1)|v| fits in it; each level
+# checked charges the prefix length, and the scan gives up once the charges
+# pass SCAN_WORK letters
 SCAN_FIRST = 1 << 12
-SCAN_LETTERS = 1 << 20
 SCAN_WORK = 1 << 23
 
 # a low-power try that exits this way ends the low pass: the u-chain and the
@@ -1337,7 +1340,8 @@ def _anchored_levels(stage: PreparedSystem, power: int, n: int, m: int):
     the level at which the chain or a closure exited.
 
     |u_1|..|u_m| come from the chain rule alone (`_chain_rule`).  Its scans
-    share one WORK_BUDGET of x letters, so a forged level ends in an exit.
+    share one WORK_BUDGET of x letters and each reads at most SCAN_LETTERS,
+    so a forged level ends in an exit or raises BudgetExhausted.
     Only the closures at n and m are built, anchored and with no exit that
     K sets.
     """
@@ -1478,8 +1482,8 @@ def _scan_exit_error(stage: PreparedSystem, data: dict) -> dict | None:
         return bad
     level, u_len = data["level"], data["u_length"]
     K = compute_count_free_sheet(stage.staged).K
-    if level < 1 or u_len < 1 or (K + 1) * u_len > WORK_BUDGET:
-        return {"reason": f"level and u_length must be positive, with (K+1)|u| <= {WORK_BUDGET}"}
+    if level < 1 or u_len < 1 or (K + 1) * u_len > SCAN_LETTERS:
+        return {"reason": f"level and u_length must be positive, with (K+1)|u| <= {SCAN_LETTERS}"}
     xstream = FixedPointStream(stage.staged, "x")
 
     def second(size: int) -> int | None:
@@ -1505,8 +1509,8 @@ def _scan_exit_error(stage: PreparedSystem, data: dict) -> dict | None:
         if type(positions) is not list or [type(i) for i in positions] != [int, int]:
             return {"reason": f"positions must be two ints, got {positions!r}"}
         p, q = positions
-        if not 0 <= p < q or q + size > WORK_BUDGET:
-            return {"reason": f"positions must satisfy 0 <= p < q <= {WORK_BUDGET} - |u|"}
+        if not 0 <= p < q or q + size > SCAN_LETTERS:
+            return {"reason": f"positions must satisfy 0 <= p < q <= {SCAN_LETTERS} - |u|"}
         text = xstream.prefix_chars(q + size)
         v = text[:size]
         if not text.startswith(v, p) or text.find(v, p + 1) != q:

@@ -38,14 +38,14 @@ from .words import Alphabet, occurrences_in_word, split_occurrences
 
 # Budgets, stated once for the library, the CLI and the scripts: levels of
 # the u-chain the decider drives before it stops watching for a repetition,
-# pairs one closure may discover, and letters one closure may expand.  Only
-# the last is a parameter (work_budget, with WORK_BUDGET its default).
+# pairs one closure may discover, letters one closure may expand, and
+# letters of the fixed point any E1 scan may read, which every such scan
+# holds in the prefix cache.  Only the work budget is a parameter
+# (work_budget, with WORK_BUDGET its default).
 PRACTICAL_CAP = 64
 PAIR_BUDGET = 4096
 WORK_BUDGET = 1 << 26
-
-# letters the word-case closure may scan for the first recurrence of u
-_SCAN_BUDGET = 1 << 22
+SCAN_LETTERS = 1 << 20
 
 # letters derived_step scans for the first return word of x to u
 _DERIVED_STEP_SCAN = 1 << 16
@@ -149,17 +149,16 @@ def return_substitution(sys: ProlongableSystem, u: list[str]) -> ReturnSubstitut
 
     This is the anchored identity-coding case of build_sigma_U: with phi the
     identity, U = {u}, every pair is (w, u), and the pair table is the table
-    of return words of y to u in first-appearance order.  K is taken from
-    a scan budget of _SCAN_BUDGET letters, so that the first-recurrence
-    window covers it, and at least |u|, so that no return word is short
-    against |u|/K.  A prefix that does not recur in the window, a return
-    word longer than K|u| and more than PAIR_BUDGET words all raise
-    BudgetExhausted.
+    of return words of y to u in first-appearance order.  K is taken so
+    that the first-recurrence window (K+1)|u| covers SCAN_LETTERS letters,
+    and at least |u|, so that no return word is short against |u|/K.  A
+    prefix that does not recur in the window, a return word longer than
+    K|u| and more than PAIR_BUDGET words all raise BudgetExhausted.
     """
     if sys.incidence.primitive_exponent is None:
         raise NotPrimitive("return substitutions need a primitive incidence matrix")
     alpha = sys.alphabet
-    K = max(_SCAN_BUDGET // max(len(u), 1), len(u))
+    K = max(SCAN_LETTERS // max(len(u), 1), len(u))
     res = build_sigma_U(
         ProlongableSystem(sys.sigma, sys.start),
         alpha.encode(u),
@@ -167,10 +166,10 @@ def return_substitution(sys: ProlongableSystem, u: list[str]) -> ReturnSubstitut
         anchored=True,
     )
     if isinstance(res, DriverExit):
-        if res.kind in ("E1", "E2"):
-            raise BudgetExhausted(
-                res.message, occurrences_found=res.evidence.get("occurrences", 0)
-            )
+        # the window passes SCAN_LETTERS, so a missing recurrence raises
+        # in the scan, and E1 never returns here
+        if res.kind == "E2":
+            raise BudgetExhausted(res.message)
         raise InternalConsistencyError(f"word-case closure exited: {res.message}")
 
     words = [w for w, _ in res.pairs]
@@ -241,15 +240,29 @@ def pms_decompose(
 
 
 def first_two_occurrences(stream: FixedPointStream, pattern: str, window: int) -> list[int]:
-    """The first two starts of pattern in the first `window` letters of the
-    stream, fewer when it does not recur there.  The scan limit grows by 4x,
-    so an early recurrence is found in the cached prefix, without streaming
-    sigma^j tables over the whole window."""
+    """The first two starts of pattern that end within the first `window`
+    letters of the stream, fewer when it does not recur there.  The prefix
+    read grows by 4x, so an early recurrence reads a short prefix, and it
+    never passes SCAN_LETTERS letters: when the window is longer and pattern
+    has no second start ending within SCAN_LETTERS letters, the scan raises
+    BudgetExhausted, since the window's end stays unread."""
     limit = max(4 * len(pattern), 64)
     while True:
-        occ = stream.scan_occurrences(pattern, min(limit, window), max_count=2)
-        if len(occ) >= 2 or limit >= window:
+        end = min(limit, window, SCAN_LETTERS)
+        text = stream.prefix_chars(end)
+        occ: list[int] = []
+        pos = text.find(pattern)
+        while pos != -1 and len(occ) < 2:
+            occ.append(pos)
+            pos = text.find(pattern, pos + 1)
+        if len(occ) == 2 or end == window:
             return occ
+        if end == SCAN_LETTERS:
+            raise BudgetExhausted(
+                f"a word of length {len(pattern)} does not recur in the first "
+                f"{SCAN_LETTERS} letters of its {window}-letter window",
+                occurrences_found=len(occ),
+            )
         limit *= 4
 
 
@@ -348,11 +361,12 @@ def build_sigma_U(
     expansion rounds of the index substitution.  With anchored=True every
     image block must be cut exactly into whole return words, so that
     Theta sigma_U = sigma Theta holds letter for letter; otherwise the driver
-    returns an 'unanchored' exit.  With K None the exits that K sets are
-    off: E1 scans up to work_budget letters, E2, short-return and E4 never
-    fire, and empty-image and no-occurrence are guarded.  Those exits are
-    the only places K enters, so a run that closes with an int K builds the
-    same descriptor with K None.
+    returns an 'unanchored' exit.  E1 reads at most SCAN_LETTERS letters of
+    x: a window past them in which v does not recur raises BudgetExhausted.
+    With K None the exits that K sets are off: E1's window is work_budget
+    letters, E2, short-return and E4 never fire, and empty-image and
+    no-occurrence are guarded.  Those exits are the only places K enters, so
+    a run that closes with an int K builds the same descriptor with K None.
     """
     phi = sys.phi
     if phi is not None and not phi.is_coding:

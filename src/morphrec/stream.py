@@ -1,31 +1,26 @@
 """Lazy generation of y = sigma^inf(a) and x = phi(y), plus factor analysis.
 
-The stream decomposes the fixed point as a . u . sigma(u) . sigma^2(u) ...
-where sigma(a) = a u.  Streaming scans keep a block sigma^k(u) whole, one
-sigma at a time, while it has at most _CHUNK letters, and expand the blocks
-after the last whole one through a table of sigma^j images, built one level
-at a time when a scan first reaches it and never past the level whose
-images, known in advance from the image lengths of sigma's shared incidence
-analysis, would exceed _CHUNK letters; deeper blocks translate pieces of
-shallower ones, so memory stays proportional to the chunk size times the
-expansion depth.
-
-Bulk prefixes keep a cache sigma^k(a), with the offsets of its blocks, and
-grow it one translated block sigma^k(u) at a time: from the block before
-while that one has fewer than _CHUNK letters, and after it from the block j
-levels earlier through the deepest sigma^j table, since str.translate with
-multi-letter images pays for every letter it reads.  The x cache grows by
-the phi-image of the new letters of y.
+Every read of the fixed point goes through one prefix cache.  The stream
+decomposes y as a . u . sigma(u) . sigma^2(u) ... where sigma(a) = a u,
+keeps sigma^k(a) with the offsets of its blocks, and grows it one translated
+block sigma^k(u) at a time: from the block before while that one has fewer
+than _CHUNK letters, and after it from the block j levels earlier through
+the deepest sigma^j table, since str.translate with multi-letter images pays
+for every letter it reads.  The table is built one level at a time when the
+cache first needs it, and never past the level whose images, known in
+advance from the image lengths of sigma's shared incidence analysis, would
+exceed _CHUNK letters.  The x cache grows by the phi-image of the new
+letters of y.  A scan holds the whole prefix it reads, so every scan states
+its own bound: returns.SCAN_LETTERS for the E1 scans.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator
 
 from .errors import BudgetExhausted, NotEnoughOccurrences, PreconditionViolated
 from .system import ProlongableSystem
-from .words import factor_set
+from .words import factor_set, occurrences_in_word
 
 _CHUNK = 4096
 _MAX_LEVEL = 64  # deepest table level, for letters whose images grow slowly
@@ -37,11 +32,11 @@ _COMPLEXITY_PREFIX = 1 << 15  # letters complexity scans when it cannot be exact
 class FixedPointStream:
     """Single-owner stream over y = sigma^inf(a) or x = phi(y).
 
-    prefix() keeps a growing cache (memory O(n)); chunks() streams with
-    memory bounded by the expansion frontier.  Nothing is expanded at
-    construction: the sigma^j image table is built lazily by chunks(), and
-    the image lengths and the prolongability check come from the incidence
-    analysis cached on sigma, shared by every stream over the same sigma.
+    prefix_chars() and prefix() read a growing cache, so memory is O(n) in
+    the longest prefix read.  Nothing is expanded at construction: the
+    sigma^j image table is built as the cache grows, and the image lengths
+    and the prolongability check come from the incidence analysis cached on
+    sigma, shared by every stream over the same sigma.
     """
 
     def __init__(self, sys: ProlongableSystem, which: str = "y"):
@@ -57,9 +52,8 @@ class FixedPointStream:
         self._xcache = None
         if which == "x":
             self._xcache = sys.effective_phi.apply(self._ycache)
-        # translate tables of sigma^j (level j) and their longest image
+        # translate tables of sigma^j (level j)
         self._levels: list[dict[int, str]] = []
-        self._longest: list[int] = []
         self._levels_done = False
 
     # -- bulk prefixes ---------------------------------------------------------
@@ -122,8 +116,6 @@ class FixedPointStream:
         if len(parts) > 1:
             self._ycache = "".join(parts)
 
-    # -- streaming -------------------------------------------------------------
-
     def _deepest_level(self, k: int) -> int:
         """Deepest table level j with 1 <= j <= k, building levels on demand.
 
@@ -134,7 +126,6 @@ class FixedPointStream:
         sigma = self.sys.sigma
         if not levels:
             levels.append(sigma._table)
-            self._longest.append(sigma.max_image_len)
         while len(levels) < k and not self._levels_done:
             j = len(levels) + 1
             longest = max(self.sys.incidence.lengths_after(j))
@@ -142,106 +133,7 @@ class FixedPointStream:
                 self._levels_done = True
                 break
             levels.append({o: sigma.apply(w) for o, w in levels[-1].items()})
-            self._longest.append(longest)
         return min(k, len(levels))
-
-    def _pieces(self, w: str, k: int) -> Iterator[str]:
-        """sigma^k(w) as consecutive pieces of at most _CHUNK letters, longer
-        only where a single image of sigma is."""
-        if k == 0:
-            for i in range(0, len(w), _CHUNK):
-                yield w[i : i + _CHUNK]
-            return
-        j = self._deepest_level(k)
-        table = self._levels[j - 1]
-        step = max(1, _CHUNK // max(self._longest[j - 1], 1))
-        for part in [w] if j == k else self._pieces(w, k - j):
-            for i in range(0, len(part), step):
-                yield part[i : i + step].translate(table)
-
-    def chunks(self) -> Iterator[str]:
-        """The sequence as a concatenation of non-empty string chunks, each
-        the image of a window of at least _CHUNK letters of y."""
-        phi = self.sys.effective_phi if self.which == "x" else None
-        guard = 0
-        for raw in self._y_windows():
-            out = phi.apply(raw) if phi is not None else raw
-            if out:
-                guard = 0
-                yield out
-            else:
-                guard += len(raw)
-                if guard > _ERASE_GUARD:
-                    raise BudgetExhausted(
-                        "outer morphism erased every letter for too long a stretch"
-                    )
-
-    def _y_windows(self) -> Iterator[str]:
-        """y as windows of at least _CHUNK letters.
-
-        base is the last block sigma^k(u) kept whole; a block that stays
-        short (y = a b b b ... has one letter per level) is never expanded
-        through the table, whose expansion depth grows with the level.
-        """
-        sigma = self.sys.sigma
-        image_len = dict(zip(sigma.src.chars, map(len, sigma.images)))
-        buf = [self.sys.alphabet.char(self.sys.start)]
-        size = 1
-        base = sigma.image(self.sys.start)[1:]
-        base_level = level = 0
-        while True:
-            for piece in self._pieces(base, level - base_level):
-                buf.append(piece)
-                size += len(piece)
-                if size >= _CHUNK:
-                    yield "".join(buf)
-                    buf = []
-                    size = 0
-            level += 1
-            if base_level == level - 1 and sum(map(image_len.__getitem__, base)) <= _CHUNK:
-                base, base_level = sigma.apply(base), level
-
-    # -- scanning ---------------------------------------------------------------
-
-    def windows(self, limit: int, overlap: int) -> Iterator[tuple[int, str]]:
-        """The first `limit` letters as (offset, text) windows, consecutive
-        windows sharing `overlap` letters, so that every factor of length
-        overlap + 1 lies whole in exactly one window."""
-        if limit <= _CHUNK:  # within one chunk: the cached prefix is cheaper
-            yield 0, self.prefix_chars(limit)
-            return
-        carry = ""
-        offset = 0  # global index of carry[0]
-        produced = 0
-        for chunk in self.chunks():
-            window = carry + chunk
-            produced += len(chunk)
-            if produced >= limit:  # do not scan past the limit
-                yield offset, window[: len(window) - (produced - limit)]
-                return
-            yield offset, window
-            keep = min(overlap, len(window))
-            carry = window[len(window) - keep :] if keep else ""
-            offset += len(window) - keep
-
-    def scan_occurrences(
-        self, pattern: str, limit: int, max_count: int | None = None
-    ) -> list[int]:
-        """Start positions i with i + |pattern| <= limit, ascending; at most
-        max_count (>= 1) of them when given."""
-        if not pattern:
-            raise ValueError("pattern must be non-empty")
-        if len(pattern) > limit:
-            return []
-        out: list[int] = []
-        for offset, text in self.windows(limit, len(pattern) - 1):
-            pos = text.find(pattern)
-            while pos != -1:
-                out.append(offset + pos)
-                if max_count is not None and len(out) >= max_count:
-                    return out
-                pos = text.find(pattern, pos + 1)
-        return out
 
 
 def prefix(sys: ProlongableSystem, n: int, which: str = "y") -> list[str]:
@@ -252,12 +144,13 @@ def prefix(sys: ProlongableSystem, n: int, which: str = "y") -> list[str]:
 def occurrences(
     sys: ProlongableSystem, u: list[str], limit: int, which: str = "x"
 ) -> list[int]:
-    """All start positions of the word u in the first `limit` letters."""
+    """All start positions of the word u in the first `limit` letters, read
+    off the prefix cache, which holds those letters."""
     if not u:
         raise ValueError("pattern must be non-empty")
-    stream = FixedPointStream(sys, which)
     alpha = sys.alphabet if which == "y" else sys.target_alphabet
-    return stream.scan_occurrences(alpha.encode(u), limit)
+    text = FixedPointStream(sys, which).prefix_chars(limit)
+    return occurrences_in_word(text, alpha.encode(u))
 
 
 @dataclass(frozen=True)

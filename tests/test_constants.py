@@ -156,10 +156,9 @@ def test_count_free_sheet_streams_no_prefix_of_y(monkeypatch):
     stages = _growing_stages([e.text for e in entries()] + _BOUNDED_LETTER_DRAWS)
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the sheet streamed y")
+        raise AssertionError("the sheet read a prefix of y")
 
-    monkeypatch.setattr(FixedPointStream, "windows", refuse)
-    monkeypatch.setattr(FixedPointStream, "chunks", refuse)
+    monkeypatch.setattr(FixedPointStream, "prefix_chars", refuse)
     sheets = 0
     for staged in stages:
         try:

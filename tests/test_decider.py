@@ -723,13 +723,45 @@ def test_verify_rejects_tampered_e1(text):
 def _second(stage, K, size):
     """The second start of x[:size] within its E1 window, or None."""
     xs = stream.FixedPointStream(stage.staged, "x")
-    occ = xs.scan_occurrences(xs.prefix_chars(size), (K + 1) * size, max_count=2)
+    occ = returns.first_two_occurrences(xs, xs.prefix_chars(size), (K + 1) * size)
     return occ[1] if len(occ) == 2 else None
 
 
 def _as_exit(verdict, exit_, level, u_len):
     cert = decider._exit_certificate(exit_, level, u_len)
     return Verdict(verdict.outcome, cert, verdict.sheet, verdict.trace)
+
+
+# draw 113 of the wide-alphabet set (seed 12, 6-8 letters, images of up to 6
+# letters): x[:18] has no second start within its E1 window at level 5,
+# (K+1) 18 = 1,198,386 letters, which passes SCAN_LETTERS
+DRAW_113 = (
+    "alphabet: a b c d e f g\nstart: a\ntarget: 0 1\nsigma:\na -> a c\nb -> f e e\n"
+    "c -> d b\nd -> d d f g\ne -> c\nf -> b c e\ng -> c g\n"
+    "phi:\na -> 0\nb -> 1\nc -> 0\nd -> 0\ne -> 1\nf -> 0\ng -> 1\n"
+)
+
+
+def test_verify_rejects_e1_past_scan_letters():
+    # a self-consistent E1 that no decide issues, since the exit scan reads
+    # at most SCAN_LETTERS letters of x: the verifier reads no further
+    sys_ = parse_system(DRAW_113)
+    stage = _growing_stage(sys_)
+    K = constants.compute_count_free_sheet(stage.staged).K
+    x = stream.FixedPointStream(stage.staged, "x").prefix_chars(2 * returns.SCAN_LETTERS)
+
+    def second(size):
+        q = x.find(x[:size], 1, (K + 1) * size)
+        return None if q == -1 else q
+
+    *_, (level, size) = decider._chain_rule(second)
+    assert (level, size, (K + 1) * size) == (5, 18, 1_198_386)
+    y = stream.FixedPointStream(stage.staged, "y").prefix_chars(size)
+    e1 = decider.e1_exit(stage.staged.alphabet, y, (K + 1) * size, 1)
+    v = Verdict(NOT_UNIFORMLY_RECURRENT, decider._exit_certificate(e1, level, size), None, ())
+    ok, detail = verify_certificate(sys_, v)
+    assert not ok
+    assert detail["reason"].endswith(f"(K+1)|u| <= {returns.SCAN_LETTERS}"), detail
 
 
 def test_verify_rejects_tampered_gap():

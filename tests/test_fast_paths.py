@@ -2,8 +2,8 @@
 
 is_prolongable skips the growth-type analysis for non-erasing sigma,
 lengths_after extends cached rows one step at a time, PerronValue.cmp
-settles equal handles and rationals without a gcd, and the stream expands
-sigma^k(u) through a lazily built image table into coalesced chunks.
+settles equal handles and rationals without a gcd, and the prefix cache
+expands sigma^k(u) through a lazily built image table.
 Growth is read off the SCC radius classes and primitivity off the zero
 pattern, R comes from the images of the 2-factors with no prefix of y, the
 bounded-window language adds each image's interior windows once,
@@ -42,10 +42,18 @@ from morphrec.growth import (
     mat_pow,
 )
 from morphrec.morphism import Morphism
-from morphrec.returns import WORK_BUDGET
-from morphrec.stream import _CHUNK, FixedPointStream, _inner_language, factor_language
+from morphrec.returns import WORK_BUDGET, first_two_occurrences
+from morphrec.stream import (
+    _CHUNK,
+    FixedPointStream,
+    _inner_language,
+    factor_language,
+    occurrences,
+)
 from morphrec.system import ProlongableSystem, parse_system
 from morphrec.words import Alphabet
+
+from test_stream import _iterate
 
 LETTERS = "abcd"
 
@@ -172,19 +180,7 @@ def test_perron_cmp_rational_exact_cases():
     assert root_at_lo.cmp_rational(Fraction(9, 4)) == -1
 
 
-# -- stream chunks -------------------------------------------------------------------
-
-
-def _joined(stream: FixedPointStream, n: int) -> str:
-    out = []
-    size = 0
-    for chunk in stream.chunks():
-        assert chunk
-        out.append(chunk)
-        size += len(chunk)
-        if size >= n:
-            break
-    return "".join(out)[:n]
+# -- the prefix cache past _CHUNK letters --------------------------------------------
 
 
 @st.composite
@@ -203,37 +199,28 @@ def prolongable_systems(draw):
     return sys_
 
 
-@settings(max_examples=40, deadline=None)
-@given(prolongable_systems(), st.sampled_from(["y", "x"]))
-def test_chunks_concatenate_to_the_prefix(sys_, which):
-    n = 2 * _CHUNK + 37
-    want = FixedPointStream(sys_, which).prefix_chars(n)
-    assert _joined(FixedPointStream(sys_, which), n) == want
-
-
 @settings(max_examples=30, deadline=None)
 @given(prolongable_systems(), st.integers(1, 3), st.sampled_from([_CHUNK - 1, _CHUNK, 3 * _CHUNK]))
 def test_scan_matches_find_in_prefix(sys_, m, limit):
-    stream = FixedPointStream(sys_, "y")
-    text = stream.prefix_chars(limit)
+    text = FixedPointStream(sys_, "y").prefix_chars(limit)
     pattern = text[:m]
     want = [i for i in range(limit - m + 1) if text.startswith(pattern, i)]
-    assert FixedPointStream(sys_, "y").scan_occurrences(pattern, limit) == want
-    assert FixedPointStream(sys_, "y").scan_occurrences(pattern, limit, max_count=2) == want[:2]
+    assert occurrences(sys_, sys_.alphabet.decode(pattern), limit, "y") == want
+    assert first_two_occurrences(FixedPointStream(sys_, "y"), pattern, limit) == want[:2]
 
 
 def test_chunks_when_sigma_images_exceed_a_chunk():
     big = " ".join(["b"] * (_CHUNK + 100))
     sys_ = parse_system(f"alphabet: a b\nstart: a\nsigma:\na -> a {big}\nb -> a b\n")
     n = 3 * _CHUNK
-    assert _joined(FixedPointStream(sys_, "y"), n) == FixedPointStream(sys_, "y").prefix_chars(n)
+    assert FixedPointStream(sys_, "y").prefix_chars(n) == _iterate(sys_, n, "y")
 
 
 def test_chunks_for_linear_growth_past_the_table_depth():
     # y = a b b b ...: one letter per level, far deeper than the table goes
     sys_ = parse_system("alphabet: a b\nstart: a\nsigma:\na -> a b\nb -> b\n")
     n = _CHUNK + 300
-    assert _joined(FixedPointStream(sys_, "y"), n) == sys_.alphabet.encode(["a"] + ["b"] * (n - 1))
+    assert FixedPointStream(sys_, "y").prefix_chars(n) == _iterate(sys_, n, "y")
 
 
 def test_chunks_when_a_letter_outside_y_stops_the_table():
@@ -243,22 +230,8 @@ def test_chunks_when_a_letter_outside_y_stops_the_table():
         "alphabet: a b c d\nstart: a\nsigma:\na -> a d\nb -> b b c b b\nc -> c d\nd -> d\n"
     )
     n = 3 * _CHUNK
-    assert _joined(FixedPointStream(sys_, "y"), n) == sys_.alphabet.encode(["a"] + ["d"] * (n - 1))
-    dd = sys_.alphabet.encode(["d", "d"])
-    assert FixedPointStream(sys_, "y").scan_occurrences(dd, n) == list(range(1, n - 1))
-
-
-def test_chunks_are_coalesced():
-    # period-65 system: every sigma image is 65 letters long
-    body = " ".join(["b"] * 64)
-    sys_ = parse_system(f"alphabet: a b\nstart: a\nsigma:\na -> a {body}\nb -> a {body}\n")
-    stream = FixedPointStream(sys_, "y")
-    sizes = []
-    for chunk in stream.chunks():
-        sizes.append(len(chunk))
-        if len(sizes) == 20:
-            break
-    assert min(sizes) >= _CHUNK
+    assert FixedPointStream(sys_, "y").prefix_chars(n) == _iterate(sys_, n, "y")
+    assert occurrences(sys_, ["d", "d"], n, "y") == list(range(1, n - 1))
 
 
 # -- growth from SCC radius classes -------------------------------------------------

@@ -1,7 +1,9 @@
 """Fuzz over small random systems drawn from fixed seeds: the decider
 either answers (a certificate, if any, verifies) or raises a MorphrecError,
 and a periodic certificate's period holds on a long prefix of x.  A second
-stratum draws 5-8 letters with images of up to WIDE_LONGEST letters."""
+stratum draws 5-8 letters with images of up to WIDE_LONGEST letters.  Two
+wider draws are fixed cases: draw 49 settles without the constant sheet,
+and no scan of draw 14 reads past SCAN_LETTERS letters."""
 
 import random
 
@@ -9,6 +11,7 @@ import pytest
 
 from morphrec.decider import decide_uniform_recurrence, verify_certificate
 from morphrec.errors import MorphrecError
+from morphrec.returns import SCAN_LETTERS
 from morphrec.stream import FixedPointStream
 from morphrec.system import parse_system
 
@@ -17,9 +20,9 @@ DRAWS = 60
 PREFIX = 4096
 WIDE_SEED = 20261019
 WIDE_DRAWS = 20
-# images of 1 to 4 letters keep the stratum within a second: work_budget
-# does not bound the E1 scan of the low-power chain, which on images of up
-# to 6 letters has read more than 2^26 letters of x
+# images of 1 to 4 letters keep the stratum within a second: on images of
+# up to 5 or 6 letters, single draws spend most of a second reading R off
+# the images sigma^s(c) that the constant sheet builds
 WIDE_LONGEST = 4
 
 # draw 49 of the wide-alphabet set (seed 12, 6-8 letters, images of up to 6
@@ -28,6 +31,14 @@ WIDE_LONGEST = 4
 DRAW_49 = (
     "alphabet: a b c d e f g h\nstart: a\nsigma:\na -> a c e e b\nb -> e b a e c b\n"
     "c -> b h g\nd -> c e b\ne -> e e c h c\nf -> f\ng -> d\nh -> d h c f c a\n"
+)
+
+# draw 14 of the same set: the low pass meets an E1 window of 71,260,568
+# letters, of which each E1 scan reads at most SCAN_LETTERS
+DRAW_14 = (
+    "alphabet: a b c d e f g\nstart: a\ntarget: 0 1\nsigma:\na -> a c c c\nb -> e e d\n"
+    "c -> b\nd -> d b c e c\ne -> c g b c c\nf -> f f d\ng -> e\n"
+    "phi:\na -> 0\nb -> 0\nc -> 1\nd -> 0\ne -> 1\nf -> 0\ng -> 1\n"
 )
 
 
@@ -86,3 +97,20 @@ def test_primitive_stage_settles_without_the_sheet():
             "reason": "image materialization exceeded the work budget"} in verdict.trace
     ok, detail = verify_certificate(sys_, verdict)
     assert ok, detail
+
+
+def test_no_scan_reads_past_scan_letters(monkeypatch):
+    asked = []
+    real = FixedPointStream.prefix_chars
+
+    def recorded(stream, n):
+        asked.append(n)
+        return real(stream, n)
+
+    monkeypatch.setattr(FixedPointStream, "prefix_chars", recorded)
+    sys_ = parse_system(DRAW_14)
+    verdict = decide_uniform_recurrence(sys_)
+    if verdict.certificate is not None:
+        ok, detail = verify_certificate(sys_, verdict)
+        assert ok, detail
+    assert asked and max(asked) <= SCAN_LETTERS, max(asked)

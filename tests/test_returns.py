@@ -328,6 +328,18 @@ def test_build_sigma_u_driver_exit_on_nonrecurrent_prefix():
     assert res.unconditional
 
 
+def test_e1_window_past_scan_letters_raises():
+    # y = a b b b ...: a never recurs, so a window of K + 1 letters is an E1
+    # while it fits in SCAN_LETTERS, and past them the scan stops unread
+    sys_ = parse_system("alphabet: a b\nstart: a\nsigma:\na -> a b\nb -> b\n")
+    u = sys_.alphabet.encode(["a"])
+    with pytest.raises(BudgetExhausted):
+        build_sigma_U(sys_, u, returns.SCAN_LETTERS)
+    res = build_sigma_U(sys_, u, 1000)
+    assert isinstance(res, DriverExit) and res.kind == "E1"
+    assert res.evidence["window"] == 1001
+
+
 def test_sigma_u_defining_equation(fib, tm):
     # sigma(w_i) p(u'_i) = w_{j1} ... w_{jk} and the following word of the
     # last pair is m(u'_i); intermediate following words match the text
