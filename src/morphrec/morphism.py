@@ -17,6 +17,7 @@ from .words import Alphabet
 
 if TYPE_CHECKING:
     from .growth import IncidenceStructure
+    from .stream import FixedPointCache
 
 
 @dataclass(frozen=True)
@@ -119,6 +120,14 @@ class Morphism:
         from .growth import IncidenceStructure  # runtime import avoids a module cycle
 
         return IncidenceStructure.of_morphism(self)
+
+    @cached_property
+    def fixed_points(self) -> "dict[str, FixedPointCache]":
+        """Prefix caches of the fixed points sigma^inf(a), one per start
+        letter a, filled by stream.FixedPointStream: every system on this
+        morphism reads one y per start letter, as it shares the incidence
+        analysis."""
+        return {}
 
     def as_token_table(self) -> dict[str, list[str]]:
         return {t: self.image_tokens(t) for t in self.src.tokens}

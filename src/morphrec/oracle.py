@@ -6,11 +6,16 @@ can refute a linear-recurrence bound but can never prove uniform
 recurrence; every report says explicitly which of the two it is.  Nothing
 here is consulted by the decision procedure itself.
 
-window_ur_check reads each factor's gaps off the distinct pieces of
+window_ur_check reads a factor's gaps off the distinct pieces of
 words.split_occurrences, and the letters that follow a factor give the
-factors one letter longer; a test pins it to the per-position definition,
-one left-to-right pass per factor length.  brute_force_return_words stays
-a plain str.find scan, the ground truth for the return tables.
+factors one letter longer.  It splits the prefix only where the starts
+change: at the letters, at each extension of a factor with two or more
+followers, and at the extension of a factor that ends the prefix.  Every
+other factor f + c has the starts of f, so it inherits f's gaps, and its
+followers lie among those of its suffix one letter shorter.  A test pins
+the reports to the per-position definition, one left-to-right pass per
+factor length.  brute_force_return_words stays a plain str.find scan, the
+ground truth for the return tables.
 """
 
 from __future__ import annotations
@@ -102,6 +107,33 @@ def _recurrence(text: str, f: str) -> _Recurrence:
     return _Recurrence(gap, pair, second, q_last + cuts[-1], frozenset(followers))
 
 
+def _extensions(text: str, stats: dict[str, _Recurrence], n: int) -> dict[str, _Recurrence]:
+    """The _Recurrence of every factor of length n + 1, from those of length n.
+
+    When every start of f is followed by the letter c (one follower, and f
+    is not a suffix of text), the starts of fc are those of f, so fc
+    inherits f's gaps and starts; only its followers are new, and they lie
+    among the followers of its suffix of length n.  Every other extension is
+    split afresh."""
+    out = {}
+    for f, st in stats.items():
+        if len(st.followers) != 1 or st.last + n == len(text):
+            out.update((f + c, _recurrence(text, f + c)) for c in st.followers)
+            continue
+        (c,) = st.followers
+        g = f + c
+        ahead = stats[g[1:]].followers
+        if len(ahead) == 1:
+            # the follower of g's suffix follows every start of g but one at
+            # the end of text
+            followed = st.last + n + 1 < len(text) or st.second is not None
+            followers = ahead if followed else frozenset()
+        else:
+            followers = frozenset(d for d in ahead if g + d in text)
+        out[g] = _Recurrence(st.gap, st.pair, st.second, st.last, followers)
+    return out
+
+
 def window_ur_check(
     sys: ProlongableSystem,
     factor_len_max: int,
@@ -136,10 +168,9 @@ def window_ur_check(
     violations: list[GapViolation] = []
     total_factors = 0
 
-    factors = set(text)
+    stats = {f: _recurrence(text, f) for f in set(text)}
     top = min(factor_len_max, len(text))
     for ln in range(1, top + 1):
-        stats = {f: _recurrence(text, f) for f in factors}
         total_factors += len(stats)
         gapped = [(f, st) for f, st in stats.items() if st.gap]
         if gapped:
@@ -161,7 +192,7 @@ def window_ur_check(
                         )
                     )
         if ln < top:
-            factors = {f + c for f, st in stats.items() for c in st.followers}
+            stats = _extensions(text, stats, ln)
 
     violations.sort(key=lambda v: (-v.gap, v.factor))
     return OracleReport(

@@ -1,24 +1,31 @@
 """Lazy generation of y = sigma^inf(a) and x = phi(y), plus factor analysis.
 
-Every read of the fixed point goes through one prefix cache.  The stream
+Every read of the fixed point goes through one prefix cache, shared by
+every reader: y's cache belongs to the pair (sigma, a) and is held on
+sigma, as its incidence analysis is, so every system built on sigma with
+start letter a reads it; x's cache belongs to the system and grows from
+that y cache (x is y itself when there is no phi).  The y cache
 decomposes y as a . u . sigma(u) . sigma^2(u) ... where sigma(a) = a u,
-keeps sigma^k(a) with the offsets of its blocks, and grows it one translated
-block sigma^k(u) at a time: from the block before while that one has fewer
-than _CHUNK letters, and after it from the block j levels earlier through
-the deepest sigma^j table, since str.translate with multi-letter images pays
-for every letter it reads.  The table is built one level at a time when the
-cache first needs it, and never past the level whose images, known in
-advance from the image lengths of sigma's shared incidence analysis, would
-exceed _CHUNK letters.  The x cache grows by the phi-image of the new
-letters of y.  A scan holds the whole prefix it reads, so every scan states
-its own bound: returns.SCAN_LETTERS for the E1 scans.
+keeps sigma^k(a) with the offsets of its blocks, and grows it one
+translated block sigma^k(u) at a time: from the block before while that
+one has fewer than _CHUNK letters, and after it from the block j levels
+earlier through the deepest sigma^j table, since str.translate with
+multi-letter images pays for every letter it reads.  The table is built one
+level at a time when the cache first needs it, and never past the level
+whose images, known in advance from the image lengths of sigma's shared
+incidence analysis, would exceed _CHUNK letters.  The x cache grows by the
+phi-image of the y letters it has not yet mapped, up to the first
+sigma^k(a) twice as long.  A scan holds the whole prefix it reads, so
+every scan states its own bound: returns.SCAN_LETTERS for the E1 scans.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 
 from .errors import BudgetExhausted, NotEnoughOccurrences, PreconditionViolated
+from .morphism import Morphism
 from .system import ProlongableSystem
 from .words import factor_set, occurrences_in_word
 
@@ -29,111 +36,138 @@ _CLOSURE_BUDGET = 1 << 22  # letters factor_language may expand
 _COMPLEXITY_PREFIX = 1 << 15  # letters complexity scans when it cannot be exact
 
 
-class FixedPointStream:
-    """Single-owner stream over y = sigma^inf(a) or x = phi(y).
+class FixedPointCache:
+    """The prefix sigma^k(a) of y = sigma^inf(a) grown so far, for one sigma
+    and start letter a; Morphism.fixed_points holds one per start letter.
+    Each call passes sigma in, so the cache holds no reference back to it:
+    sigma and its caches make no cycle, and are freed together."""
 
-    prefix_chars() and prefix() read a growing cache, so memory is O(n) in
-    the longest prefix read.  Nothing is expanded at construction: the
-    sigma^j image table is built as the cache grows, and the image lengths
-    and the prolongability check come from the incidence analysis cached on
-    sigma, shared by every stream over the same sigma.
+    def __init__(self, sigma: Morphism, start: str):
+        self.start = start
+        self.text = sigma.src.char(start)
+        # y = a u sigma(u) sigma^2(u) ...: the text is sigma^k(a), and these
+        # the offsets of its blocks sigma^i(u), i < k
+        self.starts: list[int] = []
+        # translate tables of sigma^j (level j)
+        self.levels: list[dict[int, str]] = []
+        self.levels_done = False
+
+    def grow(self, sigma: Morphism, n: int) -> int:
+        """Extend the text sigma^k(a) to the first such prefix with at least
+        n letters, translating only the new block sigma^k(u) at each level:
+        translating the whole text costs time quadratic in n when y grows
+        slowly (one letter per level for a -> a b, b -> b).  Once the last
+        block has _CHUNK letters, the next one is sigma^j of the block j
+        levels earlier, through the deepest table of _deepest_level.
+        Returns the length of the first sigma^k(a) with at least n letters."""
+        text, starts = self.text, self.starts
+        parts = [text]
+        size = len(text)
+        old = len(starts)  # blocks from `old` on are in parts[1:]
+        while size < n:
+            k = len(starts)
+            if k == 0:
+                new = sigma.image(self.start)[1:]
+            elif size - starts[-1] < _CHUNK:
+                new = sigma.apply(parts[-1] if k > old else text[starts[-1] :])
+            else:
+                j = self._deepest_level(sigma, k)
+                i = k - j
+                if i >= old:
+                    block = parts[i - old + 1]
+                else:
+                    block = text[starts[i] : starts[i + 1] if i + 1 < old else len(text)]
+                new = block.translate(self.levels[j - 1])
+            starts.append(size)
+            parts.append(new)
+            size += len(new)
+        if len(parts) > 1:
+            self.text = "".join(parts)
+        # starts[i] = |sigma^i(a)|, and the text is sigma^len(starts)(a)
+        i = bisect_left(starts, n)
+        return starts[i] if i < len(starts) else size
+
+    def _deepest_level(self, sigma: Morphism, k: int) -> int:
+        """Deepest table level j with 1 <= j <= k, building levels on demand.
+
+        Level 1 is sigma's own translate table; a level j >= 2 is built only
+        while every sigma^j image has at most _CHUNK letters.
+        """
+        levels = self.levels
+        if not levels:
+            levels.append(sigma._table)
+        while len(levels) < k and not self.levels_done:
+            j = len(levels) + 1
+            longest = max(sigma.incidence.lengths_after(j))
+            if j > _MAX_LEVEL or longest > _CHUNK:
+                self.levels_done = True
+                break
+            levels.append({o: sigma.apply(w) for o, w in levels[-1].items()})
+        return min(k, len(levels))
+
+
+class ImageCache:
+    """The prefix phi(y[:read]) of x, for one system with an outer morphism;
+    ProlongableSystem.x_cache holds it."""
+
+    def __init__(self, text: str, read: int):
+        self.text = text
+        self.read = read
+
+
+class FixedPointStream:
+    """Reader of y = sigma^inf(a) or x = phi(y) through the shared caches.
+
+    prefix_chars() and prefix() read y's cache on sigma, or x's cache on
+    the system, so every stream over the same fixed point reads the letters
+    any of them has grown, and memory is O(n) in the longest prefix read.
+    Nothing is expanded at construction: the sigma^j image table is built
+    as the cache grows, and the image lengths and the prolongability check
+    come from the incidence analysis cached on sigma.
     """
 
     def __init__(self, sys: ProlongableSystem, which: str = "y"):
         if which not in ("y", "x"):
             raise ValueError("which must be 'y' or 'x'")
-        sys.require_prolongable()
+        caches = sys.sigma.fixed_points
+        if sys.start not in caches:
+            sys.require_prolongable()
+            caches[sys.start] = FixedPointCache(sys.sigma, sys.start)
         self.sys = sys
         self.which = which
-        self._ycache = sys.alphabet.char(sys.start)
-        # y = a u sigma(u) sigma^2(u) ...: the cache is sigma^k(a), and these
-        # the offsets of its blocks sigma^i(u), i < k
-        self._ystarts: list[int] = []
-        self._xcache = None
-        if which == "x":
-            self._xcache = sys.effective_phi.apply(self._ycache)
-        # translate tables of sigma^j (level j)
-        self._levels: list[dict[int, str]] = []
-        self._levels_done = False
+        self._y = caches[sys.start]
+        # without phi, x is y itself
+        self._x = sys.x_cache if which == "x" and sys.phi is not None else None
 
     # -- bulk prefixes ---------------------------------------------------------
 
     def prefix_chars(self, n: int) -> str:
         if n < 0:
             raise ValueError("prefix length must be >= 0")
-        if self.which == "y":
-            self._grow_y(n)
-            return self._ycache[:n]
+        sigma, y, x = self.sys.sigma, self._y, self._x
+        if x is None:
+            y.grow(sigma, n)
+            return y.text[:n]
         guard = 0
-        phi = self.sys.effective_phi
-        while len(self._xcache) < n:
-            before = len(self._ycache)
-            self._grow_y(max(2 * before, 16))
+        phi = self.sys.phi
+        while len(x.text) < n:
+            before = x.read
+            end = y.grow(sigma, max(2 * before, 16))
             # phi(uv) = phi(u) phi(v): only the new letters of y are mapped
-            self._xcache += phi.apply(self._ycache[before:])
-            guard += len(self._ycache) - before
-            if len(self._xcache) < n and guard > _ERASE_GUARD + (n << 4):
+            x.text += phi.apply(y.text[before:end])
+            x.read = end
+            guard += end - before
+            if len(x.text) < n and guard > _ERASE_GUARD + (n << 4):
                 raise BudgetExhausted(
                     "outer morphism erases too much; x prefix did not reach "
-                    f"{n} letters after expanding {len(self._ycache)} inner letters"
+                    f"{n} letters after expanding {end} inner letters"
                 )
-        return self._xcache[:n]
+        return x.text[:n]
 
     def prefix(self, n: int) -> list[str]:
         word = self.prefix_chars(n)
         alpha = self.sys.alphabet if self.which == "y" else self.sys.target_alphabet
         return alpha.decode(word)
-
-    def _grow_y(self, n: int):
-        """Extend the cache sigma^k(a) to the first such prefix with at least
-        n letters, translating only the new block sigma^k(u) at each level:
-        translating the whole cache costs time quadratic in n when y grows
-        slowly (one letter per level for a -> a b, b -> b).  Once the last
-        block has _CHUNK letters, the next one is sigma^j of the block j
-        levels earlier, through the deepest table of _deepest_level."""
-        sigma = self.sys.sigma
-        cache, starts = self._ycache, self._ystarts
-        parts = [cache]
-        size = len(cache)
-        old = len(starts)  # blocks from `old` on are in parts[1:]
-        while size < n:
-            k = len(starts)
-            if k == 0:
-                new = sigma.image(self.sys.start)[1:]
-            elif size - starts[-1] < _CHUNK:
-                new = sigma.apply(parts[-1] if k > old else cache[starts[-1] :])
-            else:
-                j = self._deepest_level(k)
-                i = k - j
-                if i >= old:
-                    block = parts[i - old + 1]
-                else:
-                    block = cache[starts[i] : starts[i + 1] if i + 1 < old else len(cache)]
-                new = block.translate(self._levels[j - 1])
-            starts.append(size)
-            parts.append(new)
-            size += len(new)
-        if len(parts) > 1:
-            self._ycache = "".join(parts)
-
-    def _deepest_level(self, k: int) -> int:
-        """Deepest table level j with 1 <= j <= k, building levels on demand.
-
-        Level 1 is sigma's own translate table; a level j >= 2 is built only
-        while every sigma^j image has at most _CHUNK letters.
-        """
-        levels = self._levels
-        sigma = self.sys.sigma
-        if not levels:
-            levels.append(sigma._table)
-        while len(levels) < k and not self._levels_done:
-            j = len(levels) + 1
-            longest = max(self.sys.incidence.lengths_after(j))
-            if j > _MAX_LEVEL or longest > _CHUNK:
-                self._levels_done = True
-                break
-            levels.append({o: sigma.apply(w) for o, w in levels[-1].items()})
-        return min(k, len(levels))
 
 
 def prefix(sys: ProlongableSystem, n: int, which: str = "y") -> list[str]:

@@ -10,6 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
+from typing import TYPE_CHECKING
 
 from .errors import (
     NormalizationUnsupported,
@@ -19,6 +20,9 @@ from .errors import (
 from .growth import IncidenceStructure
 from .morphism import Morphism, compose, power
 from .words import Alphabet
+
+if TYPE_CHECKING:
+    from .stream import ImageCache
 
 # longest sigma^k image the letter blow-up's power search may build
 _BLOWUP_IMAGE_STOP = 1 << 16
@@ -57,6 +61,14 @@ class ProlongableSystem:
     def effective_phi(self) -> Morphism:
         """The outer morphism, defaulting to the identity coding."""
         return self.phi if self.phi is not None else Morphism.identity(self.alphabet)
+
+    @cached_property
+    def x_cache(self) -> "ImageCache":
+        """The prefix cache of x = phi(y), grown by stream.FixedPointStream
+        from the y cache on sigma; it starts as phi(a), one y letter read."""
+        from .stream import ImageCache  # runtime import avoids a module cycle
+
+        return ImageCache(self.effective_phi.apply(self.alphabet.char(self.start)), 1)
 
     def is_prolongable(self) -> bool:
         img = self.sigma.image(self.start)

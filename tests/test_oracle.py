@@ -1,13 +1,17 @@
 """Scan-based cross-checks: window gap reports and brute-force return words.
 
-window_ur_check reads its gaps off split pieces (words.split_occurrences);
-_window_reference keeps the per-position definition it is pinned to.
+window_ur_check splits the prefix (words.split_occurrences) only for the
+letters and the extensions of factors whose starts change; every other
+factor inherits the gaps of the factor one letter shorter.  A work test
+counts those splits, and _window_reference keeps the per-position
+definition the reports are pinned to.
 """
 
 import random
 
 import pytest
 
+from morphrec import oracle
 from morphrec.catalog import PRIMITIVE_CORPUS, get
 from morphrec.errors import NotEnoughOccurrences
 from morphrec.oracle import GapViolation, OracleReport, brute_force_return_words, window_ur_check
@@ -183,11 +187,14 @@ DRAWS = [_draw(_RNG) for _ in range(16)]
     ids=list(PRIMITIVE_CORPUS) + [f"draw{i}" for i in range(len(DRAWS))],
 )
 def test_window_check_matches_the_per_position_definition(sys_):
+    # every short prefix meets the end-of-text cases; the long ones let
+    # factors up to 10 letters inherit their gaps over many levels
+    lengths = [(n, 6, (None, 1, 2, 3, 4)[n % 5]) for n in range(1, 65)]
+    lengths += [(1000, 10, 3), (4096, 10, None)]
     for which in ("y", "x"):
-        for n in range(1, 65):
-            bound = (None, 1, 2, 3, 4)[n % 5]
-            got = window_ur_check(sys_, 6, n, bound, which)
-            assert got == _window_reference(sys_, 6, n, bound, which), (which, n, bound)
+        for n, k, bound in lengths:
+            got = window_ur_check(sys_, k, n, bound, which)
+            assert got == _window_reference(sys_, k, n, bound, which), (which, n, bound)
 
 
 def test_equal_worst_gaps_go_to_the_factor_that_recurs_first():
@@ -216,3 +223,25 @@ def test_violations_are_cut_at_64():
     full = _window_reference(tm, 6, 64, linear_bound=1, cut=None).violations
     assert len(full) > 64
     assert window_ur_check(tm, 6, 64, linear_bound=1).violations == full[:64]
+
+
+# -- where the window check splits --------------------------------------------------
+
+
+def test_window_check_splits_only_where_the_starts_change(monkeypatch):
+    # a factor with one follower c, and not a suffix of the text, has the
+    # starts of its extension fc: only the letters and the extensions of the
+    # other factors are split, of the 27 and 124 factors up to 6 letters
+    calls = []
+    real = oracle._recurrence
+
+    def counted(text, f):
+        calls.append(f)
+        return real(text, f)
+
+    monkeypatch.setattr(oracle, "_recurrence", counted)
+    for name, splits in (("fibonacci", 12), ("rudin_shapiro", 76)):
+        calls.clear()
+        window_ur_check(load(name), 6, 20_000, which="y")
+        assert len(calls) == splits, name
+

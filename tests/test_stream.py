@@ -1,9 +1,17 @@
-"""Lazy fixed-point expansion: prefixes, occurrence scans, gaps, complexity."""
+"""Lazy fixed-point expansion: prefixes, occurrence scans, gaps, complexity.
+
+Every stream reads one shared prefix cache per fixed point (y per sigma and
+start letter, x per system); interleaved reads through it equal the plain
+iterate, and deciding on a warm cache gives the same verdict.
+"""
+
+import random
 
 import pytest
 
 from morphrec import stream
-from morphrec.catalog import PRIMITIVE_CORPUS, get
+from morphrec.catalog import PRIMITIVE_CORPUS, entries, get
+from morphrec.decider import decide_uniform_recurrence
 from morphrec.errors import NotEnoughOccurrences
 from morphrec.morphism import Morphism
 from morphrec.stream import (
@@ -16,7 +24,7 @@ from morphrec.stream import (
     occurrences,
     prefix,
 )
-from morphrec.system import parse_system
+from morphrec.system import ProlongableSystem, parse_system
 from morphrec.words import factor_set
 
 
@@ -111,6 +119,39 @@ def test_prefixes_of_linear_growth_equal_the_plain_iterate():
         "phi:\na -> 0\nb -> 1 0\n"
     )
     _check_prefixes_against_the_iterate(sys_, [n for n in AROUND_CHUNKS if n <= _CHUNK + 1])
+
+
+DECIDED = [e.name for e in entries() if e.expected != "error"]
+
+
+@pytest.mark.parametrize("name", DECIDED)
+def test_interleaved_reads_through_the_shared_cache_equal_the_plain_iterate(name):
+    # the twin is a second system on the same sigma and start, so it reads
+    # the same y cache and grows its own x cache from it; the bare system
+    # has no phi, so its x is that y
+    sys_ = get(name).build()
+    twin = ProlongableSystem(sys_.sigma, sys_.start, sys_.phi)
+    bare = ProlongableSystem(sys_.sigma, sys_.start)
+    readers = [(sys_, "y"), (sys_, "x"), (twin, "y"), (twin, "x"), (bare, "x")]
+    lengths = [1, 2, 17, 255, _CHUNK - 1, _CHUNK, _CHUNK + 1, 3 * _CHUNK + 1, 30_000]
+    if sys_.incidence.lengths_after(64)[sys_.alphabet.index(sys_.start)] < 30_000:
+        # y gains about one letter per level, too slow for the plain iterate
+        lengths = lengths[:7]
+    want = {w: _iterate(sys_, max(lengths), w) for w in ("y", "x")}
+    reads = [(s, w, n) for s, w in readers for n in lengths]
+    random.Random(name).shuffle(reads)
+    for s, w, n in reads:
+        plain = want["x" if w == "x" and s.phi is not None else "y"]
+        assert FixedPointStream(s, w).prefix_chars(n) == plain[:n], (w, n)
+    assert sys_.sigma.fixed_points.keys() == {sys_.start}
+
+
+@pytest.mark.parametrize("name", DECIDED)
+def test_deciding_on_a_warm_cache_gives_the_same_verdict(name):
+    sys_ = get(name).build()
+    first = decide_uniform_recurrence(sys_).to_json_dict()
+    assert decide_uniform_recurrence(sys_).to_json_dict() == first
+    assert decide_uniform_recurrence(get(name).build()).to_json_dict() == first
 
 
 def test_sigma_of_prefix_is_prefix(fib, tm, trib):
