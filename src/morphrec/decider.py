@@ -1050,13 +1050,34 @@ def _pumping_word(sys: ProlongableSystem, witness: dict) -> list[str]:
     return alpha.decode("".join(cycle))
 
 
+def _head_cells(sigma: Morphism, start: str, cell: re.Pattern) -> tuple[int, list[str]]:
+    """(p, head): the least p >= 1 for which sigma^p(start) holds two cells,
+    and its first two.  With start a growing letter, y begins with
+    sigma^p(start), which holds y's second growing letter: head[0] is y's
+    first cell, and head[1] begins with the growing letter after it (in y,
+    head[1] may run on past sigma^p(start)).  Until the power is reached the
+    image holds one growing letter and stays short."""
+    word, p = start, 0
+    while True:
+        word = sigma.apply(word)
+        p += 1
+        if p > 64:
+            raise WitnessSearchExhausted("images refuse to accumulate growing letters")
+        head = [c[0] for c in islice(cell.finditer(word), 2)]
+        if len(head) == 2:
+            return p, head
+
+
 def _encode_bounded_blocks(sys: ProlongableSystem):
     """Rewrite y over cells (growing letter + following bounded block) so the
     new substitution is growing and the image sequence is unchanged.
 
-    Tokens are pairs (cell, next growing letter); sigma is first raised so
-    the start letter's image holds at least two growing letters, which makes
-    the token images self-contained.
+    Tokens are pairs (cell, next growing letter); sigma is first raised to
+    tau so the start letter's image holds at least two growing letters, which
+    makes the token images self-contained.  y = tau^inf(start) begins with
+    tau(start), so its first two cells are read off tau(start), and no
+    prefix of y is grown; a first cell of 4,096 letters or more raises
+    WitnessSearchExhausted.
     """
     inc = sys.incidence
     alpha = sys.alphabet
@@ -1066,15 +1087,7 @@ def _encode_bounded_blocks(sys: ProlongableSystem):
     # a cell: one growing letter and the bounded block after it
     cell = re.compile(f"[{re.escape(growing)}][^{re.escape(growing)}]*")
 
-    # power so the start letter's image spans at least two cells; until it
-    # does, the image holds one growing letter and stays short
-    word = alpha.char(sys.start)
-    p1 = 0
-    while len(cell.findall(word)) < 2:
-        word = sys.sigma.apply(word)
-        p1 += 1
-        if p1 > 64:
-            raise WitnessSearchExhausted("images refuse to accumulate growing letters")
+    p1, head = _head_cells(sys.sigma, alpha.char(sys.start), cell)
     tau = power(sys.sigma, p1) if p1 > 1 else sys.sigma
     if tau.max_image_len > 1 << 20:
         raise WitnessSearchExhausted("cell images exceeded their budget")
@@ -1086,10 +1099,7 @@ def _encode_bounded_blocks(sys: ProlongableSystem):
         i = cell.search(img).start()
         lead[g], first[g] = img[:i], img[i]
 
-    # first two cells of y's own cell sequence
-    y = FixedPointStream(ProlongableSystem(tau, sys.start), "y").prefix_chars(4096)
-    head = cell.findall(y)
-    if len(head) < 2:
+    if len(head[0]) >= 4096:
         raise WitnessSearchExhausted("could not read two cells from the fixed point")
 
     order = [(head[0], head[1][0])]

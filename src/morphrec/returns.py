@@ -34,7 +34,7 @@ from .errors import (
 from .morphism import Morphism
 from .stream import FixedPointStream
 from .system import ProlongableSystem
-from .words import Alphabet, occurrences_in_word, split_occurrences
+from .words import Alphabet, occurrences_until, split_occurrences
 
 # Budgets, stated once for the library, the CLI and the scripts: levels of
 # the u-chain the decider drives before it stops watching for a repetition,
@@ -367,6 +367,8 @@ def build_sigma_U(
     letters, E2, short-return and E4 never fire, and empty-image and
     no-occurrence are guarded.  Those exits are the only places K enters, so
     a run that closes with an int K builds the same descriptor with K None.
+    Each pair's scan of its image stops at its closing cut, the first
+    occurrence of v at or after |sigma(w)|.
     """
     phi = sys.phi
     if phi is not None and not phi.is_coding:
@@ -409,9 +411,7 @@ def build_sigma_U(
             )
         F = code(T)
         W = len(body)
-        cuts_all = occurrences_in_word(F, v)
-        before = [o for o in cuts_all if o < W]
-        closing = next((o for o in cuts_all if o >= W), None)
+        before, closing = occurrences_until(F, v, W)
         if not before:
             uncond = bound is not None and W >= bound
             return DriverExit(

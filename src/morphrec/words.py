@@ -117,6 +117,19 @@ def occurrences_in_word(word: str, pattern: str) -> list[int]:
     return out
 
 
+def occurrences_until(word: str, pattern: str, end: int) -> tuple[list[int], int | None]:
+    """The occurrence positions of pattern in word below end, and the first
+    one at or after end (None if there is none); the scan stops there."""
+    if not pattern:
+        raise ValueError("pattern must be non-empty")
+    before = []
+    i = word.find(pattern)
+    while i != -1 and i < end:
+        before.append(i)
+        i = word.find(pattern, i + 1)
+    return before, (i if i != -1 else None)
+
+
 def split_occurrences(
     word: str, pattern: str
 ) -> tuple[list[str], dict[str, tuple[int, ...]], tuple[int, ...]]:

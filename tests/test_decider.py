@@ -2,6 +2,7 @@
 inspection helpers around them."""
 
 import json
+import re
 import time
 from dataclasses import replace
 
@@ -29,13 +30,14 @@ from morphrec.decider import (
     prepare,
     verify_certificate,
 )
-from morphrec.errors import MorphrecError, PreconditionViolated
+from morphrec.errors import MorphrecError, PreconditionViolated, WitnessSearchExhausted
 from morphrec.morphism import Morphism, power
 from morphrec.returns import WORK_BUDGET, DriverExit, build_sigma_U
 from morphrec.system import ProlongableSystem, parse_system
 from morphrec.words import Alphabet, occurrences_in_word
 
 import test_fuzz
+import test_stage_rewrite_golden
 
 
 def load(name):
@@ -467,6 +469,59 @@ def test_primitive_certificate_on_a_block_encoded_stage():
     assert any(t["step"] == "block-encode" for t in v.trace)
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
+
+
+def _block_encoded_stages(texts):
+    """Every stage of the decider's stage walk that it block-encodes."""
+    out = []
+    for text in texts:
+        try:
+            for stage in decider._stages(parse_system(text), []):
+                if not stage.growing and stage.pumping_witness is None:
+                    out.append(stage.staged)
+        except MorphrecError:
+            continue
+    return out
+
+
+def test_head_cells_are_the_first_two_cells_of_y():
+    # the reference reader cuts a 4,096-letter prefix of y = tau^inf(start)
+    # into cells; the encoding reads only tau(start), so the second cell may
+    # be cut short on either side, but never its growing letter
+    texts = [e.text for e in entries()] + test_stage_rewrite_golden.SYSTEMS
+    stages = _block_encoded_stages(texts)
+    assert len(stages) == 27  # 2 catalog entries and 25 draws
+    for staged in stages:
+        alpha = staged.alphabet
+        growing = "".join(
+            c for c, t in zip(alpha.chars, alpha.tokens) if staged.incidence.is_growing(t)
+        )
+        cell = re.compile(f"[{re.escape(growing)}][^{re.escape(growing)}]*")
+        p, head = decider._head_cells(staged.sigma, alpha.char(staged.start), cell)
+        tau = ProlongableSystem(power(staged.sigma, p), staged.start)
+        want = cell.findall(stream.FixedPointStream(tau, "y").prefix_chars(4096))[:2]
+        assert len(want) == 2 and len(head[0]) < 4096
+        assert head[0] == want[0]
+        assert head[1][0] == want[1][0]
+        assert want[1].startswith(head[1]) or head[1].startswith(want[1])
+
+
+@pytest.mark.parametrize(
+    "k,info",
+    [(4094, {"tokens": 1, "power": 1}), (4095, None), (4100, None)],
+)
+def test_block_encoding_reads_a_first_cell_of_up_to_4095_letters(k, info):
+    # x = (a b^k)^omega has its period above UPFRONT_QMAX, and deciding it
+    # slows down fast with k, so only the encoding is called here
+    text = f"alphabet: a b\nstart: a\nsigma:\na -> a {' '.join('b' * k)} a\nb -> b\n"
+    staged = prepare(parse_system(text)).staged
+    if info is not None:
+        assert decider._encode_bounded_blocks(staged)[1] == info
+    else:
+        with pytest.raises(
+            WitnessSearchExhausted, match="^could not read two cells from the fixed point$"
+        ):
+            decider._encode_bounded_blocks(staged)
 
 
 # wide-sweep and random-workload draws whose sheets have K in the thousands:

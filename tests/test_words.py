@@ -4,9 +4,17 @@ import itertools
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from morphrec.errors import AlphabetMismatch
-from morphrec.words import Alphabet, factor_set, occurrences_in_word, split_occurrences
+from morphrec.words import (
+    Alphabet,
+    factor_set,
+    occurrences_in_word,
+    occurrences_until,
+    split_occurrences,
+)
 
 
 def test_alphabet_roundtrip():
@@ -122,3 +130,35 @@ def test_split_occurrences_with_zero_or_one_occurrence():
     assert split_occurrences("baa", "aa") == (["b", ""], {}, ())
     with pytest.raises(ValueError):
         split_occurrences("ab", "")
+
+
+# binary words, half of them powers of a short root so that self-overlapping
+# patterns (aa, aba, abab, ...) recur with overlaps, each with an end at 0,
+# inside the word or at its length
+@st.composite
+def _word_and_end(draw):
+    word = draw(
+        st.text("ab", max_size=40)
+        | st.builds(lambda r, k: r * k, st.text("ab", min_size=1, max_size=5), st.integers(1, 10))
+    )
+    return word, draw(st.sampled_from([0, len(word)]) | st.integers(0, len(word)))
+
+
+@settings(max_examples=400, deadline=None)
+@given(_word_and_end(), st.text("ab", min_size=1, max_size=5))
+@example(("aaaa", 0), "aa")  # overlapping starts, end at 0
+@example(("abababa", 3), "aba")  # end between two overlapping starts
+@example(("abababa", 4), "aba")  # end on an overlapping start
+@example(("abab", 4), "ab")  # end at the length
+@example(("abab", 2), "bb")  # no occurrence
+def test_occurrences_until_is_the_filtered_scan(word_end, pattern):
+    word, end = word_end
+    every = occurrences_in_word(word, pattern)
+    before, closing = occurrences_until(word, pattern, end)
+    assert before == [o for o in every if o < end]
+    assert closing == next((o for o in every if o >= end), None)
+
+
+def test_occurrences_until_rejects_an_empty_pattern():
+    with pytest.raises(ValueError):
+        occurrences_until("ab", "", 1)
