@@ -176,7 +176,7 @@ from .errors import (
     PreconditionViolated,
     WitnessSearchExhausted,
 )
-from .growth import Matrix, block_decomposition, horn_exponent, mat_positive, mat_pow
+from .growth import Matrix, block_decomposition, horn_exponent, letter_bits, power_is_positive
 from .morphism import Morphism, power
 from .returns import (
     PRACTICAL_CAP,
@@ -462,22 +462,15 @@ def finite_letter_witness(sys: ProlongableSystem) -> str | None:
     alphabet is already restricted to letters occurring in y.
     """
     inc = sys.incidence
-    alpha = sys.alphabet
-    from_tail: set[str] = set()
-    for s in sys.sigma.image_tokens(sys.start)[1:]:
-        if s not in from_tail:
-            from_tail.update(inc.reachable_letters(s))
-    # a reach set is closed under successors, so a letter already counted
-    # infinite adds nothing new
-    infinite: set[str] = set()
-    for c in from_tail:
-        if c not in infinite and not inc.scc_trivial[inc.scc_of[alpha.index(c)]]:
-            infinite.update(inc.reachable_letters(c))
-    phi = sys.effective_phi
-    infinite_images = {phi.image(t)[0] for t in infinite}
-    for t in alpha.tokens:
-        img = phi.image(t)[0]
-        if t not in infinite and img not in infinite_images:
+    from_tail = inc.reach_of(sys.sigma.image(sys.start)[1:])
+    infinite = 0
+    for i in letter_bits(from_tail):
+        if not inc.scc_trivial[inc.scc_of[i]]:
+            infinite |= inc.letter_reach[i]
+    heads = [img[0] for img in sys.effective_phi.images]
+    infinite_images = {heads[i] for i in letter_bits(infinite)}
+    for i, img in enumerate(heads):
+        if not infinite >> i & 1 and img not in infinite_images:
             return sys.target_alphabet.token_of_char(img)
     return None
 
@@ -554,7 +547,7 @@ def _certify_repetition(
         k = horn_exponent(mat)
     except NotPrimitive:
         return None
-    if not mat_positive(mat_pow(mat, k)):
+    if not power_is_positive(mat, k):
         raise InternalConsistencyError("horn exponent failed to produce positivity")
     if tau[0][0] != 1:
         return None
@@ -746,12 +739,10 @@ def _transient_tail(staged: ProlongableSystem) -> _Tail | None:
     from its own tail."""
     alpha = staged.alphabet
     w = staged.sigma.image(staged.start)[1:]
-    reach: set[str] = set()
-    for c in set(w):
-        reach.update(staged.incidence.reachable_letters(alpha.token_of_char(c)))
-    if staged.start in reach:
+    reach = staged.incidence.reach_of(w)
+    if reach >> alpha.index(staged.start) & 1:
         return None
-    tokens = [t for t in alpha.tokens if t in reach]
+    tokens = staged.incidence.letters_of(reach)
     return _Tail(w, alpha.encode(tokens), staged.sigma.restricted_to(tokens))
 
 
@@ -1233,6 +1224,8 @@ def _preimage_system(sys: ProlongableSystem) -> ProlongableSystem | None:
     Applies only when phi is non-erasing and not a coding: then x is a
     non-erasing morphic image of y, so y uniformly recurrent forces x
     uniformly recurrent.  Returns None when the shortcut does not apply.
+    The restriction it reads is the one kept on sys, the very object that
+    prepare stages from.
     """
     restricted = restrict_to_reachable(sys)
     phi = restricted.phi
@@ -1433,11 +1426,13 @@ def verify_certificate(sys: ProlongableSystem, verdict: Verdict) -> tuple[bool, 
 
     The stage walk and every fact the certificate rests on are recomputed;
     a low-power `repetition` is checked locally at its two levels, an E1 or
-    a gap `exit` locally at its level, a `primitive_tail` locally from the
-    stage's tail (see the module docstring), and other driver certificates
-    by replaying the u-chain.
-    The check runs on new morphism objects, so no analysis that an earlier
-    decide cached on the caller's sigma or phi is reused.
+    a gap `exit` locally at its level, and a `primitive_tail` locally from
+    the stage's tail (see the module docstring).  Nothing is replayed on
+    the u-chain: a `repetition` at another power and an `exit` of any other
+    kind than `letter`, E1 and gap are rejected.
+    The check runs on new morphism objects, so no analysis or restriction
+    that an earlier decide cached on the caller's system, sigma or phi is
+    reused.
     """
     cert = verdict.certificate
     if cert is None:
@@ -1554,7 +1549,7 @@ def _tail_error(stage: PreparedSystem, data: dict) -> dict | None:
     bad = _positivity_power_error(k, len(tokens)) or _int_fields_error(data, ("j", "m"))
     if bad is not None:
         return bad
-    if not mat_positive(mat_pow(tuple(map(tuple, tail.sub.incidence_matrix())), k)):
+    if not power_is_positive(tail.sub.incidence_matrix(), k):
         return {"reason": "stated power does not make sigma on B positive"}
     e, v = data.get("e"), data.get("v")
     if type(v) is not list or not 2 <= len(v) <= TAIL_CHAIN + 1 or any(
@@ -1643,7 +1638,7 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         bad = _positivity_power_error(k, len(cert.data["tau"]))
         if bad is not None:
             return False, bad
-        if not mat_positive(mat_pow(mat, k)):
+        if not power_is_positive(mat, k):
             return False, {"reason": "stated power does not make tau positive"}
         if tau[0][0] != 1:
             return False, {"reason": "tau is not prolongable on index 1"}
@@ -1660,8 +1655,7 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
             return False, bad
         if staged.effective_phi.max_image_len != 1:
             return False, {"reason": "the staged phi is not letter-to-letter"}
-        mat = tuple(tuple(r) for r in staged.sigma.incidence_matrix())
-        if not mat_positive(mat_pow(mat, k)):
+        if not power_is_positive(staged.sigma.incidence_matrix(), k):
             return False, {"reason": "stated power does not make sigma positive"}
         return True, {"checked": "primitive", "positivity_power": k}
 

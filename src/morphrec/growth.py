@@ -13,9 +13,14 @@ letter's image holds exactly one letter of the SCC, exactly once; above 1
 otherwise, since an irreducible non-negative matrix whose column sums are
 all >= 1 and not all equal to 1 has spectral radius above 1
 (Perron-Frobenius).  A letter grows iff it reaches an SCC of radius above 1
-or some path from it passes two cycle SCCs.  Primitivity and the least
-positive power depend only on the zero pattern, so they are computed over
-the Booleans.  Perron values are computed only where their digits are
+or some path from it passes two cycle SCCs.  The graph is kept as one
+successor bitmask per letter, and IncidenceStructure reads every one of
+these facts in one pass: Tarjan's algorithm emits the SCCs sinks first, and
+one sweep over them in that order gives each SCC its edges, reach mask,
+period, radius class and growing flag from the SCCs it reaches.
+Primitivity, the least positive power and the positivity of a given power
+depend only on the zero pattern, so they are computed over the Booleans,
+rows as bitmasks.  Perron values are computed only where their digits are
 printed or enter a constant: growth types, and the envelopes of systems
 with several SCCs.  They come from integer polynomials: the characteristic
 polynomial by Berkowitz's division-free algorithm, its square-free part by a
@@ -28,7 +33,8 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import mul
+from itertools import compress
+from operator import and_, mul
 from typing import TYPE_CHECKING, Sequence
 
 from .errors import NotPrimitive, PreconditionViolated
@@ -90,13 +96,18 @@ def _bool_row_times(row: int, pattern: list[int]) -> int:
     return out
 
 
+def _zero_pattern(matrix: Sequence[Sequence[int]]) -> list[int]:
+    """Rows of a non-negative matrix as bitmasks of their positive entries."""
+    return [sum(1 << j for j, v in enumerate(row) if v > 0) for row in matrix]
+
+
 def horn_exponent(matrix: Sequence[Sequence[int]]) -> int:
     """Least k with matrix^k entrywise positive; k <= d^2 - 2d + 2 or NotPrimitive.
 
     Positivity of a power of a non-negative matrix depends only on its zero
     pattern, so the powers are taken over the Booleans, rows as bitmasks.
     """
-    pattern = [sum(1 << j for j, v in enumerate(row) if v > 0) for row in matrix]
+    pattern = _zero_pattern(matrix)
     d = len(pattern)
     full = (1 << d) - 1
     bound = d * d - 2 * d + 2
@@ -106,6 +117,23 @@ def horn_exponent(matrix: Sequence[Sequence[int]]) -> int:
             return k
         acc = [_bool_row_times(row, pattern) for row in acc]
     raise NotPrimitive(f"no positive power up to the d^2-2d+2 = {bound} bound")
+
+
+def power_is_positive(matrix: Sequence[Sequence[int]], k: int) -> bool:
+    """Whether matrix^k is entrywise positive, for a non-negative matrix and
+    k >= 0; like horn_exponent, the power is taken over the Booleans on the
+    zero pattern's bitmask rows, here by repeated squaring."""
+    pattern = _zero_pattern(matrix)
+    d = len(pattern)
+    result = [1 << i for i in range(d)]
+    base = pattern
+    while k:
+        if k & 1:
+            result = [_bool_row_times(row, base) for row in result]
+        k >>= 1
+        if k:
+            base = [_bool_row_times(row, base) for row in base]
+    return all(row == (1 << d) - 1 for row in result)
 
 
 def is_primitive(matrix: Sequence[Sequence[int]]) -> bool:
@@ -437,138 +465,224 @@ RADIUS_ONE = 1
 RADIUS_ABOVE_ONE = 2
 
 
+def letter_bits(mask: int) -> list[int]:
+    """The indices of the set bits of mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
+
+
+def image_masks(sigma: "Morphism") -> list[int]:
+    """Per letter of an endomorphism, the letters of its image as a bitmask:
+    bit i stands for the i-th letter of the alphabet."""
+    bit = dict(zip(sigma.src.chars, map((1).__lshift__, range(len(sigma.images)))))
+    return [sum(map(bit.__getitem__, set(img))) for img in sigma.images]
+
+
+def reach_mask(succ: Sequence[int], seed: int) -> int:
+    """The letters reachable from those of the bitmask seed, seed included,
+    over the successor masks succ."""
+    reach = todo = seed
+    while todo:
+        low = todo & -todo
+        todo ^= low
+        new = succ[low.bit_length() - 1] & ~reach
+        reach |= new
+        todo |= new
+    return reach
+
+
+def _period_levels(succ: Sequence[int], start: int, mask: int) -> tuple[int, dict[int, int]]:
+    """The period of the non-trivial SCC with letter bitmask mask, and the
+    BFS level of each of its letters from its letter start: the period is
+    the gcd of level[v] + 1 - level[w] over the SCC's edges v -> w."""
+    level = {start: 0}
+    order = [start]
+    g = 0
+    for v in order:  # grows while it is read
+        lv = level[v] + 1
+        for w in letter_bits(succ[v] & mask):
+            lw = level.get(w)
+            if lw is None:
+                level[w] = lv
+                order.append(w)
+            else:
+                g = math.gcd(g, lv - lw)
+    return g or 1, level
+
+
 class IncidenceStructure:
     """Incidence matrix of an endomorphism with its SCC condensation.
 
     matrix[i][j] counts occurrences of letter i in the image of letter j.
     The letter graph has an edge j -> i when matrix[i][j] > 0; SCCs are
     listed in topological order, sources first, so closed SCCs come last.
-    scc_radius holds each SCC's radius class (RADIUS_ZERO, RADIUS_ONE or
-    RADIUS_ABOVE_ONE), from which is_growing answers without a Perron
-    value; growth_type computes the exact Perron values.
+
+    Everything the letter graph tells is computed once, when the structure
+    is built.  The graph is one successor bitmask per letter.  Its SCCs come
+    from Tarjan's algorithm, roots and successors taken in letter order.
+    Tarjan emits an SCC only after every SCC it reaches, so one sweep over
+    the SCCs in that order reads each SCC's data off the SCCs it reaches:
+    its edges, reach mask, period (with the BFS levels the block
+    decomposition splits it by), radius class (RADIUS_ZERO, RADIUS_ONE or
+    RADIUS_ABOVE_ONE) and whether its letters grow.  From these is_growing,
+    reachable_letters, reach_of and primitive_exponent answer without a
+    Perron value, and block_decomposition keeps its result on the
+    structure; growth_type computes the exact Perron values.
     """
 
     def __init__(self, alphabet: Alphabet, matrix: Matrix):
         n = len(alphabet)
-        if len(matrix) != n or any(len(row) != n for row in matrix):
+        if len(matrix) != n or set(map(len, matrix)) - {n}:
             raise PreconditionViolated("incidence matrix must be square over the alphabet")
         self.alphabet = alphabet
         self.matrix = matrix
-        self._succ = [
-            [i for i in range(n) if matrix[i][j] > 0] for j in range(n)
-        ]
-        self._compute_sccs()
+        self._columns = tuple(zip(*matrix))  # column b: letter counts of sigma(b)
+        bits = list(map((1).__lshift__, range(n)))
+        # bit i of _succ[j] is set when letter i occurs in the image of letter j
+        self._succ = [sum(compress(bits, col)) for col in self._columns]
+        self._condense(self._tarjan(), sum(map(and_, self._succ, bits)))
         self._perron_cache: dict[int, PerronValue] = {}
         self._growth_cache: dict[int, GrowthType] = {}
         self._lengths: list[list[int]] = [[1] * n]  # row k: |sigma^k(b)| per letter b
-        self._columns = tuple(zip(*matrix))  # column b: letter counts of sigma(b)
         self._pq: tuple[Fraction, Fraction] | None = None  # see pq_constants
+        self._blocks: BlockDecomposition | None = None  # see block_decomposition
 
     @staticmethod
     def of_morphism(sigma: "Morphism") -> "IncidenceStructure":
         if not sigma.is_endomorphism:
             raise PreconditionViolated("incidence analysis needs an endomorphism")
-        return IncidenceStructure(sigma.src, mat_from(sigma.incidence_matrix()))
+        chars = sigma.src.chars
+        columns = [tuple(map(img.count, chars)) for img in sigma.images]
+        return IncidenceStructure(sigma.src, tuple(zip(*columns)))
 
     # -- SCC machinery --------------------------------------------------------
 
-    def _compute_sccs(self):
-        n = len(self.alphabet)
+    def _tarjan(self) -> list[tuple[list[int], int]]:
+        """The SCCs, sinks first, each as its sorted letters and their
+        bitmask: iterative Tarjan, roots and successors in letter order."""
+        succ = self._succ
+        n = len(succ)
         index = [-1] * n
         low = [0] * n
-        on_stack = [False] * n
         stack: list[int] = []
-        sccs: list[list[int]] = []
-        counter = [0]
-
-        def strongconnect(v0: int):
-            # iterative Tarjan
-            work = [(v0, 0)]
+        on_stack = 0
+        counter = 0
+        found = []
+        for root in range(n):
+            if index[root] >= 0:
+                continue
+            index[root] = low[root] = counter
+            counter += 1
+            stack.append(root)
+            on_stack |= 1 << root
+            work = [[root, succ[root]]]  # a letter and its successors not yet taken
             while work:
-                v, pi = work[-1]
-                if pi == 0:
-                    index[v] = low[v] = counter[0]
-                    counter[0] += 1
-                    stack.append(v)
-                    on_stack[v] = True
-                recurse = False
-                for i in range(pi, len(self._succ[v])):
-                    w = self._succ[v][i]
-                    if index[w] == -1:
-                        work[-1] = (v, i + 1)
-                        work.append((w, 0))
-                        recurse = True
+                frame = work[-1]
+                v, rest = frame
+                while rest:
+                    b = rest & -rest
+                    rest ^= b
+                    w = b.bit_length() - 1
+                    if index[w] < 0:
                         break
-                    if on_stack[w]:
-                        low[v] = min(low[v], index[w])
-                if recurse:
-                    continue
-                if low[v] == index[v]:
-                    comp = []
-                    while True:
-                        w = stack.pop()
-                        on_stack[w] = False
-                        comp.append(w)
-                        if w == v:
-                            break
-                    sccs.append(sorted(comp))
-                work.pop()
-                if work:
-                    parent = work[-1][0]
-                    low[parent] = min(low[parent], low[v])
-
-        for v in range(n):
-            if index[v] == -1:
-                strongconnect(v)
-
-        # Tarjan emits sinks first; reverse for sources-first order.
-        sccs.reverse()
-        self.sccs: list[list[int]] = sccs
-        self.scc_of = [0] * n
-        for sid, comp in enumerate(sccs):
-            for v in comp:
-                self.scc_of[v] = sid
-        self.scc_edges: list[set[int]] = [set() for _ in sccs]
-        for j in range(n):
-            for i in self._succ[j]:
-                if self.scc_of[i] != self.scc_of[j]:
-                    self.scc_edges[self.scc_of[j]].add(self.scc_of[i])
-        self.scc_closed = [not self.scc_edges[s] for s in range(len(sccs))]
-        self.scc_trivial = [
-            len(comp) == 1 and self.matrix[comp[0]][comp[0]] == 0 for comp in sccs
-        ]
-        self.scc_period = [self._period(comp) for comp in sccs]
-        self.scc_radius = [self._radius_class(sid) for sid in range(len(sccs))]
-
-    def _radius_class(self, sid: int) -> int:
-        if self.scc_trivial[sid]:
-            return RADIUS_ZERO
-        comp = self.sccs[sid]
-        m = self.matrix
-        if all(sum(m[i][j] for i in comp) == 1 for j in comp):
-            return RADIUS_ONE
-        return RADIUS_ABOVE_ONE
-
-    def _period(self, comp: list[int]) -> int:
-        if len(comp) == 1 and self.matrix[comp[0]][comp[0]] == 0:
-            return 1
-        members = set(comp)
-        level = {comp[0]: 0}
-        order = [comp[0]]
-        g = 0
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            for w in self._succ[v]:
-                if w not in members:
-                    continue
-                if w not in level:
-                    level[w] = level[v] + 1
-                    order.append(w)
+                    if on_stack & b and index[w] < low[v]:
+                        low[v] = index[w]
                 else:
-                    g = math.gcd(g, level[v] + 1 - level[w])
-        return abs(g) if g else 1
+                    work.pop()
+                    if work:
+                        parent = work[-1][0]
+                        if low[v] < low[parent]:
+                            low[parent] = low[v]
+                    if low[v] == index[v]:
+                        comp, mask = [], 0
+                        while True:
+                            w = stack.pop()
+                            comp.append(w)
+                            mask |= 1 << w
+                            if w == v:
+                                break
+                        on_stack ^= mask
+                        comp.sort()
+                        found.append((comp, mask))
+                    continue
+                frame[1] = rest
+                index[w] = low[w] = counter
+                counter += 1
+                stack.append(w)
+                on_stack |= b
+                work.append([w, succ[w]])
+        return found
+
+    def _condense(self, found: list[tuple[list[int], int]], loops: int):
+        """Every per-SCC field, in one sweep over the SCCs sinks first, so
+        each SCC's data is read off the SCCs it reaches; loops is the
+        bitmask of the letters with a self-loop."""
+        succ, columns = self._succ, self._columns
+        k = len(found)
+        sccs: list = [None] * k
+        scc_of = [0] * len(succ)
+        edges: list = [None] * k
+        trivial = [False] * k
+        radius = [RADIUS_ZERO] * k
+        period = [1] * k
+        levels: list[dict[int, int] | None] = [None] * k
+        reach = [0] * k
+        above = [False] * k  # reaches an SCC of radius above 1
+        cycles = [0] * k  # most cycle SCCs on a path from the SCC, capped at 2
+        grows: list[bool | None] = [None] * k
+        sid = k
+        for comp, mask in found:
+            sid -= 1
+            sccs[sid] = comp
+            out = 0
+            for v in comp:
+                scc_of[v] = sid
+                out |= succ[v]
+            out &= ~mask
+            nxt = edges[sid] = {scc_of[w] for w in letter_bits(out)} if out else set()
+            r = mask
+            for t in nxt:
+                r |= reach[t]
+            reach[sid] = r
+            if len(comp) == 1 and not loops & mask:
+                trivial[sid] = True
+                cls = RADIUS_ZERO
+            else:
+                one = all(sum(map(columns[j].__getitem__, comp)) == 1 for j in comp)
+                cls = radius[sid] = RADIUS_ONE if one else RADIUS_ABOVE_ONE
+                if not loops & mask:  # a self-loop makes the period 1
+                    period[sid], levels[sid] = _period_levels(succ, comp[0], mask)
+            # a letter grows iff it reaches an SCC of radius above 1 (then
+            # theta > 1) or a path from it passes two cycle SCCs (then
+            # theta = 1 and d >= 1); None when it reaches only trivial SCCs
+            nontrivial = cls != RADIUS_ZERO
+            ab = cls == RADIUS_ABOVE_ONE
+            cy = 0
+            for t in nxt:
+                nontrivial = nontrivial or grows[t] is not None
+                ab = ab or above[t]
+                cy = max(cy, cycles[t])
+            cy = min(2, cy + (cls == RADIUS_ONE))
+            above[sid], cycles[sid] = ab, cy
+            if nontrivial:
+                grows[sid] = ab or cy == 2
+        self.sccs = sccs
+        self.scc_of = scc_of
+        self.scc_edges = edges
+        self.scc_closed = [not nxt for nxt in edges]
+        self.scc_trivial = trivial
+        self.scc_period = period
+        self.scc_radius = radius
+        # BFS levels of an SCC with no self-loop, read by block_decomposition
+        # when its period is above 1
+        self._scc_levels = levels
+        self._scc_grows = grows  # see is_growing
+        # per letter, the letters it reaches (itself included) as a bitmask
+        self.letter_reach = [reach[s] for s in scc_of]
 
     def block(self, members: Sequence[int]) -> Matrix:
         return tuple(tuple(self.matrix[i][j] for j in members) for i in members)
@@ -594,16 +708,19 @@ class IncidenceStructure:
 
     def reachable_letters(self, token: str) -> list[str]:
         """Closure of {token} under 'appears in the image of' (includes token)."""
-        start = self.alphabet.index(token)
-        seen = {start}
-        work = [start]
-        while work:
-            v = work.pop()
-            for w in self._succ[v]:
-                if w not in seen:
-                    seen.add(w)
-                    work.append(w)
-        return [t for i, t in enumerate(self.alphabet.tokens) if i in seen]
+        return self.letters_of(self.letter_reach[self.alphabet.index(token)])
+
+    def reach_of(self, word: str) -> int:
+        """The letters reachable from those of an internal word, as a bitmask."""
+        reach = dict(zip(self.alphabet.chars, self.letter_reach))
+        out = 0
+        for c in set(word):
+            out |= reach[c]
+        return out
+
+    def letters_of(self, mask: int) -> list[str]:
+        """The tokens of a letter bitmask, in alphabet order."""
+        return [self.alphabet.tokens[i] for i in letter_bits(mask)]
 
     # -- growth ---------------------------------------------------------------
 
@@ -637,25 +754,6 @@ class IncidenceStructure:
             self._growth_cache[i] = GrowthType(count(sid) - 1, theta)
         return self._growth_cache[i]
 
-    @cached_property
-    def _scc_grows(self) -> list[bool | None]:
-        """Per SCC, whether its letters grow; None when they reach only
-        trivial SCCs.  Sinks first: a letter grows iff it reaches an SCC of
-        radius above 1 (then theta > 1) or a path from it passes two cycle
-        SCCs (then theta = 1 and d >= 1)."""
-        k = len(self.sccs)
-        nontrivial = [False] * k
-        above = [False] * k
-        cycles = [0] * k  # most cycle SCCs on a path from the SCC, capped at 2
-        for s in reversed(range(k)):
-            cls = self.scc_radius[s]
-            nxt = self.scc_edges[s]
-            nontrivial[s] = cls != RADIUS_ZERO or any(nontrivial[t] for t in nxt)
-            above[s] = cls == RADIUS_ABOVE_ONE or any(above[t] for t in nxt)
-            deepest = max((cycles[t] for t in nxt), default=0)
-            cycles[s] = min(2, deepest + (cls == RADIUS_ONE))
-        return [(above[s] or cycles[s] == 2) if nontrivial[s] else None for s in range(k)]
-
     def is_growing(self, token: str) -> bool:
         """Whether |sigma^n(token)| tends to infinity; agrees with
         growth_type(token).is_non_growing() and raises where it raises."""
@@ -671,11 +769,12 @@ class IncidenceStructure:
 
     @cached_property
     def primitive_exponent(self) -> int | None:
-        """horn_exponent of the matrix, or None when it is not primitive."""
-        try:
-            return horn_exponent(self.matrix)
-        except NotPrimitive:
+        """horn_exponent of the matrix, or None when it is not primitive: a
+        matrix is primitive iff its letters form one non-trivial SCC of
+        period 1."""
+        if len(self.sccs) != 1 or self.scc_trivial[0] or self.scc_period[0] != 1:
             return None
+        return horn_exponent(self.matrix)
 
     def lengths_after(self, k: int) -> list[int]:
         """|sigma^k(b)| for every letter b (column sums of the k-th power).
@@ -706,43 +805,37 @@ def block_decomposition(structure: IncidenceStructure) -> BlockDecomposition:
     """Cyclicity-class partition and the exponent r_sigma.
 
     r_sigma is the lcm of SCC periods; each SCC of period p splits into p
-    classes (BFS level mod p), and each class block of M^{r_sigma} is
-    primitive, while trivial single-letter SCCs without self-loop give zero
-    blocks.
+    classes (BFS level mod p, the levels its period was read from), and each
+    class block of M^{r_sigma} is primitive, while trivial single-letter SCCs
+    without self-loop give zero blocks.  The result is kept on the structure.
     """
+    if structure._blocks is not None:
+        return structure._blocks
+    tokens = structure.alphabet.tokens
     r = 1
-    for sid, comp in enumerate(structure.sccs):
-        if not structure.scc_trivial[sid]:
-            r = math.lcm(r, structure.scc_period[sid])
     blocks: list[tuple[str, ...]] = []
     flags: list[str] = []
     closed: list[bool] = []
     for sid, comp in enumerate(structure.sccs):
         if structure.scc_trivial[sid]:
-            blocks.append((structure.alphabet.tokens[comp[0]],))
+            blocks.append((tokens[comp[0]],))
             flags.append("zero")
             closed.append(structure.scc_closed[sid])
             continue
         p = structure.scc_period[sid]
-        members = set(comp)
-        level = {comp[0]: 0}
-        order = [comp[0]]
-        qi = 0
-        while qi < len(order):
-            v = order[qi]
-            qi += 1
-            for w in structure._succ[v]:
-                if w in members and w not in level:
-                    level[w] = level[v] + 1
-                    order.append(w)
-        classes: dict[int, list[int]] = {}
-        for v in comp:
-            classes.setdefault(level[v] % p, []).append(v)
+        r = math.lcm(r, p)
+        classes: dict[int, list[int]] = {0: comp}
+        if p > 1:
+            level = structure._scc_levels[sid]
+            classes = {}
+            for v in comp:
+                classes.setdefault(level[v] % p, []).append(v)
         for c in sorted(classes):
-            blocks.append(tuple(structure.alphabet.tokens[v] for v in sorted(classes[c])))
+            blocks.append(tuple(map(tokens.__getitem__, classes[c])))
             flags.append("primitive")
             closed.append(structure.scc_closed[sid])
-    return BlockDecomposition(tuple(blocks), r, tuple(flags), tuple(closed))
+    structure._blocks = BlockDecomposition(tuple(blocks), r, tuple(flags), tuple(closed))
+    return structure._blocks
 
 
 # -- the P/Q constants ------------------------------------------------------------
@@ -900,6 +993,7 @@ def _closed_scc_envelope(structure, sid, lo, hi):
 def _open_scc_envelope(structure, sid, lo, hi, alpha_handle, alo, ahi):
     comp = structure.sccs[sid]
     members = set(comp)
+    comp_mask = sum(1 << v for v in comp)
     n = len(structure.matrix)
     rho = structure.perron_of_scc(sid)
     # refine until the internal radius is strictly below the global rate
@@ -938,8 +1032,8 @@ def _open_scc_envelope(structure, sid, lo, hi, alpha_handle, alo, ahi):
         while frontier:
             nxt = []
             for v in frontier:
-                for w in structure._succ[v]:
-                    if w in members and w not in dist:
+                for w in letter_bits(structure._succ[v] & comp_mask):
+                    if w not in dist:
                         dist[w] = dist[v] + 1
                         nxt.append(w)
             frontier = nxt

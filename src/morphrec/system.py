@@ -10,14 +10,14 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from functools import cached_property
 from itertools import accumulate
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, Sequence
 
 from .errors import (
     NormalizationUnsupported,
     ParseError,
     PreconditionViolated,
 )
-from .growth import IncidenceStructure
+from .growth import IncidenceStructure, image_masks, letter_bits, reach_mask
 from .morphism import Morphism, compose, power
 from .words import Alphabet
 
@@ -56,6 +56,13 @@ class ProlongableSystem:
     def incidence(self) -> IncidenceStructure:
         """The analysis cached on sigma, shared with every system built on it."""
         return self.sigma.incidence
+
+    @cached_property
+    def _restriction(self) -> "ProlongableSystem | None":
+        """The system on the letters the start reaches, or None when that is
+        every letter (no self-reference, so no reference cycle); see
+        restrict_to_reachable, which reads it."""
+        return _restrict(self)
 
     @cached_property
     def effective_phi(self) -> Morphism:
@@ -245,19 +252,37 @@ def system_to_text(sys: ProlongableSystem) -> str:
 def restrict_to_reachable(sys: ProlongableSystem) -> ProlongableSystem:
     """Shrink the alphabet to letters reachable from the start letter.
 
-    The generated sequences are unchanged; idempotent.
+    The reach set is read off the bitmasks of sigma's image letters, with no
+    incidence analysis of sigma, and sigma and phi are restricted by
+    str.translate on their internal images.  The restriction is computed
+    once per system object and kept on it, so every caller restricting the
+    same system gets the same object, and shares the analyses cached on it.
+
+    The generated sequences are unchanged; idempotent.  The target shrinks
+    to the letters phi uses on the kept letters, unless phi erases them all:
+    then it is kept whole, and normalize_to_coding rejects that phi as it
+    would with no letter dropped.
     """
-    inc = sys.incidence
-    keep = inc.reachable_letters(sys.start)
-    if len(keep) == len(sys.alphabet):
-        return sys
-    sigma = sys.sigma.restricted_to(keep)
+    return sys._restriction or sys
+
+
+def _restrict(sys: ProlongableSystem) -> ProlongableSystem | None:
+    alpha = sys.alphabet
+    keep = reach_mask(image_masks(sys.sigma), 1 << alpha.index(sys.start))
+    if keep == (1 << len(alpha)) - 1:
+        return None
+    kept = letter_bits(keep)
+    sub = Alphabet(tuple(alpha.tokens[i] for i in kept))
+    # the images of kept letters hold kept letters only
+    table = str.maketrans("".join(alpha.chars[i] for i in kept), sub.chars)
+    sigma = Morphism(sub, sub, tuple(sys.sigma.images[i].translate(table) for i in kept))
     phi = None
     if sys.phi is not None:
-        seen = {t for tok in keep for t in sys.phi.image_tokens(tok)}
-        # keep target order stable: original order, filtered
-        target = Alphabet(tuple(t for t in sys.phi.dst.tokens if t in seen))
-        phi = sys.phi.restricted_to(keep, new_dst=target)
+        images = [sys.phi.images[i] for i in kept]
+        if any(images):
+            phi = _onto(sub, sys.phi.dst, images)
+        else:  # x is empty and uses no target letter: keep the target whole
+            phi = Morphism(sub, sys.phi.dst, tuple(images))
     return ProlongableSystem(sigma, sys.start, phi)
 
 
@@ -275,19 +300,22 @@ def _blowup_tokens(alphabet: Alphabet, widths: dict[str, int]) -> list[tuple[str
     return out
 
 
-def _onto_coding(src: Alphabet, dst: Alphabet, letters: str) -> Morphism:
-    """The coding sending the i-th letter of src to letters[i], a word over
-    dst, onto the letters of dst it uses (in dst order)."""
-    kept = "".join(c for c in dst.chars if c in letters)
+def _onto(src: Alphabet, dst: Alphabet, images: Sequence[str]) -> Morphism:
+    """The morphism sending the i-th letter of src to images[i], a word over
+    dst, onto the letters of dst the images use (in dst order)."""
+    used = set("".join(images))
+    kept = "".join(c for c in dst.chars if c in used)
     target = Alphabet(tuple(map(dst.token_of_char, kept)))
-    return Morphism(src, target, tuple(letters.translate(str.maketrans(kept, target.chars))))
+    table = str.maketrans(kept, target.chars)
+    return Morphism(src, target, tuple(img.translate(table) for img in images))
 
 
 def normalize_to_coding(sys: ProlongableSystem) -> ProlongableSystem:
     """Equivalent system whose outer morphism is a coding and sigma non-erasing.
 
-    Identity when already in shape.  A letter-to-letter phi only needs its
-    target shrunk to the letters actually used.  A longer non-erasing phi is
+    Identity when already in shape: an onto coding phi passes through with
+    no new alphabet or morphism.  Any other letter-to-letter phi only needs
+    its target shrunk to the letters it uses.  A longer non-erasing phi is
     removed by the letter blow-up: each letter b becomes |phi(b)| indexed
     copies and the blown image of sigma(b) is split into that many non-empty
     pieces, powering sigma first, up to sigma^(#A(#A+1)), until every split
@@ -303,20 +331,17 @@ def normalize_to_coding(sys: ProlongableSystem) -> ProlongableSystem:
             "elimination construction, which this library does not implement"
         )
     sys.require_prolongable()
-    if sys.phi is None:
-        return sys
     phi = sys.phi
+    if phi is None or phi.is_coding:
+        return sys
     if phi.is_erasing:
         raise NormalizationUnsupported(
             "phi has an empty image; erasing outer morphisms need the general "
             "elimination construction, which this library does not implement"
         )
     if phi.max_image_len == 1:
-        # letter-to-letter: shrink the target so phi is onto, keep sigma
-        coding = _onto_coding(sys.alphabet, phi.dst, "".join(phi.images))
-        if coding.dst.tokens == phi.dst.tokens:
-            return sys
-        return ProlongableSystem(sys.sigma, sys.start, coding)
+        # letter-to-letter but not onto: shrink the target, keep sigma
+        return ProlongableSystem(sys.sigma, sys.start, _onto(sys.alphabet, phi.dst, phi.images))
 
     # blow-up: find a power where every letter's blown image splits.  Prefer a
     # power where every piece can have length >= 2: then each indexed copy is
@@ -366,7 +391,7 @@ def normalize_to_coding(sys: ProlongableSystem) -> ProlongableSystem:
             images.append(blown[pos : pos + size])
             pos += size
     new_sigma = Morphism(new_alpha, new_alpha, tuple(images))
-    new_phi = _onto_coding(new_alpha, phi.dst, "".join(phi.images))
+    new_phi = _onto(new_alpha, phi.dst, "".join(phi.images))
 
     start = new_alpha.token_of_char(copies[start_i][0])
     out = ProlongableSystem(new_sigma, start, new_phi)

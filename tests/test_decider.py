@@ -235,8 +235,10 @@ def test_verify_rejects_tampered_repetition(monkeypatch):
     t = len(v.certificate.data["tau"])
     bound = t * t - 2 * t + 2
     powers = []
-    real_pow = decider.mat_pow
-    monkeypatch.setattr(decider, "mat_pow", lambda mat, k: powers.append(k) or real_pow(mat, k))
+    real_check = decider.power_is_positive
+    monkeypatch.setattr(
+        decider, "power_is_positive", lambda mat, k: powers.append(k) or real_check(mat, k)
+    )
     for bad in (10**6, bound + 1, True, 2.0, "2"):
         ok, detail = verify_certificate(sys_, _tampered(v, positivity_power=bad))
         assert not ok, (bad, detail)
@@ -1385,6 +1387,44 @@ def test_prepare_restricts_and_normalizes():
     # unreachable letters are gone from the staged system
     v = decide_uniform_recurrence(load("unreachable_extra"))
     assert v.outcome == UNIFORMLY_RECURRENT
+
+
+def test_the_shortcut_and_the_walk_share_one_restriction(monkeypatch):
+    """The restriction is read off image bitmasks, so the dropped letter z
+    never costs an analysis of the full sigma, and it is built once: the
+    image shortcut's check and prepare get the same object, and prepare
+    normalizes exactly that object."""
+    sys_ = load("unreachable_extra")
+    restrictions, normalized = [], []
+    real_restrict, real_normalize = decider.restrict_to_reachable, decider.normalize_to_coding
+
+    def restrict(s):
+        out = real_restrict(s)
+        if s is sys_:
+            restrictions.append(out)
+        return out
+
+    def normalize(s):
+        normalized.append(s)
+        return real_normalize(s)
+
+    monkeypatch.setattr(decider, "restrict_to_reachable", restrict)
+    monkeypatch.setattr(decider, "normalize_to_coding", normalize)
+    v = decide_uniform_recurrence(sys_)
+    assert v.outcome == UNIFORMLY_RECURRENT
+    assert "incidence" not in vars(sys_.sigma)
+    assert len(restrictions) == 2  # the shortcut's check, then prepare
+    assert restrictions[0] is restrictions[1] and restrictions[0].alphabet.tokens == ("a", "b")
+    assert normalized[0] is restrictions[0]
+    # with phi non-erasing and not a coding the shortcut decides the same
+    # restricted sigma: its inner system is built on that very morphism
+    coded = parse_system(
+        "alphabet: a b z\nstart: a\ntarget: 0 1\nsigma:\na -> a b\nb -> a\nz -> z z\n"
+        "phi:\na -> 0 1\nb -> 0\nz -> 1\n"
+    )
+    inner = decider._preimage_system(coded)
+    assert inner.sigma is real_restrict(coded).sigma
+    assert "incidence" not in vars(coded.sigma)
 
 
 @pytest.mark.parametrize("name", ["case1_comb", "chacon_padded"])

@@ -1,6 +1,7 @@
 """Incidence matrices, primitivity, exact Perron values, growth types, blocks,
 and the P/Q growth-envelope constants."""
 
+import math
 import os
 import random
 import subprocess
@@ -25,6 +26,7 @@ from morphrec.growth import (
     letter_envelopes,
     mat_colsums,
     mat_from,
+    mat_positive,
     mat_pow,
     pq_constants,
 )
@@ -458,3 +460,268 @@ def test_pq_constants_match_the_reference_on_growing_stages(monkeypatch):
     monkeypatch.setattr(growth, "_scc_ratio_bounds", _reference_scc_ratio_bounds)
     assert got == [pq_of(s) for s in structures]
     assert sum(isinstance(g[0], Fraction) for g in got) >= 150
+
+
+# -- the one-pass analysis against the analysis it replaced -----------------------
+
+
+class _ReferenceAnalysis:
+    """The SCC, period, radius, growth-flag, reach and block code of the
+    incidence analysis before it was built in one pass over bitmasks, kept
+    verbatim as a reference: iterative Tarjan over successor lists, one BFS
+    per SCC for its period, another for its block classes."""
+
+    def __init__(self, alphabet, matrix):
+        n = len(alphabet)
+        self.alphabet = alphabet
+        self.matrix = matrix
+        self._succ = [[i for i in range(n) if matrix[i][j] > 0] for j in range(n)]
+        index = [-1] * n
+        low = [0] * n
+        on_stack = [False] * n
+        stack = []
+        sccs = []
+        counter = [0]
+
+        def strongconnect(v0):
+            work = [(v0, 0)]
+            while work:
+                v, pi = work[-1]
+                if pi == 0:
+                    index[v] = low[v] = counter[0]
+                    counter[0] += 1
+                    stack.append(v)
+                    on_stack[v] = True
+                recurse = False
+                for i in range(pi, len(self._succ[v])):
+                    w = self._succ[v][i]
+                    if index[w] == -1:
+                        work[-1] = (v, i + 1)
+                        work.append((w, 0))
+                        recurse = True
+                        break
+                    if on_stack[w]:
+                        low[v] = min(low[v], index[w])
+                if recurse:
+                    continue
+                if low[v] == index[v]:
+                    comp = []
+                    while True:
+                        w = stack.pop()
+                        on_stack[w] = False
+                        comp.append(w)
+                        if w == v:
+                            break
+                    sccs.append(sorted(comp))
+                work.pop()
+                if work:
+                    parent = work[-1][0]
+                    low[parent] = min(low[parent], low[v])
+
+        for v in range(n):
+            if index[v] == -1:
+                strongconnect(v)
+        sccs.reverse()
+        self.sccs = sccs
+        self.scc_of = [0] * n
+        for sid, comp in enumerate(sccs):
+            for v in comp:
+                self.scc_of[v] = sid
+        self.scc_edges = [set() for _ in sccs]
+        for j in range(n):
+            for i in self._succ[j]:
+                if self.scc_of[i] != self.scc_of[j]:
+                    self.scc_edges[self.scc_of[j]].add(self.scc_of[i])
+        self.scc_closed = [not self.scc_edges[s] for s in range(len(sccs))]
+        self.scc_trivial = [len(c) == 1 and matrix[c[0]][c[0]] == 0 for c in sccs]
+        self.scc_period = [self._period(comp) for comp in sccs]
+        self.scc_radius = [self._radius_class(sid) for sid in range(len(sccs))]
+
+    def _radius_class(self, sid):
+        if self.scc_trivial[sid]:
+            return growth.RADIUS_ZERO
+        comp = self.sccs[sid]
+        if all(sum(self.matrix[i][j] for i in comp) == 1 for j in comp):
+            return growth.RADIUS_ONE
+        return growth.RADIUS_ABOVE_ONE
+
+    def _period(self, comp):
+        if len(comp) == 1 and self.matrix[comp[0]][comp[0]] == 0:
+            return 1
+        members = set(comp)
+        level = {comp[0]: 0}
+        order = [comp[0]]
+        g = 0
+        qi = 0
+        while qi < len(order):
+            v = order[qi]
+            qi += 1
+            for w in self._succ[v]:
+                if w not in members:
+                    continue
+                if w not in level:
+                    level[w] = level[v] + 1
+                    order.append(w)
+                else:
+                    g = math.gcd(g, level[v] + 1 - level[w])
+        return abs(g) if g else 1
+
+    def scc_grows(self):
+        k = len(self.sccs)
+        nontrivial = [False] * k
+        above = [False] * k
+        cycles = [0] * k
+        for s in reversed(range(k)):
+            cls = self.scc_radius[s]
+            nxt = self.scc_edges[s]
+            nontrivial[s] = cls != growth.RADIUS_ZERO or any(nontrivial[t] for t in nxt)
+            above[s] = cls == growth.RADIUS_ABOVE_ONE or any(above[t] for t in nxt)
+            deepest = max((cycles[t] for t in nxt), default=0)
+            cycles[s] = min(2, deepest + (cls == growth.RADIUS_ONE))
+        return [(above[s] or cycles[s] == 2) if nontrivial[s] else None for s in range(k)]
+
+    def reachable_letters(self, token):
+        start = self.alphabet.index(token)
+        seen = {start}
+        work = [start]
+        while work:
+            v = work.pop()
+            for w in self._succ[v]:
+                if w not in seen:
+                    seen.add(w)
+                    work.append(w)
+        return [t for i, t in enumerate(self.alphabet.tokens) if i in seen]
+
+    def primitive_exponent(self):
+        try:
+            return horn_exponent(self.matrix)
+        except NotPrimitive:
+            return None
+
+    def block_decomposition(self):
+        r = 1
+        for sid, comp in enumerate(self.sccs):
+            if not self.scc_trivial[sid]:
+                r = math.lcm(r, self.scc_period[sid])
+        blocks, flags, closed = [], [], []
+        for sid, comp in enumerate(self.sccs):
+            if self.scc_trivial[sid]:
+                blocks.append((self.alphabet.tokens[comp[0]],))
+                flags.append("zero")
+                closed.append(self.scc_closed[sid])
+                continue
+            p = self.scc_period[sid]
+            members = set(comp)
+            level = {comp[0]: 0}
+            order = [comp[0]]
+            qi = 0
+            while qi < len(order):
+                v = order[qi]
+                qi += 1
+                for w in self._succ[v]:
+                    if w in members and w not in level:
+                        level[w] = level[v] + 1
+                        order.append(w)
+            classes = {}
+            for v in comp:
+                classes.setdefault(level[v] % p, []).append(v)
+            for c in sorted(classes):
+                blocks.append(tuple(self.alphabet.tokens[v] for v in sorted(classes[c])))
+                flags.append("primitive")
+                closed.append(self.scc_closed[sid])
+        return growth.BlockDecomposition(tuple(blocks), r, tuple(flags), tuple(closed))
+
+
+def _growing_or_error(structure, token):
+    try:
+        return structure.is_growing(token)
+    except MorphrecError as e:
+        return type(e).__name__
+
+
+def _assert_matches_reference(structure):
+    ref = _ReferenceAnalysis(structure.alphabet, structure.matrix)
+    m = structure.matrix
+    assert structure.sccs == ref.sccs, m
+    assert structure.scc_of == ref.scc_of, m
+    assert structure.scc_edges == ref.scc_edges, m
+    assert structure.scc_closed == ref.scc_closed, m
+    assert structure.scc_trivial == ref.scc_trivial, m
+    assert structure.scc_period == ref.scc_period, m
+    assert structure.scc_radius == ref.scc_radius, m
+    grows = ref.scc_grows()
+    for i, t in enumerate(structure.alphabet.tokens):
+        want = grows[ref.scc_of[i]]
+        assert _growing_or_error(structure, t) == ("PreconditionViolated" if want is None else want)
+        assert structure.reachable_letters(t) == ref.reachable_letters(t), (m, t)
+    assert structure.primitive_exponent == ref.primitive_exponent(), m
+    assert block_decomposition(structure) == ref.block_decomposition(), m
+
+
+def _drawn_matrices(count, seed):
+    """count matrices of 1-10 letters with entries 0-2, at edge densities
+    from sparse (many SCCs, trivial ones, zero columns) to dense; every
+    fifth has one column zeroed."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        n = rng.randint(1, 10)
+        zero = rng.choice((0.3, 0.6, 0.8, 0.9))
+        rows = [
+            [0 if rng.random() < zero else rng.randint(1, 2) for _ in range(n)] for _ in range(n)
+        ]
+        if k % 5 == 0:
+            j = rng.randrange(n)
+            for row in rows:
+                row[j] = 0
+        out.append(mat_from(rows))
+    return out
+
+
+def test_one_pass_analysis_matches_the_reference_on_drawn_matrices():
+    matrices = _drawn_matrices(600, 20261020)
+    seen = {"zero column": 0, "several sccs": 0, "imprimitive": 0, "trivial": 0}
+    for m in matrices:
+        structure = IncidenceStructure(Alphabet(tuple(f"t{i}" for i in range(len(m)))), m)
+        _assert_matches_reference(structure)
+        seen["zero column"] += any(not any(col) for col in zip(*m))
+        seen["several sccs"] += len(structure.sccs) > 1
+        seen["imprimitive"] += any(p > 1 for p in structure.scc_period)
+        seen["trivial"] += any(structure.scc_trivial)
+    assert min(seen.values()) >= 40, seen
+
+
+def test_one_pass_analysis_matches_the_reference_on_catalog_sigmas_and_stages():
+    from morphrec.decider import _stages
+
+    checked = 0
+    for e in entries():
+        sys_ = e.build()
+        _assert_matches_reference(IncidenceStructure.of_morphism(sys_.sigma))
+        checked += 1
+        try:
+            stages = list(_stages(sys_, []))
+        except MorphrecError:
+            continue
+        for stage in stages:
+            _assert_matches_reference(stage.staged.incidence)
+            checked += 1
+    assert checked >= 60, checked
+
+
+def test_block_decomposition_is_kept_on_the_structure():
+    structure = IncidenceStructure(CHAIN.alphabet, CHAIN.incidence.matrix)
+    assert block_decomposition(structure) is block_decomposition(structure)
+
+
+def test_power_is_positive_matches_the_integer_power():
+    checked = {True: 0, False: 0}
+    for m in _drawn_matrices(300, 20261021):
+        d = len(m)
+        if d > 6:
+            continue
+        for k in range(d * d + 1):
+            want = mat_positive(mat_pow(m, k))
+            assert growth.power_is_positive(m, k) == want, (m, k)
+            checked[want] += 1
+    assert min(checked.values()) >= 100, checked

@@ -1,8 +1,13 @@
 """Morphism algebra, the system file format, restriction and normalization."""
 
+import json
+import random
+
 import pytest
 
 from morphrec import system as system_module
+from morphrec.catalog import entries
+from morphrec.cli import main as cli_main
 from morphrec.decider import decide_uniform_recurrence
 from morphrec.errors import (
     AlphabetMismatch,
@@ -11,6 +16,7 @@ from morphrec.errors import (
     ParseError,
     PreconditionViolated,
 )
+from morphrec.growth import IncidenceStructure
 from morphrec.morphism import Morphism, classify, compose, power
 from morphrec.stream import FixedPointStream
 from morphrec.system import (
@@ -185,6 +191,92 @@ def test_restrict_idempotent(fib):
     assert restrict_to_reachable(once) is once or restrict_to_reachable(
         once
     ).alphabet.tokens == once.alphabet.tokens
+
+
+def _token_restriction(sys_):
+    """The restriction as it was built before it moved to str.translate:
+    the reach set of the full incidence analysis, then token-level
+    restricted_to on sigma and phi, the target filtered in its order."""
+    keep = IncidenceStructure.of_morphism(sys_.sigma).reachable_letters(sys_.start)
+    if len(keep) == len(sys_.alphabet):
+        return sys_
+    phi = None
+    if sys_.phi is not None:
+        seen = {t for tok in keep for t in sys_.phi.image_tokens(tok)}
+        target = Alphabet(tuple(t for t in sys_.phi.dst.tokens if t in seen))
+        phi = sys_.phi.restricted_to(keep, new_dst=target)
+    return ProlongableSystem(sys_.sigma.restricted_to(keep), sys_.start, phi)
+
+
+def test_restriction_matches_the_token_restriction():
+    rng = random.Random(20261020)
+    texts = [e.text for e in entries()]
+    for _ in range(400):
+        letters = "abcdef"[: rng.randint(1, 6)]
+        lines = [f"alphabet: {' '.join(letters)}", "start: a", "target: 0 1 2", "sigma:"]
+        lines.append("a -> a " + " ".join(rng.choice(letters) for _ in range(rng.randint(0, 2))))
+        lines += [
+            f"{c} -> " + " ".join(rng.choice(letters) for _ in range(rng.randint(1, 3)))
+            for c in letters[1:]
+        ]
+        lines.append("phi:")
+        lines += [
+            f"{c} -> " + " ".join(rng.choice("012") for _ in range(rng.randint(1, 2)))
+            for c in letters
+        ]
+        texts.append("\n".join(lines) + "\n")
+    dropped = 0
+    for text in texts:
+        sys_ = parse_system(text)
+        want = _token_restriction(sys_)
+        got = restrict_to_reachable(sys_)
+        assert got == want, text
+        assert (got is sys_) == (want is sys_), text
+        assert restrict_to_reachable(sys_) is got
+        assert restrict_to_reachable(got) is got
+        dropped += got is not sys_
+    assert dropped >= 100, dropped
+
+
+# systems whose phi erases every letter that the start reaches, each with
+# its twin that also has a letter z, unreachable and not erased by phi
+ERASING_TWINS = [
+    (
+        "alphabet: a b{z}\nstart: a\ntarget: 0\nsigma:\na -> a b\nb -> b a\n{sz}"
+        "phi:\na -> ε\nb -> ε\n{pz}",
+        "phi has an empty image",
+    ),
+    (  # sigma erases too, and normalization names sigma first
+        "alphabet: a b{z}\nstart: a\ntarget: 0\nsigma:\na -> a b\nb -> ε\n{sz}"
+        "phi:\na -> ε\nb -> ε\n{pz}",
+        "sigma has an empty image",
+    ),
+]
+
+
+@pytest.mark.parametrize("template,message", ERASING_TWINS, ids=["phi", "sigma_and_phi"])
+def test_an_erasing_phi_is_rejected_alike_with_or_without_a_dropped_letter(
+    template, message, tmp_path, capsys
+):
+    for name, z in (("without_z", ("", "", "")), ("with_z", (" z", "z -> z\n", "z -> 0\n"))):
+        text = template.format(z=z[0], sz=z[1], pz=z[2])
+        with pytest.raises(NormalizationUnsupported) as err:
+            decide_uniform_recurrence(parse_system(text))
+        assert str(err.value).startswith(message), (name, err.value)
+        path = tmp_path / f"{name}.txt"
+        path.write_text(text)
+        assert cli_main(["decide-ur", "--json", str(path)]) == 1
+        assert json.loads(capsys.readouterr().out)["error"] == str(err.value)
+
+
+def test_an_onto_coding_passes_normalization_untouched(monkeypatch):
+    sys_ = parse_system(
+        "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b\nb -> c\nc -> a\n"
+        "phi:\na -> 0\nb -> 1\nc -> 0\n"
+    )
+    monkeypatch.setattr(system_module, "Alphabet", None)
+    monkeypatch.setattr(system_module, "Morphism", None)
+    assert normalize_to_coding(sys_) is sys_
 
 
 # -- normalization -----------------------------------------------------------------
