@@ -38,7 +38,7 @@ from .growth import (
 )
 from .morphism import power
 from .returns import WORK_BUDGET
-from .stream import _inner_language, factor_language
+from .stream import factor_language
 from .system import ProlongableSystem, restrict_to_reachable
 
 
@@ -413,14 +413,14 @@ def with_factor_count(sys: ProlongableSystem, sheet: ConstantSheet) -> ConstantS
     """The count-free sheet of sys with p(K+1), the preimage bound, K1 and
     the cap filled in.
 
-    The factors are counted on sys restricted to reachable letters, so the
-    count refers to the generated language.
+    p(K+1) is the size of factor_language(sys, K + 1) on sys restricted to
+    reachable letters, so the count refers to the generated language.
     """
     sys = restrict_to_reachable(sys)
-    # the bounded-window language is exact only when every letter grows
+    # the sheet's constants hold for growing sigma only
     if not sys.incidence.all_growing():
         raise InternalConsistencyError("factor count must be exact for growing sigma")
-    p_count = len(_inner_language(sys, sheet.K + 1))
+    p_count = len(factor_language(sys, sheet.K + 1))
     caps = compute_caps(
         sheet.K, sheet.q_const, sheet.powered_norm, p_count, sheet.sigma_norm
     )

@@ -117,8 +117,8 @@ with v_n = v_j, and a prefix length m.  Why it implies uniform recurrence:
 Since |W_p| >= 1, m = |v_j| always meets the length condition, so
 t[:m] = v_j[:m]; the certificate states the least such m, which is usually
 1, and then the condition t[0] in B holds by itself.  A larger m is checked
-against the exact m-factors of L_B (`factor_language`'s closure on a
-positive power of sigma restricted to B).  The decider searches depth first
+against the exact m-factors of L_B (`factor_language` on a positive
+power of sigma restricted to B).  The decider searches depth first
 from e over minimal preimages v' (no proper suffix of v' ends its image
 with v w), along a path of distinct words, within TAIL_WORD letters,
 TAIL_CHAIN steps and TAIL_STEPS letters tried; finding no chain leaves the
@@ -748,10 +748,10 @@ def _transient_tail(staged: ProlongableSystem) -> _Tail | None:
 
 def _in_tail_language(tail: _Tail, word: str, k: int) -> bool:
     """Whether word, over B, is a factor of L_B, the language of sigma
-    restricted to B, by the exact closure of `factor_language` on its
-    positive power k: every image of that power holds every letter, so its
-    iterates grow from any letter, and a primitive sigma and its powers
-    share one language, generated by any letter."""
+    restricted to B, by the exact `factor_language` of its positive power
+    k: every image of that power holds every letter, so its iterates grow
+    from any letter, and a primitive sigma and its powers share one
+    language, generated by any letter."""
     sub = power(tail.sub, k)
     lang = factor_language(ProlongableSystem(sub, sub.src.tokens[0]), len(word))
     return word.translate(str.maketrans(tail.letters, sub.src.chars)) in lang

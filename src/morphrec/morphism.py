@@ -134,17 +134,18 @@ class Morphism:
 
     # -- algebra ---------------------------------------------------------------
 
-    def restricted_to(self, tokens: list[str], new_dst: Alphabet | None = None) -> "Morphism":
+    def restricted_to(self, tokens: list[str]) -> "Morphism":
         """Restrict the source to a sub-alphabet (order preserved from tokens).
 
-        For an endomorphism whose images stay inside the kept letters, pass
-        new_dst=None to reuse the same sub-alphabet as target.  Keeping every
-        letter in order returns this morphism itself, with its cached analysis.
+        An endomorphism, whose images must stay inside the kept letters, takes
+        the sub-alphabet as its target too; any other morphism keeps its
+        target.  Keeping every letter in order returns this morphism itself,
+        with its cached analysis.
         """
-        if tuple(tokens) == self.src.tokens and new_dst in (None, self.dst):
+        if tuple(tokens) == self.src.tokens:
             return self
         sub = Alphabet(tuple(tokens))
-        dst = new_dst if new_dst is not None else (sub if self.is_endomorphism else self.dst)
+        dst = sub if self.is_endomorphism else self.dst
         out = {}
         for t in tokens:
             out[t] = self.image_tokens(t)

@@ -29,6 +29,7 @@ from .errors import (
     InternalConsistencyError,
     NoOccurrence,
     NotPrimitive,
+    PreconditionViolated,
     PrefixInvalid,
 )
 from .morphism import Morphism
@@ -98,8 +99,11 @@ def return_words_to_word(
 
     The table is ordered by first appearance of the return word; the trailing
     partial return (after the last seen occurrence) is dropped.  Raises
-    BudgetExhausted when u does not recur within the budget.
+    PreconditionViolated for a budget below 1, and BudgetExhausted when u
+    does not recur within the budget.
     """
+    if budget < 1:
+        raise PreconditionViolated(f"scan budget must be at least 1 letter, got {budget}")
     stream = FixedPointStream(sys, which)
     alpha = sys.alphabet if which == "y" else sys.target_alphabet
     pattern = alpha.encode(u)

@@ -1,5 +1,11 @@
 """Lazy generation of y = sigma^inf(a) and x = phi(y), plus factor analysis.
 
+factor_language is the one routine that builds an exact set of n-factors,
+of y or of x, with no prefix: a closure under sigma for n <= 2 or a
+bounded letter, and otherwise the n-windows of the images of the
+2-factors under one power of sigma.  complexity counts its set where it is
+exact, and the constant sheet's p(K+1) is its size.
+
 Every read of the fixed point goes through one prefix cache, shared by
 every reader: y's cache belongs to the pair (sigma, a) and is held on
 sigma, as its incidence analysis is, so every system built on sigma with
@@ -222,47 +228,11 @@ class ComplexityResult:
     exact: bool
 
 
-def _inner_language(sys: ProlongableSystem, n: int) -> set[str]:
-    """Exact L_n(y) for growing sigma via bounded windows over two-letter seeds.
-
-    With t minimal such that every |sigma^t(b)| >= n, each n-factor starts
-    inside sigma^t(c) for a pair cd and ends inside sigma^t(cd).  Windows
-    starting inside sigma^t(d) are taken with the pair that starts with d
-    (one exists: y is infinite), so each pair contributes only the windows
-    starting in its first image; of those, the windows lying inside
-    sigma^t(c) are the same for every pair cd, and are added once per c.
-    """
-    if n == 0:
-        return {""}
-    pairs = factor_language(sys, 2)
-    if n == 1:
-        return {c for p in pairs for c in p}
-    inc = sys.incidence
-    t = 1
-    while min(inc.lengths_after(t)) < n:
-        t += 1
-    from .morphism import power
-
-    sig_t = power(sys.sigma, t)
-    head = dict(zip(sys.alphabet.chars, inc.lengths_after(t)))
-    out: set[str] = set()
-    interior_done: set[str] = set()
-    for p in pairs:
-        w = sig_t.apply(p)
-        c = p[0]
-        # windows from head[c] - n + 1 on reach into sigma^t(d)
-        start = head[c] - n + 1 if c in interior_done else 0
-        interior_done.add(c)
-        out.update(w[i : i + n] for i in range(start, head[c]))
-    return out
-
-
 def complexity(sys: ProlongableSystem, n: int, which: str = "y") -> ComplexityResult:
     """Factor count p(n) with the factor set itself.
 
     Exact when every letter of sigma grows (and, for the outer sequence, phi
-    is non-erasing): every length-n factor then sits inside the image of a
-    two-letter factor under a sufficient power of sigma.  Otherwise the count
+    is non-erasing): the set is then factor_language's.  Otherwise the count
     is a lower bound from a plain prefix scan of _COMPLEXITY_PREFIX letters.
     """
     if n < 0:
@@ -270,46 +240,74 @@ def complexity(sys: ProlongableSystem, n: int, which: str = "y") -> ComplexityRe
     alpha = sys.alphabet if which == "y" else sys.target_alphabet
     if n == 0:
         return ComplexityResult(1, frozenset({()}), True)
-    phi = sys.effective_phi
-    growing = True
     try:
         growing = sys.incidence.all_growing()
     except PreconditionViolated:
         growing = False
-
-    if growing and (which == "y" or phi.is_non_erasing):
-        if which == "y":
-            lang = _inner_language(sys, n)
-        else:
-            lang = set()
-            for w in _inner_language(sys, n + 1):
-                img = phi.apply(w)
-                for i in range(len(img) - n + 1):
-                    lang.add(img[i : i + n])
-        factors = frozenset(tuple(alpha.decode(w)) for w in lang)
-        return ComplexityResult(len(factors), factors, True)
-
-    word = FixedPointStream(sys, which).prefix_chars(_COMPLEXITY_PREFIX)
-    lang = factor_set(word, n)
+    exact = growing and (which == "y" or sys.effective_phi.is_non_erasing)
+    if exact:
+        lang = factor_language(sys, n, which)
+    else:
+        lang = factor_set(FixedPointStream(sys, which).prefix_chars(_COMPLEXITY_PREFIX), n)
     factors = frozenset(tuple(alpha.decode(w)) for w in lang)
-    return ComplexityResult(len(factors), factors, False)
+    return ComplexityResult(len(factors), factors, exact)
 
 
 def factor_language(sys: ProlongableSystem, n: int, which: str = "y") -> frozenset[str]:
     """Exact set of length-n factors as internal strings, for any non-erasing
-    sigma (growing or not).
+    sigma (growing or not) and, on the x side, any non-erasing phi.
 
-    Closure argument: an n-window of sigma(Z) is covered by sigma applied to
-    an n-window of Z when sigma is non-erasing, so saturating "factors of
-    sigma(V)" from the factors of a long enough prefix reaches every factor
-    of the fixed point.  The x-side set is the coding image of the y-side.
-    The seed and the closure may each expand _CLOSURE_BUDGET letters.
+    For n <= 2, or when a letter of sigma is bounded, L_n(y) is _closure's.
+    When every letter grows, take t least with |sigma^t(b)| >= n for every
+    letter b of y: as y = sigma^t(y), each n-factor lies inside one image
+    sigma^t(c) or across the junction of sigma^t(cd) for a 2-factor cd.
+    When those images, over every power up to t, would pass _CLOSURE_BUDGET
+    letters, the closure serves instead.  L_n(x) is the n-windows of phi(w)
+    over w in L_n(y): each letter of y gives x at least one letter, so every
+    n-factor of x lies in the image of the n-factor of y where it starts.
     """
     if n <= 0:
         return frozenset({""})
-    sigma = sys.sigma
-    if sigma.is_erasing:
+    if sys.sigma.is_erasing:
         raise PreconditionViolated("exact factor sets need a non-erasing sigma")
+    phi = sys.phi
+    if which == "x" and phi is not None:
+        if phi.is_erasing:
+            raise PreconditionViolated("x-side factor sets need a non-erasing phi")
+        return frozenset(
+            v[i : i + n]
+            for v in map(phi.apply, factor_language(sys, n))
+            for i in range(len(v) - n + 1)
+        )
+    if n <= 2 or not sys.incidence.all_growing():
+        return frozenset(_closure(sys, n))
+    pairs = _closure(sys, 2)
+    letters = {b for p in pairs for b in p}  # the letters of y
+    index = [i for i, b in enumerate(sys.alphabet.chars) if b in letters]
+    lengths = sys.incidence.lengths_after
+    t = 1
+    while min(lengths(t)[i] for i in index) < n:
+        t += 1
+    if sum(lengths(k)[i] for k in range(1, t + 1) for i in index) > _CLOSURE_BUDGET:
+        return frozenset(_closure(sys, n))
+    images = dict(zip(letters, letters))
+    for _ in range(t):
+        images = {b: sys.sigma.apply(w) for b, w in images.items()}
+    out: set[str] = set()
+    for w in images.values():
+        out |= factor_set(w, n)
+    for c, d in pairs:
+        out |= factor_set(images[c][1 - n :] + images[d][: n - 1], n)
+    return frozenset(out)
+
+
+def _closure(sys: ProlongableSystem, n: int) -> set[str]:
+    """L_n(y) for n >= 1 and a non-erasing sigma by closure: an n-window of
+    sigma(Z) is covered by sigma applied to an n-window of Z, so saturating
+    "factors of sigma(V)" from the factors of a long enough prefix reaches
+    every factor of the fixed point.  The seed and the closure may each
+    expand _CLOSURE_BUDGET letters."""
+    sigma = sys.sigma
     # seed with a full sigma^T(a), T minimal with |sigma^T(a)| >= n; iterates
     # shorter than n that repeat (a fixed word, or a cycle of one-letter
     # images) never reach n letters
@@ -337,9 +335,4 @@ def factor_language(sys: ProlongableSystem, n: int, which: str = "y") -> frozens
                     seen.add(f)
                     nxt.append(f)
         frontier = nxt
-    if which == "x":
-        phi = sys.effective_phi
-        if not phi.is_coding and sys.phi is not None:
-            raise PreconditionViolated("x-side factor sets need phi to be a coding")
-        return frozenset(phi.apply(w) for w in seen)
-    return frozenset(seen)
+    return seen

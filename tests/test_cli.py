@@ -208,6 +208,24 @@ def test_return_words_rejects_foreign_letter(capsys, fib_file):
     assert "not in the alphabet" in err
 
 
+def test_return_words_reject_a_negative_budget_per_file(capsys, fib_file, tmp_path):
+    # one file: an error envelope, not a traceback
+    code, out, err = run(capsys, "return-words", "--word", "a", "--budget", "-5", "--json", fib_file)
+    assert code == 1
+    assert json.loads(out)["error"] == "scan budget must be at least 1 letter, got -5"
+    assert "Traceback" not in err
+    # two files: each gets its own error envelope, none is lost
+    other = tmp_path / "fib2.txt"
+    other.write_text(get("fibonacci").text)
+    files = [fib_file, str(other)]
+    code, out, err = run(capsys, "return-words", "--word", "a", "--budget", "-5", "--json", *files)
+    assert code == 1
+    envs = json.loads(out)
+    assert [e["input"] for e in envs] == files
+    assert all(e["error"] == "scan budget must be at least 1 letter, got -5" for e in envs)
+    assert "Traceback" not in err
+
+
 def test_derive_json(capsys, tm_file):
     code, out, _ = run(capsys, "derive", "--json", "--depth", "2", tm_file)
     assert code == 0

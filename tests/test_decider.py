@@ -545,7 +545,7 @@ COUNT_FREE = {
 
 @pytest.mark.parametrize("name", sorted(COUNT_FREE))
 def test_low_power_verdict_needs_no_factor_count(monkeypatch, name):
-    monkeypatch.setattr(constants, "_inner_language", lambda *_: pytest.fail("counted"))
+    monkeypatch.setattr(constants, "with_factor_count", lambda *_: pytest.fail("counted"))
     sys_ = parse_system(COUNT_FREE[name])
     v = decide_uniform_recurrence(sys_)
     assert v.outcome == UNIFORMLY_RECURRENT
@@ -689,8 +689,7 @@ def test_gap_exit_needs_no_count_and_no_full_power(monkeypatch):
         return real(self, k)
 
     monkeypatch.setattr(ProlongableSystem, "with_sigma_power", low_powers_only)
-    for module in (stream, constants):
-        monkeypatch.setattr(module, "_inner_language", lambda *_: pytest.fail("counted"))
+    monkeypatch.setattr(constants, "with_factor_count", lambda *_: pytest.fail("counted"))
     v = decide_uniform_recurrence(sys_)
     assert v.outcome == NOT_UNIFORMLY_RECURRENT
     d = v.certificate.to_json_dict()

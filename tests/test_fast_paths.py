@@ -5,8 +5,8 @@ lengths_after extends cached rows one step at a time, PerronValue.cmp
 settles equal handles and rationals without a gcd, and the prefix cache
 expands sigma^k(u) through a lazily built image table.
 Growth is read off the SCC radius classes and primitivity off the zero
-pattern, R comes from the images of the 2-factors with no prefix of y, the
-bounded-window language adds each image's interior windows once,
+pattern, R comes from the images of the 2-factors with no prefix of y,
+factor_language's windows read each image once and each pair's junction,
 decoding and encoding go through char <-> token tables, a primitive
 staged sigma is certified without the full-power chain, and the finite-letter
 screen reads cycles and reachability off the shared incidence analysis.
@@ -46,7 +46,7 @@ from morphrec.returns import WORK_BUDGET, first_two_occurrences
 from morphrec.stream import (
     _CHUNK,
     FixedPointStream,
-    _inner_language,
+    _closure,
     factor_language,
     occurrences,
 )
@@ -450,15 +450,15 @@ def test_r_sigma_on_letter_runs():
     assert compute_R_sigma(single) == 1
 
 
-# -- bounded-window language -------------------------------------------------------------
+# -- factor-language windows -------------------------------------------------------------
 
 
 @settings(max_examples=40, deadline=None)
 @given(prolongable_systems(), st.integers(1, 7))
-def test_inner_language_matches_factor_closure(sys_, n):
+def test_factor_language_windows_match_the_closure(sys_, n):
     if not sys_.incidence.all_growing():
         return
-    assert _inner_language(sys_, n) == set(factor_language(sys_, n))
+    assert factor_language(sys_, n) == _closure(sys_, n)
 
 
 # -- decoding ----------------------------------------------------------------------------

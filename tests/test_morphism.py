@@ -204,7 +204,8 @@ def _token_restriction(sys_):
     if sys_.phi is not None:
         seen = {t for tok in keep for t in sys_.phi.image_tokens(tok)}
         target = Alphabet(tuple(t for t in sys_.phi.dst.tokens if t in seen))
-        phi = sys_.phi.restricted_to(keep, new_dst=target)
+        table = {t: sys_.phi.image_tokens(t) for t in keep}
+        phi = Morphism.from_tokens(Alphabet(tuple(keep)), target, table)
     return ProlongableSystem(sys_.sigma.restricted_to(keep), sys_.start, phi)
 
 

@@ -11,6 +11,7 @@ from morphrec.errors import (
     BudgetExhausted,
     NoOccurrence,
     NotPrimitive,
+    PreconditionViolated,
     PrefixInvalid,
 )
 from morphrec.morphism import Morphism
@@ -106,6 +107,12 @@ def test_return_words_budget_messages_for_zero_and_one_occurrence(fib):
     with pytest.raises(BudgetExhausted, match=one) as exc:
         return_words_to_word(once, ["a"], budget=4096, which="y")
     assert exc.value.occurrences_found == 1
+
+
+@pytest.mark.parametrize("budget", [0, -5])
+def test_return_words_reject_a_budget_below_one(fib, budget):
+    with pytest.raises(PreconditionViolated, match=f"^scan budget must be at least 1 letter, got {budget}$"):
+        return_words_to_word(fib, ["a"], budget=budget)
 
 
 def test_return_words_read_a_start_inside_the_last_segment():

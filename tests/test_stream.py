@@ -11,13 +11,14 @@ import pytest
 
 from morphrec import stream
 from morphrec.catalog import PRIMITIVE_CORPUS, entries, get
-from morphrec.decider import decide_uniform_recurrence
-from morphrec.errors import NotEnoughOccurrences
+from morphrec.decider import _stages, decide_uniform_recurrence
+from morphrec.errors import MorphrecError, NotEnoughOccurrences
 from morphrec.morphism import Morphism
 from morphrec.stream import (
     _CHUNK,
     FixedPointStream,
     MaxGapResult,
+    _closure,
     complexity,
     factor_language,
     max_gap,
@@ -25,7 +26,9 @@ from morphrec.stream import (
     prefix,
 )
 from morphrec.system import ProlongableSystem, parse_system
-from morphrec.words import factor_set
+from morphrec.words import Alphabet, factor_set
+
+from test_fuzz import _draw
 
 
 # -- prefixes ----------------------------------------------------------------------
@@ -286,3 +289,99 @@ def test_factor_language_ends_on_a_cycle_of_one_letter_images():
     sys_ = parse_system("alphabet: a b\nstart: a\nsigma:\na -> b\nb -> a\n")
     assert factor_language(sys_, 2) == frozenset()
     assert {"".join(sys_.alphabet.decode(w)) for w in factor_language(sys_, 1)} == {"a", "b"}
+
+
+def test_factor_language_takes_the_closure_when_the_windows_pass_the_budget(monkeypatch):
+    # a grows ninefold while b, ..., h only pass one letter on, so every
+    # image of a letter of y reaches 3 letters at t = 8, when sigma^8(a) has
+    # 19,173,961 letters; the closure reads a few hundred
+    sys_ = parse_system(
+        "alphabet: a b c d e f g h\nstart: a\nsigma:\na -> a a a a a a a a b\n"
+        "b -> c\nc -> d\nd -> e\ne -> f\nf -> g\ng -> h\nh -> a\n"
+    )
+    assert sys_.incidence.all_growing()
+    applied = []
+    real = Morphism.apply
+
+    def counted(self, word):
+        image = real(self, word)
+        applied.append(len(image))
+        return image
+
+    monkeypatch.setattr(Morphism, "apply", counted)
+    lang = factor_language(sys_, 3)
+    assert sum(applied) < 1 << 12
+    monkeypatch.undo()
+    assert lang == _closure(sys_, 3)
+    assert {"".join(sys_.alphabet.decode(w)) for w in lang} >= {"aaa", "aab", "abc", "haa"}
+
+
+# -- one factor-language routine against its references -----------------------------
+
+FACTOR_DRAWS = 300
+FACTOR_LEN = 32
+
+
+def _parent_x_language(phi, y_factors, n):
+    """complexity's x loop as it was before factor_language served it: the
+    n-windows of phi(w) for every (n+1)-factor w of y."""
+    lang = set()
+    for w in y_factors:
+        img = phi.apply(w)
+        for i in range(len(img) - n + 1):
+            lang.add(img[i : i + n])
+    return lang
+
+
+def _with_wide_phi(sys_, rng):
+    """sys_ under a phi onto 0 1 with images of 1 to 3 letters, and of 2 for
+    the start letter, so never a coding."""
+    table = {
+        t: [rng.choice("01") for _ in range(2 if t == sys_.start else rng.randint(1, 3))]
+        for t in sys_.alphabet.tokens
+    }
+    phi = Morphism.from_tokens(sys_.alphabet, Alphabet(("0", "1")), table)
+    return ProlongableSystem(sys_.sigma, sys_.start, phi)
+
+
+def _factor_beds(chunk):
+    """Chunk 0: every catalog system with a non-erasing sigma; chunks 1-3:
+    a third each of 300 seeded draws over 2-6 letters, each under a
+    non-coding phi.  Each system is followed by every stage of its walk."""
+    if chunk == 0:
+        bases = [e.build() for e in entries()]
+    else:
+        rng = random.Random(20261020)
+        drawn = [_with_wide_phi(parse_system(_draw(rng, "abcdef")), rng) for _ in range(FACTOR_DRAWS)]
+        bases = drawn[(chunk - 1) * 100 : chunk * 100]
+    for sys_ in bases:
+        if sys_.sigma.is_erasing:
+            continue
+        yield sys_
+        try:
+            stages = list(_stages(sys_, []))
+        except MorphrecError:
+            continue
+        yield from (stage.staged for stage in stages if stage.staged is not sys_)
+
+
+@pytest.mark.parametrize("chunk", range(4))
+def test_factor_language_matches_the_closure_and_the_parent_x_side(chunk):
+    """For n <= 32, the y side against the closure: its 33-factors give
+    every L_n(y) as their n-prefixes, since each factor of the infinite y
+    extends to the right.  The x side under a non-coding phi against
+    complexity's former x loop.  Both the windows and the closure path of
+    factor_language are taken."""
+    seen = {"windows": 0, "closure": 0, "wide_phi": 0}
+    for sys_ in _factor_beds(chunk):
+        top = _closure(sys_, FACTOR_LEN + 1)
+        growing = sys_.incidence.all_growing()
+        wide = sys_.phi is not None and not sys_.phi.is_coding
+        for n in range(1, FACTOR_LEN + 1):
+            assert factor_language(sys_, n) == {w[:n] for w in top}, n
+            seen["windows" if growing and n >= 3 else "closure"] += 1
+            if wide:
+                want = _parent_x_language(sys_.phi, {w[: n + 1] for w in top}, n)
+                assert factor_language(sys_, n, "x") == want, n
+                seen["wide_phi"] += 1
+    assert min(seen.values()) >= 50, seen
