@@ -211,17 +211,17 @@ def _prolongable_block_system(
     """Power sigma^{r_sigma} restricted to a closed block until prolongable."""
     tau0 = power(sys.sigma, r_sigma).restricted_to(list(letters))
     # first-letter functional graph: find a cycle letter and its period
-    first = {t: tau0.image_tokens(t)[0] for t in letters}
+    first = {c: img[0] for c, img in zip(tau0.src.chars, tau0.images)}
     seen_order = []
     seen_set = {}
-    cur = letters[0]
+    cur = tau0.src.chars[0]
     while cur not in seen_set:
         seen_set[cur] = len(seen_order)
         seen_order.append(cur)
         cur = first[cur]
     cycle = seen_order[seen_set[cur] :]
     c = len(cycle)
-    start = cycle[0]
+    start = tau0.src.token_of_char(cycle[0])
     tau = power(tau0, c) if c > 1 else tau0
     exponent = r_sigma * c
     guard = 0

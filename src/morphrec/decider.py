@@ -190,7 +190,7 @@ from .returns import (
 )
 from .stream import FixedPointStream, factor_language
 from .system import ProlongableSystem, normalize_to_coding, restrict_to_reachable
-from .words import Alphabet, occurrences_in_word
+from .words import Alphabet, occurrences_until
 
 UNIFORMLY_RECURRENT = "uniformly_recurrent"
 NOT_UNIFORMLY_RECURRENT = "not_uniformly_recurrent"
@@ -490,7 +490,7 @@ def _connecting_morphism(
     index_of = {w: i for i, w in enumerate(low_words, start=1)}
     tau = []
     for f in desc_high.x_returns:
-        cuts = [c for c in occurrences_in_word(f + v_low, v_low) if c < len(f)]
+        cuts, _ = occurrences_until(f + v_low, v_low, len(f))
         if not cuts or cuts[0] != 0:
             raise InternalConsistencyError("high-level return word misses the anchor")
         cuts.append(len(f))
@@ -742,8 +742,9 @@ def _transient_tail(staged: ProlongableSystem) -> _Tail | None:
     reach = staged.incidence.reach_of(w)
     if reach >> alpha.index(staged.start) & 1:
         return None
-    tokens = staged.incidence.letters_of(reach)
-    return _Tail(w, alpha.encode(tokens), staged.sigma.restricted_to(tokens))
+    kept = letter_bits(reach)
+    letters = "".join(alpha.chars[i] for i in kept)
+    return _Tail(w, letters, staged.sigma.restricted_to([alpha.tokens[i] for i in kept]))
 
 
 def _in_tail_language(tail: _Tail, word: str, k: int) -> bool:
@@ -939,106 +940,81 @@ def _growing_verdict(stage: PreparedSystem, work_budget: int, trace: list[dict])
 # non-growing branch
 
 
-def _pumping_witness(sys: ProlongableSystem, kmax: int):
+def _pumping_witness(sys: ProlongableSystem, kmax: int) -> dict | None:
     """Search powers sigma^k for a growing letter g with sigma^k(g) = v g u,
-    u a nonempty word of bounded letters (or the mirrored form).
+    u a nonempty word of bounded letters (side "right"), or with
+    sigma^k(g) = u g v (side "left").
 
     Never materializes sigma^k.  An occurrence of g with an all-bounded right
     part must be the last growing letter of sigma^k(g), and the last-growing
     letter of sigma^k(g) is the k-th iterate of the one-step map L; the
     bounded trail is nonempty iff some letter along the L-orbit contributes
-    one.  Mirrored for the left form with the first-growing map F.
+    one.  The left form is the right form of the mirror morphism, whose
+    images are sigma's read backwards, so its u and v are read backwards
+    (step -1) at the end.  Letters go in token order, the right side before
+    the left at each (k, g).  u and v are internal strings over
+    sys.alphabet; v is given only while sigma^k(g) stays short.
     """
-    inc = sys.incidence
     alpha = sys.alphabet
-    sigma = sys.sigma
-    gset = {t for t in alpha.tokens if inc.is_growing(t)}
-    if not gset:
-        return None
-    first, last, lead1, trail1 = {}, {}, {}, {}
-    for g in sorted(gset):
-        img = sigma.image_tokens(g)
-        gpos = [i for i, t in enumerate(img) if t in gset]
-        first[g] = img[gpos[0]]
-        last[g] = img[gpos[-1]]
-        lead1[g] = alpha.encode(img[: gpos[0]])
-        trail1[g] = alpha.encode(img[gpos[-1] + 1 :])
-
-    def trail_word(g: str, k: int) -> str:
-        # T_j(g) = trail1(L^{j-1}(g)) + sigma(T_{j-1}(g))
-        t, h = "", g
-        for _ in range(k):
-            t = trail1[h] + sigma.apply(t)
-            h = last[h]
-        return t
-
-    def lead_word(g: str, k: int) -> str:
-        t, h = "", g
-        for _ in range(k):
-            t = sigma.apply(t) + lead1[h]
-            h = first[h]
-        return t
-
-    def small_image(g: str, k: int) -> str | None:
-        word = alpha.encode([g])
-        for _ in range(k):
-            word = sigma.apply(word)
-            if len(word) > 4096:
-                return None
-        return word
+    growing = [t for t in sorted(alpha.tokens) if sys.incidence.is_growing(t)]
+    grow = set(map(alpha.char, growing))
+    mirror = Morphism(alpha, alpha, tuple(img[::-1] for img in sys.sigma.images))
+    sides = []
+    for side, m, step in (("right", sys.sigma, 1), ("left", mirror, -1)):
+        # L(c), the last growing letter of m(c), and the bounded trail after it
+        last, trail = {}, {}
+        for c, img in zip(alpha.chars, m.images):
+            if c in grow:
+                pos = max(img.rfind(d) for d in grow)
+                last[c], trail[c] = img[pos], img[pos + 1 :]
+        sides.append((side, m, step, last, trail))
 
     for k in range(1, kmax + 1):
-        for g in sorted(gset):
-            h, flag = g, False
-            for _ in range(k):
-                flag = flag or bool(trail1[h])
-                h = last[h]
-            if h == g and flag:
-                u = trail_word(g, k)
-                out = {"letter": g, "power": k, "u": alpha.decode(u), "side": "right"}
-                img = small_image(g, k)
-                if img is not None:
-                    out["v"] = alpha.decode(img[: len(img) - len(u) - 1])
-                return out
-            h, flag = g, False
-            for _ in range(k):
-                flag = flag or bool(lead1[h])
-                h = first[h]
-            if h == g and flag:
-                u = lead_word(g, k)
-                out = {"letter": g, "power": k, "u": alpha.decode(u), "side": "left"}
-                img = small_image(g, k)
-                if img is not None:
-                    out["v"] = alpha.decode(img[len(u) + 1 :])
+        for g in growing:
+            c = alpha.char(g)
+            for side, m, step, last, trail in sides:
+                h, flag = c, False
+                for _ in range(k):
+                    flag = flag or bool(trail[h])
+                    h = last[h]
+                if h != c or not flag:
+                    continue
+                # T_j(g) = trail(L^(j-1)(g)) + m(T_(j-1)(g))
+                u, h = "", c
+                for _ in range(k):
+                    u = trail[h] + m.apply(u)
+                    h = last[h]
+                out = {"letter": g, "power": k, "u": u[::step], "side": side}
+                img = c
+                for _ in range(k):
+                    img = m.apply(img)
+                    if len(img) > 4096:
+                        break
+                else:
+                    out["v"] = img[: len(img) - len(u) - 1][::step]
                 return out
     return None
 
 
-def _apply_times(sigma, word: str, k: int) -> str:
-    for _ in range(k):
-        word = sigma.apply(word)
-    return word
-
-
-def _pumping_word(sys: ProlongableSystem, witness: dict) -> list[str]:
+def _pumping_word(sys: ProlongableSystem, witness: dict) -> str:
     """One period of the eventually periodic tail u, tau(u), tau^2(u), ...
-    (read outward from the pumped letter), for tau = sigma^power."""
-    alpha = sys.alphabet
-    k = witness["power"]
-    cur = alpha.encode(list(witness["u"]))
+    (read outward from the pumped letter), for tau = sigma^power, as an
+    internal string over sys.alphabet."""
+    cur = witness["u"]
     seen: dict[str, int] = {}
     words = []
     while cur not in seen:
         seen[cur] = len(words)
         words.append(cur)
-        cur = _apply_times(sys.sigma, cur, k)
+        for _ in range(witness["power"]):
+            cur = sys.sigma.apply(cur)
         if len(cur) > 1 << 16:
             raise InternalConsistencyError("bounded letters produced an unbounded image")
     t0 = seen[cur]
     cycle = words[t0:]
     if witness["side"] == "left":
         cycle = list(reversed(cycle))
-    return alpha.decode("".join(cycle))
+    return "".join(cycle)
 
 
 def _head_cells(sigma: Morphism, start: str, cell: re.Pattern) -> tuple[int, list[str]]:
@@ -1140,17 +1116,18 @@ def _nongrowing_verdict(stage: PreparedSystem, trace: list[dict]) -> Verdict:
             "witness_side": witness["side"],
         }
     )
-    w = _pumping_word(staged, witness)
+    alpha = staged.alphabet
+    w = alpha.decode(_pumping_word(staged, witness))
     report = periodic_checklist(staged, w)
     pumping = {
         "letter": witness["letter"],
         "power": witness["power"],
         "side": witness["side"],
-        "u": list(witness["u"]),
-        "w": list(w),
+        "u": alpha.decode(witness["u"]),
+        "w": w,
     }
     if "v" in witness:
-        pumping["v"] = list(witness["v"])
+        pumping["v"] = alpha.decode(witness["v"])
     if report["periodic"]:
         q = report["period"]
         if not pure_period_check(staged, q):

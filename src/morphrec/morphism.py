@@ -137,19 +137,23 @@ class Morphism:
     def restricted_to(self, tokens: list[str]) -> "Morphism":
         """Restrict the source to a sub-alphabet (order preserved from tokens).
 
-        An endomorphism, whose images must stay inside the kept letters, takes
-        the sub-alphabet as its target too; any other morphism keeps its
-        target.  Keeping every letter in order returns this morphism itself,
-        with its cached analysis.
+        An endomorphism takes the sub-alphabet as its target too: its images
+        are re-encoded over it by str.translate, and an image that leaves the
+        kept letters raises AlphabetMismatch.  Any other morphism keeps its
+        target and its images.  Keeping every letter in order returns this
+        morphism itself, with its cached analysis.
         """
         if tuple(tokens) == self.src.tokens:
             return self
         sub = Alphabet(tuple(tokens))
-        dst = sub if self.is_endomorphism else self.dst
-        out = {}
-        for t in tokens:
-            out[t] = self.image_tokens(t)
-        return Morphism.from_tokens(sub, dst, out)
+        images = tuple(map(self.image, tokens))
+        if not self.is_endomorphism:
+            return Morphism(sub, self.dst, images)
+        kept = "".join(map(self.src.char, tokens))
+        if not set("".join(images)) <= set(kept):
+            raise AlphabetMismatch("restricted_to: an image leaves the kept letters")
+        table = str.maketrans(kept, sub.chars)
+        return Morphism(sub, sub, tuple(img.translate(table) for img in images))
 
 
 def compose(f: Morphism, g: Morphism) -> Morphism:

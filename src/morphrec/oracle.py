@@ -22,7 +22,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import NotEnoughOccurrences
+from .errors import NotEnoughOccurrences, PreconditionViolated
 from .stream import FixedPointStream
 from .system import ProlongableSystem
 from .words import split_occurrences
@@ -149,8 +149,11 @@ def window_ur_check(
     factor whose last occurrence leaves more than C|u| fully-scanned letters
     with no further occurrence is reported as a tail violation (both refute
     "linearly recurrent with constant C").  Without a bound the report is
-    never conclusive.
+    never conclusive.  A bound below 1 raises PreconditionViolated: two
+    starts are at least 1 apart, so every factor that recurs would violate it.
     """
+    if linear_bound is not None and linear_bound < 1:
+        raise PreconditionViolated(f"linear bound must be at least 1, got {linear_bound}")
     if factor_len_max < 1 or prefix_len < 1:
         return OracleReport(
             checked="recurrence gaps of short factors",

@@ -13,8 +13,8 @@ Words inside the u-chain are internal strings (see words.Alphabet):
 build_sigma_U takes u over sys.alphabet, its descriptors hold u and the
 pairs over sys.alphabet and v and the x-return words over
 sys.target_alphabet, and delta_reconstruct returns a prefix of y over
-sys.alphabet.  Only the exit evidence and the word-case ReturnTable are
-decoded into tokens.
+sys.alphabet.  Only the E1 exit's evidence and the word-case ReturnTable
+are decoded into tokens.
 """
 
 from __future__ import annotations
@@ -284,8 +284,11 @@ class DriverExit:
     occurrences of v in x more than K|v| apart, which the decider's exit
     scan reports; the driver itself never does).  `derive_chain` alone
     issues 'budget' (a closure ran past its work or pair budget), which
-    refutes nothing.  unconditional=True means the evidence alone refutes
-    uniform recurrence.
+    refutes nothing.  unconditional=True means the exit alone refutes
+    uniform recurrence.  Every exit carries its kind, unconditional and
+    message, which derive prints and return_substitution reads; only the
+    exits that become certificates, E1 (e1_exit) and gap, carry evidence,
+    which the certificate holds.
     """
 
     kind: str
@@ -422,13 +425,6 @@ def build_sigma_U(
                 kind="empty-image",
                 unconditional=uncond,
                 message="an image block contains no occurrence of the target",
-                evidence={
-                    "pair_index": j,
-                    "pair_w": alpha.decode(w),
-                    "pair_u": alpha.decode(up),
-                    "window": W,
-                    "threshold": bound,
-                },
             )
         if closing is None:
             uncond = bound is not None and len(F) - W >= bound
@@ -436,13 +432,6 @@ def build_sigma_U(
                 kind="no-occurrence",
                 unconditional=uncond,
                 message="no closing occurrence after an image block",
-                evidence={
-                    "pair_index": j,
-                    "pair_w": alpha.decode(w),
-                    "pair_u": alpha.decode(up),
-                    "window": len(F) - W,
-                    "threshold": bound,
-                },
             )
         if j == 1 and before[0] != 0:
             raise InternalConsistencyError("first pair image lost its anchor at 0")
@@ -451,12 +440,6 @@ def build_sigma_U(
                 kind="unanchored",
                 unconditional=False,
                 message="an image block is not cut exactly into return words",
-                evidence={
-                    "pair_index": j,
-                    "first_cut": before[0],
-                    "closing_cut": closing,
-                    "window": W,
-                },
             )
         bounds = before + [closing]
         img: list[int] = []
@@ -467,25 +450,12 @@ def build_sigma_U(
                     kind="E2",
                     unconditional=True,
                     message=f"return word of length {len(piece[0])} exceeds K|u| = {bound}",
-                    evidence={
-                        "pair_index": j,
-                        "word": alpha.decode(piece[0]),
-                        "length": len(piece[0]),
-                        "bound": bound,
-                    },
                 )
             if K is not None and len(piece[0]) * K < m:
                 return DriverExit(
                     kind="short-return",
                     unconditional=False,
                     message=f"return word of length {len(piece[0])} is below |u|/K",
-                    evidence={
-                        "pair_index": j,
-                        "word": alpha.decode(piece[0]),
-                        "length": len(piece[0]),
-                        "u_length": m,
-                        "K": K,
-                    },
                 )
             idx = index_of.get(piece)
             if idx is None:
@@ -494,7 +464,6 @@ def build_sigma_U(
                         kind="E3",
                         unconditional=False,
                         message=f"more than K1 = {K1} table entries",
-                        evidence={"entries": len(pairs) + 1, "K1": K1},
                     )
                 if len(pairs) >= PAIR_BUDGET:
                     raise BudgetExhausted(
@@ -523,12 +492,10 @@ def build_sigma_U(
                 break
             support = grown
         if len(support) != len(pairs):
-            missing = sorted(set(range(1, len(pairs) + 1)) - support)
             return DriverExit(
                 kind="E4",
                 unconditional=False,
                 message="table entries appear only beyond the closure window",
-                evidence={"missing_indices": missing, "rounds": rounds},
             )
 
     # x-side return words and psi, by first appearance of phi(w)

@@ -253,8 +253,9 @@ def restrict_to_reachable(sys: ProlongableSystem) -> ProlongableSystem:
     """Shrink the alphabet to letters reachable from the start letter.
 
     The reach set is read off the bitmasks of sigma's image letters, with no
-    incidence analysis of sigma, and sigma and phi are restricted by
-    str.translate on their internal images.  The restriction is computed
+    incidence analysis of sigma; sigma is restricted by
+    Morphism.restricted_to and phi by _onto, both by str.translate on their
+    internal images.  The restriction is computed
     once per system object and kept on it, so every caller restricting the
     same system gets the same object, and shares the analyses cached on it.
 
@@ -272,10 +273,8 @@ def _restrict(sys: ProlongableSystem) -> ProlongableSystem | None:
     if keep == (1 << len(alpha)) - 1:
         return None
     kept = letter_bits(keep)
-    sub = Alphabet(tuple(alpha.tokens[i] for i in kept))
-    # the images of kept letters hold kept letters only
-    table = str.maketrans("".join(alpha.chars[i] for i in kept), sub.chars)
-    sigma = Morphism(sub, sub, tuple(sys.sigma.images[i].translate(table) for i in kept))
+    sigma = sys.sigma.restricted_to([alpha.tokens[i] for i in kept])
+    sub = sigma.src
     phi = None
     if sys.phi is not None:
         images = [sys.phi.images[i] for i in kept]

@@ -292,6 +292,17 @@ def test_oracle_json(capsys, nonur_file):
     assert env["violations"][0]["factor"] == "0"
 
 
+@pytest.mark.parametrize("bound", ["0", "-2"])
+def test_oracle_rejects_a_bound_below_one(capsys, fib_file, bound):
+    code, out, err = run(capsys, "oracle", "--json", "--max-factor", "8",
+                         "--prefix", "10000", "--bound", bound, fib_file)
+    assert code == 1
+    env = json.loads(out)
+    assert (env["command"], env["error"]) == ("oracle", f"linear bound must be at least 1, got {bound}")
+    assert "conclusive" not in env
+    assert "Traceback" not in err
+
+
 # -- argument handling -----------------------------------------------------------------
 
 

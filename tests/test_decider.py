@@ -2,8 +2,10 @@
 inspection helpers around them."""
 
 import json
+import random
 import re
 import time
+from collections import Counter
 from dataclasses import replace
 
 import pytest
@@ -1318,6 +1320,47 @@ def test_the_chain_path_converts_no_word(monkeypatch):
         assert cert.data == {k: x for k, x in d.items() if k != "via"}
 
 
+def test_the_decide_path_converts_no_word_outside_the_checklist(monkeypatch):
+    # words stay internal strings from parse to certificate: with image
+    # tokens, from_tokens and encode refused (encode only outside
+    # periodic_checklist, which takes its candidate word in tokens), every
+    # catalog entry gets the envelope it gets unpatched
+    def outcome(sys_):
+        try:
+            return decide_uniform_recurrence(sys_).to_json_dict()
+        except MorphrecError as e:
+            return type(e).__name__, str(e)
+
+    texts = [e.text for e in entries()]
+    want = [outcome(parse_system(text)) for text in texts]
+    systems = [parse_system(text) for text in texts]
+
+    def refuse(*_):
+        raise AssertionError("a word was converted between tokens and internal strings")
+
+    inside = []
+    checklist = decider.periodic_checklist
+    encode = Alphabet.encode
+
+    def counted_checklist(*args):
+        inside.append(True)
+        try:
+            return checklist(*args)
+        finally:
+            inside.pop()
+
+    def guarded_encode(self, word):
+        if not inside:
+            refuse()
+        return encode(self, word)
+
+    monkeypatch.setattr(Morphism, "image_tokens", refuse)
+    monkeypatch.setattr(Morphism, "from_tokens", refuse)
+    monkeypatch.setattr(Alphabet, "encode", guarded_encode)
+    monkeypatch.setattr(decider, "periodic_checklist", counted_checklist)
+    assert [outcome(sys_) for sys_ in systems] == want
+
+
 def test_verify_rejects_tampered_primitive():
     sys_ = parse_system(PRIMITIVE_CODED)
     v = decide_uniform_recurrence(sys_)
@@ -1443,6 +1486,100 @@ def test_stage_walk_stop_reasons(monkeypatch, name, limit, value, reason):
     assert v.certificate is None
     assert v.trace[-1] == {"step": "nongrowing", "status": "unresolved", "reason": reason}
     assert _growing_stage(load(name)) is None
+
+
+def _token_pumping_witness(sys: ProlongableSystem, kmax: int):
+    """The pumping search as it was before it moved onto internal words: a
+    token-level right-side search and its left copy, u and v in tokens."""
+    inc = sys.incidence
+    alpha = sys.alphabet
+    sigma = sys.sigma
+    gset = {t for t in alpha.tokens if inc.is_growing(t)}
+    if not gset:
+        return None
+    first, last, lead1, trail1 = {}, {}, {}, {}
+    for g in sorted(gset):
+        img = sigma.image_tokens(g)
+        gpos = [i for i, t in enumerate(img) if t in gset]
+        first[g] = img[gpos[0]]
+        last[g] = img[gpos[-1]]
+        lead1[g] = alpha.encode(img[: gpos[0]])
+        trail1[g] = alpha.encode(img[gpos[-1] + 1 :])
+
+    def trail_word(g, k):
+        t, h = "", g
+        for _ in range(k):
+            t = trail1[h] + sigma.apply(t)
+            h = last[h]
+        return t
+
+    def lead_word(g, k):
+        t, h = "", g
+        for _ in range(k):
+            t = sigma.apply(t) + lead1[h]
+            h = first[h]
+        return t
+
+    def small_image(g, k):
+        word = alpha.encode([g])
+        for _ in range(k):
+            word = sigma.apply(word)
+            if len(word) > 4096:
+                return None
+        return word
+
+    for k in range(1, kmax + 1):
+        for g in sorted(gset):
+            h, flag = g, False
+            for _ in range(k):
+                flag = flag or bool(trail1[h])
+                h = last[h]
+            if h == g and flag:
+                u = trail_word(g, k)
+                out = {"letter": g, "power": k, "u": alpha.decode(u), "side": "right"}
+                img = small_image(g, k)
+                if img is not None:
+                    out["v"] = alpha.decode(img[: len(img) - len(u) - 1])
+                return out
+            h, flag = g, False
+            for _ in range(k):
+                flag = flag or bool(lead1[h])
+                h = first[h]
+            if h == g and flag:
+                u = lead_word(g, k)
+                out = {"letter": g, "power": k, "u": alpha.decode(u), "side": "left"}
+                img = small_image(g, k)
+                if img is not None:
+                    out["v"] = alpha.decode(img[len(u) + 1 :])
+                return out
+    return None
+
+
+def test_pumping_witness_matches_the_token_search():
+    # every non-growing stage of the stage walk, on the catalog, the
+    # stage-rewrite draws and wide-sweep seeds 2 and 3
+    texts = [e.text for e in entries()] + list(test_stage_rewrite_golden.SYSTEMS)
+    for seed in (2, 3):
+        rng = random.Random(seed)
+        texts += [test_fuzz._draw(rng, "abcd", 2, 4) for _ in range(200)]
+    sides = Counter()
+    for text in texts:
+        try:
+            stages = list(decider._stages(parse_system(text), []))
+        except MorphrecError:
+            continue
+        for stage in stages:
+            if stage.growing:
+                continue
+            staged = stage.staged
+            kmax = len(staged.alphabet) * stage.r_sigma
+            got = stage.pumping_witness
+            if got is not None:
+                decode = staged.alphabet.decode
+                got = {**got, **{k: decode(got[k]) for k in ("u", "v") if k in got}}
+                sides[got["side"]] += 1
+            assert got == _token_pumping_witness(staged, kmax), text
+    assert sides["right"] >= 60 and sides["left"] >= 5, sides
 
 
 def test_pumping_witness_computed_once_per_stage(monkeypatch):

@@ -195,18 +195,21 @@ def test_restrict_idempotent(fib):
 
 def _token_restriction(sys_):
     """The restriction as it was built before it moved to str.translate:
-    the reach set of the full incidence analysis, then token-level
-    restricted_to on sigma and phi, the target filtered in its order."""
+    the reach set of the full incidence analysis, then sigma and phi
+    decoded into tokens and rebuilt over the kept letters, the target
+    filtered in its order."""
     keep = IncidenceStructure.of_morphism(sys_.sigma).reachable_letters(sys_.start)
     if len(keep) == len(sys_.alphabet):
         return sys_
+    sub = Alphabet(tuple(keep))
+    sigma = Morphism.from_tokens(sub, sub, {t: sys_.sigma.image_tokens(t) for t in keep})
     phi = None
     if sys_.phi is not None:
         seen = {t for tok in keep for t in sys_.phi.image_tokens(tok)}
         target = Alphabet(tuple(t for t in sys_.phi.dst.tokens if t in seen))
         table = {t: sys_.phi.image_tokens(t) for t in keep}
-        phi = Morphism.from_tokens(Alphabet(tuple(keep)), target, table)
-    return ProlongableSystem(sys_.sigma.restricted_to(keep), sys_.start, phi)
+        phi = Morphism.from_tokens(sub, target, table)
+    return ProlongableSystem(sigma, sys_.start, phi)
 
 
 def test_restriction_matches_the_token_restriction():
@@ -237,6 +240,29 @@ def test_restriction_matches_the_token_restriction():
         assert restrict_to_reachable(got) is got
         dropped += got is not sys_
     assert dropped >= 100, dropped
+
+
+def test_restricted_to_keeps_a_closed_set_and_refuses_an_open_one():
+    sigma = _m("abcd", {"a": ["a", "c"], "b": ["b"], "c": ["c", "a", "c"], "d": ["b", "a"]})
+    sub = sigma.restricted_to(["c", "a"])
+    assert sub.src.tokens == sub.dst.tokens == ("c", "a")
+    assert sub.as_token_table() == {"c": ["c", "a", "c"], "a": ["a", "c"]}
+    # d -> b a leaves {a, c, d}, and b's internal character is the one that
+    # c gets over the kept letters, so no alphabet check would catch it
+    with pytest.raises(AlphabetMismatch):
+        sigma.restricted_to(["a", "c", "d"])
+    with pytest.raises(AlphabetMismatch):
+        sigma.restricted_to(["d"])
+    assert sigma.restricted_to(["a", "b", "c", "d"]) is sigma
+    assert sigma.restricted_to(["b", "a", "c", "d"]).src.tokens == ("b", "a", "c", "d")
+
+
+def test_restricted_to_keeps_the_target_of_a_non_endomorphism():
+    phi = _m("abc", {"a": ["0", "1"], "b": ["1"], "c": ["1", "1"]}, dst="01")
+    sub = phi.restricted_to(["c", "a"])
+    assert sub.src.tokens == ("c", "a") and sub.dst is phi.dst
+    assert sub.as_token_table() == {"c": ["1", "1"], "a": ["0", "1"]}
+    assert phi.restricted_to(["a", "b", "c"]) is phi
 
 
 # systems whose phi erases every letter that the start reaches, each with

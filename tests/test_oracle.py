@@ -13,7 +13,7 @@ import pytest
 
 from morphrec import oracle
 from morphrec.catalog import PRIMITIVE_CORPUS, get
-from morphrec.errors import NotEnoughOccurrences
+from morphrec.errors import NotEnoughOccurrences, PreconditionViolated
 from morphrec.oracle import GapViolation, OracleReport, brute_force_return_words, window_ur_check
 from morphrec.returns import return_words_to_word
 from morphrec.stream import FixedPointStream
@@ -55,6 +55,15 @@ def test_fibonacci_consistent_with_generous_bound():
     assert r.ur_consistent
     assert not r.conclusive
     assert r.violations == ()
+
+
+@pytest.mark.parametrize("bound", [0, -2])
+def test_a_bound_below_one_is_rejected(bound):
+    # every gap is at least 1, so a bound C < 1 would "refute" any sequence
+    with pytest.raises(PreconditionViolated, match="linear bound must be at least 1"):
+        window_ur_check(load("fibonacci"), factor_len_max=8, prefix_len=10_000, linear_bound=bound)
+    r = window_ur_check(load("fibonacci"), factor_len_max=1, prefix_len=100, linear_bound=1)
+    assert r.conclusive and not r.ur_consistent
 
 
 def test_violations_sorted_by_severity():
