@@ -148,11 +148,16 @@ that level, so the stated level is wrong), and one scan of x at the stated
 level.  For E1, v must not recur within (K+1)|v|; for a gap, the stated
 positions must be successive occurrences of v more than K|v| apart.  Both
 must lie within SCAN_LETTERS letters of x, the prefix the exit scan reads,
-so the verifier reads no further than the decider.  The
-certificate must then equal the one rebuilt from these facts.  No factor
-count, no sigma^P and no closure are involved.  Every other exit kind but
-`letter` is rejected: the decider issues none, and nothing is replayed on
-the full sheet.
+so the verifier reads no further than the decider.  No factor count, no
+sigma^P and no closure are involved.  Every other exit kind but `letter` is
+rejected: the decider issues none, and nothing is replayed on the full sheet.
+
+Like an E1 or a gap, a `letter` exit (rebuilt on the first stage with a
+witness) and a `periodic_mismatch` or pumping-branch `periodic` (rebuilt
+from the last stage's own witness and pumping word) must equal the
+certificate that the decider's own builder gives, as key-sorted JSON.  The
+other kinds are checked field by field, each stated fact recomputed or
+proved by an exact test.
 """
 
 from __future__ import annotations
@@ -358,15 +363,13 @@ def resolve_periodicity(
     return None, evidence
 
 
-def _periodic_certificate(
-    sys: ProlongableSystem, q: int, source: str, evidence: dict
-) -> Certificate:
-    """The certificate for a period q that resolve_periodicity confirmed."""
+def _periodic_certificate(sys: ProlongableSystem, q: int, source: str, **fields) -> Certificate:
+    """The `periodic` certificate for a period q of x that an exact test
+    confirmed: the word x[:q], q and the source that found it, then the
+    source's own fields (evidence, levels, or pumping and checklist)."""
     word = sys.target_alphabet.decode(FixedPointStream(sys, "x").prefix_chars(q))
-    return Certificate(
-        kind="periodic",
-        data={"word": word, "period": q, "source": source, "evidence": evidence},
-    )
+    data = {"word": word, "period": q, "source": source, **fields}
+    return Certificate(kind="periodic", data=data)
 
 
 def _primitive_root(word: str) -> str:
@@ -475,6 +478,22 @@ def finite_letter_witness(sys: ProlongableSystem) -> str | None:
     return None
 
 
+def _letter_certificate(stage: PreparedSystem) -> Certificate | None:
+    """The `letter` exit of a stage that has a finite_letter_witness, or None."""
+    letter = finite_letter_witness(stage.staged)
+    if letter is None:
+        return None
+    data = {
+        "exit": "letter",
+        "unconditional": True,
+        "level": 0,
+        "letter": letter,
+        "message": f"letter {letter} occurs in x but only finitely often",
+        "evidence": {"graph": "no cycle reaches a preimage"},
+    }
+    return Certificate(kind="exit", data=data)
+
+
 # ---------------------------------------------------------------------------
 # growing pipeline
 
@@ -533,15 +552,7 @@ def _certify_repetition(
             raise InternalConsistencyError(
                 "singleton return table without pure periodicity"
             )
-        return Certificate(
-            kind="periodic",
-            data={
-                "word": sys.target_alphabet.decode(desc_low.x_returns[0]),
-                "period": q,
-                "source": "repetition-1x1",
-                "levels": [n_low, n_high],
-            },
-        )
+        return _periodic_certificate(sys, q, "repetition-1x1", levels=[n_low, n_high])
     mat = _index_incidence(tau, len(desc_low.x_returns))
     try:
         k = horn_exponent(mat)
@@ -894,14 +905,14 @@ def _growing_verdict(stage: PreparedSystem, work_budget: int, trace: list[dict])
         q = None
     if q is not None:
         trace.append({"step": "upfront-periodic", "period": q})
-        cert = _periodic_certificate(staged, q, "upfront", ev)
+        cert = _periodic_certificate(staged, q, "upfront", evidence=ev)
         return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
     try:
         sheet = compute_count_free_sheet(staged)
     except (PreconditionViolated, NoPrimitiveSubmorphism, BudgetExhausted) as e:
         q, ev = resolve_periodicity(staged, qmax=1024)
         if q is not None:
-            cert = _periodic_certificate(staged, q, "constants-unavailable", ev)
+            cert = _periodic_certificate(staged, q, "constants-unavailable", evidence=ev)
             return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
         trace.append({"step": "constants", "status": "unavailable", "reason": str(e)})
         settled = _sheet_free_verdict(staged, None, trace)
@@ -1132,17 +1143,7 @@ def _nongrowing_verdict(stage: PreparedSystem, trace: list[dict]) -> Verdict:
         q = report["period"]
         if not pure_period_check(staged, q):
             raise InternalConsistencyError("checklist passed but direct period test failed")
-        word = staged.target_alphabet.decode(FixedPointStream(staged, "x").prefix_chars(q))
-        cert = Certificate(
-            kind="periodic",
-            data={
-                "word": word,
-                "period": q,
-                "source": "nongrowing",
-                "pumping": pumping,
-                "checklist": report,
-            },
-        )
+        cert = _periodic_certificate(staged, q, "nongrowing", pumping=pumping, checklist=report)
         return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
     failing = 1 if not report["condition1"]["holds"] else 2
     cert = Certificate(
@@ -1251,19 +1252,8 @@ def _image_shortcut(sys: ProlongableSystem, work_budget: int, trace: list[dict])
 
 def _decide(sys: ProlongableSystem, work_budget: int, trace: list[dict]) -> Verdict:
     for stage in _stages(sys, trace):
-        letter = finite_letter_witness(stage.staged)
-        if letter is not None:
-            cert = Certificate(
-                kind="exit",
-                data={
-                    "exit": "letter",
-                    "unconditional": True,
-                    "level": 0,
-                    "letter": letter,
-                    "message": f"letter {letter} occurs in x but only finitely often",
-                    "evidence": {"graph": "no cycle reaches a preimage"},
-                },
-            )
+        cert = _letter_certificate(stage)
+        if cert is not None:
             return Verdict(NOT_UNIFORMLY_RECURRENT, cert, None, tuple(trace))
         if stage.growing:
             return _growing_verdict(stage, work_budget, trace)
@@ -1275,7 +1265,10 @@ def _decide(sys: ProlongableSystem, work_budget: int, trace: list[dict]) -> Verd
 def decide_uniform_recurrence(
     sys: ProlongableSystem, work_budget: int = WORK_BUDGET
 ) -> Verdict:
-    """Full decision pipeline; see the module docstring for the stages."""
+    """Full decision pipeline; see the module docstring for the stages.
+    Raises PreconditionViolated for a work budget below 1."""
+    if work_budget < 1:
+        raise PreconditionViolated(f"work budget must be at least 1 letter, got {work_budget}")
     trace: list[dict] = []
     try:
         shortcut = _image_shortcut(sys, work_budget, trace)
@@ -1387,6 +1380,8 @@ def derive_chain(
     """
     if depth < 1:
         raise PreconditionViolated("chain depth must be at least 1")
+    if work_budget < 1:
+        raise PreconditionViolated(f"work budget must be at least 1 letter, got {work_budget}")
     stage = _growing_stage(sys)
     if stage is None:
         raise PreconditionViolated(
@@ -1401,12 +1396,14 @@ def verify_certificate(sys: ProlongableSystem, verdict: Verdict) -> tuple[bool, 
     """Recheck a verdict's certificate against the system.  Total: never
     raises.
 
-    The stage walk and every fact the certificate rests on are recomputed;
-    a low-power `repetition` is checked locally at its two levels, an E1 or
-    a gap `exit` locally at its level, and a `primitive_tail` locally from
-    the stage's tail (see the module docstring).  Nothing is replayed on
-    the u-chain: a `repetition` at another power and an `exit` of any other
-    kind than `letter`, E1 and gap are rejected.
+    The stage walk and every fact the certificate rests on are recomputed.
+    A `letter`, E1 or gap `exit`, a `periodic_mismatch` and a `periodic`
+    from source `nongrowing` are rebuilt whole and compared; a low-power
+    `repetition` is checked locally at its two levels, a `primitive_tail`
+    from the stage's tail, the rest field by field (see the module
+    docstring).  Nothing is replayed on the u-chain: a `repetition` at
+    another power, a `periodic` from a source the decider does not issue
+    and an `exit` of any other kind are rejected.
     The check runs on new morphism objects, so no analysis or restriction
     that an earlier decide cached on the caller's system, sigma or phi is
     reused.
@@ -1453,12 +1450,21 @@ def _int_fields_error(data: dict, fields: tuple[str, ...]) -> dict | None:
     return None
 
 
-def _scan_exit_error(stage: PreparedSystem, data: dict) -> dict | None:
+def _rebuilt_error(rebuilt: Certificate, cert: Certificate) -> dict | None:
+    """The rejection of a certificate that differs from the one rebuilt from
+    the stage, or None.  Both are compared as key-sorted JSON, where True and
+    2.0 differ from 1 and 2, as they would not under ==."""
+    want, got = (json.dumps(c.to_json_dict(), sort_keys=True) for c in (rebuilt, cert))
+    return None if want == got else {"reason": "the certificate differs from the rebuilt one"}
+
+
+def _scan_exit_error(stage: PreparedSystem, cert: Certificate) -> dict | None:
     """The rejection of an E1 or a gap certificate on a growing stage, or
     None.  Checked locally: K from the count-free sheet, |u_1|..|u_level|
     from the chain rule with each level's E1 window, and one scan of x at
     the stated level; the certificate must equal the one rebuilt from them.
     """
+    data = cert.data
     bad = _int_fields_error(data, ("u_length",))
     if bad is not None:
         return bad
@@ -1500,10 +1506,7 @@ def _scan_exit_error(stage: PreparedSystem, data: dict) -> dict | None:
         if q - p <= K * size:
             return {"reason": f"a gap of {q - p} is within K|u| = {K * size}"}
         rebuilt = _gap_exit(level, size, p, q, K * size)
-    want = _exit_certificate(rebuilt, level, size).data
-    if json.dumps(want, sort_keys=True) != json.dumps(data, sort_keys=True):
-        return {"reason": "the certificate differs from the rebuilt one"}
-    return None
+    return _rebuilt_error(_exit_certificate(rebuilt, level, size), cert)
 
 
 def _tail_error(stage: PreparedSystem, data: dict) -> dict | None:
@@ -1582,9 +1585,34 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
     # prepared input, the last the growing or pumping-branch stage
     stages = list(_stages(sys, []))
     last = stages[-1]
+    if cert.kind == "periodic_mismatch" or (
+        cert.kind == "periodic" and cert.data.get("source") == "nongrowing"
+    ):
+        # the pumping branch, rebuilt whole from the last stage's own witness
+        if last.growing or last.pumping_witness is None:
+            return False, {"reason": "the last stage has no pumping witness"}
+        bad = _rebuilt_error(_nongrowing_verdict(last, []).certificate, cert)
+        if bad is not None:
+            return False, bad
+        if cert.kind == "periodic":
+            return True, {"checked": "periodic", "period": cert.data["period"]}
+        return True, {"checked": "periodic_mismatch", "condition": cert.data["failing_condition"]}
+
+    if cert.kind == "exit" and cert.data.get("exit") == "letter":
+        # rebuilt on the first stage with a witness, where the decider stops
+        rebuilt = next(filter(None, map(_letter_certificate, stages)), None)
+        if rebuilt is None:
+            return False, {"reason": "letter witness not reproduced"}
+        bad = _rebuilt_error(rebuilt, cert)
+        if bad is not None:
+            return False, bad
+        return True, {"checked": "letter", "letter": cert.data["letter"]}
+
+    # every other kind settles a growing stage, block-encoded if need be
+    if not last.growing:
+        return False, {"reason": f"{cert.kind} certificate on a pumping-branch system"}
+
     if cert.kind == "repetition":
-        if not last.growing:
-            return False, {"reason": "repetition certificate on a pumping-branch system"}
         bad = _int_fields_error(cert.data, ("n", "m", "table_size", "pair_count"))
         if bad is not None:
             return False, bad
@@ -1622,9 +1650,6 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         return True, {"checked": "repetition", "n": n, "m": m}
 
     if cert.kind == "primitive":
-        # the decider certifies the growing stage, block-encoded if need be
-        if not last.growing:
-            return False, {"reason": "primitive certificate on a pumping-branch system"}
         staged = last.staged
         k = cert.data.get("positivity_power")
         bad = _positivity_power_error(k, len(staged.alphabet))
@@ -1637,14 +1662,15 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         return True, {"checked": "primitive", "positivity_power": k}
 
     if cert.kind == "primitive_tail":
-        if not last.growing:
-            return False, {"reason": "primitive_tail certificate on a pumping-branch system"}
         bad = _tail_error(last, cert.data)
         if bad is not None:
             return False, bad
         return True, {"checked": "primitive_tail", "p": len(cert.data["v"]) - 1 - cert.data["j"]}
 
     if cert.kind == "periodic":
+        source = cert.data.get("source")
+        if source not in ("upfront", "constants-unavailable", "repetition-1x1"):
+            return False, {"reason": f"a periodic certificate has no source {source!r}"}
         bad = _int_fields_error(cert.data, ("period",))
         if bad is not None:
             return False, bad
@@ -1658,26 +1684,7 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
             return False, {"reason": "stored word is not the x-prefix"}
         if not pure_period_check(staged, q):
             return False, {"reason": "exact period test failed"}
-        if cert.data.get("source") == "nongrowing":
-            if last.growing:
-                return False, {"reason": "checklist stage is growing after all"}
-            report = periodic_checklist(last.staged, cert.data["pumping"]["w"])
-            if not report["periodic"]:
-                return False, {"reason": "checklist no longer passes"}
         return True, {"checked": "periodic", "period": q}
-
-    if cert.kind == "periodic_mismatch":
-        if last.growing:
-            return False, {"reason": "mismatch certificate on a growing system"}
-        if last.pumping_witness is None:
-            return False, {"reason": "pumping witness no longer found"}
-        report = periodic_checklist(last.staged, cert.data["pumping"]["w"])
-        if report["periodic"]:
-            return False, {"reason": "checklist passes; mismatch claim is wrong"}
-        failing = 1 if not report["condition1"]["holds"] else 2
-        if failing != cert.data["failing_condition"]:
-            return False, {"reason": "failing condition differs"}
-        return True, {"checked": "periodic_mismatch", "condition": failing}
 
     if cert.kind == "exit":
         data = cert.data
@@ -1685,18 +1692,9 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         if bad is not None:
             return False, bad
         level = data["level"]
-        if data["exit"] == "letter":
-            if level != 0:
-                return False, {"reason": f"a letter exit is at level 0, got {level}"}
-            for st in stages:
-                if finite_letter_witness(st.staged) == data["letter"]:
-                    return True, {"checked": "letter", "letter": data["letter"]}
-            return False, {"reason": "letter witness not reproduced"}
-        if not last.growing:
-            return False, {"reason": "exit certificate on a pumping-branch system"}
         if data["exit"] not in ("E1", "gap"):
             return False, {"reason": f"{data['exit']!r} exits are not issued"}
-        bad = _scan_exit_error(last, data)
+        bad = _scan_exit_error(last, cert)
         if bad is not None:
             return False, bad
         return True, {"checked": "exit", "kind": data["exit"], "level": level}

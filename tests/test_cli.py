@@ -226,6 +226,19 @@ def test_return_words_reject_a_negative_budget_per_file(capsys, fib_file, tmp_pa
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [["decide-ur", "--budget", "0"],
+                                  ["decide-ur", "--verify", "--budget", "-5"],
+                                  ["derive", "--depth", "2", "--budget", "-5"]])
+def test_a_work_budget_below_one_is_an_error_envelope(capsys, fib_file, argv):
+    code, out, err = run(capsys, *argv, "--json", fib_file)
+    assert code == 1
+    env = json.loads(out)
+    budget = argv[-1]
+    assert env == {"format": env["format"], "command": argv[0], "input": fib_file,
+                   "error": f"work budget must be at least 1 letter, got {budget}"}
+    assert "Traceback" not in err
+
+
 def test_derive_json(capsys, tm_file):
     code, out, _ = run(capsys, "derive", "--json", "--depth", "2", tm_file)
     assert code == 0

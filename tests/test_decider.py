@@ -74,6 +74,17 @@ def test_catalog_verdicts(name, outcome, kind):
     assert ok, detail
 
 
+@pytest.mark.parametrize("budget", [0, -5])
+def test_a_work_budget_below_one_is_rejected(budget):
+    # at budget 0, chacon3 once came back primitive instead of repetition
+    for name in ("fibonacci", "chacon3"):
+        with pytest.raises(PreconditionViolated, match=f"got {budget}$"):
+            decide_uniform_recurrence(load(name), work_budget=budget)
+    assert decide_uniform_recurrence(load("fibonacci"), work_budget=1).outcome in (
+        UNIFORMLY_RECURRENT, INCONCLUSIVE
+    )
+
+
 def test_erasing_sigma_is_rejected():
     with pytest.raises(MorphrecError):
         decide_uniform_recurrence(load("erasing_sigma"))
@@ -274,6 +285,8 @@ def test_verify_rejects_tampered_periodic():
         for bad in (
             _tampered(v, word=["b"]),
             _tampered(v, period=3),
+            # a source the decider does not issue skips no check
+            _tampered(v, source="forged"),
         ):
             ok, detail = verify_certificate(sys_, bad)
             assert not ok, (name, detail)
@@ -300,6 +313,107 @@ def test_verify_rejects_certificate_for_wrong_system():
     v = decide_uniform_recurrence(load("fibonacci"))
     ok, _ = verify_certificate(load("thue_morse"), v)
     assert not ok
+
+
+# -- pumping-branch and letter certificates are compared whole -------------------------
+
+# a -> a b b, b -> c, c -> b under a, c -> 1, b -> 0: x = 1 (0 0 1 1)^w has
+# period 4, and the stage's own pumping word is b b c c
+PERIOD_4 = (
+    "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b b\nb -> c\nc -> b\n"
+    "phi:\na -> 1\nb -> 0\nc -> 1\n"
+)
+
+
+def test_verify_rejects_a_mismatch_on_a_forged_pumping_word():
+    sys_ = parse_system(PERIOD_4)
+    v = decide_uniform_recurrence(sys_)
+    d = v.certificate.data
+    assert (v.outcome, v.certificate.kind, d["source"], d["period"]) == (
+        UNIFORMLY_RECURRENT, "periodic", "nongrowing", 4
+    )
+    assert d["pumping"]["w"] == ["b", "b", "c", "c"]
+    assert verify_certificate(sys_, v)[0]
+    # the checklist on w = a honestly fails condition 1, but a is not the
+    # pumping word of the stage's witness
+    report = periodic_checklist(sys_, ["a"])
+    assert report["condition1"]["holds"] is False
+    forged = Certificate(
+        "periodic_mismatch",
+        {"failing_condition": 1, "pumping": {**d["pumping"], "w": ["a"]}, "checklist": report},
+    )
+    ok, detail = verify_certificate(sys_, Verdict(NOT_UNIFORMLY_RECURRENT, forged, None, ()))
+    assert not ok
+    assert detail["reason"] == "the certificate differs from the rebuilt one"
+
+
+def _pumping_tampers(data):
+    """One change per field of a pumping-branch certificate's `pumping`, and
+    one to its checklist."""
+    pumping, checklist = data["pumping"], data["checklist"]
+    for field, value in (
+        ("letter", pumping["letter"] + "'"),
+        ("power", pumping["power"] + 1),
+        ("power", float(pumping["power"])),
+        ("side", "left" if pumping["side"] == "right" else "right"),
+        ("u", pumping["u"] * 2),
+        ("v", pumping["v"] + pumping["u"]),
+        ("w", pumping["w"] * 2),
+    ):
+        yield {"pumping": {**pumping, field: value}}
+    yield {"checklist": {**checklist, "anchored": not checklist["anchored"]}}
+    yield {"checklist": {**checklist, "w": checklist["w"] * 2}}
+
+
+@pytest.mark.parametrize("name", ["nonur_block", "blown_nonur"])
+def test_verify_rejects_tampered_periodic_mismatch(name):
+    sys_ = load(name)
+    v = decide_uniform_recurrence(sys_)
+    assert v.certificate.kind == "periodic_mismatch"
+    changes = list(_pumping_tampers(v.certificate.data)) + [
+        {"failing_condition": 2},
+        {"failing_condition": True},
+    ]
+    for change in changes:
+        ok, detail = verify_certificate(sys_, _tampered(v, **change))
+        assert not ok, (name, change, detail)
+    assert verify_certificate(sys_, v)[0]
+
+
+@pytest.mark.parametrize("name", ["tail_fin_const", "cycle_tail_const"])
+def test_verify_rejects_tampered_nongrowing_periodic(name):
+    sys_ = load(name)
+    v = decide_uniform_recurrence(sys_)
+    assert v.certificate.data["source"] == "nongrowing"
+    changes = list(_pumping_tampers(v.certificate.data)) + [
+        {"source": source}
+        for source in ("forged", None, "upfront", "constants-unavailable", "repetition-1x1")
+    ]
+    for change in changes:
+        ok, detail = verify_certificate(sys_, _tampered(v, **change))
+        assert not ok, (name, change, detail)
+    assert verify_certificate(sys_, v)[0]
+
+
+@pytest.mark.parametrize("name", ["tail_fin", "cycle_tail", "mixed_growth", "nonprim_growing"])
+def test_verify_rejects_tampered_letter_exit(name):
+    sys_ = load(name)
+    v = decide_uniform_recurrence(sys_)
+    data = v.certificate.data
+    assert data["exit"] == "letter"
+    for change in (
+        {"message": "forged"},
+        {"message": data["message"] + " "},
+        {"unconditional": False},
+        {"unconditional": 1},
+        {"evidence": {}},
+        {"evidence": {"graph": "forged"}},
+        {"letter": "forged"},
+    ):
+        ok, detail = verify_certificate(sys_, _tampered(v, **change))
+        assert not ok, (name, change, detail)
+    ok, detail = verify_certificate(sys_, v)
+    assert ok and detail == {"checked": "letter", "letter": data["letter"]}, detail
 
 
 # -- the up-front periodicity check ----------------------------------------------------
@@ -330,6 +444,24 @@ def test_period_above_upfront_qmax_falls_through():
     assert v.certificate.data["source"] != "upfront"
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
+
+
+def test_singleton_return_table_is_certified_periodic():
+    # x = (a b^65)^w: the block-encoded stage repeats a 1x1 descriptor at
+    # levels 1 and 2, which is certified as exact pure periodicity
+    image = "a" + " b" * 65 + " a"
+    sys_ = parse_system(f"alphabet: a b\nstart: a\nsigma:\na -> {image}\nb -> b\n")
+    v = decide_uniform_recurrence(sys_)
+    assert v.outcome == UNIFORMLY_RECURRENT
+    assert v.certificate.to_json_dict() == {
+        "kind": "periodic",
+        "word": ["a"] + ["b"] * 65,
+        "period": 66,
+        "source": "repetition-1x1",
+        "levels": [1, 2],
+    }
+    ok, detail = verify_certificate(sys_, v)
+    assert ok and detail == {"checked": "periodic", "period": 66}, detail
 
 
 @settings(max_examples=200, deadline=None)
@@ -1621,5 +1753,8 @@ def test_derive_chain_reports_driver_exit():
 def test_derive_chain_validates_input():
     with pytest.raises(PreconditionViolated):
         derive_chain(load("fibonacci"), 0)
+    for budget in (0, -5):
+        with pytest.raises(PreconditionViolated, match=f"at least 1 letter, got {budget}$"):
+            derive_chain(load("fibonacci"), 2, work_budget=budget)
     with pytest.raises(PreconditionViolated):
         derive_chain(load("tail_fin_const"), 1)  # resolves in the non-growing branch
