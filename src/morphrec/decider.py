@@ -100,7 +100,7 @@ with v_n = v_j, and a prefix length m.  Why it implies uniform recurrence:
     t_i = v_i z is a suffix of sigma(t_(i+1)).
   - Let p = n - j and W_p = w sigma(w) ... sigma^(p-1)(w), so that
     z = W_p sigma^p(z).  Composing the suffix conditions around the cycle
-    gives sigma^p(v_j) = s' v_j W_p for some word s'; the verifier checks
+    gives sigma^p(v_j) = s' v_j W_p for some word s'; the builder checks
     this letter for letter.  Then t = t_j satisfies
     sigma^p(t) = s' v_j W_p sigma^p(z) = s' t.
   - Suppose t[:m] is in L_B and |sigma^p(t[:m])| > |s'| + m.  As
@@ -123,46 +123,47 @@ from e over minimal preimages v' (no proper suffix of v' ends its image
 with v w), along a path of distinct words, within TAIL_WORD letters,
 TAIL_CHAIN steps and TAIL_STEPS letters tried; finding no chain leaves the
 stage to the exit scan.  The verdict carries the count-free sheet, if there
-is one, and one `tail` trace step.  The verifier rebuilds w and B from the
-stage and checks every stated fact locally, with no sheet, no sigma^P and
-no replay.
+is one, and one `tail` trace step.
 
-The verifier checks a `repetition` locally, with no constant sheet, and
-only at a power in LOW_POWERS.  It composes the staged sigma to that power,
-gets |u_1|..|u_m| from the chain rule alone (u_(k+1) is y up to the second
-occurrence of v_k in x, plus |u_k| letters: one scan per level, no
-closure), builds only the closures at levels n and m, anchored and with no
-exit that K sets, and then checks the descriptors, tau and its positivity
-power as for any repetition.  Two facts let it skip the sheet.  The
-argument above needs only closed, anchored tables at two prefixes u_n and
-u_m of y with |u_n| < |u_m|, plus the checks on tau.  And K enters
-`build_sigma_U` only through exits and through E1's scan window, so a run
-that produced a descriptor reproduces it letter for letter with those
-exits off.  Neither fact involves P, so a low power is not checked against
-it, and an anchored check that exits rejects the certificate.
+The verifier has one path.  It walks the stages, reads the fields that
+select a certificate (power, n, m, levels, period, level, u_length and the
+gap positions, each an int), rebuilds that certificate with the decider's
+own builder, and accepts only a certificate equal to it, compared by the
+repr of their JSON dicts: an added key, a tuple for a list, or True or 2.0
+for 1 or 2 differs.  The builders keep their exact checks, so a rebuilt
+certificate proves what it states: `_certify_repetition` needs equal
+descriptors and computes tau's positivity power, as `primitive` computes
+sigma's, `_tail_certificate` rechecks each link of its chain, and a period
+search's q must pass the exact period test with x[:q] primitive, which
+makes q the least period of x, and lie in that search's range (above
+UPFRONT_QMAX for `constants-unavailable`, which runs only where the upfront
+search found nothing); its evidence, the multiples of q up to qmax, is then
+a function of q.  Nothing is replayed on the u-chain or the full sheet.
 
-The verifier checks every E1 and every gap certificate locally too: K from
-the count-free sheet, |u_1|..|u_level| from the chain rule with each level's
-E1 window (an earlier level whose prefix does not recur there is an E1 at
-that level, so the stated level is wrong), and one scan of x at the stated
-level.  For E1, v must not recur within (K+1)|v|; for a gap, the stated
-positions must be successive occurrences of v more than K|v| apart.  Both
-must lie within SCAN_LETTERS letters of x, the prefix the exit scan reads,
-so the verifier reads no further than the decider.  No factor count, no
-sigma^P and no closure are involved.  Every other exit kind but `letter` is
-rejected: the decider issues none, and nothing is replayed on the full sheet.
+A `repetition` is rebuilt only at a power in LOW_POWERS (a `repetition-1x1`
+`periodic` names none, so each is tried), from the closures at levels n and
+m alone: |u_1|..|u_m| come from the chain rule (u_(k+1) is y up to the
+second occurrence of v_k in x, plus |u_k| letters: one scan per level), and
+the two closures are anchored, with no exit that K sets.  No sheet is
+needed: the argument above needs only closed, anchored tables at two
+prefixes u_n and u_m of y with |u_n| < |u_m|, plus the checks on tau; and K
+enters `build_sigma_U` only through exits and E1's scan window, so a run
+that produced a descriptor reproduces it letter for letter with those exits
+off.
 
-Like an E1 or a gap, a `letter` exit (rebuilt on the first stage with a
-witness) and a `periodic_mismatch` or pumping-branch `periodic` (rebuilt
-from the last stage's own witness and pumping word) must equal the
-certificate that the decider's own builder gives, as key-sorted JSON.  The
-other kinds are checked field by field, each stated fact recomputed or
-proved by an exact test.
+An E1 or a gap is rebuilt from K of the count-free sheet, |u_1|..|u_level|
+from the chain rule with each level's E1 window (an earlier level whose
+prefix does not recur there is an E1 at that level, so the stated level is
+wrong), and one scan of x at the stated level.  For E1, v must not recur
+within (K+1)|v|; for a gap, the stated positions must be successive
+occurrences of v more than K|v| apart.  Both lie within SCAN_LETTERS
+letters of x, the prefix the exit scan reads.  A `letter` exit is rebuilt
+on the first stage with a witness, a `periodic_mismatch` or pumping-branch
+`periodic` from the last stage's own witness and pumping word.
 """
 
 from __future__ import annotations
 
-import json
 import re
 from dataclasses import dataclass, replace
 from functools import cached_property
@@ -215,6 +216,14 @@ LOW_POWERS = (1, 2, 3)
 # (q+1)-factors of x, whose count grows with q, and short periods are common
 UPFRONT_QMAX = 64
 
+# the period searches of a growing stage, by the source their certificate
+# names: (qmax, scan), the largest period tried and the length of the prefix
+# of x whose periods are the candidates; `upfront` runs before the sheet
+_PERIOD_SEARCH = {
+    "upfront": (UPFRONT_QMAX, 8 * UPFRONT_QMAX),
+    "constants-unavailable": (1024, 1 << 14),
+}
+
 # the exit scan walks the u-chain on prefixes of x that double from
 # SCAN_FIRST letters up to SCAN_LETTERS (returns.py), checking a level on a
 # prefix only while that level's E1 window (K+1)|v| fits in it; each level
@@ -230,8 +239,7 @@ _POWER_INDEPENDENT_EXITS = ("short-return", "E1")
 
 # the primitive-tail search tries at most TAIL_STEPS letters in all, for
 # words v_i of at most TAIL_WORD letters along chains of at most TAIL_CHAIN
-# steps; the verifier rejects longer words and chains, and a cycle whose
-# sigma^p(v_j) has more than TAIL_IMAGE letters
+# steps, and no cycle whose sigma^p(v_j) has more than TAIL_IMAGE letters
 TAIL_WORD = 16
 TAIL_CHAIN = 32
 TAIL_STEPS = 4096
@@ -344,31 +352,42 @@ def _prefix_period_candidates(word: str, qmax: int) -> list[int]:
     return out
 
 
-def resolve_periodicity(
-    sys: ProlongableSystem, qmax: int, scan: int | None = None
-) -> tuple[int | None, dict]:
-    """Find and exactly confirm a pure period of x, if one exists up to qmax.
+def resolve_periodicity(sys: ProlongableSystem, qmax: int, scan: int) -> int | None:
+    """The least period of x, if it is at most qmax, exactly confirmed.
 
-    Candidates are the periods of a prefix, ascending; every
-    candidate is confirmed or rejected by the exact factor condition, so a
-    returned period is proven.  Returns (period, evidence).
+    Candidates are the periods up to qmax of x[:scan], ascending; each is
+    confirmed or rejected by the exact factor condition, so a returned
+    period is proven.  With scan >= 2 qmax the candidates are the multiples
+    of the prefix's least period, and x has a period k q only if it has
+    period q, so the one candidate that can pass is the least period of x.
     """
-    scan_len = scan if scan is not None else max(8 * qmax, 1 << 14)
-    prefix = FixedPointStream(sys, "x").prefix_chars(scan_len)
-    candidates = _prefix_period_candidates(prefix, qmax)
-    evidence = {"qmax": qmax, "scan_length": len(prefix), "candidates": candidates}
-    for q in candidates:
+    prefix = FixedPointStream(sys, "x").prefix_chars(scan)
+    for q in _prefix_period_candidates(prefix, qmax):
         if pure_period_check(sys, q):
-            return q, evidence
-    return None, evidence
+            return q
+    return None
 
 
-def _periodic_certificate(sys: ProlongableSystem, q: int, source: str, **fields) -> Certificate:
+def _periodic_certificate(
+    sys: ProlongableSystem, q: int, source: str, **fields
+) -> Certificate | None:
     """The `periodic` certificate for a period q of x that an exact test
     confirmed: the word x[:q], q and the source that found it, then the
-    source's own fields (evidence, levels, or pumping and checklist)."""
-    word = sys.target_alphabet.decode(FixedPointStream(sys, "x").prefix_chars(q))
-    data = {"word": word, "period": q, "source": source, **fields}
+    source's own fields (levels, or pumping and checklist).  A period search
+    of _PERIOD_SEARCH finds the least period of x, whose prefix x[:q] is
+    primitive (a smaller period p would make gcd(p, q) one too, by Fine and
+    Wilf), so a q with another prefix gets no certificate.  Its evidence
+    follows from q: the candidates were the multiples of q up to qmax (see
+    resolve_periodicity)."""
+    prefix = FixedPointStream(sys, "x").prefix_chars(q)
+    if source in _PERIOD_SEARCH:
+        if _primitive_root(prefix) != prefix:
+            return None
+        qmax, scan = _PERIOD_SEARCH[source]
+        fields["evidence"] = {
+            "qmax": qmax, "scan_length": scan, "candidates": list(range(q, qmax + 1, q))
+        }
+    data = {"word": sys.target_alphabet.decode(prefix), "period": q, "source": source, **fields}
     return Certificate(kind="periodic", data=data)
 
 
@@ -539,12 +558,16 @@ def _certify_repetition(
     desc_low: DerivedDescriptor,
     desc_high: DerivedDescriptor,
 ) -> Certificate | None:
-    """Build the UR certificate from two levels with equal descriptors.
+    """Build the UR certificate from two levels n_low < n_high of the
+    u-chain on sys = sigma^power.
 
-    Returns None when the connecting morphism is not primitive (the caller
-    then keeps iterating).  A 1x1 repetition is certified as exact pure
-    periodicity instead.
+    Returns None unless the two descriptors are equal and the connecting
+    morphism is primitive with tau(1) starting with 1 (the caller then
+    keeps iterating).  A 1x1 repetition is certified as exact pure
+    periodicity instead; it reads x only, which every power of sigma fixes.
     """
+    if (desc_low.sigma_u_images, desc_low.psi) != (desc_high.sigma_u_images, desc_high.psi):
+        return None
     tau = _connecting_morphism(desc_low, desc_high)
     if len(desc_low.x_returns) == 1:
         q = len(desc_low.x_returns[0])
@@ -863,6 +886,10 @@ def _tail_certificate(staged: ProlongableSystem) -> Certificate | None:
         found = _tail_chain(staged, tail, e, k, budget)
         if found is not None:
             chain, j, m = found
+            # re-check each link letter for letter: sigma(v_(i+1)) ends with v_i w
+            for v, v_next in zip(chain, chain[1:]):
+                if not staged.sigma.apply(v_next).endswith(v + tail.w):
+                    raise InternalConsistencyError("a tail chain link fails its suffix condition")
             data = {
                 "w": alpha.decode(tail.w),
                 "B": list(tail.sub.src.tokens),
@@ -900,19 +927,19 @@ def _growing_verdict(stage: PreparedSystem, work_budget: int, trace: list[dict])
     # a periodic x is uniformly recurrent; a check that finds no period or
     # runs out of budget leaves the decision to the sheet and the chain
     try:
-        q, ev = resolve_periodicity(staged, qmax=UPFRONT_QMAX, scan=8 * UPFRONT_QMAX)
+        q = resolve_periodicity(staged, *_PERIOD_SEARCH["upfront"])
     except BudgetExhausted:
         q = None
     if q is not None:
         trace.append({"step": "upfront-periodic", "period": q})
-        cert = _periodic_certificate(staged, q, "upfront", evidence=ev)
+        cert = _periodic_certificate(staged, q, "upfront")
         return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
     try:
         sheet = compute_count_free_sheet(staged)
     except (PreconditionViolated, NoPrimitiveSubmorphism, BudgetExhausted) as e:
-        q, ev = resolve_periodicity(staged, qmax=1024)
+        q = resolve_periodicity(staged, *_PERIOD_SEARCH["constants-unavailable"])
         if q is not None:
-            cert = _periodic_certificate(staged, q, "constants-unavailable", evidence=ev)
+            cert = _periodic_certificate(staged, q, "constants-unavailable")
             return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
         trace.append({"step": "constants", "status": "unavailable", "reason": str(e)})
         settled = _sheet_free_verdict(staged, None, trace)
@@ -1310,7 +1337,7 @@ def _drive_to_level(
 def _anchored_levels(stage: PreparedSystem, power: int, n: int, m: int):
     """The descriptors at levels n and m of the u-chain on sigma^power,
     checked locally: returns (level-n descriptor, level-m descriptor), or
-    the level at which the chain or a closure exited.
+    None where the chain or a closure exits.
 
     |u_1|..|u_m| come from the chain rule alone (`_chain_rule`).  Its scans
     share one WORK_BUDGET of x letters and each reads at most SCAN_LETTERS,
@@ -1332,27 +1359,15 @@ def _anchored_levels(stage: PreparedSystem, power: int, n: int, m: int):
 
     lengths = [size for _, size in islice(_chain_rule(second), m)]
     if len(lengths) < m:
-        return len(lengths)
+        return None
     ystream = FixedPointStream(sys_pow, "y")
     descs = []
     for level in (n, m):
         res = build_sigma_U(sys_pow, ystream.prefix_chars(lengths[level - 1]), None, anchored=True)
         if isinstance(res, DriverExit):
-            return level
+            return None
         descs.append(res)
     return descs[0], descs[1]
-
-
-def _repetition_levels(stage: PreparedSystem, power, n: int, m: int):
-    """The descriptors at levels n and m that a `repetition` certificate
-    names, checked locally at its power, which must be in LOW_POWERS; or
-    the rejection of that power or of an exit on the way."""
-    if type(power) is not int or power not in LOW_POWERS:
-        return {"reason": f"power must be an int in {LOW_POWERS}, got {power!r}"}
-    found = _anchored_levels(stage, power, n, m)
-    if isinstance(found, int):
-        return {"reason": f"driver exited at level {found}"}
-    return found
 
 
 @dataclass(frozen=True)
@@ -1396,14 +1411,12 @@ def verify_certificate(sys: ProlongableSystem, verdict: Verdict) -> tuple[bool, 
     """Recheck a verdict's certificate against the system.  Total: never
     raises.
 
-    The stage walk and every fact the certificate rests on are recomputed.
-    A `letter`, E1 or gap `exit`, a `periodic_mismatch` and a `periodic`
-    from source `nongrowing` are rebuilt whole and compared; a low-power
-    `repetition` is checked locally at its two levels, a `primitive_tail`
-    from the stage's tail, the rest field by field (see the module
-    docstring).  Nothing is replayed on the u-chain: a `repetition` at
-    another power, a `periodic` from a source the decider does not issue
-    and an `exit` of any other kind are rejected.
+    The stage walk is replayed, the certificate that the selecting fields
+    name is rebuilt by the decider's own builder, and the given certificate
+    must equal it whole (see the module docstring).  Nothing is replayed
+    on the u-chain: a `repetition` at a power not in LOW_POWERS, a
+    `periodic` from a source the decider does not issue and an `exit` of
+    any other kind than letter, E1 or gap are rejected.
     The check runs on new morphism objects, so no analysis or restriction
     that an earlier decide cached on the caller's system, sigma or phi is
     reused.
@@ -1430,48 +1443,37 @@ _CERT_OUTCOME = {
 }
 
 
-def _positivity_power_error(k, d: int) -> dict | None:
-    """The rejection of a stated positivity power k of a d x d matrix, or
-    None when k is an int (not a bool) in 1..d^2 - 2d + 2.  A primitive
-    matrix is positive at that power (Wielandt), and the bound keeps the
-    matrix power small against a forged huge k."""
-    bound = d * d - 2 * d + 2
-    if type(k) is not int or not 1 <= k <= bound:
-        return {"reason": f"positivity_power must be an int in 1..{bound}, got {k!r}"}
-    return None
+class _Rejected(Exception):
+    """A certificate's selecting fields name nothing the decider builds."""
 
 
-def _int_fields_error(data: dict, fields: tuple[str, ...]) -> dict | None:
-    """The rejection of a certificate whose named fields are not all ints
-    (a bool is not one), or None."""
-    for f in fields:
-        if type(data.get(f)) is not int:
-            return {"reason": f"{f} must be an int, got {data.get(f)!r}"}
-    return None
+def _selector(data: dict, name: str) -> int:
+    """The field of a certificate that selects what to rebuild, which must
+    be an int (a bool is not one: True == 1 would select level 1)."""
+    value = data.get(name)
+    if type(value) is not int:
+        raise _Rejected(f"{name} must be an int, got {value!r}")
+    return value
 
 
 def _rebuilt_error(rebuilt: Certificate, cert: Certificate) -> dict | None:
-    """The rejection of a certificate that differs from the one rebuilt from
-    the stage, or None.  Both are compared as key-sorted JSON, where True and
-    2.0 differ from 1 and 2, as they would not under ==."""
-    want, got = (json.dumps(c.to_json_dict(), sort_keys=True) for c in (rebuilt, cert))
-    return None if want == got else {"reason": "the certificate differs from the rebuilt one"}
+    """The rejection of a certificate that differs from the rebuilt one, or
+    None.  The repr of the JSON dicts tells True and 2.0 from 1 and 2 and a
+    tuple from a list, as == does not; the builders fix the key order."""
+    if repr(rebuilt.to_json_dict()) == repr(cert.to_json_dict()):
+        return None
+    return {"reason": "the certificate differs from the rebuilt one"}
 
 
-def _scan_exit_error(stage: PreparedSystem, cert: Certificate) -> dict | None:
-    """The rejection of an E1 or a gap certificate on a growing stage, or
-    None.  Checked locally: K from the count-free sheet, |u_1|..|u_level|
-    from the chain rule with each level's E1 window, and one scan of x at
-    the stated level; the certificate must equal the one rebuilt from them.
-    """
-    data = cert.data
-    bad = _int_fields_error(data, ("u_length",))
-    if bad is not None:
-        return bad
-    level, u_len = data["level"], data["u_length"]
+def _scan_exit_certificate(stage: PreparedSystem, data: dict) -> Certificate:
+    """The E1 or gap certificate at the level, |u| and gap positions that
+    data states, rebuilt after the exact checks of its exit: K from the
+    count-free sheet, |u_1|..|u_level| from the chain rule with each level's
+    E1 window, and one scan of x at the stated level."""
+    level, u_len = _selector(data, "level"), _selector(data, "u_length")
     K = compute_count_free_sheet(stage.staged).K
     if level < 1 or u_len < 1 or (K + 1) * u_len > SCAN_LETTERS:
-        return {"reason": f"level and u_length must be positive, with (K+1)|u| <= {SCAN_LETTERS}"}
+        raise _Rejected(f"level and u_length must be positive, with (K+1)|u| <= {SCAN_LETTERS}")
     xstream = FixedPointStream(stage.staged, "x")
 
     def second(size: int) -> int | None:
@@ -1482,87 +1484,115 @@ def _scan_exit_error(stage: PreparedSystem, cert: Certificate) -> dict | None:
         if k == level or size >= u_len:
             break
     else:
-        return {"reason": f"E1 fires at level {k}"}
+        raise _Rejected(f"E1 fires at level {k}")
     if (k, size) != (level, u_len):
-        return {"reason": f"the chain rule gives |u_{k}| = {size}"}
+        raise _Rejected(f"the chain rule gives |u_{k}| = {size}")
     if data["exit"] == "E1":
         if second(size) is not None:
-            return {"reason": "the prefix recurs within its E1 window"}
+            raise _Rejected("the prefix recurs within its E1 window")
         # v = x[:size] starts x, so its one occurrence in the window is at 0
         u = FixedPointStream(stage.staged, "y").prefix_chars(size)
-        rebuilt = e1_exit(stage.staged.alphabet, u, (K + 1) * size, 1)
+        exit_ = e1_exit(stage.staged.alphabet, u, (K + 1) * size, 1)
     else:
         evidence = data.get("evidence")
         positions = evidence.get("positions") if isinstance(evidence, dict) else None
         if type(positions) is not list or [type(i) for i in positions] != [int, int]:
-            return {"reason": f"positions must be two ints, got {positions!r}"}
+            raise _Rejected(f"positions must be two ints, got {positions!r}")
         p, q = positions
         if not 0 <= p < q or q + size > SCAN_LETTERS:
-            return {"reason": f"positions must satisfy 0 <= p < q <= {SCAN_LETTERS} - |u|"}
+            raise _Rejected(f"positions must satisfy 0 <= p < q <= {SCAN_LETTERS} - |u|")
         text = xstream.prefix_chars(q + size)
         v = text[:size]
         if not text.startswith(v, p) or text.find(v, p + 1) != q:
-            return {"reason": "the positions are not successive occurrences of the prefix"}
+            raise _Rejected("the positions are not successive occurrences of the prefix")
         if q - p <= K * size:
-            return {"reason": f"a gap of {q - p} is within K|u| = {K * size}"}
-        rebuilt = _gap_exit(level, size, p, q, K * size)
-    return _rebuilt_error(_exit_certificate(rebuilt, level, size), cert)
+            raise _Rejected(f"a gap of {q - p} is within K|u| = {K * size}")
+        exit_ = _gap_exit(level, size, p, q, K * size)
+    return _exit_certificate(exit_, level, size)
 
 
-def _tail_error(stage: PreparedSystem, data: dict) -> dict | None:
-    """The rejection of a `primitive_tail` certificate on a growing stage,
-    or None.  Checked locally from the stage's own tail: w and B, the
-    positivity power of sigma on B, the chain's suffix conditions, the
-    minimality of each v_(i+1), the cycle's image sigma^p(v_j) and the least
-    prefix length m, with no sheet, no sigma^P and no replay."""
-    staged = stage.staged
-    tail = _transient_tail(staged)
-    if tail is None:
-        return {"reason": "the start letter is not transient"}
-    alpha = staged.alphabet
-    if data.get("w") != alpha.decode(tail.w):
-        return {"reason": "w is not the tail of the start letter's image"}
-    tokens = list(tail.sub.src.tokens)
-    if data.get("B") != tokens:
-        return {"reason": "B is not the set of letters reachable from w"}
-    k = data.get("positivity_power")
-    bad = _positivity_power_error(k, len(tokens)) or _int_fields_error(data, ("j", "m"))
-    if bad is not None:
-        return bad
-    if not power_is_positive(tail.sub.incidence_matrix(), k):
-        return {"reason": "stated power does not make sigma on B positive"}
-    e, v = data.get("e"), data.get("v")
-    if type(v) is not list or not 2 <= len(v) <= TAIL_CHAIN + 1 or any(
-        type(x) is not list or not 1 <= len(x) <= TAIL_WORD or not set(x) <= set(tokens)
-        for x in v
-    ):
-        return {
-            "reason": f"v must be 2..{TAIL_CHAIN + 1} words of 1..{TAIL_WORD} letters of B"
-        }
-    if e not in tokens or v[0] != [e]:
-        return {"reason": "e must be a letter of B and v_0 = e"}
-    phi = staged.effective_phi
-    if phi.image(e) != phi.image(staged.start):
-        return {"reason": "phi(e) differs from phi of the start letter"}
-    words = [alpha.encode(x) for x in v]
-    n, j = len(words) - 1, data["j"]
-    if not 0 <= j < n or words[n] != words[j] or len(set(words[:n])) != n:
-        return {"reason": "v_0 .. v_(n-1) must be distinct, with v_n = v_j for 0 <= j < n"}
-    sigma = staged.sigma
-    for i in range(n):
-        want = words[i] + tail.w
-        if not sigma.apply(words[i + 1]).endswith(want):
-            return {"reason": f"sigma(v_{i + 1}) does not end with v_{i} w"}
-        if sigma.apply(words[i + 1][1:]).endswith(want):
-            return {"reason": f"v_{i + 1} is not a minimal preimage"}
-    m = _tail_prefix(staged, words[j], n - j)
-    if m is None:
-        return {"reason": f"sigma^p(v_j) is not s' v_j W_p within {TAIL_IMAGE} letters"}
-    if data["m"] != m:
-        return {"reason": f"the least prefix length is {m}"}
-    if m > 1 and not _in_tail_language(tail, words[j][:m], k):
-        return {"reason": "the prefix of v_j is not a factor of L_B"}
-    return None
+def _repetition_certificate(
+    stage: PreparedSystem, cert: Certificate, n: int, m: int, powers: tuple[int, ...]
+) -> Certificate | None:
+    """The certificate _certify_repetition gives on the descriptors at
+    levels n and m of the u-chain on sigma^p, built locally by
+    _anchored_levels, for the powers p in turn until one equals cert; None
+    where the chain or a closure exits or the builder gives none."""
+    if not 1 <= n < m:
+        raise _Rejected("levels must satisfy 1 <= n < m")
+    rebuilt = None
+    for p in powers:
+        found = _anchored_levels(stage, p, n, m)
+        rebuilt = found and _certify_repetition(stage.staged, p, n, m, *found)
+        if rebuilt is not None and _rebuilt_error(rebuilt, cert) is None:
+            break
+    return rebuilt
+
+
+def _rebuild(stages: list[PreparedSystem], cert: Certificate) -> Certificate | None:
+    """The certificate that the decider's own builder gives on the stages
+    for the fields of cert that select one, or None where it gives none.
+    Raises _Rejected for a selecting field that is not an int or names no
+    certificate the decider issues."""
+    data = cert.data
+    last = stages[-1]
+    source = data.get("source") if cert.kind == "periodic" else None
+    if cert.kind == "periodic_mismatch" or source == "nongrowing":
+        # the pumping branch, rebuilt from the last stage's own witness
+        if last.growing or last.pumping_witness is None:
+            raise _Rejected("the last stage has no pumping witness")
+        return _nongrowing_verdict(last, []).certificate
+    if cert.kind == "exit" and data.get("exit") == "letter":
+        # rebuilt on the first stage with a witness, where the decider stops
+        return next(filter(None, map(_letter_certificate, stages)), None)
+    # every other kind settles a growing stage, block-encoded if need be
+    if not last.growing:
+        raise _Rejected(f"{cert.kind} certificate on a pumping-branch system")
+    if cert.kind == "repetition":
+        power = _selector(data, "power")
+        if power not in LOW_POWERS:
+            raise _Rejected(f"power must be an int in {LOW_POWERS}, got {power!r}")
+        n, m = _selector(data, "n"), _selector(data, "m")
+        return _repetition_certificate(last, cert, n, m, (power,))
+    if cert.kind == "primitive":
+        return _primitive_certificate(last.staged)
+    if cert.kind == "primitive_tail":
+        return _tail_certificate(last.staged)
+    if cert.kind == "exit":
+        if data.get("exit") not in ("E1", "gap"):
+            raise _Rejected(f"{data.get('exit')!r} exits are not issued")
+        return _scan_exit_certificate(last, data)
+    if source == "repetition-1x1":
+        # the certificate names no power: any low power may have found it
+        levels = data.get("levels")
+        if type(levels) is not list or [type(i) for i in levels] != [int, int]:
+            raise _Rejected(f"levels must be two ints, got {levels!r}")
+        return _repetition_certificate(last, cert, *levels, LOW_POWERS)
+    if source not in _PERIOD_SEARCH:
+        raise _Rejected(f"a periodic certificate has no source {source!r}")
+    # a period search gives x's least period, within the search's range
+    q = _selector(data, "period")
+    floor = UPFRONT_QMAX if source == "constants-unavailable" else 0
+    if not floor < q <= _PERIOD_SEARCH[source][0] or not pure_period_check(last.staged, q):
+        return None
+    return _periodic_certificate(last.staged, q, source)
+
+
+def _checked(cert: Certificate) -> dict:
+    """The detail of a verified certificate: what it showed."""
+    d = cert.data
+    if cert.kind == "exit" and d["exit"] == "letter":
+        return {"checked": "letter", "letter": d["letter"]}
+    if cert.kind == "exit":
+        return {"checked": "exit", "kind": d["exit"], "level": d["level"]}
+    if cert.kind == "repetition":
+        return {"checked": "repetition", "n": d["n"], "m": d["m"]}
+    if cert.kind == "primitive_tail":
+        return {"checked": "primitive_tail", "p": len(d["v"]) - 1 - d["j"]}
+    if cert.kind == "periodic_mismatch":
+        return {"checked": "periodic_mismatch", "condition": d["failing_condition"]}
+    field = "period" if cert.kind == "periodic" else "positivity_power"
+    return {"checked": cert.kind, field: d[field]}
 
 
 def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tuple[bool, dict]:
@@ -1578,125 +1608,13 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
         inner = _preimage_system(sys)
         if inner is None:
             return False, {"reason": "preimage shortcut does not apply to this system"}
-        stripped = dict(cert.data)
-        stripped.pop("via")
+        stripped = {k: x for k, x in cert.data.items() if k != "via"}
         return _verify(inner, verdict, Certificate(cert.kind, stripped))
-    # every branch reads the stages the decider walked: the first is the
-    # prepared input, the last the growing or pumping-branch stage
-    stages = list(_stages(sys, []))
-    last = stages[-1]
-    if cert.kind == "periodic_mismatch" or (
-        cert.kind == "periodic" and cert.data.get("source") == "nongrowing"
-    ):
-        # the pumping branch, rebuilt whole from the last stage's own witness
-        if last.growing or last.pumping_witness is None:
-            return False, {"reason": "the last stage has no pumping witness"}
-        bad = _rebuilt_error(_nongrowing_verdict(last, []).certificate, cert)
-        if bad is not None:
-            return False, bad
-        if cert.kind == "periodic":
-            return True, {"checked": "periodic", "period": cert.data["period"]}
-        return True, {"checked": "periodic_mismatch", "condition": cert.data["failing_condition"]}
-
-    if cert.kind == "exit" and cert.data.get("exit") == "letter":
-        # rebuilt on the first stage with a witness, where the decider stops
-        rebuilt = next(filter(None, map(_letter_certificate, stages)), None)
-        if rebuilt is None:
-            return False, {"reason": "letter witness not reproduced"}
-        bad = _rebuilt_error(rebuilt, cert)
-        if bad is not None:
-            return False, bad
-        return True, {"checked": "letter", "letter": cert.data["letter"]}
-
-    # every other kind settles a growing stage, block-encoded if need be
-    if not last.growing:
-        return False, {"reason": f"{cert.kind} certificate on a pumping-branch system"}
-
-    if cert.kind == "repetition":
-        bad = _int_fields_error(cert.data, ("n", "m", "table_size", "pair_count"))
-        if bad is not None:
-            return False, bad
-        n, m = cert.data["n"], cert.data["m"]
-        if not (1 <= n < m):
-            return False, {"reason": "levels must satisfy 1 <= n < m"}
-        found = _repetition_levels(last, cert.data.get("power"), n, m)
-        if isinstance(found, dict):
-            return False, found
-        low, high = found
-        if (low.sigma_u_images, low.psi) != (high.sigma_u_images, high.psi):
-            return False, {
-                "reason": "descriptors differ",
-                "diff": {"n": low.canonical_text(), "m": high.canonical_text()},
-            }
-        tau = _connecting_morphism(low, high)
-        if [list(img) for img in tau] != cert.data["tau"]:
-            return False, {"reason": "stored tau differs from the rebuilt one"}
-        if cert.data["table_size"] != len(high.x_returns):
-            return False, {"reason": "stored table size differs from the rebuilt one"}
-        if cert.data["pair_count"] != len(high.pairs):
-            return False, {"reason": "stored pair count differs from the rebuilt one"}
-        if cert.data["canonical"] != low.canonical_text():
-            return False, {"reason": "stored canonical form differs from the rebuilt one"}
-        # a positive power proves tau primitive
-        mat = _index_incidence(tau, len(low.x_returns))
-        k = cert.data.get("positivity_power")
-        bad = _positivity_power_error(k, len(cert.data["tau"]))
-        if bad is not None:
-            return False, bad
-        if not power_is_positive(mat, k):
-            return False, {"reason": "stated power does not make tau positive"}
-        if tau[0][0] != 1:
-            return False, {"reason": "tau is not prolongable on index 1"}
-        return True, {"checked": "repetition", "n": n, "m": m}
-
-    if cert.kind == "primitive":
-        staged = last.staged
-        k = cert.data.get("positivity_power")
-        bad = _positivity_power_error(k, len(staged.alphabet))
-        if bad is not None:
-            return False, bad
-        if staged.effective_phi.max_image_len != 1:
-            return False, {"reason": "the staged phi is not letter-to-letter"}
-        if not power_is_positive(staged.sigma.incidence_matrix(), k):
-            return False, {"reason": "stated power does not make sigma positive"}
-        return True, {"checked": "primitive", "positivity_power": k}
-
-    if cert.kind == "primitive_tail":
-        bad = _tail_error(last, cert.data)
-        if bad is not None:
-            return False, bad
-        return True, {"checked": "primitive_tail", "p": len(cert.data["v"]) - 1 - cert.data["j"]}
-
-    if cert.kind == "periodic":
-        source = cert.data.get("source")
-        if source not in ("upfront", "constants-unavailable", "repetition-1x1"):
-            return False, {"reason": f"a periodic certificate has no source {source!r}"}
-        bad = _int_fields_error(cert.data, ("period",))
-        if bad is not None:
-            return False, bad
-        staged = stages[0].staged
-        q = cert.data["period"]
-        word = cert.data["word"]
-        if q != len(word) or q < 1:
-            return False, {"reason": "period does not match the word length"}
-        got = staged.target_alphabet.decode(FixedPointStream(staged, "x").prefix_chars(q))
-        if got != list(word):
-            return False, {"reason": "stored word is not the x-prefix"}
-        if not pure_period_check(staged, q):
-            return False, {"reason": "exact period test failed"}
-        return True, {"checked": "periodic", "period": q}
-
-    if cert.kind == "exit":
-        data = cert.data
-        bad = _int_fields_error(data, ("level",))
-        if bad is not None:
-            return False, bad
-        level = data["level"]
-        if data["exit"] not in ("E1", "gap"):
-            return False, {"reason": f"{data['exit']!r} exits are not issued"}
-        bad = _scan_exit_error(last, cert)
-        if bad is not None:
-            return False, bad
-        return True, {"checked": "exit", "kind": data["exit"], "level": level}
-
-    return False, {"reason": f"unknown certificate kind {cert.kind!r}"}
+    try:
+        rebuilt = _rebuild(list(_stages(sys, [])), cert)
+    except _Rejected as e:
+        return False, {"reason": str(e)}
+    if rebuilt is None:
+        return False, {"reason": f"the decider builds no {cert.kind} certificate on this system"}
+    bad = _rebuilt_error(rebuilt, cert)
+    return (False, bad) if bad is not None else (True, _checked(cert))

@@ -5,7 +5,8 @@ sort_keys=True) for the catalog entry; an entry whose decision raises is
 pinned to the exception's name.  Unlike the verdict pins in
 test_catalog_golden.py, these leave out the constant sheet and the trace, so
 a change to what a verdict reports about the work behind it keeps them,
-while a change to the evidence itself does not.
+while a change to the evidence itself does not.  DETAIL pins what verifying
+each certificate reports.
 """
 
 import hashlib
@@ -53,6 +54,35 @@ GOLDEN = {
 }
 
 
+# the verification detail of each certificate, by the kind it shows
+DETAIL = {
+    **{
+        name: {"checked": "repetition", "n": n, "m": m}
+        for name, (n, m) in {
+            "fibonacci": (1, 2), "thue_morse": (2, 3), "tribonacci": (1, 2), "rand4": (1, 2),
+            "rudin_shapiro": (1, 2), "rudin_shapiro_coded": (4, 5), "period_doubling": (1, 2),
+            "paperfold4": (1, 2), "paperfold_coded": (3, 4), "chacon3": (1, 2),
+            "sturmian_ab": (1, 2), "pell": (1, 2), "vtm": (1, 2), "twisted_tm": (2, 3),
+            "fib_cubed": (1, 2), "silver": (1, 3), "case1_comb": (3, 4),
+            "chacon_padded": (2, 3), "blown_fib": (1, 2), "unreachable_extra": (1, 2),
+        }.items()
+    },
+    **{
+        name: {"checked": "periodic", "period": q}
+        for name, q in {
+            "tail_fin_const": 1, "cycle_tail_const": 1, "periodic_growing": 2,
+            "periodic_coded": 1,
+        }.items()
+    },
+    **{
+        name: {"checked": "letter", "letter": "a"}
+        for name in ("tail_fin", "cycle_tail", "mixed_growth", "nonprim_growing")
+    },
+    "nonur_block": {"checked": "periodic_mismatch", "condition": 1},
+    "blown_nonur": {"checked": "periodic_mismatch", "condition": 1},
+}
+
+
 @pytest.mark.parametrize("name", [e.name for e in catalog.entries()])
 def test_catalog_certificate_bytes_are_pinned(name):
     system = parse_system(catalog.get(name).text)
@@ -62,7 +92,7 @@ def test_catalog_certificate_bytes_are_pinned(name):
         got = "error:" + type(e).__name__
     else:
         ok, detail = verify_certificate(system, verdict)
-        assert ok, detail
+        assert ok and detail == DETAIL[name], detail
         blob = json.dumps(verdict.certificate.to_json_dict(), sort_keys=True).encode()
         got = hashlib.sha256(blob).hexdigest()
     assert got == GOLDEN[name]

@@ -229,37 +229,46 @@ def test_verify_rejects_tampered_repetition(monkeypatch):
         _tampered(v, power=v.sheet.power_exponent + 1),
         _tampered(v, power="1"),
         Verdict(v.outcome, Certificate("repetition", no_power), v.sheet, v.trace),
+        # keys the certificate does not have
+        _tampered(v, extra=5),
+        _tampered(v, via="forged"),
     ):
         ok, detail = verify_certificate(sys_, bad)
         assert not ok, detail
-    # True == 1 and 2.0 == 2, so only the type check tells these apart
+    # True == 1 and 2.0 == 2: the type check rejects a level that selects
+    # the rebuilt certificate, and the whole comparison any other field
     for field, value in (("n", True), ("n", 1.0), ("m", 2.0), ("table_size", 2.0),
                          ("pair_count", 2.0)):
         assert v.certificate.data[field] == value
         ok, detail = verify_certificate(sys_, _tampered(v, **{field: value}))
         assert not ok, (field, value, detail)
-        assert detail["reason"].startswith(f"{field} must be an int"), detail
+        want = f"{field} must be an int" if field in ("n", "m") else "the certificate differs"
+        assert detail["reason"].startswith(want), detail
     # a power in range replays honestly but builds another table at level n
     ok, detail = verify_certificate(sys_, _tampered(v, power=2))
     assert not ok
-    assert detail["reason"] == "stored canonical form differs from the rebuilt one"
+    assert detail["reason"] == "the certificate differs from the rebuilt one"
     # tau is primitive, so every power from its Wielandt bound on is positive:
-    # only the bound and the type check reject these, before any matrix power
+    # a forged positivity power never reaches a matrix power, as only the
+    # rebuilt one, Horn's least k, is checked
     t = len(v.certificate.data["tau"])
     bound = t * t - 2 * t + 2
+    k = v.certificate.data["positivity_power"]
     powers = []
     real_check = decider.power_is_positive
     monkeypatch.setattr(
         decider, "power_is_positive", lambda mat, k: powers.append(k) or real_check(mat, k)
     )
-    for bad in (10**6, bound + 1, True, 2.0, "2"):
+    forged = (10**6, bound + 1, True, 2.0, "2")
+    for bad in forged:
         ok, detail = verify_certificate(sys_, _tampered(v, positivity_power=bad))
         assert not ok, (bad, detail)
-        assert detail["reason"].startswith("positivity_power must be an int"), (bad, detail)
-    assert powers == []
+        assert detail["reason"] == "the certificate differs from the rebuilt one", (bad, detail)
+    assert [(type(p), p) for p in powers] == [(int, k)] * len(forged)
+    powers.clear()
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
-    assert powers == [v.certificate.data["positivity_power"]]
+    assert powers == [k]
 
 
 def test_verify_rejects_letter_exit_off_level_zero():
@@ -414,6 +423,108 @@ def test_verify_rejects_tampered_letter_exit(name):
         assert not ok, (name, change, detail)
     ok, detail = verify_certificate(sys_, v)
     assert ok and detail == {"checked": "letter", "letter": data["letter"]}, detail
+
+
+# -- growing-stage periodic certificates are rebuilt whole -----------------------------
+
+# a -> a b^64 a b^64 d, b -> b, d -> d b^64 d under a, d -> 1, b -> 0: x =
+# (1 0^64)^w has period 65, above UPFRONT_QMAX, and the 260-letter
+# block-encoded stage has no constant sheet, so the 1024-letter period
+# search settles it
+CONSTANTS_UNAVAILABLE = (
+    "alphabet: a b d\nstart: a\ntarget: 0 1\nsigma:\n"
+    f"a -> a{' b' * 64} a{' b' * 64} d\nb -> b\nd -> d{' b' * 64} d\n"
+    "phi:\na -> 1\nb -> 0\nd -> 1\n"
+)
+# x = (a b^65)^w: a 1x1 descriptor repeats at levels 1 and 2
+SINGLETON = f"alphabet: a b\nstart: a\nsigma:\na -> a{' b' * 65} a\nb -> b\n"
+
+
+def test_constants_unavailable_certificate_is_pinned():
+    sys_ = parse_system(CONSTANTS_UNAVAILABLE)
+    v = decide_uniform_recurrence(sys_)
+    assert v.outcome == UNIFORMLY_RECURRENT and v.sheet is None
+    assert v.certificate.to_json_dict() == {
+        "kind": "periodic",
+        "word": ["1"] + ["0"] * 64,
+        "period": 65,
+        "source": "constants-unavailable",
+        "evidence": {
+            "qmax": 1024, "scan_length": 16384, "candidates": list(range(65, 1024, 65)),
+        },
+    }
+    ok, detail = verify_certificate(sys_, v)
+    assert ok and detail == {"checked": "periodic", "period": 65}, detail
+
+
+def _x_word(sys_, n):
+    """x[:n] in target tokens."""
+    return sys_.target_alphabet.decode(stream.FixedPointStream(sys_, "x").prefix_chars(n))
+
+
+@pytest.mark.parametrize(
+    "text,source",
+    [
+        (get("periodic_coded").text, "upfront"),
+        (CONSTANTS_UNAVAILABLE, "constants-unavailable"),
+        (SINGLETON, "repetition-1x1"),
+    ],
+    ids=["periodic_coded", "constants_unavailable", "singleton"],
+)
+def test_verify_rejects_forged_growing_periodic(text, source):
+    sys_ = parse_system(text)
+    v = decide_uniform_recurrence(sys_)
+    d = v.certificate.data
+    q = d["period"]
+    assert d["source"] == source
+    others = {"upfront", "constants-unavailable", "repetition-1x1", "nongrowing"} - {source}
+    changes = [
+        {"extra": 5},
+        {"via": "forged"},
+        {"evidence": {"forged": 1}},
+        # a period of x, but not the least one
+        {"period": 2 * q, "word": _x_word(sys_, 2 * q)},
+        {"period": float(q)},
+    ] + [{"source": other} for other in sorted(others)]
+    if source == "repetition-1x1":
+        # the chain repeats from level 1 on, so [1, 3] is honest too
+        assert verify_certificate(sys_, _tampered(v, levels=[1, 3]))[0]
+        changes += [
+            {"levels": levels} for levels in ([1, 1], [2, 1], [0, 1], [1.0, 2], [True, 2], [1])
+        ]
+    else:
+        ev = d["evidence"]
+        changes += [
+            {"evidence": {**ev, "candidates": ev["candidates"][:1]}},
+            {"evidence": {**ev, "qmax": 4096}},
+        ]
+    for change in changes:
+        ok, detail = verify_certificate(sys_, _tampered(v, **change))
+        assert not ok, (change, detail)
+    # another source with no levels, or with the evidence that a period
+    # search would state for q: the upfront search tries q <= 64 only, and
+    # the 1024-letter search only q above that.  The verifier builds no
+    # sheet, so it takes the 1024-letter search's certificate on the 1x1
+    # stage, whose sheet builds: a true claim, since q is x's least period.
+    staged = _growing_stage(sys_).staged
+    for relabelled in sorted(others - {"nongrowing"}):
+        data = {k: x for k, x in d.items() if k not in ("levels", "evidence")}
+        data["source"] = relabelled
+        if relabelled in decider._PERIOD_SEARCH:
+            data = decider._periodic_certificate(staged, q, relabelled).data
+        forged = Verdict(v.outcome, Certificate("periodic", data), None, ())
+        ok, detail = verify_certificate(sys_, forged)
+        assert ok == (relabelled == "constants-unavailable" and q > UPFRONT_QMAX), detail
+    # the period 2q with the evidence a search would state for it
+    if source != "repetition-1x1":
+        qmax, scan = decider._PERIOD_SEARCH[source]
+        candidates = list(range(2 * q, qmax + 1, 2 * q))
+        evidence = {"qmax": qmax, "scan_length": scan, "candidates": candidates}
+        double = _tampered(v, period=2 * q, word=_x_word(sys_, 2 * q), evidence=evidence)
+        ok, detail = verify_certificate(sys_, double)
+        assert not ok, detail
+    ok, detail = verify_certificate(sys_, v)
+    assert ok and detail == {"checked": "periodic", "period": q}, detail
 
 
 # -- the up-front periodicity check ----------------------------------------------------
@@ -1205,6 +1316,8 @@ def test_verify_rejects_tampered_primitive_tail(name):
         _tampered(v, positivity_power=k - 1),
         _tampered(v, v=d["v"][:-1]),
         _tampered(v, v=d["v"] + [d["v"][-1]]),
+        _tampered(v, extra=5),
+        _tampered(v, via="forged"),
     ]
     for i, word in enumerate(d["v"]):
         swapped = word[:-1] + [next(t for t in B if t != word[-1])]
@@ -1243,7 +1356,8 @@ def test_verify_rejects_primitive_tail_on_a_recurrent_start():
     # fibonacci's start letter a is reachable from its tail b
     v = decide_uniform_recurrence(parse_system(FULL_POWER_UR))
     ok, detail = verify_certificate(load("fibonacci"), v)
-    assert not ok and "transient" in detail["reason"], detail
+    assert not ok, detail
+    assert detail["reason"] == "the decider builds no primitive_tail certificate on this system"
     ok, detail = verify_certificate(load("nonur_block"), v)
     assert not ok and "pumping-branch" in detail["reason"], detail
 
@@ -1500,6 +1614,10 @@ def test_verify_rejects_tampered_primitive():
     for bad in (k - 1, 0, -1, "2", 2.0, str(k), float(k), True, None, 10**9):
         ok, detail = verify_certificate(sys_, _primitive_verdict(v, {"positivity_power": bad}))
         assert not ok, (bad, detail)
+    for added in ({"extra": 5}, {"via": "forged"}):
+        forged = _primitive_verdict(v, {"positivity_power": k, **added})
+        ok, detail = verify_certificate(sys_, forged)
+        assert not ok, detail
     ok, detail = verify_certificate(sys_, _primitive_verdict(v, {}))
     assert not ok, detail
 
