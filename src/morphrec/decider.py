@@ -84,9 +84,11 @@ scan runs after the low pass so that every system a low power settles keeps
 its `repetition` certificate, and after the `primitive` and `primitive_tail`
 checks because each of them proves uniform recurrence, so the scan could
 find nothing where they succeed, and a stage they settle never pays for it.
-An E1 it finds is the certificate the full-power chain would have issued at
-that level; a gap is an unconditional exit that the chain does not name.
-Its verdict carries the count-free sheet and one `scan` trace step.
+An E1 it finds is the exit the full-power chain would have taken at that
+level, with the same message; a gap is an unconditional exit that the chain
+does not name.  `_level_exit` builds both certificates, for the scan and
+the verifier alike.  The verdict carries the count-free sheet and one
+`scan` trace step.
 
 The `primitive_tail` check applies when the start letter s is transient:
 sigma(s) = s w, and B, the letters reachable from w, does not hold s, so s
@@ -137,29 +139,30 @@ sigma's, `_tail_certificate` rechecks each link of its chain, and a period
 search's q must pass the exact period test with x[:q] primitive, which
 makes q the least period of x, and lie in that search's range (above
 UPFRONT_QMAX for `constants-unavailable`, which runs only where the upfront
-search found nothing); its evidence, the multiples of q up to qmax, is then
-a function of q.  Nothing is replayed on the u-chain or the full sheet.
+search found nothing and the count-free sheet raises, which the verifier
+checks); its evidence, the multiples of q up to qmax, is then a function of
+q.  Nothing is replayed on the u-chain or the full sheet: |u_1|, |u_2|, ...
+come from the chain rule alone (`_u_lengths`), which reads x only, so they
+are read once per certificate, whatever the power.
 
 A `repetition` is rebuilt only at a power in LOW_POWERS (a `repetition-1x1`
-`periodic` names none, so each is tried), from the closures at levels n and
-m alone: |u_1|..|u_m| come from the chain rule (u_(k+1) is y up to the
-second occurrence of v_k in x, plus |u_k| letters: one scan per level), and
-the two closures are anchored, with no exit that K sets.  No sheet is
-needed: the argument above needs only closed, anchored tables at two
-prefixes u_n and u_m of y with |u_n| < |u_m|, plus the checks on tau; and K
-enters `build_sigma_U` only through exits and E1's scan window, so a run
-that produced a descriptor reproduces it letter for letter with those exits
-off.
+`periodic` names none, so each is tried) and with m at most PRACTICAL_CAP,
+the last level the decider drives, from the closures at levels n and m
+alone, anchored and with no exit that K sets.  No sheet is needed: the
+argument above needs only closed, anchored tables at two prefixes u_n and
+u_m of y with |u_n| < |u_m|, plus the checks on tau; and K enters
+`build_sigma_U` only through exits and E1's scan window, so a run that
+produced a descriptor reproduces it letter for letter with those exits off.
 
-An E1 or a gap is rebuilt from K of the count-free sheet, |u_1|..|u_level|
-from the chain rule with each level's E1 window (an earlier level whose
-prefix does not recur there is an E1 at that level, so the stated level is
-wrong), and one scan of x at the stated level.  For E1, v must not recur
-within (K+1)|v|; for a gap, the stated positions must be successive
-occurrences of v more than K|v| apart.  Both lie within SCAN_LETTERS
-letters of x, the prefix the exit scan reads.  A `letter` exit is rebuilt
-on the first stage with a witness, a `periodic_mismatch` or pumping-branch
-`periodic` from the last stage's own witness and pumping word.
+An E1 or a gap is rebuilt by `_level_exit` at the stated level, with K
+from the count-free sheet, on x[:max((K+1)|u|, q+|u|)], q the stated second
+gap position, within the SCAN_LETTERS letters and the SCAN_WORK charges of
+the exit scan; as the scan stops at the first E1, no earlier level may miss
+its E1 window, read off consecutive lengths.  The rebuilt gap is the first
+of x at that level, so a certificate that names a later one differs.  A
+`letter` exit is rebuilt on the first stage with a witness, a
+`periodic_mismatch` or pumping-branch `periodic` from the last stage's own
+witness and pumping word.
 """
 
 from __future__ import annotations
@@ -191,7 +194,6 @@ from .returns import (
     DerivedDescriptor,
     DriverExit,
     build_sigma_U,
-    e1_exit,
     first_two_occurrences,
 )
 from .stream import FixedPointStream, factor_language
@@ -231,6 +233,9 @@ _PERIOD_SEARCH = {
 # pass SCAN_WORK letters
 SCAN_FIRST = 1 << 12
 SCAN_WORK = 1 << 23
+
+# the errors of a constant sheet that the `constants-unavailable` search settles
+_SHEET_UNAVAILABLE = (PreconditionViolated, NoPrimitiveSubmorphism, BudgetExhausted)
 
 # a low-power try that exits this way ends the low pass: the u-chain and the
 # x-side return words do not depend on the power, so a higher power walks to
@@ -600,96 +605,66 @@ def _certify_repetition(
     )
 
 
-def _exit_certificate(exit_: DriverExit, level: int, u_len: int) -> Certificate:
-    data = {
-        "exit": exit_.kind,
-        "unconditional": exit_.unconditional,
-        "level": level,
-        "u_length": u_len,
-        "message": exit_.message,
-        "evidence": dict(exit_.evidence),
+def _level_exit(
+    staged: ProlongableSystem, text: str, level: int, size: int, K: int
+) -> Certificate | None:
+    """The E1 or gap certificate of the u-chain's level with |u| = size, read
+    on text, a prefix of x that holds the E1 window (K+1)|v|, or None.
+
+    First E1, the test build_sigma_U makes first: v = x[:size] has no second
+    start within K|v|, that is no second occurrence ending within the window.
+    Then a gap: the first successive starts p < q of v in text more than K|v|
+    apart, a return word that E2 bounds.  Each step of that search jumps to
+    the last start within K|v| letters, one str.rfind that covers about K|v|
+    letters."""
+    v, window, bound = text[:size], (K + 1) * size, K * size
+    data = {"exit": "E1", "unconditional": True, "level": level, "u_length": size}
+    if text.find(v, 1, window) == -1:
+        # v starts x, so its one occurrence in the window is at 0
+        u = FixedPointStream(staged, "y").prefix_chars(size)
+        data["message"] = f"prefix of length {size} does not recur in the first {window} letters"
+        data["evidence"] = {"u": staged.alphabet.decode(u), "window": window, "occurrences": 1}
+        return Certificate(kind="exit", data=data)
+    p = 0
+    while (last := text.rfind(v, p + 1, p + bound + size)) != -1:
+        p = last
+    q = text.find(v, p + 1)
+    if q == -1:
+        return None
+    data["exit"] = "gap"
+    data["message"] = (
+        f"the prefix of length {size} recurs after {q - p} letters, more than K|u| = {bound}"
+    )
+    data["evidence"] = {
+        "level": level, "u_length": size, "positions": [p, q], "gap": q - p, "bound": bound
     }
     return Certificate(kind="exit", data=data)
 
 
-def _chain_rule(second):
-    """The lengths |u_1|, |u_2|, ... of the u-chain, which do not depend on
-    the power of sigma: u_1 is the start letter, and u_(k+1) is y up to the
-    second occurrence of v_k = phi(u_k) = x[:|u_k|] in x, plus |u_k|
-    letters.  Yields (k, |u_k|); only when resumed does it call
-    second(|u_k|) for the start of that second occurrence, and it stops
-    where second gives None.  The closures of the driver follow the same
-    rule: their first pair is (y[:p], y[p:p + |u|]), p that start."""
-    level, size = 1, 1
-    while True:
-        yield level, size
-        p = second(size)
-        if p is None:
-            return
-        level, size = level + 1, size + p
+def _exit_scan(staged: ProlongableSystem, K: int) -> Certificate | None:
+    """The first E1 or gap certificate along the u-chain (_level_exit).
 
-
-def _gap_exit(level: int, size: int, p: int, q: int, bound: int) -> DriverExit:
-    """The exit for successive starts p < q of v = x[:size] with q - p above
-    bound = K|v|."""
-    return DriverExit(
-        kind="gap",
-        unconditional=True,
-        message=f"the prefix of length {size} recurs after {q - p} letters, "
-        f"more than K|u| = {bound}",
-        evidence={
-            "level": level,
-            "u_length": size,
-            "positions": [p, q],
-            "gap": q - p,
-            "bound": bound,
-        },
-    )
-
-
-def _first_gap(text: str, v: str, bound: int) -> tuple[int, int] | None:
-    """The first successive starts p < q of v in text with q - p > bound,
-    or None; v starts text.  Each step jumps to the last start within bound
-    letters, so a step costs one str.rfind and covers about bound letters."""
-    p = 0
-    while True:
-        last = text.rfind(v, p + 1, p + bound + len(v))
-        if last == -1:
-            q = text.find(v, p + 1)
-            return None if q == -1 else (p, q)
-        p = last
-
-
-def _exit_scan(staged: ProlongableSystem, K: int) -> tuple[int, int, DriverExit] | None:
-    """(level, |u|, exit) of the first E1 or gap along the u-chain, or None.
-
-    At each level, first E1, the test build_sigma_U makes first (v = x[:|u|]
-    has no second start within Km, m = |v|, that is no second occurrence
-    ending within (K+1)m letters); then a gap, two successive starts of v
-    more than Km apart anywhere in the prefix, a return word that E2 bounds.
     The walk runs on x[:SCAN_FIRST], then on prefixes twice as long up to
     x[:SCAN_LETTERS], each time from level 1 up to the first level whose E1
-    window does not fit; it stops at the first hit, or once the levels it
-    checked have charged SCAN_WORK letters, one prefix length each."""
+    window does not fit, stepping |u| by the chain rule of _u_lengths on the
+    prefix itself.  It stops at the first hit, and gives None once the
+    levels it checked have charged SCAN_WORK letters, one prefix length
+    each, or when no prefix has a hit."""
     xstream = FixedPointStream(staged, "x")
     spent = 0
     length = SCAN_FIRST
     while length <= SCAN_LETTERS and spent + length <= SCAN_WORK:
         text = xstream.prefix_chars(length)
-        for level, size in _chain_rule(lambda size: text.find(text[:size], 1)):
-            window = (K + 1) * size
-            if window > length:
-                break
+        level, size = 1, 1
+        while (K + 1) * size <= length:
             spent += length
             if spent > SCAN_WORK:
                 return None
-            v = text[:size]
-            if text.find(v, 1, window) == -1:
-                u = FixedPointStream(staged, "y").prefix_chars(size)
-                return level, size, e1_exit(staged.alphabet, u, window, 1)
-            gap = _first_gap(text, v, K * size)
-            if gap is not None:
-                return level, size, _gap_exit(level, size, *gap, K * size)
+            cert = _level_exit(staged, text, level, size, K)
+            if cert is not None:
+                return cert
+            # no E1, so v recurs within its window: u grows by its second start
+            level, size = level + 1, size + text.find(text[:size], 1)
         length *= 2
     return None
 
@@ -701,9 +676,9 @@ def _levels(
     last: int,
     work_budget: int,
 ):
-    """The u-chain on sys_pow = sigma^power: yields (n, u, descriptor or
-    exit) for the levels 1..last and stops after the first exit.  Below the
-    full power every pair image must be anchored."""
+    """The u-chain on sys_pow = sigma^power: yields (n, descriptor or exit)
+    for the levels 1..last and stops after the first exit.  Below the full
+    power every pair image must be anchored."""
     u = sys_pow.alphabet.char(sys_pow.start)
     for n in range(1, last + 1):
         res = build_sigma_U(
@@ -714,7 +689,7 @@ def _levels(
             work_budget=work_budget,
             anchored=power < sheet.power_exponent,
         )
-        yield n, u, res
+        yield n, res
         if isinstance(res, DriverExit):
             return
         # next prefix: y up to and including the second occurrence of v,
@@ -730,13 +705,13 @@ def _chain(
 ):
     """Drive the u-chain up to PRACTICAL_CAP levels, watching for repetitions.
 
-    Returns the certificate of the first certified repetition, the
-    (level, |u|, exit) of a driver exit, or None when the cap is reached.
+    Returns the certificate of the first certified repetition, the driver
+    exit that ended the try, or None when the cap is reached.
     """
     seen: dict[tuple, tuple[int, DerivedDescriptor]] = {}
-    for n, u, res in _levels(sys_pow, power, sheet, PRACTICAL_CAP, work_budget):
+    for n, res in _levels(sys_pow, power, sheet, PRACTICAL_CAP, work_budget):
         if isinstance(res, DriverExit):
-            return n, len(u), res
+            return res
         key = (res.sigma_u_images, res.psi)
         if key in seen:
             n_low, desc_low = seen[key]
@@ -936,7 +911,7 @@ def _growing_verdict(stage: PreparedSystem, work_budget: int, trace: list[dict])
         return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
     try:
         sheet = compute_count_free_sheet(staged)
-    except (PreconditionViolated, NoPrimitiveSubmorphism, BudgetExhausted) as e:
+    except _SHEET_UNAVAILABLE as e:
         q = resolve_periodicity(staged, *_PERIOD_SEARCH["constants-unavailable"])
         if q is not None:
             cert = _periodic_certificate(staged, q, "constants-unavailable")
@@ -956,18 +931,17 @@ def _growing_verdict(stage: PreparedSystem, work_budget: int, trace: list[dict])
         trace.append({"step": "low-power", "power": p, "certified": certified})
         if certified:
             return Verdict(UNIFORMLY_RECURRENT, found, sheet, tuple(trace))
-        if isinstance(found, tuple) and found[2].kind in _POWER_INDEPENDENT_EXITS:
+        if isinstance(found, DriverExit) and found.kind in _POWER_INDEPENDENT_EXITS:
             break
 
     settled = _sheet_free_verdict(staged, sheet, trace)
     if settled is not None:
         return settled
 
-    hit = _exit_scan(staged, sheet.K)
-    if hit is not None:
-        n, u_len, res = hit
-        trace.append({"step": "scan", "K": sheet.K, "level": n, "exit": res.kind})
-        cert = _exit_certificate(res, n, u_len)
+    cert = _exit_scan(staged, sheet.K)
+    if cert is not None:
+        d = cert.data
+        trace.append({"step": "scan", "K": sheet.K, "level": d["level"], "exit": d["exit"]})
         return Verdict(NOT_UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
 
     trace.append({"step": "unsettled", "reason": "no check settles the stage"})
@@ -1325,7 +1299,7 @@ def _drive_to_level(
     sys_pow = prepared.staged.with_sigma_power(power)
     out = {}
     try:
-        for n, _, res in _levels(sys_pow, power, sheet, level, work_budget):
+        for n, res in _levels(sys_pow, power, sheet, level, work_budget):
             if isinstance(res, DriverExit):
                 return sys_pow, out, (n, res)
             out[n] = res
@@ -1334,40 +1308,39 @@ def _drive_to_level(
     return sys_pow, out, None
 
 
-def _anchored_levels(stage: PreparedSystem, power: int, n: int, m: int):
-    """The descriptors at levels n and m of the u-chain on sigma^power,
-    checked locally: returns (level-n descriptor, level-m descriptor), or
-    None where the chain or a closure exits.
+def _u_lengths(staged: ProlongableSystem, levels: int) -> list[int]:
+    """|u_1|, ..., |u_levels| by the chain rule, fewer where a prefix of x
+    does not recur within SCAN_LETTERS letters.
 
-    |u_1|..|u_m| come from the chain rule alone (`_chain_rule`).  Its scans
-    share one WORK_BUDGET of x letters and each reads at most SCAN_LETTERS,
-    so a forged level ends in an exit or raises BudgetExhausted.
-    Only the closures at n and m are built, anchored and with no exit that
-    K sets.
-    """
-    sys_pow = stage.staged.with_sigma_power(power)
-    xstream = FixedPointStream(sys_pow, "x")
-    spent = 0
-
-    def second(size: int) -> int | None:
-        nonlocal spent
-        occ = first_two_occurrences(xstream, xstream.prefix_chars(size), WORK_BUDGET - spent)
+    u_1 is the start letter, and u_(k+1) is y up to the second occurrence of
+    v_k = phi(u_k) = x[:|u_k|] in x, plus |u_k| letters.  The lengths read x
+    alone, which every power of sigma fixes, so they do not depend on the
+    power.  The closures of the driver follow the same rule: their first
+    pair is (y[:p], y[p:p + |u|]), p that second start."""
+    xstream = FixedPointStream(staged, "x")
+    sizes = [1]
+    while len(sizes) < levels:
+        occ = first_two_occurrences(xstream, xstream.prefix_chars(sizes[-1]), SCAN_LETTERS)
         if len(occ) < 2:
-            return None
-        spent += occ[1] + size
-        return occ[1]
+            break
+        sizes.append(sizes[-1] + occ[1])
+    return sizes
 
-    lengths = [size for _, size in islice(_chain_rule(second), m)]
-    if len(lengths) < m:
-        return None
+
+def _anchored_levels(stage: PreparedSystem, power: int, sizes: tuple[int, int]):
+    """The descriptors of the u-chain on sigma^power at the prefixes of y of
+    the two given lengths, |u_n| and |u_m| from _u_lengths, or None where a
+    closure exits.  Only these two closures are built, anchored and with no
+    exit that K sets."""
+    sys_pow = stage.staged.with_sigma_power(power)
     ystream = FixedPointStream(sys_pow, "y")
     descs = []
-    for level in (n, m):
-        res = build_sigma_U(sys_pow, ystream.prefix_chars(lengths[level - 1]), None, anchored=True)
+    for size in sizes:
+        res = build_sigma_U(sys_pow, ystream.prefix_chars(size), None, anchored=True)
         if isinstance(res, DriverExit):
             return None
         descs.append(res)
-    return descs[0], descs[1]
+    return descs
 
 
 @dataclass(frozen=True)
@@ -1465,50 +1438,37 @@ def _rebuilt_error(rebuilt: Certificate, cert: Certificate) -> dict | None:
     return {"reason": "the certificate differs from the rebuilt one"}
 
 
-def _scan_exit_certificate(stage: PreparedSystem, data: dict) -> Certificate:
-    """The E1 or gap certificate at the level, |u| and gap positions that
-    data states, rebuilt after the exact checks of its exit: K from the
-    count-free sheet, |u_1|..|u_level| from the chain rule with each level's
-    E1 window, and one scan of x at the stated level."""
+def _scan_exit_certificate(stage: PreparedSystem, data: dict) -> Certificate | None:
+    """The certificate _level_exit builds at the level that data states, on
+    x[:max((K+1)|u|, q+|u|)], q a gap's second stated position: K from the
+    count-free sheet, and |u_1|..|u_level| from _u_lengths, where no earlier
+    level's prefix may miss its E1 window, as the exit scan would have
+    stopped there."""
     level, u_len = _selector(data, "level"), _selector(data, "u_length")
     K = compute_count_free_sheet(stage.staged).K
-    if level < 1 or u_len < 1 or (K + 1) * u_len > SCAN_LETTERS:
-        raise _Rejected(f"level and u_length must be positive, with (K+1)|u| <= {SCAN_LETTERS}")
-    xstream = FixedPointStream(stage.staged, "x")
-
-    def second(size: int) -> int | None:
-        occ = first_two_occurrences(xstream, xstream.prefix_chars(size), (K + 1) * size)
-        return occ[1] if len(occ) == 2 else None
-
-    for k, size in _chain_rule(second):
-        if k == level or size >= u_len:
-            break
-    else:
-        raise _Rejected(f"E1 fires at level {k}")
-    if (k, size) != (level, u_len):
-        raise _Rejected(f"the chain rule gives |u_{k}| = {size}")
-    if data["exit"] == "E1":
-        if second(size) is not None:
-            raise _Rejected("the prefix recurs within its E1 window")
-        # v = x[:size] starts x, so its one occurrence in the window is at 0
-        u = FixedPointStream(stage.staged, "y").prefix_chars(size)
-        exit_ = e1_exit(stage.staged.alphabet, u, (K + 1) * size, 1)
-    else:
+    end = (K + 1) * u_len
+    if data["exit"] == "gap":
         evidence = data.get("evidence")
         positions = evidence.get("positions") if isinstance(evidence, dict) else None
         if type(positions) is not list or [type(i) for i in positions] != [int, int]:
             raise _Rejected(f"positions must be two ints, got {positions!r}")
-        p, q = positions
-        if not 0 <= p < q or q + size > SCAN_LETTERS:
-            raise _Rejected(f"positions must satisfy 0 <= p < q <= {SCAN_LETTERS} - |u|")
-        text = xstream.prefix_chars(q + size)
-        v = text[:size]
-        if not text.startswith(v, p) or text.find(v, p + 1) != q:
-            raise _Rejected("the positions are not successive occurrences of the prefix")
-        if q - p <= K * size:
-            raise _Rejected(f"a gap of {q - p} is within K|u| = {K * size}")
-        exit_ = _gap_exit(level, size, p, q, K * size)
-    return _exit_certificate(exit_, level, size)
+        end = max(end, positions[1] + u_len)
+    # |u_k| >= k, as the lengths rise from |u_1| = 1, and the exit scan
+    # charges each of the levels it checks a prefix of at least
+    # max(SCAN_FIRST, end) letters, within SCAN_WORK in all
+    if not 1 <= level <= min(u_len, SCAN_WORK // max(SCAN_FIRST, end)) or end > SCAN_LETTERS:
+        raise _Rejected(
+            "the exit scan needs 1 <= level <= |u|, level max(SCAN_FIRST, q+|u|, (K+1)|u|) "
+            f"<= SCAN_WORK and q+|u|, (K+1)|u| <= {SCAN_LETTERS}"
+        )
+    lengths = _u_lengths(stage.staged, level)
+    for k, (size, grown) in enumerate(zip(lengths, lengths[1:]), start=1):
+        if grown - size > K * size:
+            raise _Rejected(f"E1 fires at level {k}")
+    if len(lengths) < level or lengths[-1] != u_len:
+        raise _Rejected(f"the chain rule gives no |u_{level}| = {u_len}")
+    text = FixedPointStream(stage.staged, "x").prefix_chars(end)
+    return _level_exit(stage.staged, text, level, u_len, K)
 
 
 def _repetition_certificate(
@@ -1517,12 +1477,17 @@ def _repetition_certificate(
     """The certificate _certify_repetition gives on the descriptors at
     levels n and m of the u-chain on sigma^p, built locally by
     _anchored_levels, for the powers p in turn until one equals cert; None
-    where the chain or a closure exits or the builder gives none."""
-    if not 1 <= n < m:
-        raise _Rejected("levels must satisfy 1 <= n < m")
+    where the chain or a closure exits or the builder gives none.  The
+    lengths |u_n| and |u_m| are read once, for every power, and m is at most
+    PRACTICAL_CAP, the last level the decider drives."""
+    if not 1 <= n < m <= PRACTICAL_CAP:
+        raise _Rejected(f"levels must satisfy 1 <= n < m <= PRACTICAL_CAP = {PRACTICAL_CAP}")
+    lengths = _u_lengths(stage.staged, m)
+    if len(lengths) < m:
+        return None
     rebuilt = None
     for p in powers:
-        found = _anchored_levels(stage, p, n, m)
+        found = _anchored_levels(stage, p, (lengths[n - 1], lengths[m - 1]))
         rebuilt = found and _certify_repetition(stage.staged, p, n, m, *found)
         if rebuilt is not None and _rebuilt_error(rebuilt, cert) is None:
             break
@@ -1575,6 +1540,13 @@ def _rebuild(stages: list[PreparedSystem], cert: Certificate) -> Certificate | N
     floor = UPFRONT_QMAX if source == "constants-unavailable" else 0
     if not floor < q <= _PERIOD_SEARCH[source][0] or not pure_period_check(last.staged, q):
         return None
+    if source == "constants-unavailable":
+        # the decider runs that search only where the sheet raises
+        try:
+            compute_count_free_sheet(last.staged)
+        except _SHEET_UNAVAILABLE:
+            return _periodic_certificate(last.staged, q, source)
+        raise _Rejected("the constant sheet builds, so the decider runs no such search")
     return _periodic_certificate(last.staged, q, source)
 
 

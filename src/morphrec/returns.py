@@ -13,14 +13,13 @@ Words inside the u-chain are internal strings (see words.Alphabet):
 build_sigma_U takes u over sys.alphabet, its descriptors hold u and the
 pairs over sys.alphabet and v and the x-return words over
 sys.target_alphabet, and delta_reconstruct returns a prefix of y over
-sys.alphabet.  Only the E1 exit's evidence and the word-case ReturnTable
-are decoded into tokens.
+sys.alphabet.  Only the word-case ReturnTable is decoded into tokens.
 """
 
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 
@@ -280,33 +279,18 @@ class DriverExit:
     the target), 'empty-image' (an image block contributes no occurrence),
     'short-return' (return word shorter than |u|/K), 'unanchored' (anchoring
     was asked for and an image's first cut is not at 0 or its closing cut is
-    not at the end of the image block), and 'gap' (two successive
-    occurrences of v in x more than K|v| apart, which the decider's exit
-    scan reports; the driver itself never does).  `derive_chain` alone
-    issues 'budget' (a closure ran past its work or pair budget), which
-    refutes nothing.  unconditional=True means the exit alone refutes
-    uniform recurrence.  Every exit carries its kind, unconditional and
-    message, which derive prints and return_substitution reads; only the
-    exits that become certificates, E1 (e1_exit) and gap, carry evidence,
-    which the certificate holds.
+    not at the end of the image block).  `derive_chain` alone issues
+    'budget' (a closure ran past its work or pair budget), which refutes
+    nothing.  unconditional=True means the exit alone refutes uniform
+    recurrence.  An exit carries only its kind, unconditional and message,
+    which derive prints; the decider's low pass and return_substitution
+    read its kind.  The E1 and gap exits of the decider's exit scan are not
+    driver exits: decider._level_exit builds them as certificates.
     """
 
     kind: str
     unconditional: bool
     message: str
-    evidence: dict = field(default_factory=dict, compare=False)
-
-
-def e1_exit(alpha: Alphabet, u: str, window: int, occurrences: int) -> DriverExit:
-    """The E1 exit of the prefix u of y (an internal string over alpha, the
-    alphabet of y), whose image v = phi(u) occurs `occurrences` times in the
-    first `window` letters of x, so it does not recur there."""
-    return DriverExit(
-        kind="E1",
-        unconditional=True,
-        message=f"prefix of length {len(u)} does not recur in the first {window} letters",
-        evidence={"u": alpha.decode(u), "window": window, "occurrences": occurrences},
-    )
 
 
 @dataclass(frozen=True)
@@ -393,7 +377,11 @@ def build_sigma_U(
     xstream = ystream if phi is None else FixedPointStream(sys, "x")
     occ = first_two_occurrences(xstream, v, window)
     if len(occ) < 2:
-        return e1_exit(alpha, u, window, len(occ))
+        return DriverExit(
+            kind="E1",
+            unconditional=True,
+            message=f"prefix of length {len(u)} does not recur in the first {window} letters",
+        )
     p2 = occ[1]
     ytext = ystream.prefix_chars(p2 + m)
     pairs: list[tuple[str, str]] = [(ytext[:p2], ytext[p2 : p2 + m])]

@@ -17,6 +17,7 @@ from morphrec.catalog import entries, get
 from morphrec.constants import compute_constant_sheet
 from morphrec.decider import (
     INCONCLUSIVE,
+    LOW_POWERS,
     NOT_UNIFORMLY_RECURRENT,
     UNIFORMLY_RECURRENT,
     UPFRONT_QMAX,
@@ -34,7 +35,7 @@ from morphrec.decider import (
 )
 from morphrec.errors import MorphrecError, PreconditionViolated, WitnessSearchExhausted
 from morphrec.morphism import Morphism, power
-from morphrec.returns import WORK_BUDGET, DriverExit, build_sigma_U
+from morphrec.returns import PRACTICAL_CAP, WORK_BUDGET, DriverExit, build_sigma_U
 from morphrec.system import ProlongableSystem, parse_system
 from morphrec.words import Alphabet, occurrences_in_word
 
@@ -503,9 +504,8 @@ def test_verify_rejects_forged_growing_periodic(text, source):
         assert not ok, (change, detail)
     # another source with no levels, or with the evidence that a period
     # search would state for q: the upfront search tries q <= 64 only, and
-    # the 1024-letter search only q above that.  The verifier builds no
-    # sheet, so it takes the 1024-letter search's certificate on the 1x1
-    # stage, whose sheet builds: a true claim, since q is x's least period.
+    # the 1024-letter search only q above that, and only where the constant
+    # sheet raises, which it does not on the 1x1 stage
     staged = _growing_stage(sys_).staged
     for relabelled in sorted(others - {"nongrowing"}):
         data = {k: x for k, x in d.items() if k not in ("levels", "evidence")}
@@ -514,7 +514,7 @@ def test_verify_rejects_forged_growing_periodic(text, source):
             data = decider._periodic_certificate(staged, q, relabelled).data
         forged = Verdict(v.outcome, Certificate("periodic", data), None, ())
         ok, detail = verify_certificate(sys_, forged)
-        assert ok == (relabelled == "constants-unavailable" and q > UPFRONT_QMAX), detail
+        assert not ok, (relabelled, detail)
     # the period 2q with the evidence a search would state for it
     if source != "repetition-1x1":
         qmax, scan = decider._PERIOD_SEARCH[source]
@@ -555,6 +555,46 @@ def test_period_above_upfront_qmax_falls_through():
     assert v.certificate.data["source"] != "upfront"
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
+
+
+def test_verify_bounds_a_forged_chain():
+    # the decider drives at most PRACTICAL_CAP levels, so a repetition
+    # beyond them is rejected before any chain is walked
+    sys_ = parse_system(SINGLETON)
+    v = decide_uniform_recurrence(sys_)
+    t0 = time.perf_counter()
+    ok, detail = verify_certificate(sys_, _tampered(v, levels=[1, 10**9]))
+    assert time.perf_counter() - t0 < 0.5
+    assert not ok and f"PRACTICAL_CAP = {PRACTICAL_CAP}" in detail["reason"], detail
+    # an E1 or gap lies within the exit scan's letters: x = (a b^65)^w
+    # recurs at every level, so a level walk to |u| = 7,767 would take
+    # seconds, but the scan charges no 7,767 levels a (K+1)|u| prefix each
+    stage = _growing_stage(sys_)
+    K = constants.compute_count_free_sheet(stage.staged).K
+    size = returns.SCAN_LETTERS // (K + 1)
+    forged = Verdict(NOT_UNIFORMLY_RECURRENT, Certificate("exit", _e1_data(stage, size, size, K)),
+                     None, ())
+    t0 = time.perf_counter()
+    ok, detail = verify_certificate(sys_, forged)
+    assert time.perf_counter() - t0 < 0.5
+    assert not ok and "SCAN_WORK" in detail["reason"], detail
+
+
+def test_verify_reads_the_u_lengths_once_for_every_power(monkeypatch):
+    # |u_1|..|u_m| do not depend on the power: the honest [1, 3] is rebuilt
+    # at power 1, and with an added key every low power is tried, on one walk
+    sys_ = parse_system(SINGLETON)
+    v = decide_uniform_recurrence(sys_)
+    calls = []
+    for name in ("_u_lengths", "_anchored_levels"):
+        real = getattr(decider, name)
+        monkeypatch.setattr(decider, name, lambda *a, real=real, name=name: calls.append(name)
+                            or real(*a))
+    for change, accepted, powers in (({}, True, 1), ({"extra": 5}, False, len(LOW_POWERS))):
+        calls.clear()
+        ok, detail = verify_certificate(sys_, _tampered(v, levels=[1, 3], **change))
+        assert ok == accepted, detail
+        assert calls == ["_u_lengths"] + ["_anchored_levels"] * powers, calls
 
 
 def test_singleton_return_table_is_certified_periodic():
@@ -838,8 +878,9 @@ def test_full_power_exit_counts_factors():
     assert replace(chain.sheet, p_factor_count=None, preimage_bound=None, K1=None,
                    cap=None) == v.sheet
     assert sorted(chain.levels) == [1, 2, 3, 4]
+    # the chain's E1 message states |u| and the window, as the certificate's does
     n, exit_ = chain.driver_exit
-    assert decider._exit_certificate(exit_, n, 160) == v.certificate
+    assert (exit_.kind, n, exit_.message) == ("E1", d["level"], d["message"])
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
 
@@ -954,8 +995,8 @@ def test_scan_e1_is_the_chains_e1():
     sheet = compute_constant_sheet(stage.staged)
     level = v.certificate.data["level"]
     _, _, (n, exit_) = _drive_to_level(stage, sheet, level, WORK_BUDGET)
-    chain = decider._exit_certificate(exit_, n, len(exit_.evidence["u"]))
-    assert chain.to_json_dict() == v.certificate.to_json_dict()
+    d = v.certificate.data
+    assert (exit_.kind, n, exit_.message) == (d["exit"], d["level"], d["message"])
 
 
 def test_verify_checks_exit_certificates_locally(monkeypatch):
@@ -1009,16 +1050,22 @@ def test_verify_rejects_tampered_e1(text):
     ):
         ok, detail = verify_certificate(sys_, bad)
         assert not ok, (bad.certificate.data, detail)
-    # a self-consistent E1 one level early: its prefix recurs in its window
     stage = _growing_stage(sys_)
-    prev = dict(zip(range(1, level), decider._chain_rule(lambda size: _second(stage, K, size))))
-    _, size = prev[level - 1]
-    y = stream.FixedPointStream(stage.staged, "y").prefix_chars(size)
-    early = decider.e1_exit(stage.staged.alphabet, y, (K + 1) * size, 1)
-    ok, detail = verify_certificate(sys_, _as_exit(v, early, level - 1, size))
-    assert not ok and "recurs" in detail["reason"], detail
+    assert _e1_data(stage, level, u_len, K) == d
+    # a self-consistent E1 one level early: its prefix recurs in its window,
+    # and x has no gap at that level, so no certificate is rebuilt there
+    sizes = [1]
+    for _ in range(level - 2):
+        sizes.append(sizes[-1] + _second(stage, K, sizes[-1]))
+    early = _e1_data(stage, level - 1, sizes[-1], K)
+    ok, detail = verify_certificate(sys_, _as_exit(v, early))
+    assert not ok and detail == _NONE_BUILT, detail
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
+
+
+_DIFFERS = {"reason": "the certificate differs from the rebuilt one"}
+_NONE_BUILT = {"reason": "the decider builds no exit certificate on this system"}
 
 
 def _second(stage, K, size):
@@ -1028,9 +1075,38 @@ def _second(stage, K, size):
     return occ[1] if len(occ) == 2 else None
 
 
-def _as_exit(verdict, exit_, level, u_len):
-    cert = decider._exit_certificate(exit_, level, u_len)
-    return Verdict(verdict.outcome, cert, verdict.sheet, verdict.trace)
+def _e1_data(stage, level, size, K):
+    """The data of an E1 certificate at the level with |u| = size, by
+    definition: x[:size] does not recur within (K+1) size letters."""
+    window = (K + 1) * size
+    u = stream.FixedPointStream(stage.staged, "y").prefix_chars(size)
+    return {
+        "exit": "E1",
+        "unconditional": True,
+        "level": level,
+        "u_length": size,
+        "message": f"prefix of length {size} does not recur in the first {window} letters",
+        "evidence": {"u": stage.staged.alphabet.decode(u), "window": window, "occurrences": 1},
+    }
+
+
+def _gap_data(level, size, p, q, bound):
+    """The data of a gap certificate for the starts p < q of x[:size]."""
+    return {
+        "exit": "gap",
+        "unconditional": True,
+        "level": level,
+        "u_length": size,
+        "message": f"the prefix of length {size} recurs after {q - p} letters, "
+        f"more than K|u| = {bound}",
+        "evidence": {
+            "level": level, "u_length": size, "positions": [p, q], "gap": q - p, "bound": bound
+        },
+    }
+
+
+def _as_exit(verdict, data):
+    return Verdict(verdict.outcome, Certificate("exit", data), verdict.sheet, verdict.trace)
 
 
 # draw 113 of the wide-alphabet set (seed 12, 6-8 letters, images of up to 6
@@ -1051,15 +1127,13 @@ def test_verify_rejects_e1_past_scan_letters():
     K = constants.compute_count_free_sheet(stage.staged).K
     x = stream.FixedPointStream(stage.staged, "x").prefix_chars(2 * returns.SCAN_LETTERS)
 
-    def second(size):
-        q = x.find(x[:size], 1, (K + 1) * size)
-        return None if q == -1 else q
-
-    *_, (level, size) = decider._chain_rule(second)
+    # the chain rule, up to the first prefix that does not recur in its window
+    level, size = 1, 1
+    while (q := x.find(x[:size], 1, (K + 1) * size)) != -1:
+        level, size = level + 1, size + q
     assert (level, size, (K + 1) * size) == (5, 18, 1_198_386)
-    y = stream.FixedPointStream(stage.staged, "y").prefix_chars(size)
-    e1 = decider.e1_exit(stage.staged.alphabet, y, (K + 1) * size, 1)
-    v = Verdict(NOT_UNIFORMLY_RECURRENT, decider._exit_certificate(e1, level, size), None, ())
+    v = Verdict(NOT_UNIFORMLY_RECURRENT, Certificate("exit", _e1_data(stage, level, size, K)),
+                None, ())
     ok, detail = verify_certificate(sys_, v)
     assert not ok
     assert detail["reason"].endswith(f"(K+1)|u| <= {returns.SCAN_LETTERS}"), detail
@@ -1101,18 +1175,40 @@ def test_verify_rejects_tampered_gap():
     ):
         ok, detail = verify_certificate(sys_, bad)
         assert not ok, (bad.certificate.data, detail)
+    assert _gap_data(1, 1, p, q, bound) == v.certificate.data
     # self-consistent forgeries: occurrences that are not successive, and
-    # successive occurrences within the bound
+    # successive occurrences within the bound.  The first is rebuilt with
+    # the first gap of x; the second on x[:(K+1)|u|], where x has none
     x = stream.FixedPointStream(_growing_stage(sys_).staged, "x").prefix_chars(2 * q)
     v_ = x[:1]
     later = x.find(v_, q + 1)
-    ok, detail = verify_certificate(sys_, _as_exit(v, decider._gap_exit(1, 1, p, later, bound), 1, 1))
-    assert not ok and "successive" in detail["reason"], detail
+    ok, detail = verify_certificate(sys_, _as_exit(v, _gap_data(1, 1, p, later, bound)))
+    assert not ok and detail == _DIFFERS, detail
     near = x.find(v_, 1)
-    ok, detail = verify_certificate(sys_, _as_exit(v, decider._gap_exit(1, 1, 0, near, bound), 1, 1))
-    assert not ok and "within" in detail["reason"], detail
+    ok, detail = verify_certificate(sys_, _as_exit(v, _gap_data(1, 1, 0, near, bound)))
+    assert not ok and detail == _NONE_BUILT, detail
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
+
+
+@pytest.mark.parametrize(
+    "name,first,second",
+    [("gap_level1", (648, 1050), (1698, 2722)), ("sweep2_draw183", (1704, 4428), (6132, 16113))],
+)
+def test_verify_rejects_a_later_gap(name, first, second):
+    # the exit scan reports the first gap of x at its level: a certificate
+    # that names the next successive gap, though a true one, is rebuilt
+    # with the first
+    sys_ = parse_system(SCAN_SETTLED[name][0])
+    v = decide_uniform_recurrence(sys_)
+    d = v.certificate.data
+    level, size, bound = d["level"], d["u_length"], d["evidence"]["bound"]
+    x = stream.FixedPointStream(_growing_stage(sys_).staged, "x").prefix_chars(second[1] + size)
+    occ = occurrences_in_word(x, x[:size])
+    assert [(a, b) for a, b in zip(occ, occ[1:]) if b - a > bound] == [first, second]
+    assert _gap_data(level, size, *first, bound) == d
+    ok, detail = verify_certificate(sys_, _as_exit(v, _gap_data(level, size, *second, bound)))
+    assert not ok and detail == _DIFFERS, detail
 
 
 def _brute_exit_scan(staged, K):
@@ -1153,9 +1249,10 @@ def test_exit_scan_matches_its_definition(monkeypatch, K):
             continue
         got = decider._exit_scan(stage.staged, K)
         if got is not None:
-            level, size, exit_ = got
-            got = (level, size, exit_.kind) + (
-                (tuple(exit_.evidence["positions"]),) if exit_.kind == "gap" else ()
+            d = got.data
+            level, size = d["level"], d["u_length"]
+            got = (level, size, d["exit"]) + (
+                (tuple(d["evidence"]["positions"]),) if d["exit"] == "gap" else ()
             )
             hits += 1
             late += (K + 1) * size > decider.SCAN_FIRST
@@ -1531,10 +1628,12 @@ def test_local_check_builds_the_replayed_descriptors():
         stage = _growing_stage(inner)
         sheet = constants.compute_count_free_sheet(stage.staged)
         sys_pow = stage.staged.with_sigma_power(d["power"])
-        levels = {k: res for k, _, res in decider._levels(sys_pow, d["power"], sheet, d["m"],
-                                                           WORK_BUDGET)}
+        levels = dict(decider._levels(sys_pow, d["power"], sheet, d["m"], WORK_BUDGET))
         assert not any(isinstance(res, DriverExit) for res in levels.values())
-        low, high = decider._anchored_levels(stage, d["power"], d["n"], d["m"])
+        lengths = decider._u_lengths(stage.staged, d["m"])
+        assert lengths == [len(levels[k].u) for k in range(1, d["m"] + 1)], d
+        sizes = (lengths[d["n"] - 1], lengths[d["m"] - 1])
+        low, high = decider._anchored_levels(stage, d["power"], sizes)
         assert (low, high) == (levels[d["n"]], levels[d["m"]]), d
 
 
@@ -1558,8 +1657,9 @@ def test_the_chain_path_converts_no_word(monkeypatch):
     for stage, sheet, d in cases:
         n, m, power = d["n"], d["m"], d["power"]
         sys_pow = stage.staged.with_sigma_power(power)
-        levels = {k: res for k, _, res in decider._levels(sys_pow, power, sheet, m, WORK_BUDGET)}
-        low, high = decider._anchored_levels(stage, power, n, m)
+        levels = dict(decider._levels(sys_pow, power, sheet, m, WORK_BUDGET))
+        lengths = decider._u_lengths(stage.staged, m)
+        low, high = decider._anchored_levels(stage, power, (lengths[n - 1], lengths[m - 1]))
         assert (low, high) == (levels[n], levels[m]), d
         assert [list(img) for img in _connecting_morphism(low, high)] == d["tau"]
         cert = decider._certify_repetition(sys_pow, power, n, m, low, high)

@@ -344,7 +344,7 @@ def test_e1_window_past_scan_letters_raises():
         build_sigma_U(sys_, u, returns.SCAN_LETTERS)
     res = build_sigma_U(sys_, u, 1000)
     assert isinstance(res, DriverExit) and res.kind == "E1"
-    assert res.evidence["window"] == 1001
+    assert res.message == "prefix of length 1 does not recur in the first 1001 letters"
 
 
 def test_sigma_u_defining_equation(fib, tm):
