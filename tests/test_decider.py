@@ -33,7 +33,12 @@ from morphrec.decider import (
     prepare,
     verify_certificate,
 )
-from morphrec.errors import MorphrecError, PreconditionViolated, WitnessSearchExhausted
+from morphrec.errors import (
+    BudgetExhausted,
+    MorphrecError,
+    PreconditionViolated,
+    WitnessSearchExhausted,
+)
 from morphrec.morphism import Morphism, power
 from morphrec.returns import PRACTICAL_CAP, WORK_BUDGET, DriverExit, build_sigma_U
 from morphrec.system import ProlongableSystem, parse_system
@@ -45,6 +50,31 @@ import test_stage_rewrite_golden
 
 def load(name):
     return parse_system(get(name).text)
+
+
+def chain_verdict(sys_, work_budget=WORK_BUDGET):
+    """The verdict of the low-power chain on the growing stage of sys_, or
+    None where no power in LOW_POWERS below the sheet's full power
+    certifies a repetition.  It is the decider's low pass, driven on a
+    primitive stage too, which the decider settles `primitive` before the
+    chain.  A system that the image shortcut applies to is driven on its
+    preimage, and the certificate is marked the way the shortcut marks it."""
+    inner = decider._preimage_system(sys_)
+    staged = _growing_stage(inner or sys_).staged
+    sheet = constants.compute_count_free_sheet(staged)
+    for p in LOW_POWERS:
+        if p >= sheet.power_exponent:
+            break
+        try:
+            found = decider._chain(staged.with_sigma_power(p), p, sheet, work_budget)
+        except BudgetExhausted:
+            found = None
+        if isinstance(found, Certificate):
+            data = {**found.data, "via": "preimage"} if inner is not None else found.data
+            return Verdict(UNIFORMLY_RECURRENT, Certificate(found.kind, data), sheet, ())
+        if isinstance(found, DriverExit) and found.kind in decider._POWER_INDEPENDENT_EXITS:
+            break
+    return None
 
 
 # -- verdicts on the named corpus ------------------------------------------------------
