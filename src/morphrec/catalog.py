@@ -37,7 +37,7 @@ def _entry(name, text, expected, certificate, primitive, note) -> CatalogEntry:
 CATALOG: dict[str, CatalogEntry] = {
     e.name: e
     for e in [
-        # -- primitive corpus: all certify uniformly recurrent via repetition
+        # -- primitive corpus: each stage is primitive, so each settles `primitive`
         _entry(
             "fibonacci",
             """
@@ -48,7 +48,7 @@ CATALOG: dict[str, CatalogEntry] = {
             b -> a
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "golden-ratio Sturmian fixed point",
         ),
@@ -62,7 +62,7 @@ CATALOG: dict[str, CatalogEntry] = {
             1 -> 1 0
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "overlap-free binary sequence",
         ),
@@ -77,7 +77,7 @@ CATALOG: dict[str, CatalogEntry] = {
             c -> a
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "ternary Rauzy fixed point",
         ),
@@ -93,7 +93,7 @@ CATALOG: dict[str, CatalogEntry] = {
             s -> p
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "frozen random 4-letter primitive instance (seed 20260814)",
         ),
@@ -109,7 +109,7 @@ CATALOG: dict[str, CatalogEntry] = {
             d -> d c
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "4-letter carrier of the Rudin-Shapiro sequence",
         ),
@@ -131,7 +131,7 @@ CATALOG: dict[str, CatalogEntry] = {
             d -> 1
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "Rudin-Shapiro with its binary coding",
         ),
@@ -145,7 +145,7 @@ CATALOG: dict[str, CatalogEntry] = {
             b -> a a
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "period-doubling sequence",
         ),
@@ -161,7 +161,7 @@ CATALOG: dict[str, CatalogEntry] = {
             d -> c d
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "4-letter paperfolding carrier",
         ),
@@ -183,7 +183,7 @@ CATALOG: dict[str, CatalogEntry] = {
             d -> 1
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "paperfolding carrier with a binary coding",
         ),
@@ -198,7 +198,7 @@ CATALOG: dict[str, CatalogEntry] = {
             2 -> 0 1 2
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "ternary Chacon substitution",
         ),
@@ -212,7 +212,7 @@ CATALOG: dict[str, CatalogEntry] = {
             b -> a b
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "Sturmian-type slope instance",
         ),
@@ -226,7 +226,7 @@ CATALOG: dict[str, CatalogEntry] = {
             b -> a
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "silver-ratio fixed point",
         ),
@@ -241,7 +241,7 @@ CATALOG: dict[str, CatalogEntry] = {
             c -> b
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "square-free ternary sequence",
         ),
@@ -255,7 +255,7 @@ CATALOG: dict[str, CatalogEntry] = {
             1 -> 1 1 0
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "non-uniform binary primitive instance",
         ),
@@ -269,7 +269,7 @@ CATALOG: dict[str, CatalogEntry] = {
             b -> a b a
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "cube of the fibonacci endomorphism",
         ),
@@ -283,7 +283,7 @@ CATALOG: dict[str, CatalogEntry] = {
             b -> a
             """,
             "ur",
-            "repetition",
+            "primitive",
             True,
             "two-letter quadratic-growth instance",
         ),
@@ -395,7 +395,7 @@ CATALOG: dict[str, CatalogEntry] = {
             c -> c
             """,
             "ur",
-            "repetition",
+            "primitive",
             False,
             "bounded single-letter combs; block encoding reaches the growing pipeline",
         ),
@@ -409,7 +409,7 @@ CATALOG: dict[str, CatalogEntry] = {
             b -> b
             """,
             "ur",
-            "repetition",
+            "primitive",
             False,
             "non-growing carrier of the ternary Chacon system",
         ),
@@ -474,7 +474,7 @@ CATALOG: dict[str, CatalogEntry] = {
             b -> 1 0 0
             """,
             "ur",
-            "repetition",
+            "primitive",
             False,
             "expanding outer morphism; settled by deciding the fixed point first",
         ),
@@ -507,7 +507,7 @@ CATALOG: dict[str, CatalogEntry] = {
             z -> z z
             """,
             "ur",
-            "repetition",
+            "primitive",
             False,
             "fibonacci plus an unreachable letter that restriction drops",
         ),

@@ -21,10 +21,11 @@ The growing branch first builds the constant sheet without the factor count
 p(K+1).  When the sheet raises, a stage that no period of up to 1024 letters
 settles gets only the `primitive` and `primitive_tail` checks, which read
 none of its constants, and its verdict carries no sheet.  Otherwise the
-branch drives the u-chain on sigma^p for the small powers in LOW_POWERS
-below the sheet's full power P and accepts only a certified repetition
-there.  A stage that this low pass, the `primitive` check, the
-`primitive_tail` search and the exit scan all leave open ends
+`primitive` check comes first: a primitive stage is uniformly recurrent
+outright and never runs the chain.  Any other stage drives the u-chain on
+sigma^p for the small powers in LOW_POWERS below the sheet's full power P
+and accepts only a certified repetition there; the `primitive_tail` search
+and the exit scan come after it.  A stage that all of these leave open ends
 inconclusive, with one `unsettled` trace step.  The paper drives the chain
 at P, after counting p(K+1); the decider never does, and `derive_chain`
 keeps that chain for inspection.  Why a low-power repetition is sound:
@@ -49,8 +50,7 @@ K >= 3, K1 >= 4 K^3 (K+1)^4 >= 27,648 exceeds PAIR_BUDGET, so the pair
 budget stops a table before E3 could fire and the pass is the same as with
 K1; only K <= 2 can certify where E3 would have ended the try.
 
-A growing stage that no low power certifies is checked for primitivity
-next.  Why a `primitive` verdict is sound: the stage is the input after
+Why a `primitive` verdict is sound: the stage is the input after
 restriction to the letters the start reaches, coding normalization, the
 r_sigma power and any bounded-block encodings, each of which keeps
 x = phi(y) letter for letter, with y the fixed point of the staged sigma
@@ -60,10 +60,12 @@ every image sigma^n(b) for n large enough, and y is uniformly recurrent
 (Queffelec, "Substitution Dynamical Systems", LNM 1294, 1987).  A
 letter-to-letter image of a uniformly recurrent sequence is uniformly
 recurrent.  This uses no constant of the sheet either.  The check runs
-after the low pass so that every system a low power settles keeps its
-`repetition` certificate.  A verdict carries the sheet it used: a
-low-power `repetition` or a `primitive` verdict leaves the count fields of
-its sheet null and has no `constants` trace step.
+before the low pass, so the paper's chain certifies only stages that are
+not primitive; `derive_chain` still drives it on any growing stage, and a
+`repetition` issued on a primitive stage still verifies (the verifier
+rebuilds it from the chain whatever the stage).  A `primitive` or
+low-power `repetition` verdict carries the count-free sheet, with its
+count fields null, and has no `constants` trace step.
 
 A stage that is still open gets the `primitive_tail` check below, then the
 exit scan.  The scan walks the u-chain's prefixes by the chain rule below,
@@ -878,25 +880,6 @@ def _tail_certificate(staged: ProlongableSystem) -> Certificate | None:
     return None
 
 
-def _sheet_free_verdict(
-    staged: ProlongableSystem, sheet: ConstantSheet | None, trace: list[dict]
-) -> Verdict | None:
-    """The `primitive` or else the `primitive_tail` verdict of a growing
-    stage, or None.  Neither check reads a constant of the sheet, so a stage
-    whose sheet cannot be built gets them too, with sheet None."""
-    cert = _primitive_certificate(staged)
-    if cert is not None:
-        trace.append({"step": "primitive", **cert.data})
-        return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
-    cert = _tail_certificate(staged)
-    if cert is not None:
-        d = cert.data
-        n = len(d["v"]) - 1
-        trace.append({"step": "tail", "letters": len(d["B"]), "n": n, "p": n - d["j"]})
-        return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
-    return None
-
-
 def _growing_verdict(stage: PreparedSystem, work_budget: int, trace: list[dict]) -> Verdict:
     staged = stage.staged
     # a periodic x is uniformly recurrent; a check that finds no period or
@@ -917,10 +900,17 @@ def _growing_verdict(stage: PreparedSystem, work_budget: int, trace: list[dict])
             cert = _periodic_certificate(staged, q, "constants-unavailable")
             return Verdict(UNIFORMLY_RECURRENT, cert, None, tuple(trace))
         trace.append({"step": "constants", "status": "unavailable", "reason": str(e)})
-        settled = _sheet_free_verdict(staged, None, trace)
-        return settled or Verdict(INCONCLUSIVE, None, None, tuple(trace))
+        sheet = None
 
-    for p in LOW_POWERS:
+    # neither `primitive` nor `primitive_tail` reads a constant of the
+    # sheet, so a stage whose sheet raises gets them too, with sheet None;
+    # a primitive stage is settled before the chain
+    cert = _primitive_certificate(staged)
+    if cert is not None:
+        trace.append({"step": "primitive", **cert.data})
+        return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
+
+    for p in LOW_POWERS if sheet is not None else ():
         if p >= sheet.power_exponent:
             break
         try:
@@ -934,9 +924,14 @@ def _growing_verdict(stage: PreparedSystem, work_budget: int, trace: list[dict])
         if isinstance(found, DriverExit) and found.kind in _POWER_INDEPENDENT_EXITS:
             break
 
-    settled = _sheet_free_verdict(staged, sheet, trace)
-    if settled is not None:
-        return settled
+    cert = _tail_certificate(staged)
+    if cert is not None:
+        d = cert.data
+        n = len(d["v"]) - 1
+        trace.append({"step": "tail", "letters": len(d["B"]), "n": n, "p": n - d["j"]})
+        return Verdict(UNIFORMLY_RECURRENT, cert, sheet, tuple(trace))
+    if sheet is None:
+        return Verdict(INCONCLUSIVE, None, None, tuple(trace))
 
     cert = _exit_scan(staged, sheet.K)
     if cert is not None:

@@ -43,6 +43,8 @@ from morphrec.stream import FixedPointStream, complexity, factor_language, max_g
 from morphrec.system import ProlongableSystem, parse_system
 from morphrec.words import Alphabet, occurrences_in_word
 
+from test_decider import chain_verdict
+
 
 def load(name):
     return parse_system(get(name).text)
@@ -85,25 +87,31 @@ def test_01_block_example_not_recurrent_with_scan_witness():
 
 def test_02_primitive_corpus_repetition_certificates():
     """>= 15 primitive systems all decide uniformly recurrent with a verified
-    repetition certificate at levels 1 <= n < m <= 64.  Each run < 60 s."""
+    `primitive` certificate, and the paper's chain, the low pass on sigma^p,
+    gives each a verified repetition certificate at levels 1 <= n < m <= 64.
+    Each run < 60 s."""
     assert len(PRIMITIVE_CORPUS) >= 15
     worst = 0.0
     for name in PRIMITIVE_CORPUS:
         sys_ = load(name)
         t0 = time.monotonic()
         v = decide_uniform_recurrence(sys_)
+        chain = chain_verdict(sys_)
         elapsed = time.monotonic() - t0
         worst = max(worst, elapsed)
         assert elapsed < 60.0, f"{name} took {elapsed:.1f}s"
         assert v.outcome == UNIFORMLY_RECURRENT, name
-        assert v.certificate.kind == "repetition", name
-        n, m = v.certificate.data["n"], v.certificate.data["m"]
-        assert 1 <= n < m <= 64, name
+        assert v.certificate.kind == "primitive", name
         ok, detail = verify_certificate(sys_, v)
         assert ok, (name, detail)
+        assert chain.certificate.kind == "repetition", name
+        n, m = chain.certificate.data["n"], chain.certificate.data["m"]
+        assert 1 <= n < m <= 64, name
+        ok, detail = verify_certificate(sys_, chain)
+        assert ok, (name, detail)
     report(
-        f"PASS 2: {len(PRIMITIVE_CORPUS)} primitive systems certified recurrent "
-        f"(worst run {worst:.2f}s < 60s)"
+        f"PASS 2: {len(PRIMITIVE_CORPUS)} primitive systems certified recurrent, "
+        f"primitive and by the chain (worst run {worst:.2f}s < 60s)"
     )
 
 

@@ -3,12 +3,14 @@
 import io
 import json
 import sys
+from pathlib import Path
 
 import pytest
 
 from morphrec import decider
 from morphrec.catalog import get
 from morphrec.cli import main
+from morphrec.decider import Certificate, Verdict, verify_certificate
 
 
 @pytest.fixture
@@ -32,6 +34,21 @@ def nonur_file(tmp_path):
     return str(p)
 
 
+# a census draw whose growing stage is not primitive, so the low-power chain
+# settles it: a repetition at sigma, n = 2, m = 3
+CHAIN_DRAW = (
+    "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b\nb -> b c\nc -> c b\n"
+    "phi:\na -> 0\nb -> 1\nc -> 0\n"
+)
+
+
+@pytest.fixture
+def chain_file(tmp_path):
+    p = tmp_path / "chain.txt"
+    p.write_text(CHAIN_DRAW)
+    return str(p)
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -41,16 +58,23 @@ def run(capsys, *argv):
 # -- decide-ur -------------------------------------------------------------------------
 
 
-def test_decide_ur_text(capsys, fib_file, tmp_path, monkeypatch):
+def test_decide_ur_text(capsys, fib_file, chain_file, tmp_path, monkeypatch):
     code, out, err = run(capsys, "decide-ur", fib_file)
     assert code == 0
     assert "verdict: uniformly recurrent" in out
-    assert "certificate: repetition" in out
-    # a low-power repetition needs no factor count, so K1 and the cap are
-    # not computed and not printed
+    assert "certificate: primitive" in out
+    # neither a primitive stage nor a low-power repetition needs the factor
+    # count, so K1 and the cap are not computed and not printed
     line = next(x for x in out.splitlines() if x.startswith("constants:"))
     assert line.startswith("constants: K=27 R=")
     assert "K2=" in line and "K1" not in line and "cap" not in line and "None" not in line
+    code, out, err = run(capsys, "decide-ur", chain_file)
+    assert code == 0
+    assert "verdict: uniformly recurrent" in out
+    assert "certificate: repetition" in out
+    line = next(x for x in out.splitlines() if x.startswith("constants:"))
+    assert line.startswith("constants: K=16 K2=")
+    assert "K1" not in line and "cap" not in line and "None" not in line
     # a stage that no check settles ends inconclusive on the count-free
     # sheet, with the named last step; its sigma is not primitive, so R is
     # not computed.  No image ends in c, so it has no primitive tail
@@ -82,17 +106,40 @@ def test_decide_ur_text(capsys, fib_file, tmp_path, monkeypatch):
     assert line.startswith("constants: K=16 K2=") and "K1" not in line and "cap" not in line
 
 
-def test_decide_ur_json_envelope(capsys, fib_file):
-    code, out, _ = run(capsys, "decide-ur", "--json", fib_file)
-    assert code == 0
+def test_decide_ur_json_envelope(capsys, fib_file, chain_file):
+    for path, kind, K in ((fib_file, "primitive", 27), (chain_file, "repetition", 16)):
+        code, out, _ = run(capsys, "decide-ur", "--json", path)
+        assert code == 0
+        env = json.loads(out)
+        assert env["format"] == 7
+        assert env["command"] == "decide-ur"
+        assert env["input"] == path
+        assert env["verdict"] == "uniformly_recurrent"
+        assert env["certificate"]["kind"] == kind
+        assert env["constants"]["K"] == K
+        assert env["options"]["cap"] == 64
+
+
+def test_an_issued_repetition_envelope_still_verifies(capsys, tmp_path, monkeypatch):
+    # fibonacci's `decide-ur --json` envelope as issued when the low-power
+    # chain ran before the primitive check: a format-7 repetition, which
+    # must keep verifying.  Today's envelope differs only in the
+    # certificate and the trace
+    issued = json.loads((Path(__file__).parent / "fibonacci_repetition_envelope.json").read_text())
+    data = dict(issued["certificate"])
+    kind = data.pop("kind")
+    assert (issued["format"], kind) == (7, "repetition")
+    verdict = Verdict(issued["verdict"], Certificate(kind, data), None, ())
+    ok, detail = verify_certificate(get("fibonacci").build(), verdict)
+    assert ok and detail == {"checked": "repetition", "n": 1, "m": 2}, detail
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / issued["input"]).write_text(get("fibonacci").text)
+    code, out, _ = run(capsys, "decide-ur", "--json", issued["input"])
     env = json.loads(out)
-    assert env["format"] == 7
-    assert env["command"] == "decide-ur"
-    assert env["input"] == fib_file
-    assert env["verdict"] == "uniformly_recurrent"
-    assert env["certificate"]["kind"] == "repetition"
-    assert env["constants"]["K"] == 27
-    assert env["options"]["cap"] == 64
+    assert code == 0 and env["certificate"]["kind"] == "primitive"
+    for key in ("certificate", "trace"):
+        env.pop(key), issued.pop(key)
+    assert env == issued
 
 
 def test_decide_ur_json_round_trips_byte_identically(capsys, fib_file):

@@ -57,11 +57,13 @@ def chain_verdict(sys_, work_budget=WORK_BUDGET):
     None where no power in LOW_POWERS below the sheet's full power
     certifies a repetition.  It is the decider's low pass, driven on a
     primitive stage too, which the decider settles `primitive` before the
-    chain.  A system that the image shortcut applies to is driven on its
-    preimage, and the certificate is marked the way the shortcut marks it."""
+    chain; its trace holds the pass's `low-power` steps.  A system that the
+    image shortcut applies to is driven on its preimage, and the
+    certificate is marked the way the shortcut marks it."""
     inner = decider._preimage_system(sys_)
     staged = _growing_stage(inner or sys_).staged
     sheet = constants.compute_count_free_sheet(staged)
+    trace = []
     for p in LOW_POWERS:
         if p >= sheet.power_exponent:
             break
@@ -69,12 +71,25 @@ def chain_verdict(sys_, work_budget=WORK_BUDGET):
             found = decider._chain(staged.with_sigma_power(p), p, sheet, work_budget)
         except BudgetExhausted:
             found = None
-        if isinstance(found, Certificate):
+        certified = isinstance(found, Certificate)
+        trace.append({"step": "low-power", "power": p, "certified": certified})
+        if certified:
             data = {**found.data, "via": "preimage"} if inner is not None else found.data
-            return Verdict(UNIFORMLY_RECURRENT, Certificate(found.kind, data), sheet, ())
+            return Verdict(UNIFORMLY_RECURRENT, Certificate(found.kind, data), sheet, tuple(trace))
         if isinstance(found, DriverExit) and found.kind in decider._POWER_INDEPENDENT_EXITS:
             break
     return None
+
+
+# the two census draws whose stages are not primitive, so the decider
+# settles them with the chain: a repetition at sigma, n = 2, m = 3
+CHAIN_DRAWS = {
+    f"b_{img.replace(' ', '')}": (
+        f"alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a b\nb -> {img}\nc -> c b\n"
+        "phi:\na -> 0\nb -> 1\nc -> 0\n"
+    )
+    for img in ("b c", "b c b")
+}
 
 
 # -- verdicts on the named corpus ------------------------------------------------------
@@ -100,9 +115,28 @@ def test_catalog_verdicts(name, outcome, kind):
     sys_ = load(name)
     v = decide_uniform_recurrence(sys_)
     assert v.outcome == outcome
+    if kind == "repetition":
+        # the stage is primitive, so it is settled before the chain, which
+        # still certifies the repetition
+        assert v.certificate.kind == "primitive"
+        ok, detail = verify_certificate(sys_, v)
+        assert ok, detail
+        v = chain_verdict(sys_)
     assert v.certificate.kind == kind
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
+
+
+@pytest.mark.parametrize("name", sorted(CHAIN_DRAWS))
+def test_a_non_primitive_stage_gets_the_chains_repetition(name):
+    sys_ = parse_system(CHAIN_DRAWS[name])
+    v = decide_uniform_recurrence(sys_)
+    d = v.certificate.data
+    assert (v.certificate.kind, d["power"], d["n"], d["m"]) == ("repetition", 1, 2, 3)
+    assert v.trace[-1] == {"step": "low-power", "power": 1, "certified": True}
+    assert v == replace(chain_verdict(sys_), trace=v.trace)
+    ok, detail = verify_certificate(sys_, v)
+    assert ok and detail == {"checked": "repetition", "n": 2, "m": 3}, detail
 
 
 @pytest.mark.parametrize("budget", [0, -5])
@@ -122,7 +156,7 @@ def test_erasing_sigma_is_rejected():
 
 
 def test_fibonacci_repetition_certificate_fields():
-    v = decide_uniform_recurrence(load("fibonacci"))
+    v = chain_verdict(load("fibonacci"))
     d = v.certificate.to_json_dict()
     assert d["kind"] == "repetition"
     assert d["n"] == 1 and d["m"] == 2
@@ -221,7 +255,7 @@ def test_inconclusive_on_tiny_pair_budget(monkeypatch):
 
 def test_small_practical_cap_still_finds_fibonacci(monkeypatch):
     monkeypatch.setattr(decider, "PRACTICAL_CAP", 2)
-    v = decide_uniform_recurrence(load("fibonacci"))
+    v = chain_verdict(load("fibonacci"))
     assert v.outcome == UNIFORMLY_RECURRENT
     assert (v.certificate.data["n"], v.certificate.data["m"]) == (1, 2)
 
@@ -242,14 +276,14 @@ def _tampered(verdict, **changes):
 def test_verify_accepts_alternative_valid_levels():
     # in a period-1 chain every (n, n+1) pair is an honest certificate
     sys_ = load("fibonacci")
-    v = decide_uniform_recurrence(sys_)
+    v = chain_verdict(sys_)
     ok, _ = verify_certificate(sys_, _tampered(v, n=2, m=3))
     assert ok
 
 
 def test_verify_rejects_tampered_repetition(monkeypatch):
     sys_ = load("fibonacci")
-    v = decide_uniform_recurrence(sys_)
+    v = chain_verdict(sys_)
     no_power = {k: x for k, x in v.certificate.data.items() if k != "power"}
     for bad in (
         _tampered(v, tau=[[2, 1], [1]]),
@@ -504,7 +538,8 @@ def _x_word(sys_, n):
 )
 def test_verify_rejects_forged_growing_periodic(text, source):
     sys_ = parse_system(text)
-    v = decide_uniform_recurrence(sys_)
+    # the 1x1 stage is primitive, so only the chain issues its periodic
+    v = (chain_verdict if source == "repetition-1x1" else decide_uniform_recurrence)(sys_)
     d = v.certificate.data
     q = d["period"]
     assert d["source"] == source
@@ -574,12 +609,17 @@ def test_constant_coding_settles_upfront():
 
 
 def test_period_above_upfront_qmax_falls_through():
-    # x = (a b^64)^w has period 65, just above UPFRONT_QMAX
+    # x = (a b^64)^w has period 65, just above UPFRONT_QMAX: the upfront
+    # search misses it, sigma is primitive, and the chain certifies it
     assert UPFRONT_QMAX == 64
     image = "a" + " b" * 64
     sys_ = parse_system(f"alphabet: a b\nstart: a\nsigma:\na -> {image}\nb -> {image}\n")
     v = decide_uniform_recurrence(sys_)
     assert v.outcome == UNIFORMLY_RECURRENT
+    assert [t["step"] for t in v.trace] == ["prepare", "primitive"]
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+    v = chain_verdict(sys_)
     assert v.certificate.kind == "periodic"
     assert v.certificate.data["period"] == 65
     assert v.certificate.data["source"] != "upfront"
@@ -591,7 +631,7 @@ def test_verify_bounds_a_forged_chain():
     # the decider drives at most PRACTICAL_CAP levels, so a repetition
     # beyond them is rejected before any chain is walked
     sys_ = parse_system(SINGLETON)
-    v = decide_uniform_recurrence(sys_)
+    v = chain_verdict(sys_)
     t0 = time.perf_counter()
     ok, detail = verify_certificate(sys_, _tampered(v, levels=[1, 10**9]))
     assert time.perf_counter() - t0 < 0.5
@@ -614,7 +654,7 @@ def test_verify_reads_the_u_lengths_once_for_every_power(monkeypatch):
     # |u_1|..|u_m| do not depend on the power: the honest [1, 3] is rebuilt
     # at power 1, and with an added key every low power is tried, on one walk
     sys_ = parse_system(SINGLETON)
-    v = decide_uniform_recurrence(sys_)
+    v = chain_verdict(sys_)
     calls = []
     for name in ("_u_lengths", "_anchored_levels"):
         real = getattr(decider, name)
@@ -629,10 +669,12 @@ def test_verify_reads_the_u_lengths_once_for_every_power(monkeypatch):
 
 def test_singleton_return_table_is_certified_periodic():
     # x = (a b^65)^w: the block-encoded stage repeats a 1x1 descriptor at
-    # levels 1 and 2, which is certified as exact pure periodicity
+    # levels 1 and 2, which is certified as exact pure periodicity.  That
+    # stage has one letter, so the decider settles it `primitive` first
     image = "a" + " b" * 65 + " a"
     sys_ = parse_system(f"alphabet: a b\nstart: a\nsigma:\na -> {image}\nb -> b\n")
-    v = decide_uniform_recurrence(sys_)
+    assert decide_uniform_recurrence(sys_).certificate.kind == "primitive"
+    v = chain_verdict(sys_)
     assert v.outcome == UNIFORMLY_RECURRENT
     assert v.certificate.to_json_dict() == {
         "kind": "periodic",
@@ -699,7 +741,8 @@ def test_anchoring_guard_on_rudin_shapiro_coded():
     level, exit_ = _first_exit(sys2, sheet, 7, anchored=True)
     assert (level, exit_.kind, exit_.unconditional) == (3, "unanchored", False)
 
-    v = decide_uniform_recurrence(sys_)
+    assert decide_uniform_recurrence(sys_).certificate.kind == "primitive"
+    v = chain_verdict(sys_)
     d = v.certificate.data
     assert v.certificate.kind == "repetition"
     assert (d["power"], d["n"], d["m"]) == (3, 4, 5)
@@ -730,7 +773,7 @@ def test_anchoring_guard_on_rudin_shapiro_coded():
 )
 def test_low_power_repetition_matches_full_power(name):
     sys_ = load(name)
-    d = decide_uniform_recurrence(sys_).certificate.data
+    d = chain_verdict(sys_).certificate.data
     stage = _growing_stage(sys_)
     sheet = compute_constant_sheet(stage.staged)
     assert d["power"] < sheet.power_exponent
@@ -747,7 +790,7 @@ def test_low_power_repetition_matches_full_power(name):
 
 # primitive sigma under a 0/1 coding that no low power certifies; the
 # full-power chain runs over 6 s here and ends inconclusive, its work budget
-# being reset at each level
+# being reset at each level.  The primitive check runs before the low pass
 PRIMITIVE_CODED = (
     "alphabet: a b c\nstart: a\ntarget: 0 1\nsigma:\na -> a c c\nb -> a\nc -> c b c\n"
     "phi:\na -> 1\nb -> 0\nc -> 1\n"
@@ -771,7 +814,8 @@ def test_primitive_certificate_before_the_full_power():
     assert v.outcome == UNIFORMLY_RECURRENT
     assert v.certificate.to_json_dict() == {"kind": "primitive", "positivity_power": 3}
     assert v.sheet is not None
-    assert [t["step"] for t in v.trace][-4:] == ["low-power"] * 3 + ["primitive"]
+    assert [t["step"] for t in v.trace] == ["prepare", "primitive"]
+    assert chain_verdict(sys_) is None
     assert v.trace[-1] == {"step": "primitive", "positivity_power": 3}
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
@@ -842,8 +886,8 @@ def test_block_encoding_reads_a_first_cell_of_up_to_4095_letters(k, info):
 
 
 # wide-sweep and random-workload draws whose sheets have K in the thousands:
-# the low-power pass settles each, so neither the decider nor the verifier
-# counts the (K+1)-factors
+# each stage is primitive, and the low-power pass certifies each too, so
+# neither the decider, the chain nor the verifier counts the (K+1)-factors
 COUNT_FREE = {
     # K = 18,794 and p(K+1) = 157,112
     "sweep2_draw15": (
@@ -864,11 +908,15 @@ def test_low_power_verdict_needs_no_factor_count(monkeypatch, name):
     sys_ = parse_system(COUNT_FREE[name])
     v = decide_uniform_recurrence(sys_)
     assert v.outcome == UNIFORMLY_RECURRENT
-    assert v.certificate.kind == "repetition"
-    assert v.sheet.p_factor_count is None and v.sheet.K1 is None and v.sheet.cap is None
+    assert v.certificate.kind == "primitive"
     assert "constants" not in [t["step"] for t in v.trace]
-    ok, detail = verify_certificate(sys_, v)
-    assert ok, detail
+    chain = chain_verdict(sys_)
+    assert chain.certificate.kind == "repetition"
+    for verdict in (v, chain):
+        sheet = verdict.sheet
+        assert sheet.p_factor_count is None and sheet.K1 is None and sheet.cap is None
+        ok, detail = verify_certificate(sys_, verdict)
+        assert ok, detail
 
 
 def _thue_morse_block(j: int) -> str:
@@ -1525,7 +1573,7 @@ def test_decide_and_verify_never_drive_the_full_power(monkeypatch):
     systems = [e.build() for e in entries() if e.expected != "error"]
     systems += [parse_system(t) for t, _, _ in SCAN_SETTLED.values()]
     systems += [parse_system(t) for t in TAIL_SETTLED.values()]
-    systems += [parse_system(t) for t in (CHAIN_ONLY, PRIMITIVE_CODED)]
+    systems += [parse_system(t) for t in (CHAIN_ONLY, PRIMITIVE_CODED, *CHAIN_DRAWS.values())]
     full = []  # P of each growing stage being decided, innermost last
     real_verdict = decider._growing_verdict
 
@@ -1591,15 +1639,18 @@ def test_tail_prefix_can_need_more_than_one_letter():
 
 
 def _low_power_repetitions(systems, work_budget=WORK_BUDGET):
-    """(system the certificate speaks of, verdict) for every low-power
-    `repetition` the decider issues on the given systems."""
+    """(system, system the certificate speaks of, verdict) for every
+    low-power `repetition` of the given systems: the decider's, or on a
+    stage it settles `primitive`, the chain's."""
     out = []
     for sys_ in systems:
         try:
             v = decide_uniform_recurrence(sys_, work_budget=work_budget)
+            if v.certificate is not None and v.certificate.kind == "primitive":
+                v = chain_verdict(sys_, work_budget)
         except MorphrecError:
             continue
-        cert = v.certificate
+        cert = v and v.certificate
         if cert is None or cert.kind != "repetition":
             continue
         if cert.data["power"] < v.sheet.power_exponent:
@@ -1636,7 +1687,7 @@ REPLAY_ACCEPTS = {
 @pytest.mark.parametrize("name", sorted(REPLAY_ACCEPTS))
 def test_local_check_accepts_what_the_replay_accepted(name):
     sys_ = load(name)
-    v = decide_uniform_recurrence(sys_)
+    v = chain_verdict(sys_)
     accepted = set()
     for n in range(1, 7):
         for m in range(n + 1, 7):
