@@ -20,19 +20,15 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from fractions import Fraction
 
-from .decider import (
-    _growing_stage,
-    decide_uniform_recurrence,
-    derive_chain,
-    periodic_checklist,
-    verify_certificate,
-)
+from .certify import periodic_checklist
+from .decider import _growing_stage, decide_uniform_recurrence, derive_chain
 from .errors import InternalConsistencyError, MorphrecError
 from .growth import block_decomposition, growth_type, is_primitive
 from .morphism import classify
 from .oracle import window_ur_check
 from .returns import PRACTICAL_CAP, WORK_BUDGET, return_words_to_word
 from .system import ProlongableSystem, parse_system
+from .verify import verify_certificate
 
 FORMAT_VERSION = 7
 

@@ -76,14 +76,6 @@ def mat_pow(m: Matrix, k: int) -> Matrix:
     return result
 
 
-def mat_positive(m: Matrix) -> bool:
-    return all(v > 0 for row in m for v in row)
-
-
-def mat_colsums(m: Matrix) -> list[int]:
-    return [sum(m[i][j] for i in range(len(m))) for j in range(len(m))]
-
-
 def _bool_row_times(row: int, pattern: list[int]) -> int:
     """Row bitmask times a 0/1 matrix given as row bitmasks."""
     out = 0
@@ -381,39 +373,6 @@ class PerronValue:
     def eq(self, other: "PerronValue") -> bool:
         return self.cmp(other) == 0
 
-    def cmp_rational(self, q) -> int:
-        return self.cmp(PerronValue.from_rational(q))
-
-    # -- arithmetic handles ----------------------------------------------------
-
-    def pow(self, k: int) -> "PerronValue":
-        """Handle for the k-th power of this number."""
-        if k == 1:
-            return self
-        if k < 1:
-            raise ValueError("power must be >= 1")
-        if self.is_exact:
-            return PerronValue.from_rational(self.lo**k)
-        n = len(self.coeffs) - 1
-        companion = tuple(
-            tuple(
-                Fraction(-self.coeffs[n - i], self.coeffs[0]) if j == n - 1 else int(i == j + 1)
-                for j in range(n)
-            )
-            for i in range(n)
-        )
-        coeffs = _squarefree(_charpoly(mat_pow(companion, k)))
-        chain = _sturm(coeffs)
-        base = self
-        while True:
-            lo, hi = sorted((base.lo**k, base.hi**k))
-            if _count_roots(chain, lo, hi) == 1:
-                for end in (lo, hi):
-                    if _sign(coeffs, end) == 0:
-                        return PerronValue(coeffs, end, end)
-                return PerronValue(coeffs, lo, hi)
-            base = base.refined((base.hi - base.lo) / 4)
-
     def midpoint_float(self) -> float:
         return float((self.lo + self.hi) / 2)
 
@@ -435,10 +394,6 @@ class GrowthType:
 
     d: int
     theta: PerronValue
-
-    def less_than(self, other: "GrowthType") -> bool:
-        c = self.theta.cmp(other.theta)
-        return c < 0 or (c == 0 and self.d < other.d)
 
     def eq(self, other: "GrowthType") -> bool:
         return self.d == other.d and self.theta.eq(other.theta)

@@ -107,11 +107,6 @@ class Morphism:
     def is_endomorphism(self) -> bool:
         return self.src.tokens == self.dst.tokens
 
-    def incidence_matrix(self) -> list[list[int]]:
-        """Entry (i, j) counts occurrences of target letter i in the image of source letter j."""
-        chars = self.dst.chars
-        return [[img.count(c) for img in self.images] for c in chars]
-
     @cached_property
     def incidence(self) -> "IncidenceStructure":
         """Incidence analysis of an endomorphism, built once per morphism so
@@ -128,9 +123,6 @@ class Morphism:
         morphism reads one y per start letter, as it shares the incidence
         analysis."""
         return {}
-
-    def as_token_table(self) -> dict[str, list[str]]:
-        return {t: self.image_tokens(t) for t in self.src.tokens}
 
     # -- algebra ---------------------------------------------------------------
 

@@ -285,7 +285,7 @@ class DriverExit:
     recurrence.  An exit carries only its kind, unconditional and message,
     which derive prints; the decider's low pass and return_substitution
     read its kind.  The E1 and gap exits of the decider's exit scan are not
-    driver exits: decider._level_exit builds them as certificates.
+    driver exits: certify._level_exit builds them as certificates.
     """
 
     kind: str

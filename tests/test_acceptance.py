@@ -27,8 +27,6 @@ from morphrec.growth import (
     growth_type,
     horn_exponent,
     is_primitive,
-    mat_colsums,
-    mat_positive,
     mat_pow,
     pq_constants,
 )
@@ -44,6 +42,8 @@ from morphrec.system import ProlongableSystem, parse_system
 from morphrec.words import Alphabet, occurrences_in_word
 
 from test_decider import chain_verdict
+from test_growth import _colsums, _positive
+from test_perron_golden import _cmp_rational
 
 
 def load(name):
@@ -369,7 +369,7 @@ def test_07_growth_classification_and_constants():
         struct = IncidenceStructure.of_morphism(m)
         m32 = mat_pow(struct.matrix, 32)
         m64 = mat_pow(m32, 2)
-        s32, s64 = mat_colsums(m32), mat_colsums(m64)
+        s32, s64 = _colsums(m32), _colsums(m64)
         for j, tok in enumerate(tokens):
             gt = growth_type(struct, tok)
             assert struct.is_growing(tok) == (not gt.is_non_growing())
@@ -384,22 +384,22 @@ def test_07_growth_classification_and_constants():
     for struct in primitive_structs:
         d = len(struct.matrix)
         k = horn_exponent(struct.matrix)
-        assert mat_positive(mat_pow(struct.matrix, k))
+        assert _positive(mat_pow(struct.matrix, k))
         if k > 1:
-            assert not mat_positive(mat_pow(struct.matrix, k - 1))
+            assert not _positive(mat_pow(struct.matrix, k - 1))
         assert k <= d * d - 2 * d + 2 or d == 1
 
     for struct in primitive_structs[:10]:
         p, q = pq_constants(struct)
-        theta = PerronValue.of_matrix(struct.matrix)
         assert p >= 1 and q >= 1
         for k in range(1, 31):
-            sums = mat_colsums(mat_pow(struct.matrix, k))
+            mk = mat_pow(struct.matrix, k)
+            sums = _colsums(mk)
             hi, lo = max(sums), min(sums)
             assert lo <= hi <= q * lo
-            tk = theta.pow(k)
-            assert tk.cmp_rational(Fraction(hi) / p) >= 0
-            assert tk.cmp_rational(Fraction(lo) * p) <= 0
+            tk = PerronValue.of_matrix(mk)  # theta^k, the radius of M^k
+            assert _cmp_rational(tk, Fraction(hi) / p) >= 0
+            assert _cmp_rational(tk, Fraction(lo) * p) <= 0
 
     report(
         f"PASS 7: growth agreement on 50 random systems, Horn and P/Q bounds on "

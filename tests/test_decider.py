@@ -12,27 +12,29 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from morphrec import constants, decider, returns, stream
+from morphrec import certify, constants, decider, returns, stream, verify
 from morphrec.catalog import entries, get
 from morphrec.constants import compute_constant_sheet
+from morphrec.certify import (
+    LOW_POWERS,
+    UPFRONT_QMAX,
+    _connecting_morphism,
+    _prefix_period_candidates,
+    periodic_checklist,
+)
 from morphrec.decider import (
     INCONCLUSIVE,
-    LOW_POWERS,
     NOT_UNIFORMLY_RECURRENT,
     UNIFORMLY_RECURRENT,
-    UPFRONT_QMAX,
     Certificate,
     Verdict,
-    _connecting_morphism,
     _drive_to_level,
     _growing_stage,
-    _prefix_period_candidates,
     decide_uniform_recurrence,
     derive_chain,
-    periodic_checklist,
     prepare,
-    verify_certificate,
 )
+from morphrec.verify import verify_certificate
 from morphrec.errors import (
     BudgetExhausted,
     MorphrecError,
@@ -320,9 +322,9 @@ def test_verify_rejects_tampered_repetition(monkeypatch):
     bound = t * t - 2 * t + 2
     k = v.certificate.data["positivity_power"]
     powers = []
-    real_check = decider.power_is_positive
+    real_check = certify.power_is_positive
     monkeypatch.setattr(
-        decider, "power_is_positive", lambda mat, k: powers.append(k) or real_check(mat, k)
+        certify, "power_is_positive", lambda mat, k: powers.append(k) or real_check(mat, k)
     )
     forged = (10**6, bound + 1, True, 2.0, "2")
     for bad in forged:
@@ -575,14 +577,14 @@ def test_verify_rejects_forged_growing_periodic(text, source):
     for relabelled in sorted(others - {"nongrowing"}):
         data = {k: x for k, x in d.items() if k not in ("levels", "evidence")}
         data["source"] = relabelled
-        if relabelled in decider._PERIOD_SEARCH:
-            data = decider._periodic_certificate(staged, q, relabelled).data
+        if relabelled in certify._PERIOD_SEARCH:
+            data = certify._periodic_certificate(staged, q, relabelled).data
         forged = Verdict(v.outcome, Certificate("periodic", data), None, ())
         ok, detail = verify_certificate(sys_, forged)
         assert not ok, (relabelled, detail)
     # the period 2q with the evidence a search would state for it
     if source != "repetition-1x1":
-        qmax, scan = decider._PERIOD_SEARCH[source]
+        qmax, scan = certify._PERIOD_SEARCH[source]
         candidates = list(range(2 * q, qmax + 1, 2 * q))
         evidence = {"qmax": qmax, "scan_length": scan, "candidates": candidates}
         double = _tampered(v, period=2 * q, word=_x_word(sys_, 2 * q), evidence=evidence)
@@ -657,8 +659,8 @@ def test_verify_reads_the_u_lengths_once_for_every_power(monkeypatch):
     v = chain_verdict(sys_)
     calls = []
     for name in ("_u_lengths", "_anchored_levels"):
-        real = getattr(decider, name)
-        monkeypatch.setattr(decider, name, lambda *a, real=real, name=name: calls.append(name)
+        real = getattr(verify, name)
+        monkeypatch.setattr(verify, name, lambda *a, real=real, name=name: calls.append(name)
                             or real(*a))
     for change, accepted, powers in (({}, True, 1), ({"extra": 5}, False, len(LOW_POWERS))):
         calls.clear()
@@ -1083,7 +1085,8 @@ def test_verify_checks_exit_certificates_locally(monkeypatch):
         sys_ = parse_system(text)
         found.append((sys_, decide_uniform_recurrence(sys_)))
     assert [v.certificate.data["exit"] for _, v in found] == ["E1", "gap", "E1"]
-    _refuse(monkeypatch, decider, "compute_constant_sheet", "build_sigma_U", "_drive_to_level")
+    _refuse(monkeypatch, decider, "compute_constant_sheet", "_drive_to_level")
+    _refuse(monkeypatch, verify, "build_sigma_U")
     _refuse(monkeypatch, constants, "with_factor_count")
     for sys_, v in found:
         ok, detail = verify_certificate(sys_, v)
@@ -1293,13 +1296,13 @@ def _brute_exit_scan(staged, K):
     """The exit scan by definition, from every occurrence of each prefix,
     on each prefix length of the doubling schedule in turn; (hit or None,
     whether the letters charged ran out)."""
-    spent, length = 0, decider.SCAN_FIRST
-    while length <= decider.SCAN_LETTERS:
+    spent, length = 0, certify.SCAN_FIRST
+    while length <= certify.SCAN_LETTERS:
         x = stream.FixedPointStream(staged, "x").prefix_chars(length)
         size, level = 1, 1
         while (K + 1) * size <= length:
             spent += length
-            if spent > decider.SCAN_WORK:
+            if spent > certify.SCAN_WORK:
                 return None, True
             occ = occurrences_in_word(x, x[:size])
             if len(occ) < 2 or occ[1] > K * size:
@@ -1316,16 +1319,16 @@ def _brute_exit_scan(staged, K):
 def test_exit_scan_matches_its_definition(monkeypatch, K):
     # small K puts E1 windows and gap bounds right at the returns of x; small
     # bounds keep the brute reference fast and make every bound bind
-    monkeypatch.setattr(decider, "SCAN_FIRST", 1 << 4)
-    monkeypatch.setattr(decider, "SCAN_LETTERS", 1 << 10)
-    monkeypatch.setattr(decider, "SCAN_WORK", 1 << 15)
+    monkeypatch.setattr(certify, "SCAN_FIRST", 1 << 4)
+    monkeypatch.setattr(certify, "SCAN_LETTERS", 1 << 10)
+    monkeypatch.setattr(certify, "SCAN_WORK", 1 << 15)
     texts = list(test_fuzz.SYSTEMS) + [t for t, _, _ in SCAN_SETTLED.values()] + [FULL_POWER_UR]
     hits = late = spent = 0
     for text in texts:
         stage = _growing_stage(parse_system(text))
         if stage is None:
             continue
-        got = decider._exit_scan(stage.staged, K)
+        got = certify._exit_scan(stage.staged, K)
         if got is not None:
             d = got.data
             level, size = d["level"], d["u_length"]
@@ -1333,7 +1336,7 @@ def test_exit_scan_matches_its_definition(monkeypatch, K):
                 (tuple(d["evidence"]["positions"]),) if d["exit"] == "gap" else ()
             )
             hits += 1
-            late += (K + 1) * size > decider.SCAN_FIRST
+            late += (K + 1) * size > certify.SCAN_FIRST
         want, ran_out = _brute_exit_scan(stage.staged, K)
         assert got == want, text
         spent += ran_out
@@ -1344,8 +1347,8 @@ def test_exit_scan_matches_its_definition(monkeypatch, K):
 
 def test_exit_scan_is_silent_on_uniformly_recurrent_inputs(monkeypatch):
     # a scan with no hit runs to its bounds; smaller ones keep this test fast
-    monkeypatch.setattr(decider, "SCAN_LETTERS", 1 << 16)
-    monkeypatch.setattr(decider, "SCAN_WORK", 1 << 20)
+    monkeypatch.setattr(certify, "SCAN_LETTERS", 1 << 16)
+    monkeypatch.setattr(certify, "SCAN_WORK", 1 << 20)
     systems = [e.build() for e in entries() if e.expected == "ur"]
     for text in test_fuzz.SYSTEMS:
         sys_ = parse_system(text)
@@ -1363,7 +1366,7 @@ def test_exit_scan_is_silent_on_uniformly_recurrent_inputs(monkeypatch):
             sheet = constants.compute_count_free_sheet(stage.staged)
         except MorphrecError:
             continue
-        assert decider._exit_scan(stage.staged, sheet.K) is None, sys_
+        assert certify._exit_scan(stage.staged, sheet.K) is None, sys_
         scanned += 1
     assert scanned >= 40, scanned
 
@@ -1439,8 +1442,8 @@ def test_full_power_ur_settles_without_the_chain(monkeypatch):
         "j": 1,
         "m": 1,
     }
-    _refuse(monkeypatch, decider, "compute_count_free_sheet", "compute_constant_sheet",
-            "build_sigma_U", "_drive_to_level")
+    _refuse(monkeypatch, decider, "compute_constant_sheet", "_drive_to_level")
+    _refuse(monkeypatch, verify, "compute_count_free_sheet", "build_sigma_U")
     ok, detail = verify_certificate(sys_, v)
     assert ok, detail
 
@@ -1551,19 +1554,19 @@ def test_tail_search_finds_no_chain_on_non_ur_inputs():
         stage = _growing_stage(parse_system(text))
         if stage is None:
             continue
-        tail = decider._transient_tail(stage.staged)
+        tail = certify._transient_tail(stage.staged)
         if tail is not None and tail.sub.incidence.primitive_exponent is not None:
             searched += 1
-        assert decider._tail_certificate(stage.staged) is None, text
+        assert certify._tail_certificate(stage.staged) is None, text
     assert searched >= 6, searched
 
 
 @pytest.mark.parametrize("text", [CHAIN_ONLY, SWEEP3_DRAW101])
 def test_tail_search_without_a_chain(text):
     staged = _growing_stage(parse_system(text)).staged
-    tail = decider._transient_tail(staged)
+    tail = certify._transient_tail(staged)
     assert tail is not None and tail.sub.incidence.primitive_exponent is not None
-    assert decider._tail_certificate(staged) is None
+    assert certify._tail_certificate(staged) is None
 
 
 def test_decide_and_verify_never_drive_the_full_power(monkeypatch):
@@ -1607,7 +1610,7 @@ def test_decide_and_verify_never_drive_the_full_power(monkeypatch):
         kinds.add(v.certificate.kind)
         ok, detail = verify_certificate(sys_, v)
         assert ok, (v.certificate.data, detail)
-    assert kinds == set(decider._CERT_OUTCOME), kinds
+    assert kinds == set(verify._CERT_OUTCOME), kinds
 
 
 def test_verify_rejects_exit_kinds_it_does_not_check():
@@ -1627,15 +1630,15 @@ def test_tail_prefix_can_need_more_than_one_letter():
     staged = _growing_stage(
         parse_system("alphabet: a b c\nstart: a\nsigma:\na -> a c b\nb -> c b\nc -> c c b\n")
     ).staged
-    tail = decider._transient_tail(staged)
+    tail = certify._transient_tail(staged)
     enc = staged.alphabet.encode
-    assert decider._tail_prefix(staged, enc(["b", "c"]), 1) == 2
-    assert decider._tail_prefix(staged, enc(["c", "b"]), 1) == 1
+    assert certify._tail_prefix(staged, enc(["b", "c"]), 1) == 2
+    assert certify._tail_prefix(staged, enc(["c", "b"]), 1) == 1
     # sigma(b) = c b does not end with b w
-    assert decider._tail_prefix(staged, enc(["b"]), 1) is None
+    assert certify._tail_prefix(staged, enc(["b"]), 1) is None
     k = tail.sub.incidence.primitive_exponent
-    assert decider._in_tail_language(tail, enc(["b", "c"]), k)
-    assert not decider._in_tail_language(tail, enc(["b", "b"]), k)
+    assert certify._in_tail_language(tail, enc(["b", "c"]), k)
+    assert not certify._in_tail_language(tail, enc(["b", "b"]), k)
 
 
 def _low_power_repetitions(systems, work_budget=WORK_BUDGET):
@@ -1663,11 +1666,12 @@ def test_low_power_repetition_verifies_locally(monkeypatch):
     systems = [e.build() for e in entries()] + [parse_system(t) for t in COUNT_FREE.values()]
     found = _low_power_repetitions(systems)
     assert len(found) == 23
-    _refuse(monkeypatch, decider, "compute_count_free_sheet", "compute_constant_sheet")
+    _refuse(monkeypatch, decider, "compute_constant_sheet")
+    _refuse(monkeypatch, verify, "compute_count_free_sheet")
     _refuse(monkeypatch, constants, "with_factor_count")
     calls = []
-    real = decider.build_sigma_U
-    monkeypatch.setattr(decider, "build_sigma_U", lambda *a, **k: calls.append(1) or real(*a, **k))
+    real = verify.build_sigma_U
+    monkeypatch.setattr(verify, "build_sigma_U", lambda *a, **k: calls.append(1) or real(*a, **k))
     for sys_, _, v in found:
         calls.clear()
         ok, detail = verify_certificate(sys_, v)
@@ -1711,10 +1715,10 @@ def test_local_check_builds_the_replayed_descriptors():
         sys_pow = stage.staged.with_sigma_power(d["power"])
         levels = dict(decider._levels(sys_pow, d["power"], sheet, d["m"], WORK_BUDGET))
         assert not any(isinstance(res, DriverExit) for res in levels.values())
-        lengths = decider._u_lengths(stage.staged, d["m"])
+        lengths = verify._u_lengths(stage.staged, d["m"])
         assert lengths == [len(levels[k].u) for k in range(1, d["m"] + 1)], d
         sizes = (lengths[d["n"] - 1], lengths[d["m"] - 1])
-        low, high = decider._anchored_levels(stage, d["power"], sizes)
+        low, high = verify._anchored_levels(stage, d["power"], sizes)
         assert (low, high) == (levels[d["n"]], levels[d["m"]]), d
 
 
@@ -1739,11 +1743,11 @@ def test_the_chain_path_converts_no_word(monkeypatch):
         n, m, power = d["n"], d["m"], d["power"]
         sys_pow = stage.staged.with_sigma_power(power)
         levels = dict(decider._levels(sys_pow, power, sheet, m, WORK_BUDGET))
-        lengths = decider._u_lengths(stage.staged, m)
-        low, high = decider._anchored_levels(stage, power, (lengths[n - 1], lengths[m - 1]))
+        lengths = verify._u_lengths(stage.staged, m)
+        low, high = verify._anchored_levels(stage, power, (lengths[n - 1], lengths[m - 1]))
         assert (low, high) == (levels[n], levels[m]), d
         assert [list(img) for img in _connecting_morphism(low, high)] == d["tau"]
-        cert = decider._certify_repetition(sys_pow, power, n, m, low, high)
+        cert = certify._certify_repetition(sys_pow, power, n, m, low, high)
         assert cert.data == {k: x for k, x in d.items() if k != "via"}
 
 
@@ -1766,7 +1770,7 @@ def test_the_decide_path_converts_no_word_outside_the_checklist(monkeypatch):
         raise AssertionError("a word was converted between tokens and internal strings")
 
     inside = []
-    checklist = decider.periodic_checklist
+    checklist = certify.periodic_checklist
     encode = Alphabet.encode
 
     def counted_checklist(*args):
@@ -1784,7 +1788,7 @@ def test_the_decide_path_converts_no_word_outside_the_checklist(monkeypatch):
     monkeypatch.setattr(Morphism, "image_tokens", refuse)
     monkeypatch.setattr(Morphism, "from_tokens", refuse)
     monkeypatch.setattr(Alphabet, "encode", guarded_encode)
-    monkeypatch.setattr(decider, "periodic_checklist", counted_checklist)
+    monkeypatch.setattr(certify, "periodic_checklist", counted_checklist)
     assert [outcome(sys_) for sys_ in systems] == want
 
 

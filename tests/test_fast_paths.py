@@ -20,11 +20,11 @@ from hypothesis import strategies as st
 
 from morphrec import catalog, decider
 from morphrec.constants import compute_constant_sheet, compute_R_sigma
+from morphrec.certify import finite_letter_witness
 from morphrec.decider import (
     UNIFORMLY_RECURRENT,
     _growing_stage,
     decide_uniform_recurrence,
-    finite_letter_witness,
     verify_certificate,
 )
 from morphrec.errors import AlphabetMismatch, MorphrecError, NotPrimitive, PreconditionViolated
@@ -35,10 +35,8 @@ from morphrec.growth import (
     IncidenceStructure,
     PerronValue,
     horn_exponent,
-    mat_colsums,
     mat_from,
     mat_mul,
-    mat_positive,
     mat_pow,
 )
 from morphrec.morphism import Morphism
@@ -53,6 +51,8 @@ from morphrec.stream import (
 from morphrec.system import ProlongableSystem, parse_system
 from morphrec.words import Alphabet
 
+from test_growth import _colsums, _positive
+from test_perron_golden import _cmp_rational
 from test_stream import _iterate
 
 LETTERS = "abcd"
@@ -71,12 +71,17 @@ def endomorphisms(draw, max_letters=4, max_image=3, allow_empty=True):
     return Morphism.from_tokens(alpha, alpha, table)
 
 
+def _incidence(m: Morphism):
+    """Entry (i, j) counts the occurrences of letter i in the image of j."""
+    return mat_from([[img.count(c) for img in m.images] for c in m.dst.chars])
+
+
 @st.composite
 def start_prefixed(draw, allow_empty=True, max_image=3):
     """Endomorphisms where sigma(a) = a ... usually; the rest may erase.
     Without empty images, sigma(a) = a u with u non-empty."""
     m = draw(endomorphisms(allow_empty=allow_empty, max_image=max_image))
-    table = m.as_token_table()
+    table = {t: m.image_tokens(t) for t in m.src.tokens}
     if draw(st.booleans()) or not allow_empty:
         rest = draw(st.lists(st.sampled_from(m.src.tokens), min_size=0 if allow_empty else 1, max_size=3))
         table["a"] = ["a"] + rest
@@ -89,7 +94,7 @@ def start_prefixed(draw, allow_empty=True, max_image=3):
 @given(start_prefixed())
 def test_is_prolongable_matches_growth_type(sigma):
     img = sigma.image("a")
-    fresh = IncidenceStructure(sigma.src, mat_from(sigma.incidence_matrix()))
+    fresh = IncidenceStructure(sigma.src, _incidence(sigma))
     want = len(img) >= 2 and img[0] == sigma.src.char("a") and fresh.is_growing("a")
     assert ProlongableSystem(sigma, "a").is_prolongable() == want
 
@@ -106,9 +111,9 @@ def test_is_prolongable_erasing_systems():
 
 @given(endomorphisms(), st.lists(st.integers(0, 12), min_size=1, max_size=8))
 def test_lengths_after_matches_matrix_power_in_any_order(sigma, ks):
-    inc = IncidenceStructure(sigma.src, mat_from(sigma.incidence_matrix()))
+    inc = IncidenceStructure(sigma.src, _incidence(sigma))
     for k in ks:
-        assert inc.lengths_after(k) == mat_colsums(mat_pow(inc.matrix, k))
+        assert inc.lengths_after(k) == _colsums(mat_pow(inc.matrix, k))
 
 
 def test_lengths_after_returns_a_copy(fib):
@@ -170,14 +175,14 @@ def test_perron_cmp_identical_and_equal_handles(a, b):
 
 def test_perron_cmp_rational_exact_cases():
     golden = PerronValue.of_matrix([[1, 1], [1, 0]])  # (1 + sqrt 5) / 2
-    assert golden.cmp_rational(Fraction(8, 5)) == 1
-    assert golden.cmp_rational(Fraction(13, 8)) == -1
+    assert _cmp_rational(golden, Fraction(8, 5)) == 1
+    assert _cmp_rational(golden, Fraction(13, 8)) == -1
     two = PerronValue.of_matrix([[1, 1], [1, 1]])
-    assert two.is_exact and two.cmp_rational(2) == 0
+    assert two.is_exact and _cmp_rational(two, 2) == 0
     # an interval endpoint that is the root itself
     root_at_lo = PerronValue((1, -3, 2), Fraction(2), Fraction(5, 2))  # x^2 - 3x + 2
-    assert root_at_lo.cmp_rational(2) == 0
-    assert root_at_lo.cmp_rational(Fraction(9, 4)) == -1
+    assert _cmp_rational(root_at_lo, 2) == 0
+    assert _cmp_rational(root_at_lo, Fraction(9, 4)) == -1
 
 
 # -- the prefix cache past _CHUNK letters --------------------------------------------
@@ -312,7 +317,7 @@ def test_is_growing_matches_growth_type(matrix):
         if by_perron.scc_trivial[sid]:
             assert by_class.scc_radius[sid] == RADIUS_ZERO
         else:
-            assert by_class.scc_radius[sid] == expected_class[perron.cmp_rational(1)]
+            assert by_class.scc_radius[sid] == expected_class[_cmp_rational(perron, 1)]
 
 
 def test_is_growing_cases():
@@ -336,7 +341,7 @@ def _horn_on_integers(matrix) -> int:
     d = len(m)
     acc = m
     for k in range(1, d * d - 2 * d + 3):
-        if mat_positive(acc):
+        if _positive(acc):
             return k
         acc = mat_mul(acc, m)
     raise NotPrimitive("no positive power")

@@ -7,12 +7,13 @@ from morphrec.growth import (
     IncidenceStructure,
     growth_type,
     incidence,
-    mat_colsums,
     mat_pow,
 )
 from morphrec.morphism import Morphism, compose, power
 from morphrec.system import ProlongableSystem, parse_system, system_to_text
 from morphrec.words import Alphabet, factor_set, occurrences_in_word
+
+from test_growth import _colsums
 
 LETTERS = "abcd"
 
@@ -54,7 +55,7 @@ def test_compose_is_associative(f, g, h):
 def test_power_column_sums_are_image_lengths(m, k):
     pk = power(m, k)
     mat = mat_pow(incidence(m).matrix, k)
-    sums = mat_colsums(mat)
+    sums = _colsums(mat)
     for j, tok in enumerate(m.src.tokens):
         assert len(pk.image(tok)) == sums[j]
     assert incidence(pk).matrix == mat
@@ -74,7 +75,7 @@ def test_growth_classification_agrees_with_iteration(m):
     struct = IncidenceStructure.of_morphism(m)
     m32 = mat_pow(struct.matrix, 32)
     m64 = mat_pow(m32, 2)
-    s32, s64 = mat_colsums(m32), mat_colsums(m64)
+    s32, s64 = _colsums(m32), _colsums(m64)
     for j, tok in enumerate(m.src.tokens):
         gt = growth_type(struct, tok)
         assert struct.is_growing(tok) == (not gt.is_non_growing())
