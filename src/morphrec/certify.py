@@ -31,6 +31,21 @@ uniformly recurrent (Queffelec, "Substitution Dynamical Systems", LNM 1294,
 1987).  A letter-to-letter image of a uniformly recurrent sequence is
 uniformly recurrent.  This uses no constant of the sheet either.
 
+Why a `primitive` certificate with "via": "token-stage" is sound: a
+bounded-block encoding (decider._encode_bounded_blocks) presents x as
+phi'(y'), with y' the fixed point of the token sigma' from token 1 and phi'
+sending each token (a cell and the growing letter after it) to phi of its
+cell; it keeps x letter for letter by construction, and checks so on a
+prefix.  A cell holds a growing letter and phi is a coding on every stage,
+so phi' is non-erasing.  If some power M'^k of the incidence matrix M' of
+sigma' is positive, sigma' is primitive and y' is uniformly recurrent
+(Queffelec, LNM 1294).  A factor w of x lies within phi'(u) for a factor u
+of y' of at most |w| letters, u recurs in y' within some G letters, so w
+recurs in x within G max|phi'(t)| letters: x is uniformly recurrent.  This
+is the image shortcut's argument (decider._image_shortcut) on the token
+system, so it needs neither the blow-up that would make phi' a coding nor
+any constant.
+
 The exit scan walks the u-chain's prefixes by the chain rule, on prefixes
 of x that double from SCAN_FIRST to SCAN_LETTERS letters (the bound on
 every E1 scan, stated in returns.py) and within SCAN_WORK letters searched,
@@ -511,6 +526,17 @@ def _primitive_certificate(staged: ProlongableSystem) -> Certificate | None:
     if k is None or staged.effective_phi.max_image_len != 1:
         return None
     return Certificate(kind="primitive", data={"positivity_power": k})
+
+
+def _token_certificate(tokens: ProlongableSystem) -> Certificate | None:
+    """The `primitive` certificate of a bounded-block encoding read on its
+    token system, before any blow-up: sigma' primitive and phi' non-erasing,
+    else None (see the module docstring for why it implies uniform
+    recurrence)."""
+    k = tokens.incidence.primitive_exponent
+    if k is None or tokens.effective_phi.is_erasing:
+        return None
+    return Certificate(kind="primitive", data={"positivity_power": k, "via": "token-stage"})
 
 
 @dataclass(frozen=True)

@@ -30,7 +30,7 @@ from .returns import PRACTICAL_CAP, WORK_BUDGET, return_words_to_word
 from .system import ProlongableSystem, parse_system
 from .verify import verify_certificate
 
-FORMAT_VERSION = 7
+FORMAT_VERSION = 8
 
 
 # ---------------------------------------------------------------------------

@@ -10,13 +10,22 @@ repetition detection; systems with bounded letters go through the
 pumping-word branch.  Verdicts carry machine-checkable certificates, built
 by the builders of certify.py and checked by verify.py.
 
-One stage walk, `_stages`, serves the decider and the verifier alike.  It
+One stage walk, `_walk`, serves the decider and the verifier alike.  It
 yields the prepared input and then, while a stage has bounded letters and
 no pumping witness, that stage's bounded-block encoding, at most
 MAX_ENCODE_HOPS times.  The decider settles the first stage it can (a
 letter that occurs finitely often, the growing branch or a pumping
 verdict); the verifier, `derive_chain` and the CLI replay the same walk, so
 a certificate is checked on the very stage it was issued for.
+
+The decider's walk also checks each encoding on its token system, before
+`prepare` blows its outer morphism up into a coding (k + 1 letters for
+a -> a b^k a, b -> b): when the token sigma is primitive, x is settled
+`primitive` there, with "via": "token-stage" and no sheet.  The verifier
+walks as far as that token system and rebuilds the certificate with the
+same builder; `_growing_stage`, `derive_chain` and the verifier of every
+other certificate walk the prepared stages (`_stages`).  A preimage of the
+image shortcut settled so gets "via": ["preimage", "token-stage"].
 
 The growing branch first builds the constant sheet without the factor count
 p(K+1).  When the sheet raises, a stage that no period of up to 1024 letters
@@ -64,7 +73,8 @@ from .certify import (
     _PERIOD_SEARCH, _SHEET_UNAVAILABLE, LOW_POWERS, NOT_UNIFORMLY_RECURRENT,
     UNIFORMLY_RECURRENT, Certificate, _certify_repetition, _exit_scan, _letter_certificate,
     _periodic_certificate, _primitive_certificate, _pumping_certificate, _pumping_witness,
-    _tail_certificate, periodic_checklist, pure_period_check, resolve_periodicity,
+    _tail_certificate, _token_certificate, periodic_checklist, pure_period_check,
+    resolve_periodicity,
 )
 from .constants import ConstantSheet, compute_constant_sheet, compute_count_free_sheet
 from .errors import (
@@ -376,13 +386,16 @@ def _nongrowing_verdict(stage: PreparedSystem, trace: list[dict]) -> Verdict:
 # the stage walk
 
 
-def _stages(sys: ProlongableSystem, trace: list[dict]):
+def _walk(sys: ProlongableSystem, trace: list[dict], token_stage: bool):
     """The one stage walk of the decider and the verifier.
 
     Yields the prepared input; then, while a stage is non-growing and has no
     pumping witness, block-encodes it and yields the prepared encoding, at
     most MAX_ENCODE_HOPS times.  A walk that ends on such a stage records why
-    in an unresolved `nongrowing` trace step.
+    in an unresolved `nongrowing` trace step.  With token_stage set, an
+    encoding whose token system `_token_certificate` settles ends the walk
+    before it is prepared: the walk yields that certificate in place of the
+    stage, so the coding blow-up of the token system is never built.
     """
     stage = prepare(sys, trace)
     yield stage
@@ -396,9 +409,18 @@ def _stages(sys: ProlongableSystem, trace: list[dict]):
             trace.append({"step": "nongrowing", "status": "unresolved", "reason": str(e)})
             return
         trace.append({"step": "block-encode", **info})
+        cert = _token_certificate(encoded) if token_stage else None
+        if cert is not None:
+            yield cert
+            return
         stage = prepare(encoded, trace)
         hops += 1
         yield stage
+
+
+def _stages(sys: ProlongableSystem, trace: list[dict]):
+    """The prepared stages of the walk with no token stage."""
+    return _walk(sys, trace, False)
 
 
 def _growing_stage(sys: ProlongableSystem) -> PreparedSystem | None:
@@ -458,7 +480,8 @@ def _image_shortcut(sys: ProlongableSystem, work_budget: int, trace: list[dict])
         )
         return None
     data = dict(sub.certificate.data)
-    data["via"] = "preimage"
+    # a preimage settled on its token stage names both steps, in order
+    data["via"] = ["preimage", data["via"]] if "via" in data else "preimage"
     trace.append({"step": "image-shortcut", "status": "resolved"})
     return Verdict(
         UNIFORMLY_RECURRENT, Certificate(sub.certificate.kind, data), sub.sheet, tuple(trace)
@@ -466,7 +489,10 @@ def _image_shortcut(sys: ProlongableSystem, work_budget: int, trace: list[dict])
 
 
 def _decide(sys: ProlongableSystem, work_budget: int, trace: list[dict]) -> Verdict:
-    for stage in _stages(sys, trace):
+    for stage in _walk(sys, trace, True):
+        if isinstance(stage, Certificate):  # a token system that settles x
+            trace.append({"step": "primitive", **stage.data})
+            return Verdict(UNIFORMLY_RECURRENT, stage, None, tuple(trace))
         cert = _letter_certificate(stage.staged)
         if cert is not None:
             return Verdict(NOT_UNIFORMLY_RECURRENT, cert, None, tuple(trace))

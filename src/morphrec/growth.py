@@ -260,7 +260,10 @@ class PerronValue:
         The interval is canonical: exact when theta is an integer, else
         [floor(theta), floor(theta) + 1] when no other root lies in it, else
         the first dyadic half-interval around theta that holds no other root.
+        A 1x1 matrix is read off at once: its one root is its entry.
         """
+        if len(rows) == 1:
+            return PerronValue.from_rational(rows[0][0])
         coeffs = _squarefree(_charpoly(mat_from(rows)))
         chain = _sturm(coeffs)
         # the poly is monic: every root lies strictly inside its Cauchy bound

@@ -78,6 +78,12 @@ class ProlongableSystem:
         return ImageCache(self.effective_phi.apply(self.alphabet.char(self.start)), 1)
 
     def is_prolongable(self) -> bool:
+        return self._prolongable
+
+    @cached_property
+    def _prolongable(self) -> bool:
+        """Whether sigma is prolongable on the start letter, read once per
+        system object."""
         img = self.sigma.image(self.start)
         if len(img) < 2 or img[0] != self.alphabet.char(self.start):
             return False

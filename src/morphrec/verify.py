@@ -35,7 +35,11 @@ its E1 window, read off consecutive lengths.  The rebuilt gap is the first
 of x at that level, so a certificate that names a later one differs.  A
 `letter` exit is rebuilt on the first stage with a witness, a
 `periodic_mismatch` or pumping-branch `periodic` from the last stage's own
-witness and pumping word.
+witness and pumping word.  A `primitive` with "via": "token-stage" is
+rebuilt by the stage walk run with its token stage, which ends where the
+decider's walk ended, at the first token system that `_token_certificate`
+settles; that system is never prepared, so its coding blow-up is not built
+here either.
 """
 
 from __future__ import annotations
@@ -280,7 +284,7 @@ def _checked(cert: Certificate) -> dict:
 
 def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tuple[bool, dict]:
     # a runtime import: the decider imports this module to bind verify_certificate
-    from .decider import _preimage_system, _stages
+    from .decider import _preimage_system, _walk
 
     expected = _CERT_OUTCOME.get(cert.kind)
     if expected is None:
@@ -290,14 +294,23 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
             "reason": f"a {cert.kind} certificate implies {expected}, "
             f"but the verdict claims {verdict.outcome}"
         }
-    if cert.data.get("via") == "preimage":
+    via = cert.data.get("via")
+    if via in ("preimage", ["preimage", "token-stage"]):
         inner = _preimage_system(sys)
         if inner is None:
             return False, {"reason": "preimage shortcut does not apply to this system"}
         stripped = {k: x for k, x in cert.data.items() if k != "via"}
+        if via != "preimage":  # the preimage settled on its token stage
+            stripped["via"] = via[1]
         return _verify(inner, verdict, Certificate(cert.kind, stripped))
     try:
-        rebuilt = _rebuild(list(_stages(sys, [])), cert)
+        # with a token stage, the walk ends at the first token system that
+        # settles, as the decider's does, before that system is prepared
+        stages = list(_walk(sys, [], via == "token-stage"))
+        if via == "token-stage":
+            rebuilt = stages[-1] if isinstance(stages[-1], Certificate) else None
+        else:
+            rebuilt = _rebuild(stages, cert)
     except _Rejected as e:
         return False, {"reason": str(e)}
     if rebuilt is None:

@@ -8,6 +8,10 @@ A speed-up that changes any of these bytes changed a verdict, a certificate
 or a constant.  The entries with a primitive stage were re-pinned once, when
 the decider began to settle such a stage `primitive` before the low-power
 chain: their certificate kind and trace changed, their constants did not.
+case1_comb and chacon_padded were re-pinned once more, when the decider
+began to settle a block-encoded stage on its token system: their
+certificate gained "via": "token-stage", their trace lost the prepare step
+of the blown-up stage, and their constants became null.
 """
 
 import hashlib
@@ -23,9 +27,9 @@ from morphrec.system import parse_system
 GOLDEN = {
     "blown_fib": "e7f35bbe156ad3e3ffd0974b7c6ff9965869d0b28f421a13d793e6daa464c4ef",
     "blown_nonur": "7ccbf8a498f21f4a7886b629038b5a128c775e11b9709f4e82dde76d0417698c",
-    "case1_comb": "6b994d67ea2465784b89c4a7ec297825a960d393e8ab3c90be3ebbd662a91f8d",
+    "case1_comb": "de5fb4eccbe13ef21fb7607112f90b4b5f32194e5686d154607eac753627c946",
     "chacon3": "0871608d4fe79802a3934b324c7be5b0e7073fb95b4e6910d2df0a6d274e1d08",
-    "chacon_padded": "8b0c5b9afe46b81fdf7db289fec891d57f709d5dc7f2f440e78f3a5ccf804c76",
+    "chacon_padded": "2028b00b520a56850515650a6b509295831f3eac4807b89e963ac12ba3e7fe53",
     "cycle_tail": "3df0449f58d02b5d7d931cab03bdea93bc92873b352b28bdce75aeb6d78e9a48",
     "cycle_tail_const": "db2f89268745ab8813b261f1098b7662b7f428308a5aa5cb08ecc3b110be4874",
     "erasing_sigma": "error:NormalizationUnsupported",

@@ -9,7 +9,7 @@ import pytest
 
 from morphrec import decider
 from morphrec.catalog import get
-from morphrec.cli import main
+from morphrec.cli import FORMAT_VERSION, main
 from morphrec.decider import Certificate, Verdict, verify_certificate
 
 
@@ -111,7 +111,7 @@ def test_decide_ur_json_envelope(capsys, fib_file, chain_file):
         code, out, _ = run(capsys, "decide-ur", "--json", path)
         assert code == 0
         env = json.loads(out)
-        assert env["format"] == 7
+        assert env["format"] == 8
         assert env["command"] == "decide-ur"
         assert env["input"] == path
         assert env["verdict"] == "uniformly_recurrent"
@@ -124,7 +124,7 @@ def test_an_issued_repetition_envelope_still_verifies(capsys, tmp_path, monkeypa
     # fibonacci's `decide-ur --json` envelope as issued when the low-power
     # chain ran before the primitive check: a format-7 repetition, which
     # must keep verifying.  Today's envelope differs only in the
-    # certificate and the trace
+    # certificate, the trace and the format
     issued = json.loads((Path(__file__).parent / "fibonacci_repetition_envelope.json").read_text())
     data = dict(issued["certificate"])
     kind = data.pop("kind")
@@ -137,7 +137,8 @@ def test_an_issued_repetition_envelope_still_verifies(capsys, tmp_path, monkeypa
     code, out, _ = run(capsys, "decide-ur", "--json", issued["input"])
     env = json.loads(out)
     assert code == 0 and env["certificate"]["kind"] == "primitive"
-    for key in ("certificate", "trace"):
+    assert env["format"] == FORMAT_VERSION
+    for key in ("certificate", "trace", "format"):
         env.pop(key), issued.pop(key)
     assert env == issued
 

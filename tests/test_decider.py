@@ -869,17 +869,28 @@ def test_head_cells_are_the_first_two_cells_of_y():
         assert want[1].startswith(head[1]) or head[1].startswith(want[1])
 
 
+def _comb(k: int) -> str:
+    """a -> a b^k a, b -> b: x = (a b^k)^omega, whose blown-up stage has
+    k + 1 letters, and whose token system is T -> T T."""
+    return f"alphabet: a b\nstart: a\nsigma:\na -> a {' '.join('b' * k)} a\nb -> b\n"
+
+
 @pytest.mark.parametrize(
     "k,info",
     [(4094, {"tokens": 1, "power": 1}), (4095, None), (4100, None)],
 )
 def test_block_encoding_reads_a_first_cell_of_up_to_4095_letters(k, info):
-    # x = (a b^k)^omega has its period above UPFRONT_QMAX, and deciding it
-    # slows down fast with k, so only the encoding is called here
-    text = f"alphabet: a b\nstart: a\nsigma:\na -> a {' '.join('b' * k)} a\nb -> b\n"
-    staged = prepare(parse_system(text)).staged
+    # x = (a b^k)^omega has its period above UPFRONT_QMAX; the one token
+    # T -> T T is primitive, so a system the encoding takes is settled on
+    # its token stage
+    sys_ = parse_system(_comb(k))
+    staged = prepare(sys_).staged
     if info is not None:
         assert decider._encode_bounded_blocks(staged)[1] == info
+        v = decide_uniform_recurrence(sys_)
+        assert v.certificate.data == {"positivity_power": 1, "via": "token-stage"}
+        ok, detail = verify_certificate(sys_, v)
+        assert ok, detail
     else:
         with pytest.raises(
             WitnessSearchExhausted, match="^could not read two cells from the fixed point$"
@@ -912,6 +923,14 @@ def test_low_power_verdict_needs_no_factor_count(monkeypatch, name):
     assert v.outcome == UNIFORMLY_RECURRENT
     assert v.certificate.kind == "primitive"
     assert "constants" not in [t["step"] for t in v.trace]
+    if v.certificate.data.get("via") == "token-stage":
+        # settled on its token system with no sheet: the sheet is read off
+        # the growing branch on the block stage itself
+        assert v.sheet is None
+        ok, detail = verify_certificate(sys_, v)
+        assert ok, detail
+        v = decider._growing_verdict(_growing_stage(sys_), WORK_BUDGET, [])
+        assert v.certificate.kind == "primitive"
     chain = chain_verdict(sys_)
     assert chain.certificate.kind == "repetition"
     for verdict in (v, chain):
@@ -1834,6 +1853,86 @@ def test_verify_rejects_primitive_on_a_pumping_branch_system():
     ok, detail = verify_certificate(sys_, _primitive_verdict(v, {"positivity_power": 1}))
     assert not ok
     assert "pumping-branch" in detail["reason"]
+
+
+# -- the token stage -------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [64, 65, 200, 1000, 4094])
+def test_the_comb_family_settles_on_its_token_stage(monkeypatch, k):
+    # neither deciding nor verifying prepares the (k+1)-letter blow-up: the
+    # input is the one system either prepares
+    sys_ = parse_system(_comb(k))
+    prepared = []
+    real = decider.prepare
+    monkeypatch.setattr(
+        decider, "prepare", lambda s, trace=None: prepared.append(s) or real(s, trace)
+    )
+    v = decide_uniform_recurrence(sys_)
+    assert v.outcome == UNIFORMLY_RECURRENT and v.sheet is None
+    assert v.certificate.to_json_dict() == {
+        "kind": "primitive", "positivity_power": 1, "via": "token-stage",
+    }
+    assert v.trace == (
+        {"step": "prepare", "letters": 2, "r_sigma": 1, "normalized": False},
+        {"step": "block-encode", "tokens": 1, "power": 1},
+        {"step": "primitive", "positivity_power": 1, "via": "token-stage"},
+    )
+    ok, detail = verify_certificate(sys_, v)
+    assert ok and detail == {"checked": "primitive", "positivity_power": 1}, detail
+    assert prepared == [sys_, sys_]
+
+
+def test_verify_rejects_a_token_stage_that_does_not_settle():
+    # fibonacci has no block encoding; CONSTANTS_UNAVAILABLE's token sigma is
+    # not primitive, so it keeps its period-65 verdict from the blown-up stage
+    unavailable = parse_system(CONSTANTS_UNAVAILABLE)
+    for sys_, kind in ((load("fibonacci"), "primitive"), (unavailable, "periodic")):
+        v = decide_uniform_recurrence(sys_)
+        assert v.certificate.kind == kind and "via" not in v.certificate.data
+        for k in (1, 2, 3):
+            forged = _primitive_verdict(v, {"positivity_power": k, "via": "token-stage"})
+            ok, detail = verify_certificate(sys_, forged)
+            assert not ok and "builds no primitive" in detail["reason"], detail
+    d = decide_uniform_recurrence(unavailable).certificate.data
+    assert (d["source"], d["period"]) == ("constants-unavailable", 65)
+
+
+def test_verify_rejects_a_tampered_token_stage():
+    sys_ = parse_system(_comb(200))
+    v = decide_uniform_recurrence(sys_)
+    honest = v.certificate.data
+    for bad in (
+        {**honest, "positivity_power": 2},
+        {**honest, "positivity_power": True},
+        {**honest, "positivity_power": 1.0},
+        {**honest, "extra": 5},
+        {"via": "token-stage", "positivity_power": 1},
+        {"positivity_power": 1},
+        {**honest, "via": ["preimage", "token-stage"]},
+    ):
+        ok, detail = verify_certificate(sys_, _primitive_verdict(v, bad))
+        assert not ok, (bad, detail)
+    forged = Verdict(NOT_UNIFORMLY_RECURRENT, v.certificate, None, ())
+    assert not verify_certificate(sys_, forged)[0]
+
+
+def test_a_preimage_settled_on_its_token_stage_names_both_steps():
+    # phi is neither erasing nor a coding, so the image shortcut decides y,
+    # which settles on its token stage
+    sys_ = parse_system(
+        _comb(300).replace("sigma:", "target: 0 1\nsigma:") + "phi:\na -> 0 1\nb -> 1\n"
+    )
+    v = decide_uniform_recurrence(sys_)
+    assert v.certificate.data == {"positivity_power": 1, "via": ["preimage", "token-stage"]}
+    ok, detail = verify_certificate(sys_, v)
+    assert ok, detail
+    for via in ("preimage", ["token-stage", "preimage"], ["preimage"], ["preimage", "forged"]):
+        ok, detail = verify_certificate(sys_, _tampered(v, via=via))
+        assert not ok, (via, detail)
+    # x's own walk, through the blow-up of phi, settles on a token stage too
+    ok, detail = verify_certificate(sys_, _tampered(v, via="token-stage"))
+    assert ok, detail
 
 
 # -- the periodicity checklist ---------------------------------------------------------

@@ -9,9 +9,11 @@ import random
 
 import pytest
 
-from morphrec.decider import decide_uniform_recurrence, verify_certificate
+from morphrec.decider import (
+    _growing_stage, _growing_verdict, decide_uniform_recurrence, verify_certificate,
+)
 from morphrec.errors import MorphrecError
-from morphrec.returns import SCAN_LETTERS
+from morphrec.returns import SCAN_LETTERS, WORK_BUDGET
 from morphrec.stream import FixedPointStream
 from morphrec.system import parse_system
 
@@ -27,7 +29,8 @@ WIDE_LONGEST = 4
 
 # draw 49 of the wide-alphabet set (seed 12, 6-8 letters, images of up to 6
 # letters): its primitive 34-letter block stage has no constant sheet, as
-# the images R reads pass the work budget
+# the images R reads pass the work budget; the decider settles it on its
+# 30-token system, before that stage is built
 DRAW_49 = (
     "alphabet: a b c d e f g h\nstart: a\nsigma:\na -> a c e e b\nb -> e b a e c b\n"
     "c -> b h g\nd -> c e b\ne -> e e c h c\nf -> f\ng -> d\nh -> d h c f c a\n"
@@ -92,6 +95,12 @@ def test_random_system(text):
 def test_primitive_stage_settles_without_the_sheet():
     sys_ = parse_system(DRAW_49)
     verdict = decide_uniform_recurrence(sys_)
+    assert verdict.certificate.data == {"positivity_power": 7, "via": "token-stage"}
+    assert verdict.sheet is None
+    ok, detail = verify_certificate(sys_, verdict)
+    assert ok, detail
+    # the growing branch on the block stage itself
+    verdict = _growing_verdict(_growing_stage(sys_), WORK_BUDGET, [])
     assert verdict.certificate.kind == "primitive" and verdict.sheet is None
     assert {"step": "constants", "status": "unavailable",
             "reason": "image materialization exceeded the work budget"} in verdict.trace

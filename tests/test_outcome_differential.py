@@ -6,7 +6,10 @@ of 2-3 letters, the outcome, the certificate kind and whether the verdict
 carries a constant sheet, as the decider gave them when it ran the chain
 first.  Each draw must keep its outcome and whether it has a sheet, its
 certificate must verify, and the only kind allowed to change is a
-`repetition` that is now `primitive`.
+`repetition` that is now `primitive`.  Draws 60, 73, 92, 112, 121, 132,
+178, 240 and 351 were re-pinned when the decider began to settle a
+block-encoded stage on its token system: each is now a `primitive` with no
+sheet, where 7 were `periodic` and 2 a `repetition` with a sheet.
 """
 
 import json

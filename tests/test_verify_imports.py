@@ -22,7 +22,7 @@ VERIFY_IMPORTS = {
         "_primitive_certificate", "_pumping_certificate", "_tail_certificate", "pure_period_check",
     ],
     "constants": ["compute_count_free_sheet"],
-    "decider": ["PreparedSystem", "Verdict", "_preimage_system", "_stages"],
+    "decider": ["PreparedSystem", "Verdict", "_preimage_system", "_walk"],
     "returns": [
         "DriverExit", "PRACTICAL_CAP", "SCAN_LETTERS", "build_sigma_U", "first_two_occurrences"
     ],
