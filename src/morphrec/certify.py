@@ -4,9 +4,10 @@ A builder reads a stage of the stage walk (decider.py): the input after
 restriction to the letters the start reaches, coding normalization, the
 r_sigma power and any bounded-block encodings, each of which keeps
 x = phi(y) letter for letter, with y the fixed point of the staged sigma
-and phi a coding.  It returns a certificate or None.  The builders keep
-their exact checks, so a certificate they return proves what it states,
-for the reasons below.
+and phi a coding (the `primitive` builder also reads the token system of
+an encoding, see below).  It returns a certificate or None.  The builders
+keep their exact checks, so a certificate they return proves what it
+states, for the reasons below.
 
 Why a low-power `repetition` is sound: below the sheet's full power P the
 driver demands that every pair image sigma^p(w) is cut exactly into whole
@@ -24,27 +25,23 @@ is its non-erasing image x.  No constant of the sheet enters this argument,
 so it holds at any power (Durand 1998, "A characterization of substitutive
 sequences using return words").
 
-Why a `primitive` certificate is sound: if some power M^k of the staged
-incidence matrix is positive, the staged sigma is primitive, so every
-factor of y occurs in every image sigma^n(b) for n large enough, and y is
-uniformly recurrent (Queffelec, "Substitution Dynamical Systems", LNM 1294,
-1987).  A letter-to-letter image of a uniformly recurrent sequence is
-uniformly recurrent.  This uses no constant of the sheet either.
-
-Why a `primitive` certificate with "via": "token-stage" is sound: a
-bounded-block encoding (decider._encode_bounded_blocks) presents x as
-phi'(y'), with y' the fixed point of the token sigma' from token 1 and phi'
-sending each token (a cell and the growing letter after it) to phi of its
-cell; it keeps x letter for letter by construction, and checks so on a
-prefix.  A cell holds a growing letter and phi is a coding on every stage,
-so phi' is non-erasing.  If some power M'^k of the incidence matrix M' of
-sigma' is positive, sigma' is primitive and y' is uniformly recurrent
-(Queffelec, LNM 1294).  A factor w of x lies within phi'(u) for a factor u
-of y' of at most |w| letters, u recurs in y' within some G letters, so w
-recurs in x within G max|phi'(t)| letters: x is uniformly recurrent.  This
-is the image shortcut's argument (decider._image_shortcut) on the token
-system, so it needs neither the blow-up that would make phi' a coding nor
-any constant.
+Why a `primitive` certificate is sound: it states that some power M^k of
+the incidence matrix of sigma is positive, for a system x = phi(y) whose
+phi erases no letter.  Then sigma is primitive, so every factor of y occurs
+in every image sigma^n(b) for n large enough, and y is uniformly recurrent
+(Queffelec, "Substitution Dynamical Systems", LNM 1294, 1987).  A factor w
+of x lies within phi(u) for a factor u of y of at most |w| letters, u
+recurs in y within some G letters, so w recurs in x within G max|phi(t)|
+letters: x is uniformly recurrent.  No constant of the sheet enters.  On a
+stage phi is a coding, the case max|phi(t)| = 1.  The decider also reads
+the certificate on the token system of a bounded-block encoding
+(decider._encode_bounded_blocks), before that system is prepared, and marks
+it "via": "token-stage".  The encoding presents x as phi'(y'), with y' the
+fixed point of the token sigma' from token 1 and phi' sending each token (a
+cell and the growing letter after it) to phi of its cell; it keeps x letter
+for letter by construction, and checks so on a prefix.  A cell holds a
+growing letter, so phi' erases none, and the argument needs no blow-up that
+would make phi' a coding.
 
 The exit scan walks the u-chain's prefixes by the chain rule, on prefixes
 of x that double from SCAN_FIRST to SCAN_LETTERS letters (the bound on
@@ -518,25 +515,14 @@ def _exit_scan(staged: ProlongableSystem, K: int) -> Certificate | None:
         length *= 2
     return None
 
-def _primitive_certificate(staged: ProlongableSystem) -> Certificate | None:
-    """The `primitive` certificate of a growing stage whose sigma is
-    primitive and whose phi is letter-to-letter, else None (see the module
-    docstring for why it implies uniform recurrence)."""
-    k = staged.incidence.primitive_exponent
-    if k is None or staged.effective_phi.max_image_len != 1:
+def _primitive_certificate(sys: ProlongableSystem) -> Certificate | None:
+    """The `primitive` certificate of a system whose sigma is primitive and
+    whose phi erases no letter, else None (see the module docstring for why
+    it implies uniform recurrence)."""
+    k = sys.incidence.primitive_exponent
+    if k is None or sys.effective_phi.is_erasing:
         return None
     return Certificate(kind="primitive", data={"positivity_power": k})
-
-
-def _token_certificate(tokens: ProlongableSystem) -> Certificate | None:
-    """The `primitive` certificate of a bounded-block encoding read on its
-    token system, before any blow-up: sigma' primitive and phi' non-erasing,
-    else None (see the module docstring for why it implies uniform
-    recurrence)."""
-    k = tokens.incidence.primitive_exponent
-    if k is None or tokens.effective_phi.is_erasing:
-        return None
-    return Certificate(kind="primitive", data={"positivity_power": k, "via": "token-stage"})
 
 
 @dataclass(frozen=True)

@@ -5,10 +5,11 @@ coding, raise sigma so cyclicity classes are stable, then split on whether
 every letter grows.  Growing systems first get an exact periodicity check
 (periods up to UPFRONT_QMAX, proposed by a prefix scan and confirmed on the
 (q+1)-factors of x): a purely periodic x is uniformly recurrent and needs no
-constant sheet.  The rest run the derived-descriptor iteration with
-repetition detection; systems with bounded letters go through the
-pumping-word branch.  Verdicts carry machine-checkable certificates, built
-by the builders of certify.py and checked by verify.py.
+constant sheet.  The rest get the `primitive` check first, then the
+derived-descriptor iteration with repetition detection at low powers, the
+`primitive_tail` check and the exit scan; systems with bounded letters go
+through the pumping-word branch.  Verdicts carry machine-checkable
+certificates, built by the builders of certify.py and checked by verify.py.
 
 One stage walk, `_walk`, serves the decider and the verifier alike.  It
 yields the prepared input and then, while a stage has bounded letters and
@@ -20,12 +21,13 @@ a certificate is checked on the very stage it was issued for.
 
 The decider's walk also checks each encoding on its token system, before
 `prepare` blows its outer morphism up into a coding (k + 1 letters for
-a -> a b^k a, b -> b): when the token sigma is primitive, x is settled
-`primitive` there, with "via": "token-stage" and no sheet.  The verifier
-walks as far as that token system and rebuilds the certificate with the
-same builder; `_growing_stage`, `derive_chain` and the verifier of every
-other certificate walk the prepared stages (`_stages`).  A preimage of the
-image shortcut settled so gets "via": ["preimage", "token-stage"].
+a -> a b^k a, b -> b): when `_primitive_certificate` settles the token
+system, x is settled `primitive` there, with "via": "token-stage" and no
+sheet.  The verifier walks the same way for every `primitive` certificate,
+so it rebuilds one where the decider issued it, and walks the prepared
+stages (`_stages`) for every other kind, as `_growing_stage` and
+`derive_chain` do.  A preimage of the image shortcut settled so gets
+"via": ["preimage", "token-stage"].
 
 The growing branch first builds the constant sheet without the factor count
 p(K+1).  When the sheet raises, a stage that no period of up to 1024 letters
@@ -67,14 +69,14 @@ from dataclasses import dataclass
 from functools import cached_property
 from itertools import islice
 
-# pure_period_check, periodic_checklist and verify_certificate are bound
-# here too: callers and the bench's traced run look them up on this module
+# the bench's traced run looks up decide_uniform_recurrence, prepare,
+# resolve_periodicity, pure_period_check, periodic_checklist and
+# verify_certificate on this module; callers read the last three here too
 from .certify import (
     _PERIOD_SEARCH, _SHEET_UNAVAILABLE, LOW_POWERS, NOT_UNIFORMLY_RECURRENT,
     UNIFORMLY_RECURRENT, Certificate, _certify_repetition, _exit_scan, _letter_certificate,
     _periodic_certificate, _primitive_certificate, _pumping_certificate, _pumping_witness,
-    _tail_certificate, _token_certificate, periodic_checklist, pure_period_check,
-    resolve_periodicity,
+    _tail_certificate, periodic_checklist, pure_period_check, resolve_periodicity,
 )
 from .constants import ConstantSheet, compute_constant_sheet, compute_count_free_sheet
 from .errors import (
@@ -393,9 +395,10 @@ def _walk(sys: ProlongableSystem, trace: list[dict], token_stage: bool):
     pumping witness, block-encodes it and yields the prepared encoding, at
     most MAX_ENCODE_HOPS times.  A walk that ends on such a stage records why
     in an unresolved `nongrowing` trace step.  With token_stage set, an
-    encoding whose token system `_token_certificate` settles ends the walk
-    before it is prepared: the walk yields that certificate in place of the
-    stage, so the coding blow-up of the token system is never built.
+    encoding whose token system `_primitive_certificate` settles ends the
+    walk before it is prepared: the walk yields that certificate, marked
+    "via": "token-stage", in place of the stage, so the coding blow-up of
+    the token system is never built.
     """
     stage = prepare(sys, trace)
     yield stage
@@ -409,9 +412,9 @@ def _walk(sys: ProlongableSystem, trace: list[dict], token_stage: bool):
             trace.append({"step": "nongrowing", "status": "unresolved", "reason": str(e)})
             return
         trace.append({"step": "block-encode", **info})
-        cert = _token_certificate(encoded) if token_stage else None
+        cert = _primitive_certificate(encoded) if token_stage else None
         if cert is not None:
-            yield cert
+            yield Certificate(cert.kind, {**cert.data, "via": "token-stage"})
             return
         stage = prepare(encoded, trace)
         hops += 1

@@ -35,11 +35,14 @@ its E1 window, read off consecutive lengths.  The rebuilt gap is the first
 of x at that level, so a certificate that names a later one differs.  A
 `letter` exit is rebuilt on the first stage with a witness, a
 `periodic_mismatch` or pumping-branch `periodic` from the last stage's own
-witness and pumping word.  A `primitive` with "via": "token-stage" is
-rebuilt by the stage walk run with its token stage, which ends where the
-decider's walk ended, at the first token system that `_token_certificate`
-settles; that system is never prepared, so its coding blow-up is not built
-here either.
+witness and pumping word.  A `primitive` is rebuilt where the decider
+issues it: the stage walk runs with its token stage, so it ends where the
+decider's walk ended, at the first token system that
+`_primitive_certificate` settles, and that certificate, with "via":
+"token-stage", is the rebuilt one; otherwise the builder runs on the last
+prepared stage.  A token system that settles is never prepared, so its
+coding blow-up is not built here either, and a `primitive` without that
+`via` is refused there before any blow-up.
 """
 
 from __future__ import annotations
@@ -304,13 +307,13 @@ def _verify(sys: ProlongableSystem, verdict: Verdict, cert: Certificate) -> tupl
             stripped["via"] = via[1]
         return _verify(inner, verdict, Certificate(cert.kind, stripped))
     try:
-        # with a token stage, the walk ends at the first token system that
-        # settles, as the decider's does, before that system is prepared
-        stages = list(_walk(sys, [], via == "token-stage"))
-        if via == "token-stage":
-            rebuilt = stages[-1] if isinstance(stages[-1], Certificate) else None
-        else:
-            rebuilt = _rebuild(stages, cert)
+        # a `primitive` is rebuilt where the decider issues it: its walk ends,
+        # as the decider's does, at the first token system that settles,
+        # before that system is prepared; any other kind is rebuilt on the
+        # prepared stages
+        stages = list(_walk(sys, [], cert.kind == "primitive"))
+        settled = stages[-1]
+        rebuilt = settled if isinstance(settled, Certificate) else _rebuild(stages, cert)
     except _Rejected as e:
         return False, {"reason": str(e)}
     if rebuilt is None:

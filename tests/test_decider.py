@@ -923,19 +923,25 @@ def test_low_power_verdict_needs_no_factor_count(monkeypatch, name):
     assert v.outcome == UNIFORMLY_RECURRENT
     assert v.certificate.kind == "primitive"
     assert "constants" not in [t["step"] for t in v.trace]
+    verified = [v]
     if v.certificate.data.get("via") == "token-stage":
         # settled on its token system with no sheet: the sheet is read off
         # the growing branch on the block stage itself
         assert v.sheet is None
         ok, detail = verify_certificate(sys_, v)
         assert ok, detail
+        # the block stage's own `primitive` is not what the decider issues
         v = decider._growing_verdict(_growing_stage(sys_), WORK_BUDGET, [])
         assert v.certificate.kind == "primitive"
+        ok, detail = verify_certificate(sys_, v)
+        assert not ok and "differs from the rebuilt one" in detail["reason"], detail
+        verified = []
     chain = chain_verdict(sys_)
     assert chain.certificate.kind == "repetition"
     for verdict in (v, chain):
         sheet = verdict.sheet
         assert sheet.p_factor_count is None and sheet.K1 is None and sheet.cap is None
+    for verdict in (*verified, chain):
         ok, detail = verify_certificate(sys_, verdict)
         assert ok, detail
 
@@ -1883,17 +1889,38 @@ def test_the_comb_family_settles_on_its_token_stage(monkeypatch, k):
     assert prepared == [sys_, sys_]
 
 
+@pytest.mark.parametrize("k", [200, 1000])
+def test_verify_refuses_a_primitive_without_via_on_a_settled_token_stage(monkeypatch, k):
+    # the verifier rebuilds a `primitive` where the decider issues it, on the
+    # token system, so it refuses one without "via" before the blow-up
+    sys_ = parse_system(_comb(k))
+    v = decide_uniform_recurrence(sys_)
+    prepared = []
+    real = decider.prepare
+    monkeypatch.setattr(
+        decider, "prepare", lambda s, trace=None: prepared.append(s) or real(s, trace)
+    )
+    for power in (1, 2):
+        ok, detail = verify_certificate(sys_, _primitive_verdict(v, {"positivity_power": power}))
+        assert not ok, (power, detail)
+    assert prepared == [sys_, sys_]
+
+
 def test_verify_rejects_a_token_stage_that_does_not_settle():
-    # fibonacci has no block encoding; CONSTANTS_UNAVAILABLE's token sigma is
+    # fibonacci has no block encoding, so its own `primitive` is rebuilt on
+    # its one stage, without "via"; CONSTANTS_UNAVAILABLE's token sigma is
     # not primitive, so it keeps its period-65 verdict from the blown-up stage
     unavailable = parse_system(CONSTANTS_UNAVAILABLE)
-    for sys_, kind in ((load("fibonacci"), "primitive"), (unavailable, "periodic")):
+    for sys_, kind, reason in (
+        (load("fibonacci"), "primitive", "differs from the rebuilt one"),
+        (unavailable, "periodic", "builds no primitive"),
+    ):
         v = decide_uniform_recurrence(sys_)
         assert v.certificate.kind == kind and "via" not in v.certificate.data
         for k in (1, 2, 3):
             forged = _primitive_verdict(v, {"positivity_power": k, "via": "token-stage"})
             ok, detail = verify_certificate(sys_, forged)
-            assert not ok and "builds no primitive" in detail["reason"], detail
+            assert not ok and reason in detail["reason"], detail
     d = decide_uniform_recurrence(unavailable).certificate.data
     assert (d["source"], d["period"]) == ("constants-unavailable", 65)
 
